@@ -9,7 +9,6 @@
 
 #include "bench/bench_util.h"
 #include "engine/executor.h"
-#include "engine/morsel.h"
 #include "engine/tuple_stream.h"
 #include "silkroute/partition.h"
 #include "silkroute/publisher.h"
@@ -156,79 +155,6 @@ void BM_HashJoinSharded(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashJoinSharded)->Arg(1)->Arg(4)->Arg(16);
-
-// --- Morsel-parallel variants (DESIGN.md §11) -----------------------------
-// Arg = engine threads; Arg(1) is the serial baseline the speedup compares
-// against. On a single-core runner the >1 rows measure overhead, not
-// speedup — bench_compare.py normalizes by the file's median speed factor.
-
-void ConfigureParallel(engine::QueryExecutor* exec, engine::MorselPool* pool,
-                       int threads) {
-  if (threads > 1) {
-    engine::ExecutorOptions opts;
-    opts.parallelism = threads;
-    opts.pool = pool;
-    exec->set_exec_options(opts);
-  }
-}
-
-void BM_HashJoinParallel(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  engine::MorselPool pool(threads - 1);
-  engine::QueryExecutor exec(SharedDb());
-  ConfigureParallel(&exec, &pool, threads);
-  for (auto _ : state) {
-    auto r = exec.ExecuteSql(
-        "select l.orderkey, o.custkey from LineItem l, Orders o "
-        "where l.orderkey = o.orderkey");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_HashJoinParallel)->Arg(1)->Arg(2)->Arg(8);
-
-void BM_ChainJoin4WayParallel(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  engine::MorselPool pool(threads - 1);
-  engine::QueryExecutor exec(SharedDb());
-  ConfigureParallel(&exec, &pool, threads);
-  for (auto _ : state) {
-    auto r = exec.ExecuteSql(
-        "select s.name, p.name from Supplier s, PartSupp ps, Part p, "
-        "LineItem l where s.suppkey = ps.suppkey and ps.partkey = p.partkey "
-        "and l.partkey = ps.partkey and l.suppkey = ps.suppkey");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_ChainJoin4WayParallel)->Arg(1)->Arg(2)->Arg(8);
-
-void BM_SortWideRelationParallel(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  engine::MorselPool pool(threads - 1);
-  engine::QueryExecutor exec(SharedDb());
-  ConfigureParallel(&exec, &pool, threads);
-  for (auto _ : state) {
-    auto r = exec.ExecuteSql(
-        "select l.orderkey, l.partkey, l.suppkey, l.qty, l.prc "
-        "from LineItem l order by l.partkey, l.orderkey");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_SortWideRelationParallel)->Arg(1)->Arg(2)->Arg(8);
-
-void BM_PublishUnifiedPlanParallel(benchmark::State& state) {
-  static Publisher* publisher = new Publisher(SharedDb());
-  static ViewTree* tree =
-      new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
-  PublishOptions opt;
-  opt.collect_sql = false;
-  opt.engine_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    std::ostringstream sink;
-    auto m = publisher->ExecutePlan(*tree, 0x1FF, opt, &sink);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_PublishUnifiedPlanParallel)->Arg(1)->Arg(2)->Arg(8);
 
 void BM_PublishOptimalPlan(benchmark::State& state) {
   static Publisher* publisher = new Publisher(SharedDb());

@@ -9,7 +9,6 @@
 //   SILK_SERVICE_PENDING     -- admission request slots (default 16)
 //   SILK_SERVICE_DEADLINE_MS -- per-request deadline (default 0 = none)
 //   SILK_SICK_TABLE          -- table failed in the sick run (default PartSupp)
-//   SILK_ENGINE_THREADS      -- intra-query morsel parallelism (default 1)
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -48,7 +47,6 @@ LoadResult RunLoad(const Database* db, engine::SqlExecutor* executor,
   options.admission.max_pending_requests =
       static_cast<size_t>(EnvInt("SILK_SERVICE_PENDING", 16));
   options.default_deadline_ms = EnvScale("SILK_SERVICE_DEADLINE_MS", 0);
-  options.engine_threads = EnvInt("SILK_ENGINE_THREADS", 1);
   options.retry.sleep_fn = [](double) {};  // keep the sick run fast
   options.executor = executor;
   service::PublishingService service(db, options);
@@ -126,7 +124,6 @@ int main() {
   const char* sick_table = std::getenv("SILK_SICK_TABLE");
   std::string sick = sick_table && sick_table[0] ? sick_table : "PartSupp";
   engine::DatabaseExecutor db_executor(db.get());
-  db_executor.set_parallelism(EnvInt("SILK_ENGINE_THREADS", 1));
   engine::FaultPolicy policy;
   engine::FaultRule rule;
   rule.table = sick;
@@ -145,7 +142,6 @@ int main() {
   // loose tolerance.
   net::EngineServerOptions server_options;
   server_options.workers = static_cast<size_t>(EnvInt("SILK_SERVICE_WORKERS", 8));
-  server_options.engine_threads = EnvInt("SILK_ENGINE_THREADS", 1);
   net::EngineServer server(db.get(), server_options);
   auto started = server.Start();
   if (!started.ok()) {

@@ -1,16 +1,13 @@
 #include "engine/executor.h"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
-#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "engine/expr_eval.h"
 #include "engine/key_codec.h"
 #include "relational/columnar.h"
-#include "engine/morsel.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
 
@@ -384,217 +381,62 @@ Tuple NullPadded(const Tuple& left, size_t right_width) {
   return out;
 }
 
-/// Parallel-build counterpart of EncodedKeyIndex (DESIGN.md §11): the key
-/// space is hash-partitioned and each partition holds its own map + arena,
-/// so partition builds run on separate threads with no shared mutable
-/// state except the next_ chain array — which is race-free because a row's
-/// slot is written only by the one partition its key hashes into. Chains
-/// are in ascending global row order exactly as in the serial index
-/// (each partition inserts its rows in row order and a key lives in
-/// exactly one partition), so probe output is invariant under the
-/// partition count and equals the serial build's output byte for byte.
-class PartitionedKeyIndex {
+/// The build and probe halves HashJoin and HashJoinPairs share: the
+/// constructor indexes the build (right) side on its key columns, and
+/// First encodes one probe (left) row's key and looks it up. Only the
+/// output step differs between the two joins. Every non-NULL key encoded
+/// on either side counts into `stats`.
+class EquiJoinIndex {
  public:
-  static constexpr uint32_t kNil = 0xFFFFFFFFu;
-
-  /// `partitions` must be a power of two.
-  PartitionedKeyIndex(size_t rows, uint32_t partitions)
-      : mask_(partitions - 1), parts_(partitions), next_(rows, kNil) {
-    const size_t per_part = rows / partitions + 1;
-    for (auto& p : parts_) p.map.reserve(per_part);
-  }
-
-  uint32_t num_partitions() const {
-    return static_cast<uint32_t>(parts_.size());
-  }
-
-  uint32_t PartitionOf(std::string_view key) const {
-    return static_cast<uint32_t>(std::hash<std::string_view>()(key)) & mask_;
-  }
-
-  /// Caller guarantees p == PartitionOf(key) and ascending `row` order
-  /// within each partition. Distinct partitions may insert concurrently.
-  void Insert(uint32_t p, std::string_view key, uint32_t row) {
-    Part& part = parts_[p];
-    auto it = part.map.find(key);
-    if (it == part.map.end()) {
-      part.map.emplace(part.arena.Intern(key), Chain{row, row});
-    } else {
-      next_[it->second.tail] = row;
-      it->second.tail = row;
+  EquiJoinIndex(const JoinSide& probe, const JoinSide& build,
+                const std::vector<std::pair<size_t, size_t>>& keys,
+                ExecStats* stats)
+      : probe_(probe), stats_(stats) {
+    std::vector<size_t> build_cols;
+    probe_cols_.reserve(keys.size());
+    build_cols.reserve(keys.size());
+    for (const auto& [li, ri] : keys) {
+      probe_cols_.push_back(li);
+      build_cols.push_back(ri);
+    }
+    index_.Reserve(build.size());
+    for (size_t r = 0; r < build.size(); ++r) {
+      scratch_.clear();
+      // EncodeKey returns false on a NULL key column: such rows can
+      // never match, so they are simply not indexed.
+      if (!build.EncodeKey(r, build_cols, &scratch_)) continue;
+      CountKey();
+      index_.Insert(scratch_, static_cast<uint32_t>(r));
     }
   }
 
-  uint32_t Find(std::string_view key) const {
-    const Part& part = parts_[PartitionOf(key)];
-    auto it = part.map.find(key);
-    return it == part.map.end() ? kNil : it->second.head;
+  /// First build row matching probe row `l`, or kNil when there is none
+  /// or the probe key is NULL; advance with Next. The chain yields matches
+  /// in ascending build-row order (rows were inserted in row order), so
+  /// equal-key output is deterministic in build-row order — which fused
+  /// streams rely on.
+  uint32_t First(size_t l) {
+    scratch_.clear();
+    if (!probe_.EncodeKey(l, probe_cols_, &scratch_)) {
+      return EncodedKeyIndex::kNil;
+    }
+    CountKey();
+    return index_.Find(scratch_);
   }
-  uint32_t NextRow(uint32_t row) const { return next_[row]; }
+  uint32_t Next(uint32_t r) const { return index_.NextRow(r); }
 
  private:
-  struct Chain {
-    uint32_t head;
-    uint32_t tail;
-  };
-  struct Part {
-    KeyArena arena;
-    std::unordered_map<std::string_view, Chain> map;
-  };
-  uint32_t mask_;
-  std::vector<Part> parts_;
-  std::vector<uint32_t> next_;
+  void CountKey() {
+    ++stats_->keys_encoded;
+    stats_->bytes_encoded += scratch_.size();
+  }
+
+  JoinSide probe_;
+  std::vector<size_t> probe_cols_;
+  ExecStats* stats_;
+  EncodedKeyIndex index_;
+  std::string scratch_;
 };
-
-/// Build keys of one morsel of build-side rows: the encoded key bytes
-/// back-to-back, plus, per row of the morsel, its span into `buf`
-/// (len == kNullKey marks a NULL-keyed row that is never indexed) and the
-/// partition its key hashes to. `by_part[p]` lists the morsel-local row
-/// offsets in partition p, in row order.
-struct KeyMorsel {
-  static constexpr uint32_t kNullKey = 0xFFFFFFFFu;
-  std::string buf;
-  std::vector<uint32_t> offsets;
-  std::vector<uint32_t> lens;
-  std::vector<std::vector<uint32_t>> by_part;
-  uint64_t keys = 0;
-  uint64_t bytes = 0;
-
-  std::string_view KeyAt(size_t local) const {
-    return std::string_view(buf.data() + offsets[local], lens[local]);
-  }
-};
-
-/// Smallest power of two >= n (n >= 1).
-uint32_t CeilPow2(uint32_t n) {
-  uint32_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-/// Sorts `recs` by the strict *total* order `less` as `num_runs`
-/// independently sorted runs followed by pairwise parallel merges.
-/// Totality (every executor comparator ends in an input-index tiebreak)
-/// makes the sorted permutation unique, so the result is element-for-
-/// element the serial std::sort outcome regardless of the run count or
-/// thread schedule. `dispatch(count, fn)` runs fn(0..count) across the
-/// pool (QueryExecutor::RunTasks bound by the caller).
-template <typename Rec, typename Less, typename Dispatch>
-Status ParallelSortMerge(std::vector<Rec>* recs, size_t num_runs,
-                         const Less& less, const Dispatch& dispatch) {
-  const size_t n = recs->size();
-  if (num_runs < 2 || n < num_runs * 2) {
-    std::sort(recs->begin(), recs->end(), less);
-    return Status::OK();
-  }
-  const size_t chunk = (n + num_runs - 1) / num_runs;
-  std::vector<size_t> bounds;  // run boundaries, bounds.front()=0, back()=n
-  for (size_t b = 0; b < n; b += chunk) bounds.push_back(b);
-  bounds.push_back(n);
-
-  SILK_RETURN_IF_ERROR(dispatch(bounds.size() - 1, [&](size_t r) -> Status {
-    std::sort(recs->begin() + static_cast<ptrdiff_t>(bounds[r]),
-              recs->begin() + static_cast<ptrdiff_t>(bounds[r + 1]), less);
-    return Status::OK();
-  }));
-
-  std::vector<Rec> scratch(n);
-  std::vector<Rec>* src = recs;
-  std::vector<Rec>* dst = &scratch;
-  while (bounds.size() > 2) {
-    const size_t runs = bounds.size() - 1;
-    const size_t out_runs = (runs + 1) / 2;
-    std::vector<size_t> next_bounds;
-    next_bounds.reserve(out_runs + 1);
-    for (size_t k = 0; k < runs; k += 2) next_bounds.push_back(bounds[k]);
-    next_bounds.push_back(n);
-    SILK_RETURN_IF_ERROR(dispatch(out_runs, [&](size_t k) -> Status {
-      const size_t a = bounds[2 * k];
-      const size_t b = bounds[2 * k + 1];
-      if (2 * k + 2 <= bounds.size() - 1) {
-        const size_t c = bounds[2 * k + 2];
-        std::merge(src->begin() + static_cast<ptrdiff_t>(a),
-                   src->begin() + static_cast<ptrdiff_t>(b),
-                   src->begin() + static_cast<ptrdiff_t>(b),
-                   src->begin() + static_cast<ptrdiff_t>(c),
-                   dst->begin() + static_cast<ptrdiff_t>(a), less);
-      } else {
-        // Odd tail run: carried over unmerged.
-        std::copy(src->begin() + static_cast<ptrdiff_t>(a),
-                  src->begin() + static_cast<ptrdiff_t>(b),
-                  dst->begin() + static_cast<ptrdiff_t>(a));
-      }
-      return Status::OK();
-    }));
-    bounds = std::move(next_bounds);
-    std::swap(src, dst);
-  }
-  if (src != recs) *recs = std::move(*src);
-  return Status::OK();
-}
-
-struct IndexBuildCounters {
-  uint64_t keys = 0;
-  uint64_t bytes = 0;
-};
-
-/// Two-phase parallel index build. Phase A encodes every build key in
-/// morsels (per-morsel buffers, no shared writes); phase B runs one task
-/// per partition, inserting that partition's rows in ascending global row
-/// order. `run_morsels` / `run_tasks` are the executor's dispatchers.
-template <typename RunMorselsFn, typename RunTasksFn>
-Status BuildPartitionedIndex(const JoinSide& build,
-                             const std::vector<size_t>& cols,
-                             size_t morsel_rows,
-                             const RunMorselsFn& run_morsels,
-                             const RunTasksFn& run_tasks,
-                             PartitionedKeyIndex* index,
-                             IndexBuildCounters* counters) {
-  const size_t n = build.size();
-  const size_t morsel = morsel_rows > 0 ? morsel_rows : 1;
-  const size_t count = (n + morsel - 1) / morsel;
-  const uint32_t partitions = index->num_partitions();
-  std::vector<KeyMorsel> morsels(count);
-  SILK_RETURN_IF_ERROR(run_morsels(
-      "join_build_encode", n, [&](size_t m, size_t begin, size_t end) -> Status {
-        KeyMorsel& km = morsels[m];
-        km.offsets.resize(end - begin);
-        km.lens.resize(end - begin);
-        km.by_part.resize(partitions);
-        for (size_t i = begin; i < end; ++i) {
-          const size_t local = i - begin;
-          const uint32_t off = static_cast<uint32_t>(km.buf.size());
-          km.offsets[local] = off;
-          if (!build.EncodeKey(i, cols, &km.buf)) {
-            km.buf.resize(off);  // drop the partial NULL-keyed write
-            km.lens[local] = KeyMorsel::kNullKey;
-            continue;
-          }
-          km.lens[local] = static_cast<uint32_t>(km.buf.size() - off);
-          ++km.keys;
-          km.bytes += km.lens[local];
-          km.by_part[index->PartitionOf(km.KeyAt(local))].push_back(
-              static_cast<uint32_t>(local));
-        }
-        return Status::OK();
-      }));
-  for (const KeyMorsel& km : morsels) {
-    counters->keys += km.keys;
-    counters->bytes += km.bytes;
-  }
-  return run_tasks("join_build_insert", partitions, [&](size_t p) -> Status {
-    for (size_t m = 0; m < count; ++m) {
-      const KeyMorsel& km = morsels[m];
-      if (km.by_part.empty()) continue;
-      const size_t begin = m * morsel;
-      for (uint32_t local : km.by_part[p]) {
-        index->Insert(static_cast<uint32_t>(p), km.KeyAt(local),
-                      static_cast<uint32_t>(begin + local));
-      }
-    }
-    return Status::OK();
-  });
-}
 
 }  // namespace
 
@@ -630,52 +472,6 @@ Status QueryExecutor::CheckDeadline() const {
                            std::to_string(timeout_ms_) + " ms");
   }
   return Status::OK();
-}
-
-size_t QueryExecutor::MorselCount(size_t rows) const {
-  const size_t morsel = opts_.morsel_rows > 0 ? opts_.morsel_rows : 1;
-  return (rows + morsel - 1) / morsel;
-}
-
-Status QueryExecutor::RunTasks(const char* what, size_t count,
-                               const std::function<Status(size_t)>& fn) {
-  stats_.morsels_dispatched += count;
-  // Per-morsel spans parent under the span current on the *dispatching*
-  // thread (the pool threads have no thread-local span installed).
-  // Starting children is thread-safe — the child ordinal is atomic — and
-  // each span is annotated and ended by the one thread that ran the task.
-  obs::SpanHandle* parent = obs::CurrentSpan();
-  obs::Tracer* tracer =
-      parent != nullptr && parent->recording() ? parent->tracer() : nullptr;
-  const auto submitted = std::chrono::steady_clock::now();
-  if (tracer == nullptr) return opts_.pool->ParallelFor(count, fn);
-  auto traced = [&](size_t i) -> Status {
-    const auto started = std::chrono::steady_clock::now();
-    obs::SpanHandle span = obs::Tracer::Child(tracer, parent, "morsel");
-    span.Annotate("op", what);
-    span.AnnotateMs("queue_wait_ms",
-                    std::chrono::duration<double, std::milli>(
-                        started - submitted)
-                        .count());
-    Status s = fn(i);
-    span.AnnotateMs("run_ms", std::chrono::duration<double, std::milli>(
-                                  std::chrono::steady_clock::now() - started)
-                                  .count());
-    span.End();
-    return s;
-  };
-  return opts_.pool->ParallelFor(count, traced);
-}
-
-Status QueryExecutor::RunMorsels(
-    const char* what, size_t rows,
-    const std::function<Status(size_t, size_t, size_t)>& fn) {
-  const size_t morsel = opts_.morsel_rows > 0 ? opts_.morsel_rows : 1;
-  return RunTasks(what, MorselCount(rows), [&](size_t m) -> Status {
-    const size_t begin = m * morsel;
-    const size_t end = std::min(rows, begin + morsel);
-    return fn(m, begin, end);
-  });
 }
 
 Result<Relation> QueryExecutor::Execute(const sql::Query& query) {
@@ -825,71 +621,23 @@ Result<Relation> QueryExecutor::ExecuteCore(const sql::SelectCore& core,
     // fuse with no intermediate row copy at all.
     const Table& t = *borrowed_table;
     const size_t n = have_selection ? selection.size() : in_rows.size();
-    auto project_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const Table::RowLoc loc =
-            t.row_loc(have_selection ? selection[i] : i);
-        const ColumnarShard& shard = t.shard(loc.shard);
-        Tuple projected;
-        projected.mutable_values().reserve(direct_cols.size());
-        for (size_t c : direct_cols) {
-          projected.Append(shard.ValueAt(c, loc.pos));
-        }
-        out.rows[i] = std::move(projected);
-      }
-    };
-    out.rows.resize(n);
-    if (UseParallel(n)) {
-      SILK_RETURN_IF_ERROR(RunMorsels(
-          "project", n, [&](size_t, size_t begin, size_t end) -> Status {
-            project_range(begin, end);
-            return Status::OK();
-          }));
-    } else {
-      project_range(0, n);
+    out.rows.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Table::RowLoc loc = t.row_loc(have_selection ? selection[i] : i);
+      const ColumnarShard& shard = t.shard(loc.shard);
+      Tuple projected;
+      projected.mutable_values().reserve(direct_cols.size());
+      for (size_t c : direct_cols) projected.Append(shard.ValueAt(c, loc.pos));
+      out.rows.push_back(std::move(projected));
     }
   } else if (all_direct) {
-    if (UseParallel(in_rows.size())) {
-      // Disjoint index ranges write disjoint slots of the preallocated
-      // output, so morsels share nothing; slot order == input order.
-      out.rows.resize(in_rows.size());
-      SILK_RETURN_IF_ERROR(RunMorsels(
-          "project", in_rows.size(),
-          [&](size_t, size_t begin, size_t end) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              Tuple projected;
-              projected.mutable_values().reserve(direct_cols.size());
-              for (size_t c : direct_cols) {
-                projected.Append(in_rows[i].values()[c]);
-              }
-              out.rows[i] = std::move(projected);
-            }
-            return Status::OK();
-          }));
-    } else {
-      out.rows.reserve(in_rows.size());
-      for (const auto& row : in_rows) {
-        Tuple projected;
-        projected.mutable_values().reserve(direct_cols.size());
-        for (size_t c : direct_cols) projected.Append(row.values()[c]);
-        out.rows.push_back(std::move(projected));
-      }
+    out.rows.reserve(in_rows.size());
+    for (const auto& row : in_rows) {
+      Tuple projected;
+      projected.mutable_values().reserve(direct_cols.size());
+      for (size_t c : direct_cols) projected.Append(row.values()[c]);
+      out.rows.push_back(std::move(projected));
     }
-  } else if (UseParallel(in_rows.size())) {
-    // BoundExpr::Eval is const and stateless, so one bound tree serves all
-    // morsel threads concurrently.
-    out.rows.resize(in_rows.size());
-    SILK_RETURN_IF_ERROR(RunMorsels(
-        "project", in_rows.size(),
-        [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            Tuple projected;
-            projected.mutable_values().reserve(exprs.size());
-            for (const auto& e : exprs) projected.Append(e->Eval(in_rows[i]));
-            out.rows[i] = std::move(projected);
-          }
-          return Status::OK();
-        }));
   } else {
     out.rows.reserve(in_rows.size());
     for (const auto& row : in_rows) {
@@ -904,68 +652,23 @@ Result<Relation> QueryExecutor::ExecuteCore(const sql::SelectCore& core,
     // contiguous byte string, so hashing and equality are single byte
     // passes instead of a variant walk of t.values() per probe. NULL ==
     // NULL here, as before (Tuple::Compare identity, not SqlEquals).
-    if (UseParallel(out.rows.size())) {
-      // Parallel phase: encode whole-row keys per morsel into private
-      // buffers. Serial phase: first-occurrence scan in row order — the
-      // dedup decision depends on every earlier row, so it stays on one
-      // thread, but it only touches packed bytes, never Values.
-      const size_t n = out.rows.size();
-      const size_t morsel = opts_.morsel_rows > 0 ? opts_.morsel_rows : 1;
-      struct RowKeys {
-        std::string buf;
-        std::vector<uint32_t> offsets;  // n_local + 1 fence offsets
-      };
-      std::vector<RowKeys> morsels(MorselCount(n));
-      SILK_RETURN_IF_ERROR(RunMorsels(
-          "distinct_encode", n,
-          [&](size_t m, size_t begin, size_t end) -> Status {
-            RowKeys& rk = morsels[m];
-            rk.offsets.reserve(end - begin + 1);
-            rk.offsets.push_back(0);
-            for (size_t i = begin; i < end; ++i) {
-              EncodeRowKey(out.rows[i], &rk.buf);
-              rk.offsets.push_back(static_cast<uint32_t>(rk.buf.size()));
-            }
-            return Status::OK();
-          }));
-      std::unordered_set<std::string_view> seen;
-      seen.reserve(n);
-      std::vector<Tuple> unique;
-      unique.reserve(n);
-      for (size_t m = 0; m < morsels.size(); ++m) {
-        const RowKeys& rk = morsels[m];
-        const size_t begin = m * morsel;
-        stats_.bytes_encoded += rk.buf.size();
-        for (size_t local = 0; local + 1 < rk.offsets.size(); ++local) {
-          ++stats_.keys_encoded;
-          // rk.buf is stable now, so the set can view it directly.
-          std::string_view key(rk.buf.data() + rk.offsets[local],
-                               rk.offsets[local + 1] - rk.offsets[local]);
-          if (seen.insert(key).second) {
-            unique.push_back(std::move(out.rows[begin + local]));
-          }
-        }
+    KeyArena arena;
+    std::unordered_set<std::string_view> seen;
+    seen.reserve(out.rows.size());
+    std::vector<Tuple> unique;
+    unique.reserve(out.rows.size());
+    std::string scratch;
+    for (auto& row : out.rows) {
+      scratch.clear();
+      EncodeRowKey(row, &scratch);
+      ++stats_.keys_encoded;
+      stats_.bytes_encoded += scratch.size();
+      if (seen.find(scratch) == seen.end()) {
+        seen.insert(arena.Intern(scratch));
+        unique.push_back(std::move(row));
       }
-      out.rows = std::move(unique);
-    } else {
-      KeyArena arena;
-      std::unordered_set<std::string_view> seen;
-      seen.reserve(out.rows.size());
-      std::vector<Tuple> unique;
-      unique.reserve(out.rows.size());
-      std::string scratch;
-      for (auto& row : out.rows) {
-        scratch.clear();
-        EncodeRowKey(row, &scratch);
-        ++stats_.keys_encoded;
-        stats_.bytes_encoded += scratch.size();
-        if (seen.find(scratch) == seen.end()) {
-          seen.insert(arena.Intern(scratch));
-          unique.push_back(std::move(row));
-        }
-      }
-      out.rows = std::move(unique);
     }
+    out.rows = std::move(unique);
     // DISTINCT breaks row alignment; ORDER BY must use the output schema.
     last_preprojection_ = Relation();
     last_preprojection_rows_ = nullptr;
@@ -1202,9 +905,6 @@ Result<Relation> QueryExecutor::JoinFromList(
       combined.schema = RelSchema::Concat(current.schema, right.schema);
       const std::vector<Tuple>& lrows = current_rows();
       const std::vector<Tuple>& rrows = rows_of(cand);
-      if (UseParallel(lrows.size()) || UseParallel(rrows.size())) {
-        ++stats_.parallel_fallbacks;  // cross products stay serial
-      }
       combined.rows.reserve(lrows.size() * rrows.size());
       for (const auto& l : lrows) {
         SILK_RETURN_IF_ERROR(CheckDeadline());
@@ -1278,34 +978,15 @@ Result<Relation> QueryExecutor::JoinFromList(
     if (leftover.empty()) {
       // Project straight off the join inputs: the wide tuples never exist.
       std::vector<Tuple> projected;
-      if (UseParallel(pairs.size())) {
-        projected.resize(pairs.size());
-        SILK_RETURN_IF_ERROR(RunMorsels(
-            "project", pairs.size(),
-            [&](size_t, size_t begin, size_t end) -> Status {
-              for (size_t i = begin; i < end; ++i) {
-                const auto& [li, ri] = pairs[i];
-                Tuple t;
-                t.mutable_values().reserve(fuse_cols.size());
-                for (size_t c : fuse_cols) {
-                  t.Append(c < left_width ? lrows[li].values()[c]
-                                          : rrows[ri].values()[c - left_width]);
-                }
-                projected[i] = std::move(t);
-              }
-              return Status::OK();
-            }));
-      } else {
-        projected.reserve(pairs.size());
-        for (const auto& [li, ri] : pairs) {
-          Tuple t;
-          t.mutable_values().reserve(fuse_cols.size());
-          for (size_t c : fuse_cols) {
-            t.Append(c < left_width ? lrows[li].values()[c]
-                                    : rrows[ri].values()[c - left_width]);
-          }
-          projected.push_back(std::move(t));
+      projected.reserve(pairs.size());
+      for (const auto& [li, ri] : pairs) {
+        Tuple t;
+        t.mutable_values().reserve(fuse_cols.size());
+        for (size_t c : fuse_cols) {
+          t.Append(c < left_width ? lrows[li].values()[c]
+                                  : rrows[ri].values()[c - left_width]);
         }
+        projected.push_back(std::move(t));
       }
       current.schema =
           RelSchema::Concat(current.schema, items[pair_cand].schema);
@@ -1316,22 +997,9 @@ Result<Relation> QueryExecutor::JoinFromList(
     // A residual predicate needs the wide rows after all: materialize them
     // from the pairs (same order HashJoin would have emitted).
     std::vector<Tuple> wide;
-    if (UseParallel(pairs.size())) {
-      wide.resize(pairs.size());
-      SILK_RETURN_IF_ERROR(RunMorsels(
-          "materialize", pairs.size(),
-          [&](size_t, size_t begin, size_t end) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              wide[i] = Tuple::Concat(lrows[pairs[i].first],
-                                      rrows[pairs[i].second]);
-            }
-            return Status::OK();
-          }));
-    } else {
-      wide.reserve(pairs.size());
-      for (const auto& [li, ri] : pairs) {
-        wide.push_back(Tuple::Concat(lrows[li], rrows[ri]));
-      }
+    wide.reserve(pairs.size());
+    for (const auto& [li, ri] : pairs) {
+      wide.push_back(Tuple::Concat(lrows[li], rrows[ri]));
     }
     current.schema = RelSchema::Concat(current.schema, items[pair_cand].schema);
     current.rows = std::move(wide);
@@ -1350,33 +1018,7 @@ Result<Relation> QueryExecutor::JoinFromList(
       return true;
     };
     std::vector<Tuple> kept;
-    if (UseParallel(current_rows().size())) {
-      // Filter morsels: survivors collect into per-morsel runs; the runs
-      // concatenate in morsel order, which is input row order.
-      const std::vector<Tuple>& in_rows = current_rows();
-      const bool own = current_borrow == nullptr;
-      std::vector<std::vector<Tuple>> runs(MorselCount(in_rows.size()));
-      SILK_RETURN_IF_ERROR(RunMorsels(
-          "filter", in_rows.size(),
-          [&](size_t m, size_t begin, size_t end) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              if (!passes(in_rows[i])) continue;
-              if (own) {
-                runs[m].push_back(std::move(current.rows[i]));
-              } else {
-                runs[m].push_back(in_rows[i]);
-              }
-            }
-            return Status::OK();
-          }));
-      size_t total = 0;
-      for (const auto& run : runs) total += run.size();
-      kept.reserve(total);
-      for (auto& run : runs) {
-        for (Tuple& t : run) kept.push_back(std::move(t));
-      }
-      current_borrow = nullptr;
-    } else if (current_borrow != nullptr) {
+    if (current_borrow != nullptr) {
       // Borrowed rows belong to the table: copy the survivors.
       kept.reserve(current_rows().size());
       for (const auto& row : *current_borrow) {
@@ -1438,22 +1080,7 @@ Status QueryExecutor::MaterializeBaseTable(
     const std::vector<uint32_t> sel = std::move(scan_selection_);
     scan_selection_.clear();
     const std::vector<Tuple>& rows = table.rows();
-    const size_t out_base = out->rows.size();
-    if (UseParallel(sel.size())) {
-      // Disjoint selection ranges copy into disjoint output slots; slot
-      // order equals selection order equals global row order.
-      out->rows.resize(out_base + sel.size());
-      SILK_RETURN_IF_ERROR(RunMorsels(
-          "scan_emit", sel.size(),
-          [&](size_t, size_t begin, size_t end) -> Status {
-            for (size_t i = begin; i < end; ++i) {
-              out->rows[out_base + i] = rows[sel[i]];
-            }
-            return Status::OK();
-          }));
-      return Status::OK();
-    }
-    out->rows.reserve(out_base + sel.size());
+    out->rows.reserve(out->rows.size() + sel.size());
     for (uint32_t gid : sel) out->rows.push_back(rows[gid]);
     return Status::OK();
   }
@@ -1471,27 +1098,6 @@ Status QueryExecutor::MaterializeBaseTable(
     }
     return true;
   };
-  if (UseParallel(table.num_rows()) && !bound.empty()) {
-    // Scan morsels: each claims a fixed row range, filters into a private
-    // run, and the runs concatenate in morsel order == table row order.
-    const std::vector<Tuple>& rows = table.rows();
-    std::vector<std::vector<Tuple>> runs(MorselCount(rows.size()));
-    SILK_RETURN_IF_ERROR(RunMorsels(
-        "scan_filter", rows.size(),
-        [&](size_t m, size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            if (passes(rows[i])) runs[m].push_back(rows[i]);
-          }
-          return Status::OK();
-        }));
-    size_t total = 0;
-    for (const auto& run : runs) total += run.size();
-    out->rows.reserve(out->rows.size() + total);
-    for (auto& run : runs) {
-      for (Tuple& t : run) out->rows.push_back(std::move(t));
-    }
-    return Status::OK();
-  }
   for (const Tuple& row : table.rows()) {
     if (passes(row)) out->rows.push_back(row);
   }
@@ -1519,31 +1125,14 @@ Result<bool> QueryExecutor::TryColumnarSelectionScan(
     return true;  // a NULL-literal comparison passes no rows
   }
   // Predicate evaluation reads the shard's typed arrays directly — no
-  // bound-expression dispatch and no per-row Value materialization. Shards
-  // are the unit of dispatch: each task owns (shard, chunk) ranges and
-  // writes disjoint slots of a survivor bitmap indexed by table-global row
-  // id, so parallel evaluation shares no mutable state. Walking the bitmap
-  // in ascending global id afterwards yields the same survivor order a
-  // row-major scan would, at any shard count.
+  // bound-expression dispatch and no per-row Value materialization. Each
+  // shard marks its survivors in a bitmap indexed by table-global row id;
+  // walking the bitmap in ascending global id afterwards yields the same
+  // survivor order a row-major scan would, at any shard count.
   std::vector<uint8_t> keep(n, 0);
-  struct ShardChunk {
-    uint32_t shard;
-    uint32_t begin;
-    uint32_t end;
-  };
-  const size_t step = opts_.morsel_rows > 0 ? opts_.morsel_rows : 1;
-  std::vector<ShardChunk> chunks;
   for (uint32_t s = 0; s < table.shard_count(); ++s) {
-    const size_t shard_rows = table.shard(s).size();
-    for (size_t b = 0; b < shard_rows; b += step) {
-      chunks.push_back({s, static_cast<uint32_t>(b),
-                        static_cast<uint32_t>(std::min(shard_rows, b + step))});
-    }
-  }
-  auto eval_chunk = [&](size_t ci) -> Status {
-    const ShardChunk& ch = chunks[ci];
-    const ColumnarShard& shard = table.shard(ch.shard);
-    for (size_t pos = ch.begin; pos < ch.end; ++pos) {
+    const ColumnarShard& shard = table.shard(s);
+    for (size_t pos = 0; pos < shard.size(); ++pos) {
       bool pass = true;
       for (const ColPred& p : preds) {
         if (!EvalColPred(shard.column(p.col), pos, p)) {
@@ -1552,14 +1141,6 @@ Result<bool> QueryExecutor::TryColumnarSelectionScan(
         }
       }
       if (pass) keep[shard.global_id(pos)] = 1;
-    }
-    return Status::OK();
-  };
-  if (UseParallel(n)) {
-    SILK_RETURN_IF_ERROR(RunTasks("scan_filter", chunks.size(), eval_chunk));
-  } else {
-    for (size_t ci = 0; ci < chunks.size(); ++ci) {
-      SILK_RETURN_IF_ERROR(eval_chunk(ci));
     }
   }
   size_t total = 0;
@@ -1592,7 +1173,6 @@ Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
       sub.timeout_ms_ = timeout_ms_;
       sub.has_deadline_ = has_deadline_;
       sub.deadline_ = deadline_;
-      sub.opts_ = opts_;  // derived tables parallelize like their parent
       SILK_ASSIGN_OR_RETURN(Relation rel, sub.Execute(derived.query()));
       stats_.rows_scanned += sub.stats_.rows_scanned;
       stats_.rows_joined += sub.stats_.rows_joined;
@@ -1602,8 +1182,6 @@ Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
       stats_.index_probes += sub.stats_.index_probes;
       stats_.keys_encoded += sub.stats_.keys_encoded;
       stats_.bytes_encoded += sub.stats_.bytes_encoded;
-      stats_.morsels_dispatched += sub.stats_.morsels_dispatched;
-      stats_.parallel_fallbacks += sub.stats_.parallel_fallbacks;
       rel.schema = rel.schema.WithQualifier(derived.alias());
       return rel;
     }
@@ -1688,66 +1266,26 @@ Result<Relation> QueryExecutor::HashJoin(
     SILK_ASSIGN_OR_RETURN(residual_bound, BindExpr(*residual, out.schema));
   }
 
-  std::vector<size_t> left_cols;
-  std::vector<size_t> right_cols;
-  left_cols.reserve(keys.size());
-  right_cols.reserve(keys.size());
-  for (const auto& [li, ri] : keys) {
-    left_cols.push_back(li);
-    right_cols.push_back(ri);
-  }
-
-  const size_t right_width = right_schema.size();
-  if (opts_.parallelism > 1 && opts_.pool != nullptr &&
-      (left_rows.size() >= opts_.parallel_threshold ||
-       right_rows.size() >= opts_.parallel_threshold)) {
-    return HashJoinParallel(type, std::move(out.schema), left_rows,
-                            right_rows, left_cols, right_cols,
-                            residual_bound.get(), right_width, left_table,
-                            right_table);
-  }
-
-  const JoinSide build{&right_rows, right_table};
-  const JoinSide probe{&left_rows, left_table};
-  EncodedKeyIndex index;
-  index.Reserve(right_rows.size());
-  std::string scratch;
-  for (size_t r = 0; r < right_rows.size(); ++r) {
-    scratch.clear();
-    // EncodeKey returns false on a NULL key column: such rows can
-    // never match, so they are simply not indexed.
-    if (!build.EncodeKey(r, right_cols, &scratch)) continue;
-    ++stats_.keys_encoded;
-    stats_.bytes_encoded += scratch.size();
-    index.Insert(scratch, static_cast<uint32_t>(r));
-  }
-
+  EquiJoinIndex join(JoinSide{&left_rows, left_table},
+                     JoinSide{&right_rows, right_table}, keys, &stats_);
   ++stats_.hash_joins;
+  const size_t right_width = right_schema.size();
   size_t deadline_check = 0;
   for (size_t l = 0; l < left_rows.size(); ++l) {
     const Tuple& lrow = left_rows[l];
     if ((++deadline_check & 0xFF) == 0) {
       SILK_RETURN_IF_ERROR(CheckDeadline());
     }
-    scratch.clear();
     bool matched = false;
-    if (probe.EncodeKey(l, left_cols, &scratch)) {
-      ++stats_.keys_encoded;
-      stats_.bytes_encoded += scratch.size();
-      // The chain yields matches in ascending right-row order (rows were
-      // inserted in row order), so equal-key output is deterministic in
-      // right-row order — which fused streams rely on — without the sort
-      // the multimap's equal_range used to need.
-      for (uint32_t r = index.Find(scratch); r != EncodedKeyIndex::kNil;
-           r = index.NextRow(r)) {
-        Tuple combined = Tuple::Concat(lrow, right_rows[r]);
-        if (residual_bound &&
-            residual_bound->Test(combined) != Tribool::kTrue) {
-          continue;
-        }
-        matched = true;
-        out.rows.push_back(std::move(combined));
+    for (uint32_t r = join.First(l); r != EncodedKeyIndex::kNil;
+         r = join.Next(r)) {
+      Tuple combined = Tuple::Concat(lrow, right_rows[r]);
+      if (residual_bound &&
+          residual_bound->Test(combined) != Tribool::kTrue) {
+        continue;
       }
+      matched = true;
+      out.rows.push_back(std::move(combined));
     }
     if (!matched && type == sql::JoinType::kLeftOuter) {
       out.rows.push_back(NullPadded(lrow, right_width));
@@ -1761,35 +1299,8 @@ Result<std::vector<std::pair<uint32_t, uint32_t>>> QueryExecutor::HashJoinPairs(
     const std::vector<Tuple>& left_rows, const std::vector<Tuple>& right_rows,
     const std::vector<std::pair<size_t, size_t>>& keys,
     const Table* left_table, const Table* right_table) {
-  std::vector<size_t> left_cols;
-  std::vector<size_t> right_cols;
-  left_cols.reserve(keys.size());
-  right_cols.reserve(keys.size());
-  for (const auto& [li, ri] : keys) {
-    left_cols.push_back(li);
-    right_cols.push_back(ri);
-  }
-
-  if (opts_.parallelism > 1 && opts_.pool != nullptr &&
-      (left_rows.size() >= opts_.parallel_threshold ||
-       right_rows.size() >= opts_.parallel_threshold)) {
-    return HashJoinPairsParallel(left_rows, right_rows, left_cols, right_cols,
-                                 left_table, right_table);
-  }
-
-  const JoinSide build{&right_rows, right_table};
-  const JoinSide probe{&left_rows, left_table};
-  EncodedKeyIndex index;
-  index.Reserve(right_rows.size());
-  std::string scratch;
-  for (size_t r = 0; r < right_rows.size(); ++r) {
-    scratch.clear();
-    if (!build.EncodeKey(r, right_cols, &scratch)) continue;
-    ++stats_.keys_encoded;
-    stats_.bytes_encoded += scratch.size();
-    index.Insert(scratch, static_cast<uint32_t>(r));
-  }
-
+  EquiJoinIndex join(JoinSide{&left_rows, left_table},
+                     JoinSide{&right_rows, right_table}, keys, &stats_);
   ++stats_.hash_joins;
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   size_t deadline_check = 0;
@@ -1797,166 +1308,12 @@ Result<std::vector<std::pair<uint32_t, uint32_t>>> QueryExecutor::HashJoinPairs(
     if ((++deadline_check & 0xFF) == 0) {
       SILK_RETURN_IF_ERROR(CheckDeadline());
     }
-    scratch.clear();
-    if (!probe.EncodeKey(l, left_cols, &scratch)) continue;
-    ++stats_.keys_encoded;
-    stats_.bytes_encoded += scratch.size();
-    for (uint32_t r = index.Find(scratch); r != EncodedKeyIndex::kNil;
-         r = index.NextRow(r)) {
+    for (uint32_t r = join.First(l); r != EncodedKeyIndex::kNil;
+         r = join.Next(r)) {
       pairs.emplace_back(l, r);
     }
   }
   stats_.rows_joined += pairs.size();
-  return pairs;
-}
-
-Result<Relation> QueryExecutor::HashJoinParallel(
-    sql::JoinType type, RelSchema out_schema,
-    const std::vector<Tuple>& left_rows, const std::vector<Tuple>& right_rows,
-    const std::vector<size_t>& left_cols, const std::vector<size_t>& right_cols,
-    const BoundExpr* residual, size_t right_width, const Table* left_table,
-    const Table* right_table) {
-  const uint32_t partitions =
-      CeilPow2(static_cast<uint32_t>(opts_.parallelism));
-  PartitionedKeyIndex index(right_rows.size(), partitions);
-  IndexBuildCounters build;
-  SILK_RETURN_IF_ERROR(BuildPartitionedIndex(
-      JoinSide{&right_rows, right_table}, right_cols, opts_.morsel_rows,
-      [this](const char* what, size_t rows,
-             const std::function<Status(size_t, size_t, size_t)>& fn) {
-        return RunMorsels(what, rows, fn);
-      },
-      [this](const char* what, size_t count,
-             const std::function<Status(size_t)>& fn) {
-        return RunTasks(what, count, fn);
-      },
-      &index, &build));
-  stats_.keys_encoded += build.keys;
-  stats_.bytes_encoded += build.bytes;
-
-  ++stats_.hash_joins;
-  const size_t n = left_rows.size();
-  // One output run per probe morsel; concatenating the runs in morsel
-  // order reproduces the serial probe loop's row order exactly (each run
-  // is the serial output for its row range, chains yield right rows in
-  // ascending row order).
-  const JoinSide probe{&left_rows, left_table};
-  std::vector<std::vector<Tuple>> runs(MorselCount(n));
-  std::vector<std::array<uint64_t, 2>> probe_counts(runs.size());
-  SILK_RETURN_IF_ERROR(RunMorsels(
-      "join_probe", n, [&](size_t m, size_t begin, size_t end) -> Status {
-        std::vector<Tuple>& out_run = runs[m];
-        std::array<uint64_t, 2>& counts = probe_counts[m];
-        std::string scratch;
-        size_t deadline_check = 0;
-        for (size_t i = begin; i < end; ++i) {
-          if ((++deadline_check & 0xFF) == 0) {
-            SILK_RETURN_IF_ERROR(CheckDeadline());
-          }
-          const Tuple& lrow = left_rows[i];
-          scratch.clear();
-          bool matched = false;
-          if (probe.EncodeKey(i, left_cols, &scratch)) {
-            ++counts[0];
-            counts[1] += scratch.size();
-            for (uint32_t r = index.Find(scratch);
-                 r != PartitionedKeyIndex::kNil; r = index.NextRow(r)) {
-              Tuple combined = Tuple::Concat(lrow, right_rows[r]);
-              if (residual != nullptr &&
-                  residual->Test(combined) != Tribool::kTrue) {
-                continue;
-              }
-              matched = true;
-              out_run.push_back(std::move(combined));
-            }
-          }
-          if (!matched && type == sql::JoinType::kLeftOuter) {
-            out_run.push_back(NullPadded(lrow, right_width));
-          }
-        }
-        return Status::OK();
-      }));
-
-  for (const auto& counts : probe_counts) {
-    stats_.keys_encoded += counts[0];
-    stats_.bytes_encoded += counts[1];
-  }
-  Relation out;
-  out.schema = std::move(out_schema);
-  size_t total = 0;
-  for (const auto& run : runs) total += run.size();
-  out.rows.reserve(total);
-  for (auto& run : runs) {
-    for (Tuple& t : run) out.rows.push_back(std::move(t));
-  }
-  stats_.rows_joined += total;
-  return out;
-}
-
-Result<std::vector<std::pair<uint32_t, uint32_t>>>
-QueryExecutor::HashJoinPairsParallel(const std::vector<Tuple>& left_rows,
-                                     const std::vector<Tuple>& right_rows,
-                                     const std::vector<size_t>& left_cols,
-                                     const std::vector<size_t>& right_cols,
-                                     const Table* left_table,
-                                     const Table* right_table) {
-  const uint32_t partitions =
-      CeilPow2(static_cast<uint32_t>(opts_.parallelism));
-  PartitionedKeyIndex index(right_rows.size(), partitions);
-  IndexBuildCounters build;
-  SILK_RETURN_IF_ERROR(BuildPartitionedIndex(
-      JoinSide{&right_rows, right_table}, right_cols, opts_.morsel_rows,
-      [this](const char* what, size_t rows,
-             const std::function<Status(size_t, size_t, size_t)>& fn) {
-        return RunMorsels(what, rows, fn);
-      },
-      [this](const char* what, size_t count,
-             const std::function<Status(size_t)>& fn) {
-        return RunTasks(what, count, fn);
-      },
-      &index, &build));
-  stats_.keys_encoded += build.keys;
-  stats_.bytes_encoded += build.bytes;
-
-  ++stats_.hash_joins;
-  const size_t n = left_rows.size();
-  const JoinSide probe{&left_rows, left_table};
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> runs(MorselCount(n));
-  std::vector<std::array<uint64_t, 2>> probe_counts(runs.size());
-  SILK_RETURN_IF_ERROR(RunMorsels(
-      "join_probe", n, [&](size_t m, size_t begin, size_t end) -> Status {
-        auto& out_run = runs[m];
-        std::array<uint64_t, 2>& counts = probe_counts[m];
-        std::string scratch;
-        size_t deadline_check = 0;
-        for (size_t i = begin; i < end; ++i) {
-          if ((++deadline_check & 0xFF) == 0) {
-            SILK_RETURN_IF_ERROR(CheckDeadline());
-          }
-          scratch.clear();
-          if (!probe.EncodeKey(i, left_cols, &scratch)) continue;
-          ++counts[0];
-          counts[1] += scratch.size();
-          for (uint32_t r = index.Find(scratch);
-               r != PartitionedKeyIndex::kNil; r = index.NextRow(r)) {
-            out_run.emplace_back(static_cast<uint32_t>(i), r);
-          }
-        }
-        return Status::OK();
-      }));
-
-  for (const auto& counts : probe_counts) {
-    stats_.keys_encoded += counts[0];
-    stats_.bytes_encoded += counts[1];
-  }
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  size_t total = 0;
-  for (const auto& run : runs) total += run.size();
-  pairs.reserve(total);
-  for (const auto& run : runs) {
-    pairs.insert(pairs.end(), run.begin(), run.end());
-  }
-  stats_.rows_joined += total;
   return pairs;
 }
 
@@ -2021,10 +1378,6 @@ Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
       return Status::Unimplemented("disjunct has no column equality");
     }
     plans.push_back(std::move(plan));
-  }
-
-  if (UseParallel(left.rows.size()) || UseParallel(right.rows.size())) {
-    ++stats_.parallel_fallbacks;  // disjunctive joins stay serial
   }
 
   // Build one packed-key index per disjunct.
@@ -2106,9 +1459,6 @@ Result<Relation> QueryExecutor::NestedLoopJoin(sql::JoinType type,
   out.schema = RelSchema::Concat(left.schema, right.schema);
   SILK_ASSIGN_OR_RETURN(BoundExprPtr pred, BindExpr(on, out.schema));
   ++stats_.nested_loop_joins;
-  if (UseParallel(left.rows.size()) || UseParallel(right.rows.size())) {
-    ++stats_.parallel_fallbacks;  // nested loops stay serial
-  }
   const size_t right_width = right.schema.size();
   for (const auto& lrow : left.rows) {
     SILK_RETURN_IF_ERROR(CheckDeadline());
@@ -2209,59 +1559,26 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
         uint32_t idx;
       };
       std::vector<WordRec> recs(n);
-      auto encode_word_range = [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          uint64_t words[2] = {0, 0};
-          for (size_t j = 0; j < bound_keys.size(); ++j) {
-            const Key& k = bound_keys[j];
-            const Tuple& row =
-                k.from_preprojection ? preproj_rows[i] : result->rows[i];
-            uint64_t bits = OrderedNumericBits(
-                row.values()[static_cast<size_t>(k.direct_col)]);
-            words[j] = k.ascending ? bits : ~bits;
-          }
-          recs[i] = {words[0], words[1], static_cast<uint32_t>(i)};
+      for (size_t i = 0; i < n; ++i) {
+        uint64_t words[2] = {0, 0};
+        for (size_t j = 0; j < bound_keys.size(); ++j) {
+          const Key& k = bound_keys[j];
+          const Tuple& row =
+              k.from_preprojection ? preproj_rows[i] : result->rows[i];
+          uint64_t bits = OrderedNumericBits(
+              row.values()[static_cast<size_t>(k.direct_col)]);
+          words[j] = k.ascending ? bits : ~bits;
         }
-      };
-      auto word_less = [](const WordRec& a, const WordRec& b) {
-        if (a.k0 != b.k0) return a.k0 < b.k0;
-        if (a.k1 != b.k1) return a.k1 < b.k1;
-        return a.idx < b.idx;  // stable order on full ties
-      };
-      if (UseParallel(n)) {
-        SILK_RETURN_IF_ERROR(RunMorsels(
-            "sort_encode", n, [&](size_t, size_t begin, size_t end) -> Status {
-              encode_word_range(begin, end);
-              return Status::OK();
-            }));
-        stats_.keys_encoded += n;
-        stats_.bytes_encoded += n * 8 * bound_keys.size();
-        // word_less is total (idx tiebreak), so the sorted permutation is
-        // unique: run-sort + merge equals the serial sort exactly.
-        SILK_RETURN_IF_ERROR(ParallelSortMerge(
-            &recs, static_cast<size_t>(opts_.parallelism), word_less,
-            [&](size_t count, const std::function<Status(size_t)>& fn) {
-              return RunTasks("sort_runs", count, fn);
-            }));
-        std::vector<Tuple> sorted(n);
-        SILK_RETURN_IF_ERROR(RunMorsels(
-            "sort_gather", n,
-            [&](size_t, size_t begin, size_t end) -> Status {
-              // recs is a permutation: each output slot moves from a
-              // distinct input slot, so morsels never touch the same row.
-              for (size_t i = begin; i < end; ++i) {
-                sorted[i] = std::move(result->rows[recs[i].idx]);
-              }
-              return Status::OK();
-            }));
-        result->rows = std::move(sorted);
-        stats_.rows_sorted += n;
-        return Status::OK();
+        recs[i] = {words[0], words[1], static_cast<uint32_t>(i)};
       }
-      encode_word_range(0, n);
       stats_.keys_encoded += n;
       stats_.bytes_encoded += n * 8 * bound_keys.size();
-      std::sort(recs.begin(), recs.end(), word_less);
+      std::sort(recs.begin(), recs.end(),
+                [](const WordRec& a, const WordRec& b) {
+                  if (a.k0 != b.k0) return a.k0 < b.k0;
+                  if (a.k1 != b.k1) return a.k1 < b.k1;
+                  return a.idx < b.idx;  // stable order on full ties
+                });
       std::vector<Tuple> sorted;
       sorted.reserve(n);
       for (const WordRec& r : recs) {
@@ -2280,72 +1597,28 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
   // in one flat buffer; `ends[i]` marks where row i's key stops.
   std::string buf;
   std::vector<size_t> ends(n + 1, 0);
-  auto encode_key = [&](size_t i, std::string* out) {
+  buf.reserve(n * 9 * bound_keys.size());  // a numeric segment is 9 bytes
+  for (size_t i = 0; i < n; ++i) {
     for (const auto& k : bound_keys) {
       const Tuple& row =
           k.from_preprojection ? preproj_rows[i] : result->rows[i];
       if (k.direct_col >= 0) {
         const Value& v = row.values()[static_cast<size_t>(k.direct_col)];
         if (k.ascending) {
-          EncodeValue(v, out);
+          EncodeValue(v, &buf);
         } else {
-          EncodeValueDescending(v, out);
+          EncodeValueDescending(v, &buf);
         }
         continue;
       }
       Value v = k.expr->Eval(row);
       if (k.ascending) {
-        EncodeValue(v, out);
+        EncodeValue(v, &buf);
       } else {
-        EncodeValueDescending(v, out);
+        EncodeValueDescending(v, &buf);
       }
     }
-  };
-  if (UseParallel(n)) {
-    // Encode into per-morsel buffers, then stitch them into the flat key
-    // buffer at prefix-summed bases — byte-identical to the serial
-    // append-in-row-order buffer.
-    const size_t morsel = opts_.morsel_rows > 0 ? opts_.morsel_rows : 1;
-    struct KeyBuf {
-      std::string buf;
-      std::vector<uint32_t> local_ends;
-    };
-    std::vector<KeyBuf> kbufs(MorselCount(n));
-    SILK_RETURN_IF_ERROR(RunMorsels(
-        "sort_encode", n, [&](size_t m, size_t begin, size_t end) -> Status {
-          KeyBuf& kb = kbufs[m];
-          kb.local_ends.reserve(end - begin);
-          for (size_t i = begin; i < end; ++i) {
-            encode_key(i, &kb.buf);
-            kb.local_ends.push_back(static_cast<uint32_t>(kb.buf.size()));
-          }
-          return Status::OK();
-        }));
-    std::vector<size_t> bases(kbufs.size());
-    size_t total = 0;
-    for (size_t m = 0; m < kbufs.size(); ++m) {
-      bases[m] = total;
-      total += kbufs[m].buf.size();
-    }
-    buf.resize(total);
-    SILK_RETURN_IF_ERROR(RunTasks(
-        "sort_concat", kbufs.size(), [&](size_t m) -> Status {
-          const KeyBuf& kb = kbufs[m];
-          if (!kb.buf.empty()) {
-            std::memcpy(buf.data() + bases[m], kb.buf.data(), kb.buf.size());
-          }
-          const size_t begin = m * morsel;
-          for (size_t local = 0; local < kb.local_ends.size(); ++local) {
-            ends[begin + local + 1] = bases[m] + kb.local_ends[local];
-          }
-          return Status::OK();
-        }));
-  } else {
-    buf.reserve(n * 9 * bound_keys.size());  // a numeric segment is 9 bytes
-    for (size_t i = 0; i < n; ++i) {
-      encode_key(i, &buf);
-      ends[i + 1] = buf.size();
-    }
+    ends[i + 1] = buf.size();
   }
   stats_.keys_encoded += n;
   stats_.bytes_encoded += buf.size();
@@ -2361,56 +1634,31 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
     uint32_t idx;
   };
   std::vector<SortRec> recs(n);
-  auto build_recs = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const size_t off = ends[i];
-      const size_t len = ends[i + 1] - off;
-      const auto* p = reinterpret_cast<const unsigned char*>(base + off);
-      const size_t m = len < 8 ? len : 8;
-      uint64_t prefix = 0;
-      for (size_t b = 0; b < m; ++b) prefix = (prefix << 8) | p[b];
-      prefix <<= 8 * (8 - m);
-      recs[i] = {prefix, off, static_cast<uint32_t>(len),
-                 static_cast<uint32_t>(i)};
-    }
-  };
-  auto rec_less = [base](const SortRec& a, const SortRec& b) {
-    if (a.prefix != b.prefix) return a.prefix < b.prefix;
-    if (a.len > 8 && b.len > 8) {
-      const size_t m = (a.len < b.len ? a.len : b.len) - 8;
-      const int c = std::memcmp(base + a.off + 8, base + b.off + 8, m);
-      if (c != 0) return c < 0;
-    }
-    if (a.len != b.len) return a.len < b.len;
-    // Index tiebreak keeps equal-key rows in input order — the
-    // same result stable_sort gave, without its merge buffer.
-    return a.idx < b.idx;
-  };
-  if (UseParallel(n)) {
-    SILK_RETURN_IF_ERROR(RunMorsels(
-        "sort_prefix", n, [&](size_t, size_t begin, size_t end) -> Status {
-          build_recs(begin, end);
-          return Status::OK();
-        }));
-    SILK_RETURN_IF_ERROR(ParallelSortMerge(
-        &recs, static_cast<size_t>(opts_.parallelism), rec_less,
-        [&](size_t count, const std::function<Status(size_t)>& fn) {
-          return RunTasks("sort_runs", count, fn);
-        }));
-    std::vector<Tuple> sorted(n);
-    SILK_RETURN_IF_ERROR(RunMorsels(
-        "sort_gather", n, [&](size_t, size_t begin, size_t end) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            sorted[i] = std::move(result->rows[recs[i].idx]);
-          }
-          return Status::OK();
-        }));
-    result->rows = std::move(sorted);
-    stats_.rows_sorted += n;
-    return Status::OK();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t off = ends[i];
+    const size_t len = ends[i + 1] - off;
+    const auto* p = reinterpret_cast<const unsigned char*>(base + off);
+    const size_t m = len < 8 ? len : 8;
+    uint64_t prefix = 0;
+    for (size_t b = 0; b < m; ++b) prefix = (prefix << 8) | p[b];
+    prefix <<= 8 * (8 - m);
+    recs[i] = {prefix, off, static_cast<uint32_t>(len),
+               static_cast<uint32_t>(i)};
   }
-  build_recs(0, n);
-  std::sort(recs.begin(), recs.end(), rec_less);
+  std::sort(recs.begin(), recs.end(),
+            [base](const SortRec& a, const SortRec& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              if (a.len > 8 && b.len > 8) {
+                const size_t m = (a.len < b.len ? a.len : b.len) - 8;
+                const int c =
+                    std::memcmp(base + a.off + 8, base + b.off + 8, m);
+                if (c != 0) return c < 0;
+              }
+              if (a.len != b.len) return a.len < b.len;
+              // Index tiebreak keeps equal-key rows in input order — the
+              // same result stable_sort gave, without its merge buffer.
+              return a.idx < b.idx;
+            });
   std::vector<Tuple> sorted;
   sorted.reserve(n);
   for (const SortRec& r : recs) {
@@ -2420,10 +1668,6 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
   stats_.rows_sorted += n;
   return Status::OK();
 }
-
-DatabaseExecutor::DatabaseExecutor(const Database* db) : db_(db) {}
-
-DatabaseExecutor::~DatabaseExecutor() = default;
 
 Result<std::vector<std::pair<std::string, uint64_t>>>
 DatabaseExecutor::FetchTableVersions(const std::vector<std::string>& tables) {
@@ -2435,48 +1679,6 @@ DatabaseExecutor::FetchTableVersions(const std::vector<std::string>& tables) {
   }
   std::sort(versions.begin(), versions.end());
   return versions;
-}
-
-void DatabaseExecutor::set_parallelism(int parallelism) {
-  exec_options_.parallelism = parallelism < 1 ? 1 : parallelism;
-  if (exec_options_.parallelism > 1) {
-    // parallelism-1 workers: the dispatching thread claims morsels too.
-    if (pool_ == nullptr ||
-        pool_->workers() != exec_options_.parallelism - 1) {
-      pool_ = std::make_unique<MorselPool>(exec_options_.parallelism - 1);
-    }
-    exec_options_.pool = pool_.get();
-  } else {
-    exec_options_.pool = nullptr;
-    pool_.reset();
-  }
-  ResolveCounters();
-}
-
-void DatabaseExecutor::ResolveCounters() {
-  if (registry_ == nullptr) {
-    keys_encoded_counter_ = nullptr;
-    key_bytes_counter_ = nullptr;
-    morsels_counter_ = nullptr;
-    fallbacks_counter_ = nullptr;
-    return;
-  }
-  keys_encoded_counter_ =
-      registry_->counter("silkroute_engine_keys_encoded_total");
-  key_bytes_counter_ =
-      registry_->counter("silkroute_engine_key_bytes_encoded_total");
-  // Morsel metrics register only when this connection can actually run
-  // parallel plans, so serial deployments expose exactly the metric set
-  // they did before parallelism existed.
-  if (exec_options_.parallelism > 1) {
-    morsels_counter_ =
-        registry_->counter("silkroute_engine_morsels_dispatched_total");
-    fallbacks_counter_ =
-        registry_->counter("silkroute_engine_parallel_fallbacks_total");
-  } else {
-    morsels_counter_ = nullptr;
-    fallbacks_counter_ = nullptr;
-  }
 }
 
 }  // namespace silkroute::engine

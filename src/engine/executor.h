@@ -14,8 +14,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -55,29 +53,6 @@ struct ExecStats {
   uint64_t index_probes = 0;      // rows fetched through a secondary index
   uint64_t keys_encoded = 0;      // packed keys built (join/sort/distinct)
   uint64_t bytes_encoded = 0;     // bytes of packed-key encoding produced
-  // The two counters below depend on the parallelism configuration (all
-  // others are invariant across worker counts — the differential tests
-  // pin that).
-  uint64_t morsels_dispatched = 0; // parallel tasks dispatched (0 = serial)
-  uint64_t parallel_fallbacks = 0; // operators forced serial at parallelism>1
-};
-
-class MorselPool;
-
-/// Intra-query parallelism knobs (DESIGN.md §11). Defaults are fully
-/// serial; parallel execution requires both parallelism > 1 and a pool.
-struct ExecutorOptions {
-  /// Total lanes an operator may use (the calling thread is one of them).
-  int parallelism = 1;
-  /// Rows per morsel. Small enough to balance skewed filters, large
-  /// enough that per-task overhead stays invisible.
-  size_t morsel_rows = 2048;
-  /// Inputs below this many rows run serially even at parallelism > 1 —
-  /// dispatch overhead would dominate.
-  size_t parallel_threshold = 4096;
-  /// Borrowed worker pool (morsel.h); ignored unless parallelism > 1.
-  /// Callers size it with parallelism - 1 workers.
-  MorselPool* pool = nullptr;
 };
 
 /// Abstract connection to the target RDBMS: one ExecuteSql call per
@@ -159,12 +134,6 @@ class QueryExecutor : public SqlExecutor {
 
   void set_timeout_ms(double timeout_ms) override { timeout_ms_ = timeout_ms; }
 
-  /// Installs the parallelism configuration (call before Execute; the
-  /// options apply to every subsequent query, including derived-table
-  /// sub-queries, which inherit them).
-  void set_exec_options(const ExecutorOptions& options) { opts_ = options; }
-  const ExecutorOptions& exec_options() const { return opts_; }
-
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ExecStats(); }
 
@@ -220,22 +189,6 @@ class QueryExecutor : public SqlExecutor {
       const std::vector<Tuple>& left_rows, const std::vector<Tuple>& right_rows,
       const std::vector<std::pair<size_t, size_t>>& keys,
       const Table* left_table = nullptr, const Table* right_table = nullptr);
-  /// Morsel-parallel hash join (DESIGN.md §11): partitioned index build,
-  /// then probe morsels into per-morsel output runs concatenated in morsel
-  /// order — the identical tuple stream to the serial HashJoin.
-  Result<Relation> HashJoinParallel(
-      sql::JoinType type, RelSchema out_schema,
-      const std::vector<Tuple>& left_rows,
-      const std::vector<Tuple>& right_rows,
-      const std::vector<size_t>& left_cols,
-      const std::vector<size_t>& right_cols, const BoundExpr* residual,
-      size_t right_width, const Table* left_table, const Table* right_table);
-  Result<std::vector<std::pair<uint32_t, uint32_t>>> HashJoinPairsParallel(
-      const std::vector<Tuple>& left_rows,
-      const std::vector<Tuple>& right_rows,
-      const std::vector<size_t>& left_cols,
-      const std::vector<size_t>& right_cols,
-      const Table* left_table, const Table* right_table);
   Status MaterializeBaseTable(const Table& table,
                               const std::vector<const sql::Expr*>& filters,
                               Relation* out);
@@ -258,25 +211,7 @@ class QueryExecutor : public SqlExecutor {
 
   Status CheckDeadline() const;
 
-  /// True when `rows` input rows should be processed in parallel morsels.
-  bool UseParallel(size_t rows) const {
-    return opts_.parallelism > 1 && opts_.pool != nullptr &&
-           rows >= opts_.parallel_threshold;
-  }
-  /// Number of morsels covering `rows` input rows.
-  size_t MorselCount(size_t rows) const;
-  /// Dispatches `count` tasks onto the pool (the calling thread
-  /// participates) with per-task queue-wait/run spans under the current
-  /// span when tracing is on. Returns the lowest-index task failure.
-  Status RunTasks(const char* what, size_t count,
-                  const std::function<Status(size_t)>& fn);
-  /// Splits [0, rows) into morsels and runs fn(morsel, begin, end) via
-  /// RunTasks.
-  Status RunMorsels(const char* what, size_t rows,
-                    const std::function<Status(size_t, size_t, size_t)>& fn);
-
   const Database* db_;
-  ExecutorOptions opts_;
   ExecStats stats_;
   double timeout_ms_ = 0;
   std::chrono::steady_clock::time_point deadline_{};
@@ -305,9 +240,7 @@ class QueryExecutor : public SqlExecutor {
 /// single-thread only.
 class DatabaseExecutor : public SqlExecutor {
  public:
-  // Out-of-line (owns the MorselPool, incomplete here).
-  explicit DatabaseExecutor(const Database* db);
-  ~DatabaseExecutor() override;
+  explicit DatabaseExecutor(const Database* db) : db_(db) {}
 
   Result<Relation> ExecuteSql(std::string_view sql) override {
     return ExecuteSqlWithDeadline(sql, timeout_ms_);
@@ -316,19 +249,12 @@ class DatabaseExecutor : public SqlExecutor {
   Result<Relation> ExecuteSqlWithDeadline(std::string_view sql,
                                           double timeout_ms) override {
     QueryExecutor executor(db_);
-    executor.set_exec_options(exec_options_);
     if (timeout_ms > 0) executor.set_timeout_ms(timeout_ms);
     auto result = executor.ExecuteSql(sql);
     const ExecStats& s = executor.stats();
     if (keys_encoded_counter_ != nullptr && s.keys_encoded > 0) {
       keys_encoded_counter_->Add(s.keys_encoded);
       key_bytes_counter_->Add(s.bytes_encoded);
-    }
-    if (morsels_counter_ != nullptr && s.morsels_dispatched > 0) {
-      morsels_counter_->Add(s.morsels_dispatched);
-    }
-    if (fallbacks_counter_ != nullptr && s.parallel_fallbacks > 0) {
-      fallbacks_counter_->Add(s.parallel_fallbacks);
     }
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -344,28 +270,18 @@ class DatabaseExecutor : public SqlExecutor {
   Result<std::vector<std::pair<std::string, uint64_t>>> FetchTableVersions(
       const std::vector<std::string>& tables) override;
 
-  /// Intra-query parallelism for every query through this connection:
-  /// lazily spawns an owned MorselPool with parallelism-1 workers (shared
-  /// by concurrent callers; morsel batches interleave). <= 1 reverts to
-  /// serial. Wire before publishing starts, like set_metrics_registry —
-  /// not safe to race with in-flight ExecuteSql calls.
-  void set_parallelism(int parallelism);
-
-  /// Overrides morsel sizing (tests force tiny morsels/thresholds so small
-  /// fixtures still exercise every parallel path).
-  void set_morsel_rows(size_t morsel_rows, size_t parallel_threshold) {
-    exec_options_.morsel_rows = morsel_rows;
-    exec_options_.parallel_threshold = parallel_threshold;
-  }
-
   /// Mirrors cumulative packed-key counters into `registry` (nullable to
   /// turn accounting off). Counters are resolved here once; the per-query
-  /// hot path then pays only relaxed atomic adds. Morsel counters exist
-  /// only at parallelism > 1, so serial deployments expose exactly the
-  /// pre-parallelism metric set.
+  /// hot path then pays only relaxed atomic adds.
   void set_metrics_registry(obs::MetricsRegistry* registry) {
-    registry_ = registry;
-    ResolveCounters();
+    keys_encoded_counter_ =
+        registry != nullptr
+            ? registry->counter("silkroute_engine_keys_encoded_total")
+            : nullptr;
+    key_bytes_counter_ =
+        registry != nullptr
+            ? registry->counter("silkroute_engine_key_bytes_encoded_total")
+            : nullptr;
   }
 
   /// Stats of the most recent query (last writer wins under concurrency).
@@ -375,19 +291,12 @@ class DatabaseExecutor : public SqlExecutor {
   }
 
  private:
-  void ResolveCounters();
-
   const Database* db_;
   double timeout_ms_ = 0;
-  ExecutorOptions exec_options_;
-  std::unique_ptr<MorselPool> pool_;
   // Wired before publishing starts (set_metrics_registry is not safe to
   // race with in-flight ExecuteSql calls).
-  obs::MetricsRegistry* registry_ = nullptr;
   obs::Counter* keys_encoded_counter_ = nullptr;
   obs::Counter* key_bytes_counter_ = nullptr;
-  obs::Counter* morsels_counter_ = nullptr;
-  obs::Counter* fallbacks_counter_ = nullptr;
   mutable std::mutex stats_mu_;
   ExecStats stats_;
 };

@@ -33,7 +33,6 @@ EngineServer::EngineServer(const Database* db, EngineServerOptions options)
       options_(std::move(options)),
       executor_(db),
       pool_(options_.workers, options_.metrics) {
-  executor_.set_parallelism(options_.engine_threads);
   executor_.set_metrics_registry(options_.metrics);
   if (options_.metrics != nullptr) {
     m_requests_ = options_.metrics->counter("silkroute_server_requests_total");

@@ -49,8 +49,6 @@ struct EngineServerOptions {
   uint16_t port = 0;
   /// Worker threads executing queries (framing I/O is per-connection).
   size_t workers = 4;
-  /// Intra-query morsel parallelism of the server's executor.
-  int engine_threads = 1;
   /// Response relations are streamed in chunks of this size.
   size_t chunk_bytes = 256 * 1024;
   /// Cap on accepted request frames (hostile lengths rejected above it).

@@ -137,7 +137,7 @@ class SpanHandle {
 
   /// The tracer that created this handle (null when inert). Lets code
   /// holding only a parent handle start children via Tracer::Child from
-  /// other threads (the engine's per-morsel spans).
+  /// other threads (a replica set's per-attempt spans).
   Tracer* tracer() const { return tracer_; }
 
   /// The span id ("" when inert). Stable from creation.

@@ -2,7 +2,7 @@
 // hash-sharded on its primary join column into N ColumnarShards; each
 // shard stores its rows column-major as contiguous typed arrays — 8-byte
 // words for numerics, string-pool offsets for strings, plus a null
-// bitmap — so scan+filter morsels and join-key encoding run over flat
+// bitmap — so filtered scans and join-key encoding run over flat
 // memory instead of dispatching through one std::variant per cell.
 //
 // Representation invariants the executor relies on:

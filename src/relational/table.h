@@ -5,7 +5,7 @@
 // lands both in the legacy row vector (`rows()`, which borrowed scans,
 // secondary indexes, and intermediate-result copies read) and in N
 // hash-sharded column-major ColumnarShards keyed on the primary join
-// column (which scan+filter morsels and join-key encoding read). The two
+// column (which filtered scans and join-key encoding read). The two
 // views are maintained eagerly inside the single CommitRow commit point,
 // so they can never drift and no query-time state transition exists.
 #ifndef SILKROUTE_RELATIONAL_TABLE_H_

@@ -545,8 +545,6 @@ PublishingService::PublishingService(const Database* db, ServiceOptions options)
       pool_(options_.workers, options_.metrics_registry) {
   // Surface the engine's packed-key counters when the service executes
   // against its own connection (a caller-supplied executor wires its own).
-  // Parallelism first: morsel counters register only at engine_threads > 1.
-  own_executor_.set_parallelism(options_.engine_threads);
   own_executor_.set_metrics_registry(options_.metrics_registry);
 }
 

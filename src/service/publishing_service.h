@@ -62,12 +62,6 @@ struct ServiceOptions {
   /// FaultInjectingExecutor are). null = the service's own
   /// DatabaseExecutor over `db`.
   engine::SqlExecutor* executor = nullptr;
-  /// Intra-query parallelism of the service's own DatabaseExecutor: each
-  /// component query fans its scans/joins/sorts out as morsels over an
-  /// engine-owned pool (DESIGN.md §11; the engine pool is separate from
-  /// `workers`, and service workers never block on it). <= 1 = serial.
-  /// Ignored when `executor` is supplied.
-  int engine_threads = 1;
   /// Shared component-result + document cache (borrowed; null = off).
   /// ResultCache is internally sharded/thread-safe, so all workers across
   /// all concurrent requests hit one instance; invalidation is structural

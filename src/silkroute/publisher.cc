@@ -148,7 +148,6 @@ Result<std::vector<ComponentStream>> SequentialExecution::Run(
   // layer. Strict mode runs single-attempt with no budget, preserving the
   // pre-resilience fail-fast behaviour.
   engine::DatabaseExecutor db_executor(db_);
-  db_executor.set_parallelism(options.engine_threads);
   db_executor.set_metrics_registry(options.metrics_registry);
   engine::SqlExecutor* connection =
       options.executor != nullptr ? options.executor : &db_executor;

@@ -78,12 +78,6 @@ struct PublishOptions {
   /// Keep the generated SQL texts in the result (for logging / EXPLAIN).
   /// Degraded replacement queries are appended as they are attempted.
   bool collect_sql = true;
-  /// Intra-query parallelism for the built-in executor: each component
-  /// query runs its scans/joins/sorts as morsels across engine_threads
-  /// threads (DESIGN.md §11). <= 1 = serial. Output is deterministic —
-  /// byte-identical XML at any setting. Ignored when `executor` is set
-  /// (configure that executor directly).
-  int engine_threads = 1;
 
   // --- Fault tolerance (see DESIGN.md "Fault tolerance") ----------------
   /// Fail-fast mode: the first component query that fails permanently (or

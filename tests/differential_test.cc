@@ -1,19 +1,16 @@
-// Differential testing harness for morsel-driven parallelism (DESIGN.md
-// §11) and the sharded columnar storage layout (DESIGN.md §16): neither
-// the worker count nor the shard count may be distinguishable from the
-// single-shard serial reference. A seeded generator produces random
-// schemas, NULL-heavy data, and random queries (multi-way joins, left
-// outer joins, filters, DISTINCT, ORDER BY over mixed-type keys); every
-// query runs over the same logical data stored at shard counts 1, 4, and
-// 16, each at parallelism 1, 2, and 8 with tiny morsels/thresholds so
-// even small fixtures cross every parallel operator and every multi-shard
-// scan path. The tuple streams must be identical value-for-value (exact
-// type and payload, including -0.0 vs 0.0) and in identical order, and
-// the layout-invariant ExecStats must match exactly — same rows
+// Differential testing harness for the sharded columnar storage layout
+// (DESIGN.md §16): the shard count may not be distinguishable from the
+// single-shard reference. A seeded generator produces random schemas,
+// NULL-heavy data, and random queries (multi-way joins, left outer joins,
+// filters, DISTINCT, ORDER BY over mixed-type keys); every query runs over
+// the same logical data stored at shard counts 1, 4, and 16, so every
+// multi-shard scan path is crossed. The tuple streams must be identical
+// value-for-value (exact type and payload, including -0.0 vs 0.0) and in
+// identical order, and ExecStats must match exactly — same rows
 // scanned/joined/sorted, same packed keys encoded. Failures print the
-// seed, shard count, parallelism, and SQL so a reproduction is one
-// copy-paste away. (XML byte-identity across shard counts is pinned by
-// golden_xml_test.cc against the pre-columnar row-major goldens.)
+// seed, shard count, and SQL so a reproduction is one copy-paste away.
+// (XML byte-identity across shard counts is pinned by golden_xml_test.cc
+// against the pre-columnar row-major goldens.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +22,6 @@
 #include <vector>
 
 #include "engine/executor.h"
-#include "engine/morsel.h"
 #include "relational/database.h"
 #include "relational/schema.h"
 #include "relational/value.h"
@@ -146,7 +142,7 @@ std::string GenerateSql(Rng& rng, size_t num_tables) {
       sql << "t" << t;
     }
     for (size_t t = 0; t + 1 < use; ++t) {
-      // 10%: drop the conjunct, leaving a cross product (serial fallback).
+      // 10%: drop the conjunct, leaving a cross product.
       if (Chance(rng, 10)) continue;
       where.push_back(Qualified(t, rng() % 2 ? "k0" : "k1") + " = " +
                       Qualified(t + 1, rng() % 2 ? "k0" : "k1"));
@@ -183,8 +179,8 @@ std::string GenerateSql(Rng& rng, size_t num_tables) {
   return sql.str();
 }
 
-/// Exact identity, not Compare()==0: the parallel engine must produce the
-/// same *representation* (Int64(3) != Double(3.0), -0.0 != 0.0 bitwise).
+/// Exact identity, not Compare()==0: every layout must produce the same
+/// *representation* (Int64(3) != Double(3.0), -0.0 != 0.0 bitwise).
 bool ValueIdentical(const Value& a, const Value& b) {
   if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
   if (a.is_int64() != b.is_int64() || a.is_double() != b.is_double() ||
@@ -217,20 +213,8 @@ struct RunOutcome {
   ExecStats stats;
 };
 
-RunOutcome RunQuery(const Database& db, const std::string& sql, int parallelism,
-               MorselPool* pool) {
+RunOutcome RunQuery(const Database& db, const std::string& sql) {
   QueryExecutor executor(&db);
-  if (parallelism > 1) {
-    ExecutorOptions options;
-    options.parallelism = parallelism;
-    options.pool = pool;
-    // Tiny morsels and a floor threshold: 20-row tables still split into
-    // many concurrent morsels, so every parallel operator really runs
-    // parallel instead of short-circuiting on size.
-    options.morsel_rows = 7;
-    options.parallel_threshold = 1;
-    executor.set_exec_options(options);
-  }
   RunOutcome outcome;
   auto result = executor.ExecuteSql(sql);
   outcome.stats = executor.stats();
@@ -242,8 +226,7 @@ RunOutcome RunQuery(const Database& db, const std::string& sql, int parallelism,
   return outcome;
 }
 
-/// The stats that must be invariant across worker counts (everything but
-/// the dispatch accounting).
+/// Every ExecStats counter, which must be invariant across shard counts.
 std::string InvariantStats(const ExecStats& s) {
   std::ostringstream os;
   os << "scanned=" << s.rows_scanned << " joined=" << s.rows_joined
@@ -253,43 +236,42 @@ std::string InvariantStats(const ExecStats& s) {
   return os.str();
 }
 
-void ExpectIdenticalRuns(const RunOutcome& serial, const RunOutcome& parallel,
-                         int parallelism, size_t shard_count, uint32_t seed,
-                         const std::string& sql) {
+void ExpectIdenticalRuns(const RunOutcome& reference,
+                         const RunOutcome& sharded, size_t shard_count,
+                         uint32_t seed, const std::string& sql) {
   const std::string repro = "seed=" + std::to_string(seed) +
                             " shards=" + std::to_string(shard_count) +
-                            " parallelism=" + std::to_string(parallelism) +
                             "\nsql: " + sql;
-  ASSERT_EQ(serial.status.ok(), parallel.status.ok())
-      << repro << "\nserial: " << serial.status
-      << "\nparallel: " << parallel.status;
-  if (!serial.status.ok()) {
-    ASSERT_EQ(serial.status.code(), parallel.status.code()) << repro;
+  ASSERT_EQ(reference.status.ok(), sharded.status.ok())
+      << repro << "\nreference: " << reference.status
+      << "\nsharded: " << sharded.status;
+  if (!reference.status.ok()) {
+    ASSERT_EQ(reference.status.code(), sharded.status.code()) << repro;
     return;
   }
-  ASSERT_EQ(serial.relation.schema.size(), parallel.relation.schema.size())
+  ASSERT_EQ(reference.relation.schema.size(), sharded.relation.schema.size())
       << repro;
-  ASSERT_EQ(serial.relation.rows.size(), parallel.relation.rows.size())
+  ASSERT_EQ(reference.relation.rows.size(), sharded.relation.rows.size())
       << repro;
-  for (size_t r = 0; r < serial.relation.rows.size(); ++r) {
-    const Tuple& a = serial.relation.rows[r];
-    const Tuple& b = parallel.relation.rows[r];
+  for (size_t r = 0; r < reference.relation.rows.size(); ++r) {
+    const Tuple& a = reference.relation.rows[r];
+    const Tuple& b = sharded.relation.rows[r];
     ASSERT_EQ(a.size(), b.size()) << repro << "\nrow " << r;
     for (size_t c = 0; c < a.size(); ++c) {
       ASSERT_TRUE(ValueIdentical(a.values()[c], b.values()[c]))
-          << repro << "\nrow " << r << " col " << c << ": serial "
-          << ValueToString(a.values()[c]) << " vs parallel "
+          << repro << "\nrow " << r << " col " << c << ": reference "
+          << ValueToString(a.values()[c]) << " vs sharded "
           << ValueToString(b.values()[c]);
     }
   }
-  EXPECT_EQ(InvariantStats(serial.stats), InvariantStats(parallel.stats))
+  EXPECT_EQ(InvariantStats(reference.stats), InvariantStats(sharded.stats))
       << repro;
 }
 
-TEST(DifferentialTest, ParallelAndShardedExecutionIsIndistinguishable) {
-  // 500+ random queries, each over shard counts {1, 4, 16}, each at
-  // parallelism {1, 2, 8}, all compared against the single-shard serial
-  // reference. Override with SILK_DIFF_QUERIES for deeper soak runs.
+TEST(DifferentialTest, ShardedExecutionMatchesSingleShardReference) {
+  // 500+ random queries, each over shard counts {4, 16}, compared against
+  // the single-shard reference. Override with SILK_DIFF_QUERIES for deeper
+  // soak runs.
   int num_queries = 500;
   if (const char* env = std::getenv("SILK_DIFF_QUERIES")) {
     num_queries = std::atoi(env);
@@ -297,12 +279,6 @@ TEST(DifferentialTest, ParallelAndShardedExecutionIsIndistinguishable) {
   constexpr uint32_t kBaseSeed = 20260805;
   constexpr size_t kShardCounts[] = {1, 4, 16};
   constexpr size_t kNumLayouts = 3;
-
-  // Shared pools across all queries: batches from successive queries (and
-  // from TSan runs of this test) reuse warm worker threads, exercising the
-  // pool lifecycle the service sees.
-  MorselPool pool_one(1);    // parallelism 2
-  MorselPool pool_seven(7);  // parallelism 8
 
   int executed = 0;
   for (int q = 0; q < num_queries; ++q) {
@@ -322,29 +298,12 @@ TEST(DifferentialTest, ParallelAndShardedExecutionIsIndistinguishable) {
     }
     const std::string sql = GenerateSql(rng, gens[0].num_tables);
 
-    // Reference: one shard, fully serial — the row-major-equivalent run.
-    const RunOutcome reference = RunQuery(gens[0].db, sql, 1, nullptr);
-
-    for (size_t si = 0; si < kNumLayouts; ++si) {
-      const size_t shards = kShardCounts[si];
-      if (si != 0) {
-        const RunOutcome serial = RunQuery(gens[si].db, sql, 1, nullptr);
-        ExpectIdenticalRuns(reference, serial, 1, shards, seed, sql);
-        if (::testing::Test::HasFatalFailure()) return;
-      }
-      const RunOutcome two = RunQuery(gens[si].db, sql, 2, &pool_one);
-      const RunOutcome eight = RunQuery(gens[si].db, sql, 8, &pool_seven);
-      ExpectIdenticalRuns(reference, two, 2, shards, seed, sql);
+    // Reference: one shard — the row-major-equivalent run.
+    const RunOutcome reference = RunQuery(gens[0].db, sql);
+    for (size_t si = 1; si < kNumLayouts; ++si) {
+      ExpectIdenticalRuns(reference, RunQuery(gens[si].db, sql),
+                          kShardCounts[si], seed, sql);
       if (::testing::Test::HasFatalFailure()) return;
-      ExpectIdenticalRuns(reference, eight, 8, shards, seed, sql);
-      if (::testing::Test::HasFatalFailure()) return;
-
-      // The harness must actually exercise the parallel paths: at least
-      // one run per layout dispatched morsels or recorded a deliberate
-      // fallback.
-      EXPECT_GT(
-          eight.stats.morsels_dispatched + eight.stats.parallel_fallbacks, 0u)
-          << "seed=" << seed << " shards=" << shards << "\nsql: " << sql;
     }
     ++executed;
   }

@@ -140,6 +140,7 @@ TEST(GoldenXmlTest, Query1LatticeSerialAndConcurrentAreByteIdentical) {
     ASSERT_TRUE(metrics.ok()) << metrics.status();
     reference = out.str();
   }
+  EXPECT_EQ(reference, ReadFileOrDie(GoldenPath("query1_scale0002.xml")));
 
   // Every sampled mask, serially.
   for (uint64_t mask : masks) {
@@ -172,99 +173,6 @@ TEST(GoldenXmlTest, Query1LatticeSerialAndConcurrentAreByteIdentical) {
         << "mask 0x" << std::hex << masks[i] << ": " << responses[i].status;
     EXPECT_EQ(responses[i].xml, reference)
         << "concurrent mask 0x" << std::hex << masks[i];
-  }
-}
-
-// Morsel-driven parallelism (DESIGN.md §11) is another pure optimization:
-// the demo lattice must emit identical bytes at any engine-thread count.
-// The demo tables are far below the parallel threshold, so a configured
-// executor with tiny morsels and a floor threshold forces every operator
-// through the parallel paths instead of the size short-circuit.
-TEST(GoldenXmlTest, DemoLatticeByteIdenticalAcrossEngineThreads) {
-  Database db;
-  LoadDemo(&db);
-  const std::string rxl = ReadFileOrDie(DemoPath("view.rxl"));
-  const std::string golden = ReadFileOrDie(GoldenPath("demo_league.xml"));
-
-  for (int threads : {1, 2, 8}) {
-    engine::DatabaseExecutor executor(&db);
-    executor.set_parallelism(threads);
-    executor.set_morsel_rows(/*morsel_rows=*/3, /*parallel_threshold=*/1);
-
-    Publisher publisher(&db);
-    auto tree = publisher.BuildViewTree(rxl);
-    ASSERT_TRUE(tree.ok()) << tree.status();
-    const uint64_t full = (uint64_t{1} << tree->num_edges()) - 1;
-
-    PublishOptions options;
-    options.document_element = "league";
-    options.collect_sql = false;
-    options.executor = &executor;
-    for (uint64_t mask = 0; mask <= full; ++mask) {
-      std::ostringstream out;
-      auto metrics = publisher.ExecutePlan(*tree, mask, options, &out);
-      ASSERT_TRUE(metrics.ok())
-          << "threads " << threads << " mask 0x" << std::hex << mask << ": "
-          << metrics.status();
-      EXPECT_EQ(out.str(), golden)
-          << "threads " << threads << " mask 0x" << std::hex << mask;
-    }
-  }
-}
-
-// Query 1 over tiny TPC-H crosses the default parallel threshold on
-// lineitem, so the PublishOptions::engine_threads knob alone exercises the
-// production configuration: sampled lattice masks at 1/2/8 engine threads,
-// serially and through an 8-worker PublishingService whose own executor
-// runs 8-way morsel parallelism. Bytes must never change.
-TEST(GoldenXmlTest, Query1LatticeByteIdenticalAcrossEngineThreads) {
-  auto db = testutil::MakeTinyTpch();
-  Publisher publisher(db.get());
-  auto tree = publisher.BuildViewTree(Query1Rxl());
-  ASSERT_TRUE(tree.ok()) << tree.status();
-  const uint64_t full = (uint64_t{1} << tree->num_edges()) - 1;
-  const std::vector<uint64_t> masks = {0, full, 0x1E8 & full, 0x0AA & full};
-  const std::string reference = ReadFileOrDie(GoldenPath("query1_scale0002.xml"));
-
-  for (int threads : {1, 2, 8}) {
-    PublishOptions options;
-    options.collect_sql = false;
-    options.engine_threads = threads;
-    for (uint64_t mask : masks) {
-      std::ostringstream out;
-      auto metrics = publisher.ExecutePlan(*tree, mask, options, &out);
-      ASSERT_TRUE(metrics.ok())
-          << "threads " << threads << " mask 0x" << std::hex << mask << ": "
-          << metrics.status();
-      EXPECT_EQ(out.str(), reference)
-          << "threads " << threads << " mask 0x" << std::hex << mask;
-    }
-  }
-
-  // Service workers and engine threads composed: 8 coordinator workers,
-  // each component query fanning morsels onto the engine's own 8-lane pool.
-  service::ServiceOptions service_options;
-  service_options.workers = 8;
-  service_options.engine_threads = 8;
-  service_options.admission.max_pending_requests = masks.size() + 1;
-  service::PublishingService svc(db.get(), service_options);
-  std::vector<service::ServiceRequest> requests;
-  for (uint64_t mask : masks) {
-    service::ServiceRequest req;
-    req.rxl = std::string(Query1Rxl());
-    req.options.collect_sql = false;
-    req.options.strategy = PlanStrategy::kExplicitMask;
-    req.options.explicit_mask = mask;
-    requests.push_back(std::move(req));
-  }
-  std::vector<service::ServiceResponse> responses =
-      svc.PublishAll(std::move(requests));
-  ASSERT_EQ(responses.size(), masks.size());
-  for (size_t i = 0; i < responses.size(); ++i) {
-    ASSERT_TRUE(responses[i].status.ok())
-        << "mask 0x" << std::hex << masks[i] << ": " << responses[i].status;
-    EXPECT_EQ(responses[i].xml, reference)
-        << "service mask 0x" << std::hex << masks[i];
   }
 }
 

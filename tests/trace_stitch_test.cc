@@ -114,7 +114,7 @@ TEST(StitchSubtreeTest, GraftsSubtreeUnderFreshOrdinalsWithOffset) {
   std::vector<Span> remote(3);
   remote[0] = {"1", "", "server", 10, 900, {}};
   remote[1] = {"1.1", "1", "phase:execute", 20, 800, {}};
-  remote[2] = {"1.1.1", "1.1", "morsel", 30, 700, {}};
+  remote[2] = {"1.1.1", "1.1", "operator", 30, 700, {}};
   tracer.StitchSubtree(&root, std::move(remote), base);
   root.End();
 
@@ -129,7 +129,7 @@ TEST(StitchSubtreeTest, GraftsSubtreeUnderFreshOrdinalsWithOffset) {
   ASSERT_TRUE(by_id.count("1.2.1"));
   EXPECT_EQ(by_id["1.2.1"]->name, "phase:execute");
   ASSERT_TRUE(by_id.count("1.2.1.1"));
-  EXPECT_EQ(by_id["1.2.1.1"]->name, "morsel");
+  EXPECT_EQ(by_id["1.2.1.1"]->name, "operator");
 }
 
 TEST(StitchSubtreeTest, SpansWithAbsentParentsBecomeRoots) {

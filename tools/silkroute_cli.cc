@@ -18,9 +18,6 @@
 //   --pretty           indent the XML output
 //   --no-reduce        disable view-tree reduction
 //   --concurrency N    publish through the concurrent service with N workers
-//   --engine-threads N intra-query parallelism: run each component query's
-//                      scans/joins/sorts as morsels across N threads (the
-//                      output is byte-identical at any N)
 //   --deadline-ms D    end-to-end deadline per request (service mode)
 //   --requests N       publish the view N times concurrently (service mode)
 //   --trace FILE       write the span trace as JSONL (see tools/trace_check)
@@ -114,7 +111,6 @@ struct Args {
   bool pretty = false;
   bool reduce = true;
   int concurrency = 0;      // >0: publish through the PublishingService
-  int engine_threads = 1;   // intra-query morsel parallelism
   double deadline_ms = 0;   // end-to-end deadline per request
   int requests = 1;         // concurrent copies of the request
   std::string trace;        // JSONL span trace output path
@@ -142,7 +138,7 @@ int Usage(const char* argv0) {
                "[--output file] [--root name] [--strategy greedy|unified|"
                "partitioned|outer-union] [--subview path] [--explain] "
                "[--dtd] [--pretty] [--no-reduce] [--concurrency N] "
-               "[--engine-threads N] [--deadline-ms D] [--requests N] "
+               "[--deadline-ms D] [--requests N] "
                "[--trace file] [--prom file] [--stats] "
                "[--cache-mb N] [--cache-stats] "
                "[--prom-port port [--prom-port-file file]] "
@@ -206,9 +202,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--concurrency") {
       args.concurrency = next() ? std::atoi(argv[i]) : -1;
       if (args.concurrency <= 0) return Usage(argv[0]);
-    } else if (flag == "--engine-threads") {
-      args.engine_threads = next() ? std::atoi(argv[i]) : -1;
-      if (args.engine_threads <= 0) return Usage(argv[0]);
     } else if (flag == "--deadline-ms") {
       args.deadline_ms = next() ? std::atof(argv[i]) : -1;
       if (args.deadline_ms <= 0) return Usage(argv[0]);
@@ -320,7 +313,6 @@ int main(int argc, char** argv) {
     server_options.port = static_cast<uint16_t>(args.serve);
     server_options.workers =
         args.concurrency > 0 ? static_cast<size_t>(args.concurrency) : 4;
-    server_options.engine_threads = args.engine_threads;
     server_options.metrics = &serve_registry;
     net::EngineServer server(&db, server_options);
     auto started = server.Start();
@@ -650,7 +642,6 @@ int main(int argc, char** argv) {
     service_options.workers =
         args.concurrency > 0 ? static_cast<size_t>(args.concurrency) : 4;
     service_options.default_deadline_ms = args.deadline_ms;
-    service_options.engine_threads = args.engine_threads;
     service_options.executor = executor;  // null = built-in local engine
     service_options.tracer = tracer_ptr;
     service_options.metrics_registry = registry_ptr;
@@ -700,7 +691,6 @@ int main(int argc, char** argv) {
     return failures == 0 ? 0 : 1;
   }
 
-  options.engine_threads = args.engine_threads;
   options.executor = executor;  // null = built-in local engine
   options.tracer = tracer_ptr;
   options.metrics_registry = registry_ptr;

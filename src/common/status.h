@@ -32,6 +32,13 @@ enum class StatusCode {
 /// Returns a stable human-readable name for a status code ("InvalidArgument").
 const char* StatusCodeToString(StatusCode code);
 
+/// True for failures of the *source* (unreachable or too slow), as opposed
+/// to bugs in the generated SQL or plan: the codes retries, plan
+/// degradation, failover, and circuit breakers route around.
+inline bool IsSourceFailure(StatusCode code) {
+  return code == StatusCode::kUnavailable || code == StatusCode::kTimeout;
+}
+
 /// A success-or-error value. Ok statuses carry no allocation; error statuses
 /// carry a code and a message.
 class Status {

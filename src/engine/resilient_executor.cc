@@ -10,10 +10,6 @@
 
 namespace silkroute::engine {
 
-bool IsRetryableStatusCode(StatusCode code) {
-  return code == StatusCode::kUnavailable || code == StatusCode::kTimeout;
-}
-
 ResilientExecutor::ResilientExecutor(SqlExecutor* inner, RetryOptions options)
     : inner_(inner),
       options_(std::move(options)),
@@ -112,7 +108,7 @@ Result<Relation> ResilientExecutor::ExecuteSql(std::string_view sql) {
     Status status = result.status();
     report_.queries[slot].final_status = status;
 
-    bool retryable = IsRetryableStatusCode(status.code());
+    bool retryable = IsSourceFailure(status.code());
     if (status.code() == StatusCode::kTimeout) {
       // A timeout is retried at most once: the deadline caps the query
       // itself, so a second timeout means the query is too heavy for the

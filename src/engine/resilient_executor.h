@@ -15,7 +15,7 @@
 // PlanMetrics.
 //
 // Concurrency: one ResilientExecutor instance serves one thread (the
-// service layer builds one per component-query task), but instances
+// publisher's component step builds one per component query), but instances
 // cooperate through two shared, thread-safe objects: a RetryBudget that
 // meters retries plan- or service-wide, and a CancelToken that makes the
 // backoff sleep interruptible, so draining a worker pool never waits out a
@@ -102,10 +102,6 @@ struct RetryOptions {
   /// Attempt latency histograms and retry/backoff counters.
   obs::MetricsRegistry* metrics = nullptr;
 };
-
-/// True for codes worth a retry against the same query (kUnavailable,
-/// kTimeout); false for permanent failures.
-bool IsRetryableStatusCode(StatusCode code);
 
 /// One component query's execution history.
 struct QueryExecution {

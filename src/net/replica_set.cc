@@ -14,10 +14,6 @@ namespace {
 
 using Decision = service::CircuitBreaker::Decision;
 
-bool IsSourceFailureCode(StatusCode code) {
-  return code == StatusCode::kUnavailable || code == StatusCode::kTimeout;
-}
-
 double MsUntil(std::chrono::steady_clock::time_point when,
                std::chrono::steady_clock::time_point now) {
   return std::chrono::duration<double, std::milli>(when - now).count();
@@ -329,7 +325,7 @@ void ReplicaSet::SettleAttempt(Attempt* attempt) {
     return;
   }
   StatusCode code = attempt->result.status().code();
-  if (!IsSourceFailureCode(code)) {
+  if (!IsSourceFailure(code)) {
     // Deterministic error (bad SQL): every replica would fail it — not a
     // health signal.
     replica->breaker->AbandonProbe(attempt->decision);
@@ -589,7 +585,7 @@ Result<engine::Relation> ReplicaSet::ExecuteSqlCancellable(
                   &failed);
     if (result.ok()) return result;
     last = result.status();
-    if (!IsSourceFailureCode(last.code())) return result;
+    if (!IsSourceFailure(last.code())) return result;
     if (last.code() == StatusCode::kTimeout) return result;
     if (attempt + 1 >= max_attempts) return result;
     if (has_deadline && std::chrono::steady_clock::now() >= deadline) {

@@ -15,10 +15,6 @@ bool IsIdentChar(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-bool IsSourceFailureCode(StatusCode code) {
-  return code == StatusCode::kUnavailable || code == StatusCode::kTimeout;
-}
-
 }  // namespace
 
 bool SqlReferencesTable(std::string_view sql, std::string_view table) {
@@ -200,7 +196,7 @@ Result<engine::Relation> FederatedExecutor::ExecuteSqlCancellable(
     breaker->RecordSuccess(decision);
     return result;
   }
-  if (!IsSourceFailureCode(result.status().code())) {
+  if (!IsSourceFailure(result.status().code())) {
     // Deterministic failure (bad SQL, internal bug): the backend is fine
     // and a local run would fail identically — no breaker hit, no
     // failover.

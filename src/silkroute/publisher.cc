@@ -76,54 +76,251 @@ Result<PublishResult> Publisher::Publish(std::string_view rxl_text,
   return result;
 }
 
-namespace {
-
-/// True for errors of the *source* (as opposed to bugs in the generated
-/// SQL or the plan): the ones plan degradation can route around.
-bool IsSourceFailure(StatusCode code) {
-  return code == StatusCode::kUnavailable || code == StatusCode::kTimeout;
+ComponentStep::ComponentStep(const ViewTree& tree, const SqlGenerator& gen,
+                             const PublishOptions& options,
+                             engine::SqlExecutor* connection,
+                             CancelToken* cancel, bool has_deadline,
+                             std::chrono::steady_clock::time_point deadline)
+    : tree_(tree),
+      gen_(gen),
+      options_(options),
+      connection_(connection),
+      budget_(options.strict ? 0 : options.retry.retry_budget),
+      retry_(options.retry) {
+  // Strict mode runs single-attempt with no budget, preserving the
+  // pre-resilience fail-fast behaviour.
+  if (options.strict) retry_.max_attempts = 1;
+  retry_.shared_budget = &budget_;
+  retry_.query_deadline_ms = options.query_timeout_ms;
+  retry_.cancel = cancel;
+  retry_.has_deadline = has_deadline;
+  retry_.deadline = deadline;
+  retry_.tracer = options.tracer;
+  retry_.metrics = options.metrics_registry;
 }
 
-/// A component query awaiting execution; degradation replaces one item
-/// with the two halves of its deepest-edge split, keeping the index of the
-/// original component so degradations are counted once per component.
-struct PendingQuery {
-  StreamSpec spec;
-  size_t origin = 0;
-  /// Component span (null when tracing is off). Shared so follow-up
-  /// queries produced by degradation can nest under the failed
-  /// component's span after this item is gone.
-  std::shared_ptr<obs::SpanHandle> span;
-};
-
-}  // namespace
-
-std::shared_ptr<obs::SpanHandle> MakeComponentSpan(const ViewTree& tree,
-                                                   obs::Tracer* tracer,
-                                                   obs::SpanHandle* parent,
-                                                   const StreamSpec& spec) {
-  if (tracer == nullptr || !tracer->enabled()) return nullptr;
-  auto span = std::make_shared<obs::SpanHandle>(
-      tracer->StartChild(parent, "component"));
-  std::string nodes, tables;
-  for (int id : spec.covered_nodes) {
-    if (!nodes.empty()) nodes += ',';
-    nodes += std::to_string(id);
+PendingComponent ComponentStep::Pending(StreamSpec spec, size_t origin,
+                                        obs::SpanHandle* parent) const {
+  PendingComponent item;
+  item.outcome.nodes = spec.covered_nodes;
+  item.outcome.tables = ComponentTables(tree_, spec.covered_nodes);
+  // Null — not an inert handle — when tracing is off, so the disabled path
+  // allocates nothing.
+  obs::Tracer* tracer = options_.tracer;
+  if (tracer != nullptr && tracer->enabled()) {
+    item.span = std::make_shared<obs::SpanHandle>(
+        tracer->StartChild(parent, "component"));
+    std::string nodes;
+    for (int id : item.outcome.nodes) {
+      if (!nodes.empty()) nodes += ',';
+      nodes += std::to_string(id);
+    }
+    item.span->Annotate("nodes", std::move(nodes));
+    item.span->Annotate("tables", Join(item.outcome.tables, ","));
   }
-  for (const std::string& t : ComponentTables(tree, spec.covered_nodes)) {
-    if (!tables.empty()) tables += ',';
-    tables += t;
+  item.spec = std::move(spec);
+  item.origin = origin;
+  return item;
+}
+
+std::unique_ptr<engine::TupleStream> ComponentStep::LookupFragment(
+    const PendingComponent& item) {
+  // A hit hands back the already-bound wire bytes: no SQL execution, no
+  // binding, no retry-budget spend.
+  engine::ResultCache* cache = options_.result_cache;
+  if (cache == nullptr || item.spec.cache_key.empty()) return nullptr;
+  auto entry = cache->Lookup(item.spec.cache_key);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++(entry ? cache_hits_ : cache_misses_);
   }
-  span->Annotate("nodes", std::move(nodes));
-  span->Annotate("tables", std::move(tables));
-  return span;
+  if (!entry) return nullptr;
+  if (item.span != nullptr) item.span->Annotate("cache", "hit");
+  return std::make_unique<engine::TupleStream>(entry->schema, entry->bytes,
+                                               entry->num_tuples);
+}
+
+Result<std::unique_ptr<engine::TupleStream>> ComponentStep::ExecuteAndBind(
+    PendingComponent* item) {
+  const std::string& sql = item->spec.sql;
+  engine::ResilientExecutor resilient(connection_, retry_);
+  // phase:query under the component span; the resilient layer hangs
+  // attempt/backoff spans off it through the thread-local current span.
+  obs::SpanHandle query_span =
+      obs::Tracer::Child(options_.tracer, item->span.get(), "phase:query");
+  Timer query_timer;
+  auto result = [&] {
+    obs::ScopedCurrentSpan scope(&query_span);
+    return resilient.ExecuteSql(sql);
+  }();
+  double query_elapsed = query_timer.ElapsedMillis();
+  const engine::QueryExecution& executed = resilient.report().queries.back();
+  item->outcome.attempts = static_cast<size_t>(executed.attempts);
+  item->outcome.retries = resilient.report().total_retries();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    report_.queries.push_back(executed);
+    if (options_.collect_sql) sql_.push_back(sql);
+  }
+  if (!result.ok()) {
+    query_span.Annotate("status", StatusCodeToString(result.status().code()));
+    return result.status();
+  }
+  // The spans carry the *same* measured values that feed the metrics, so a
+  // trace reproduces the query/bind totals exactly.
+  query_span.AnnotateMs("ms", query_elapsed);
+  query_span.End();
+
+  obs::SpanHandle bind_span =
+      obs::Tracer::Child(options_.tracer, item->span.get(), "phase:bind");
+  Timer bind_timer;
+  auto stream =
+      std::make_unique<engine::TupleStream>(std::move(result).value());
+  double bind_elapsed = bind_timer.ElapsedMillis();
+  bind_span.AnnotateMs("ms", bind_elapsed);
+  bind_span.End();
+
+  if (options_.result_cache != nullptr && !item->spec.cache_key.empty()) {
+    engine::CacheEntry entry;
+    entry.schema = stream->schema();
+    entry.bytes = stream->shared_wire();
+    entry.num_tuples = stream->num_tuples();
+    options_.result_cache->Insert(item->spec.cache_key, std::move(entry));
+  }
+  if (options_.profile != nullptr) {
+    options_.profile->RecordQuery(sql, query_elapsed, stream->num_tuples(),
+                                  stream->wire_bytes());
+    options_.profile->RecordBind(sql, bind_elapsed);
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  query_ms_ += query_elapsed;
+  bind_ms_ += bind_elapsed;
+  return stream;
+}
+
+void ComponentStep::Accept(PendingComponent item,
+                           std::unique_ptr<engine::TupleStream> stream) {
+  if (item.span != nullptr) {
+    item.span->Annotate("status", StatusCodeToString(StatusCode::kOk));
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  rows_ += stream->num_tuples();
+  wire_bytes_ += stream->wire_bytes();
+  components_.push_back(std::move(item.outcome));
+  done_.push_back(ComponentStream{std::move(item.spec), std::move(stream)});
+}
+
+std::vector<PendingComponent> ComponentStep::Fail(PendingComponent item,
+                                                  const Status& status) {
+  StatusCode code = status.code();
+  item.outcome.final_status = code;
+  if (item.span != nullptr) {
+    item.span->Annotate("status", StatusCodeToString(code));
+  }
+  // Only source failures degrade. Budget exhaustion (kResourceExhausted)
+  // aborts: degrading without retries left would just re-fail, and the
+  // caller must raise the budget or go strict. Any other error is a bug in
+  // the plan, not the source's.
+  bool source_failure = IsSourceFailure(code);
+  int edge = source_failure && !options_.strict
+                 ? DeepestInternalEdge(tree_, item.spec.covered_nodes)
+                 : -1;
+  item.outcome.degraded = edge >= 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    components_.push_back(std::move(item.outcome));
+    if (edge >= 0) {
+      degraded_origins_.insert(item.origin);
+    } else if (code == StatusCode::kTimeout) {
+      // Strict mode, or the fully-partitioned limit: the paper's reporting
+      // ("no time was reported").
+      timed_out_ = true;
+    } else if (source_failure && !options_.strict) {
+      // The single-node query is still unavailable: skip the node
+      // (best-effort document, recorded in failed_nodes).
+      failed_nodes_.insert(failed_nodes_.end(),
+                           item.spec.covered_nodes.begin(),
+                           item.spec.covered_nodes.end());
+      done_.push_back(ComponentStream{
+          std::move(item.spec),
+          std::make_unique<engine::TupleStream>(engine::Relation{})});
+    } else if (fatal_.ok()) {
+      fatal_ = status;
+    }
+  }
+  if (edge < 0) return {};
+  // Split at the deepest kept edge; the two halves run next. Follow-ups
+  // nest under the failed component's span, so the trace shows the
+  // degradation tree.
+  auto [remainder, subtree] =
+      SplitAtEdge(tree_, item.spec.covered_nodes, tree_.Edges()[edge]);
+  std::vector<PendingComponent> follow_ups;
+  for (auto* part : {&remainder, &subtree}) {
+    Result<StreamSpec> spec = gen_.GenerateComponent(*part);
+    if (!spec.ok()) {
+      Abort(spec.status());
+      return {};
+    }
+    follow_ups.push_back(
+        Pending(std::move(spec).value(), item.origin, item.span.get()));
+  }
+  return follow_ups;
+}
+
+void ComponentStep::Abort(Status status) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (fatal_.ok()) fatal_ = std::move(status);
+}
+
+void ComponentStep::TimeOut() {
+  std::lock_guard<std::mutex> lock(mu_);
+  timed_out_ = true;
+}
+
+bool ComponentStep::aborted() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return !fatal_.ok() || timed_out_;
+}
+
+Result<std::vector<ComponentStream>> ComponentStep::Finish(
+    PlanMetrics* metrics) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // Query slots are numbered in completion order (each query ran its own
+  // single-slot executor).
+  for (size_t i = 0; i < report_.queries.size(); ++i) {
+    report_.queries[i].query_index = static_cast<int>(i);
+  }
+  metrics->exec_report = std::move(report_);
+  metrics->attempts = metrics->exec_report.total_attempts();
+  metrics->retries = metrics->exec_report.total_retries();
+  metrics->degraded_components = degraded_origins_.size();
+  metrics->breaker_fast_fails = static_cast<size_t>(std::count_if(
+      components_.begin(), components_.end(),
+      [](const ComponentOutcome& c) { return c.breaker_fast_fail; }));
+  metrics->components = std::move(components_);
+  metrics->failed_nodes = std::move(failed_nodes_);
+  std::sort(metrics->failed_nodes.begin(), metrics->failed_nodes.end());
+  metrics->sql = std::move(sql_);
+  metrics->cache_hits = cache_hits_;
+  metrics->cache_misses = cache_misses_;
+  metrics->rows = rows_;
+  metrics->wire_bytes = wire_bytes_;
+  // Under a pooled strategy query/bind time is summed across workers:
+  // aggregate server time, which can exceed the plan's wall-clock time.
+  metrics->query_ms = query_ms_;
+  metrics->bind_ms = bind_ms_;
+  if (!fatal_.ok()) return fatal_;
+  if (timed_out_) {
+    metrics->timed_out = true;
+    return std::vector<ComponentStream>{};
+  }
+  return std::move(done_);
 }
 
 namespace {
 
-/// The built-in strategy: one query at a time on the calling thread,
-/// retries through a ResilientExecutor, degradation down the edge-mask
-/// lattice on permanent source failure.
+/// The built-in strategy: one component at a time on the calling thread,
+/// follow-ups from degradation queued behind the rest.
 class SequentialExecution : public PlanExecution {
  public:
   explicit SequentialExecution(const Database* db) : db_(db) {}
@@ -143,186 +340,35 @@ Result<std::vector<ComponentStream>> SequentialExecution::Run(
     const ViewTree& tree, const SqlGenerator& gen,
     std::vector<StreamSpec> specs, const PublishOptions& options,
     PlanMetrics* metrics, obs::SpanHandle* plan_span) {
-  // The execution stack: the connection (caller-supplied for fault
-  // injection, otherwise the local database) under the resilient retry
-  // layer. Strict mode runs single-attempt with no budget, preserving the
-  // pre-resilience fail-fast behaviour.
+  // The connection: caller-supplied (e.g. for fault injection), otherwise
+  // the local database.
   engine::DatabaseExecutor db_executor(db_);
   db_executor.set_metrics_registry(options.metrics_registry);
-  engine::SqlExecutor* connection =
-      options.executor != nullptr ? options.executor : &db_executor;
-  engine::RetryOptions retry = options.retry;
-  retry.query_deadline_ms = options.query_timeout_ms;
-  retry.tracer = options.tracer;
-  retry.metrics = options.metrics_registry;
-  if (options.strict) {
-    retry.max_attempts = 1;
-    retry.retry_budget = 0;
-  }
-  engine::ResilientExecutor resilient(connection, retry);
-
-  // Execute every SQL query at the "server" (query time), then bind the
-  // results to the wire format (bind time). A component whose query fails
-  // permanently is degraded: split at its deepest kept edge into two
-  // smaller components and re-queued, in the limit one query per node.
-  std::deque<PendingQuery> queue;
+  ComponentStep step(tree, gen, options,
+                     options.executor != nullptr ? options.executor
+                                                 : &db_executor);
+  std::deque<PendingComponent> queue;
   for (size_t i = 0; i < specs.size(); ++i) {
-    auto span = MakeComponentSpan(tree, options.tracer, plan_span, specs[i]);
-    queue.push_back(PendingQuery{std::move(specs[i]), i, std::move(span)});
+    queue.push_back(step.Pending(std::move(specs[i]), i, plan_span));
   }
-  std::set<size_t> degraded_origins;
-  std::vector<ComponentStream> done;
-  auto finish_metrics = [&] {
-    metrics->exec_report = resilient.report();
-    metrics->attempts = metrics->exec_report.total_attempts();
-    metrics->retries = metrics->exec_report.total_retries();
-    metrics->degraded_components = degraded_origins.size();
-  };
-  while (!queue.empty()) {
-    PendingQuery item = std::move(queue.front());
+  while (!queue.empty() && !step.aborted()) {
+    PendingComponent item = std::move(queue.front());
     queue.pop_front();
-    if (options.collect_sql) metrics->sql.push_back(item.spec.sql);
-
-    ComponentOutcome outcome;
-    outcome.nodes = item.spec.covered_nodes;
-    outcome.tables = ComponentTables(tree, item.spec.covered_nodes);
-
-    // Fragment-cache fast path: a hit hands back the already-bound wire
-    // bytes — no SQL execution, no binding, no retry-budget spend.
-    engine::ResultCache* cache = options.result_cache;
-    if (cache != nullptr && !item.spec.cache_key.empty()) {
-      if (auto entry = cache->Lookup(item.spec.cache_key)) {
-        ++metrics->cache_hits;
-        metrics->rows += entry->num_tuples;
-        auto stream = std::make_unique<engine::TupleStream>(
-            entry->schema, entry->bytes, entry->num_tuples);
-        metrics->wire_bytes += stream->wire_bytes();
-        if (item.span != nullptr) {
-          item.span->Annotate("cache", "hit");
-          item.span->Annotate("status", StatusCodeToString(StatusCode::kOk));
-        }
-        metrics->components.push_back(std::move(outcome));
-        done.push_back(
-            ComponentStream{std::move(item.spec), std::move(stream)});
-        continue;
-      }
-      ++metrics->cache_misses;
-    }
-
-    // phase:query under the component span; the resilient layer hangs
-    // attempt/backoff spans off it through the thread-local current span.
-    obs::SpanHandle query_span =
-        obs::Tracer::Child(options.tracer, item.span.get(), "phase:query");
-    Timer query_timer;
-    auto rel_result = [&] {
-      obs::ScopedCurrentSpan scope(&query_span);
-      return resilient.ExecuteSql(item.spec.sql);
-    }();
-    const engine::QueryExecution& executed = resilient.report().queries.back();
-    outcome.attempts = static_cast<size_t>(executed.attempts);
-    outcome.retries = executed.attempts > 1
-                          ? static_cast<size_t>(executed.attempts - 1)
-                          : 0;
-    if (rel_result.ok()) {
-      engine::Relation rel = std::move(rel_result).value();
-      // The span carries the *same* measured value that feeds the metrics,
-      // so a trace reproduces the query/bind/tag totals exactly.
-      double query_elapsed = query_timer.ElapsedMillis();
-      metrics->query_ms += query_elapsed;
-      query_span.AnnotateMs("ms", query_elapsed);
-      query_span.End();
-      metrics->rows += rel.rows.size();
-
-      obs::SpanHandle bind_span =
-          obs::Tracer::Child(options.tracer, item.span.get(), "phase:bind");
-      Timer bind_timer;
-      auto stream = std::make_unique<engine::TupleStream>(std::move(rel));
-      double bind_elapsed = bind_timer.ElapsedMillis();
-      metrics->bind_ms += bind_elapsed;
-      bind_span.AnnotateMs("ms", bind_elapsed);
-      bind_span.End();
-      metrics->wire_bytes += stream->wire_bytes();
-      if (cache != nullptr && !item.spec.cache_key.empty()) {
-        engine::CacheEntry entry;
-        entry.schema = stream->schema();
-        entry.bytes = stream->shared_wire();
-        entry.num_tuples = stream->num_tuples();
-        cache->Insert(item.spec.cache_key, std::move(entry));
-      }
-      if (options.profile != nullptr) {
-        options.profile->RecordQuery(item.spec.sql, query_elapsed,
-                                     stream->num_tuples(),
-                                     stream->wire_bytes());
-        options.profile->RecordBind(item.spec.sql, bind_elapsed);
-      }
-      if (item.span != nullptr) {
-        item.span->Annotate("status", StatusCodeToString(StatusCode::kOk));
-      }
-      metrics->components.push_back(std::move(outcome));
-      done.push_back(ComponentStream{std::move(item.spec), std::move(stream)});
+    if (auto hit = step.LookupFragment(item)) {
+      step.Accept(std::move(item), std::move(hit));
       continue;
     }
-    const Status& status = rel_result.status();
-    outcome.final_status = status.code();
-    query_span.Annotate("status", StatusCodeToString(status.code()));
-    query_span.End();
-    if (item.span != nullptr) {
-      item.span->Annotate("status", StatusCodeToString(status.code()));
-    }
-    // Budget exhaustion always aborts: degrading without retries left would
-    // just re-fail; the caller must raise the budget or go strict.
-    if (status.code() == StatusCode::kResourceExhausted ||
-        !IsSourceFailure(status.code())) {
-      metrics->components.push_back(std::move(outcome));
-      return status;
-    }
-    if (options.strict) {
-      metrics->components.push_back(std::move(outcome));
-      if (status.code() == StatusCode::kTimeout) {
-        metrics->timed_out = true;
-        finish_metrics();
-        return done;  // paper: "no time was reported"
-      }
-      return status;
-    }
-
-    int edge = DeepestInternalEdge(tree, item.spec.covered_nodes);
-    if (edge < 0) {
-      // Fully-partitioned limit reached and the single-node query still
-      // fails. A timeout here keeps the paper's reporting; an unavailable
-      // node is skipped (best-effort document, recorded in failed_nodes).
-      metrics->components.push_back(std::move(outcome));
-      if (status.code() == StatusCode::kTimeout) {
-        metrics->timed_out = true;
-        finish_metrics();
-        return done;
-      }
-      metrics->failed_nodes.insert(metrics->failed_nodes.end(),
-                                   item.spec.covered_nodes.begin(),
-                                   item.spec.covered_nodes.end());
-      done.push_back(ComponentStream{
-          std::move(item.spec),
-          std::make_unique<engine::TupleStream>(engine::Relation{})});
+    auto stream = step.ExecuteAndBind(&item);
+    if (stream.ok()) {
+      step.Accept(std::move(item), std::move(stream).value());
       continue;
     }
-    degraded_origins.insert(item.origin);
-    outcome.degraded = true;
-    metrics->components.push_back(std::move(outcome));
-    auto [remainder, subtree] =
-        SplitAtEdge(tree, item.spec.covered_nodes, tree.Edges()[edge]);
-    for (auto* part : {&remainder, &subtree}) {
-      SILK_ASSIGN_OR_RETURN(StreamSpec sub_spec,
-                            gen.GenerateComponent(*part));
-      // Follow-up queries nest under the failed component's span, so the
-      // trace shows the degradation tree.
-      auto sub_span =
-          MakeComponentSpan(tree, options.tracer, item.span.get(), sub_spec);
-      queue.push_back(
-          PendingQuery{std::move(sub_spec), item.origin, std::move(sub_span)});
+    for (PendingComponent& follow_up :
+         step.Fail(std::move(item), stream.status())) {
+      queue.push_back(std::move(follow_up));
     }
   }
-  finish_metrics();
-  return done;
+  return step.Finish(metrics);
 }
 
 }  // namespace

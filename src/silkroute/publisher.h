@@ -17,10 +17,12 @@
 #ifndef SILKROUTE_SILKROUTE_PUBLISHER_H_
 #define SILKROUTE_SILKROUTE_PUBLISHER_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <ostream>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,8 +77,10 @@ struct PublishOptions {
   /// treated as a permanent source failure (degradation in non-strict
   /// mode, `timed_out` reporting once no smaller query can be cut).
   double query_timeout_ms = 0;
-  /// Keep the generated SQL texts in the result (for logging / EXPLAIN).
-  /// Degraded replacement queries are appended as they are attempted.
+  /// Keep the SQL texts sent to the executor in the result (for logging /
+  /// EXPLAIN), degraded replacement queries included, in the order they
+  /// are sent. Fragment-cache hits and breaker fast-fails send nothing and
+  /// are not listed.
   bool collect_sql = true;
 
   // --- Fault tolerance (see DESIGN.md "Fault tolerance") ----------------
@@ -218,8 +222,10 @@ struct ComponentStream {
 /// Strategy that executes the component queries of one plan and returns
 /// their sorted tuple streams, in any order (the publisher re-sorts by
 /// component root before tagging, so any correct strategy yields
-/// byte-identical XML). Implementations may retry, degrade, and
-/// parallelize. Contract:
+/// byte-identical XML). Implementations run each component through a
+/// ComponentStep (declared below), which owns retry, degradation, and the
+/// metrics; a strategy only chooses where and when components run.
+/// Contract:
 ///  - a fatal error fails the plan (returned status);
 ///  - setting metrics->timed_out and returning ok aborts publishing with
 ///    partial metrics and no document (the paper's timeout reporting);
@@ -243,14 +249,111 @@ struct PublishResult {
   GreedyPlan greedy_plan;
 };
 
-/// Starts a "component" span for `spec` under `parent`, annotated with the
-/// covered nodes and the tables the component introduces. Returns null —
-/// not an inert handle — when tracing is off, so the disabled path
-/// allocates nothing. Shared by the sequential and pooled strategies.
-std::shared_ptr<obs::SpanHandle> MakeComponentSpan(const ViewTree& tree,
-                                                   obs::Tracer* tracer,
-                                                   obs::SpanHandle* parent,
-                                                   const StreamSpec& spec);
+/// A component query awaiting execution. Degradation replaces one item
+/// with the two halves of its deepest-edge split, keeping `origin` (the
+/// index of the original component) so degradations count once per
+/// component.
+struct PendingComponent {
+  StreamSpec spec;
+  size_t origin = 0;
+  /// The outcome entry filled in as the item runs; nodes and tables are
+  /// set when the item is made.
+  ComponentOutcome outcome;
+  /// Component span (null when tracing is off). Shared so follow-up
+  /// queries produced by degradation nest under the failed component's
+  /// span after this item is gone.
+  std::shared_ptr<obs::SpanHandle> span;
+};
+
+/// The per-component step every PlanExecution strategy runs, and the
+/// per-plan ledger it records into. A strategy only decides *where* and
+/// *when* each pending item runs; what running one means lives here:
+///  - LookupFragment: the fragment-cache fast path;
+///  - ExecuteAndBind: one query through a ResilientExecutor, its query and
+///    bind phases, the cache fill, and the workload-profile record;
+///  - Accept / Fail: the outcome — a stream, or the degrade policy (fatal,
+///    timed out, skip the node, or split into two follow-ups);
+///  - Finish: writes PlanMetrics once.
+/// Thread-safe: pooled workers share one step, and the ledger is guarded
+/// by an internal mutex.
+class ComponentStep {
+ public:
+  /// `connection` runs the component queries (borrowed; it must be
+  /// thread-safe through ExecuteSqlWithDeadline when workers share the
+  /// step). `cancel` and the deadline bound every query's retries.
+  ComponentStep(const ViewTree& tree, const SqlGenerator& gen,
+                const PublishOptions& options, engine::SqlExecutor* connection,
+                CancelToken* cancel = nullptr, bool has_deadline = false,
+                std::chrono::steady_clock::time_point deadline = {});
+
+  /// Makes the pending item for `spec`, starting its component span under
+  /// `parent` (annotated with the covered nodes and the tables the
+  /// component introduces).
+  PendingComponent Pending(StreamSpec spec, size_t origin,
+                           obs::SpanHandle* parent) const;
+
+  /// The cached result of a fresh fragment as a ready stream; null on a
+  /// miss or for an uncacheable component. Counts the hit or miss.
+  std::unique_ptr<engine::TupleStream> LookupFragment(
+      const PendingComponent& item);
+
+  /// Runs the item's query (retries under the plan's budget; strict mode
+  /// makes one attempt) and binds the result into a stream, recording the
+  /// query in the ledger. The error is the query's final status.
+  Result<std::unique_ptr<engine::TupleStream>> ExecuteAndBind(
+      PendingComponent* item);
+
+  /// Records the item as produced by `stream`.
+  void Accept(PendingComponent item,
+              std::unique_ptr<engine::TupleStream> stream);
+
+  /// The degrade policy for an item that failed with `status`. Budget
+  /// exhaustion and non-source errors abort the plan; so does any source
+  /// failure in strict mode, except a timeout, which times the plan out. A
+  /// source failure otherwise splits the component at its deepest kept edge
+  /// and returns the two halves to run next; at the single-node limit a
+  /// timeout times the plan out and an unavailable node is skipped.
+  std::vector<PendingComponent> Fail(PendingComponent item,
+                                     const Status& status);
+
+  /// Aborts the plan with `status`; the first abort wins.
+  void Abort(Status status);
+  /// Marks the plan timed out: no document, partial metrics.
+  void TimeOut();
+  /// True once the plan was aborted or timed out; remaining items are
+  /// drained unexecuted.
+  bool aborted() const;
+
+  /// Writes the ledger into `metrics` and returns the produced streams,
+  /// the abort status, or — for a timed-out plan — no streams with
+  /// metrics->timed_out set. Call once, after every item has finished.
+  Result<std::vector<ComponentStream>> Finish(PlanMetrics* metrics);
+
+ private:
+  const ViewTree& tree_;
+  const SqlGenerator& gen_;
+  const PublishOptions& options_;
+  engine::SqlExecutor* const connection_;
+  /// The plan-wide retry allowance every query's executor draws from.
+  engine::RetryBudget budget_;
+  engine::RetryOptions retry_;
+
+  mutable std::mutex mu_;
+  std::vector<ComponentStream> done_;
+  std::vector<ComponentOutcome> components_;
+  engine::ExecutionReport report_;
+  std::vector<std::string> sql_;
+  std::vector<int> failed_nodes_;
+  std::set<size_t> degraded_origins_;
+  size_t cache_hits_ = 0;
+  size_t cache_misses_ = 0;
+  size_t rows_ = 0;
+  size_t wire_bytes_ = 0;
+  double query_ms_ = 0;
+  double bind_ms_ = 0;
+  Status fatal_;
+  bool timed_out_ = false;
+};
 
 /// Thread-compatible for concurrent publishing: Publish/ExecutePlan may be
 /// called from multiple threads at once provided each call writes to its

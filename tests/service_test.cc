@@ -5,13 +5,16 @@
 // single-threaded Publisher.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "engine/fault_injection.h"
+#include "engine/result_cache.h"
 #include "service/circuit_breaker.h"
 #include "service/publishing_service.h"
 #include "silkroute/publisher.h"
@@ -530,6 +533,167 @@ TEST(PublishingServiceTest, ConcurrentFaultyLoadStaysConsistent) {
       EXPECT_EQ(response.xml, reference);
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Strategy parity: the sequential Publisher and the pooled service run the
+// same component step, so one deterministic fault setup must end the same
+// way through both, at any worker count. Breakers never trip here (the
+// threshold is out of reach), so the service adds nothing but dispatch.
+
+struct ParityCase {
+  std::string name;
+  PlanStrategy strategy = PlanStrategy::kUnified;
+  engine::FaultPolicy policy;
+  bool strict = false;
+  int retry_budget = 64;
+  /// Publish once cold through a ResultCache, insert one U row, and report
+  /// the republish.
+  bool cached = false;
+};
+
+struct ParityOutcome {
+  StatusCode code = StatusCode::kOk;
+  std::string xml;
+  core::PlanMetrics metrics;
+};
+
+/// Runs `c` on a fresh database and fault schedule: through
+/// Publisher::Publish when `workers` is 0, else through a PublishingService
+/// with that many workers.
+ParityOutcome RunParityCase(const ParityCase& c, size_t workers) {
+  auto db = MakeTwoTableDb();
+  engine::DatabaseExecutor db_executor(db.get());
+  engine::FaultInjectingExecutor faulty(&db_executor, c.policy);
+  faulty.set_sleep_fn([](double) {});
+  engine::ResultCache cache(engine::ResultCache::Options{});
+
+  PublishOptions options;
+  options.strategy = c.strategy;
+  options.document_element = "doc";
+  options.strict = c.strict;
+  options.executor = &faulty;
+  options.retry.max_attempts = 2;
+  options.retry.retry_budget = c.retry_budget;
+  options.retry.sleep_fn = [](double) {};
+  options.result_cache = c.cached ? &cache : nullptr;
+
+  Publisher publisher(db.get());
+  std::unique_ptr<PublishingService> service;
+  if (workers > 0) {
+    ServiceOptions service_options;
+    service_options.workers = workers;
+    service_options.executor = &faulty;
+    service_options.retry = options.retry;
+    service_options.result_cache = options.result_cache;
+    service_options.breaker.failure_threshold = 1000;
+    service = std::make_unique<PublishingService>(db.get(), service_options);
+  }
+  auto publish = [&] {
+    ParityOutcome outcome;
+    if (service != nullptr) {
+      ServiceRequest request;
+      request.rxl = kTwoTableRxl;
+      request.options = options;
+      ServiceResponse response = service->Publish(std::move(request));
+      outcome.code = response.status.code();
+      outcome.xml = response.xml;
+      outcome.metrics = response.result.metrics;
+    } else {
+      std::ostringstream out;
+      auto result = publisher.Publish(kTwoTableRxl, options, &out);
+      outcome.code = result.status().code();
+      if (result.ok()) {
+        outcome.xml = out.str();
+        outcome.metrics = result->metrics;
+      }
+    }
+    return outcome;
+  };
+  if (!c.cached) return publish();
+  EXPECT_EQ(publish().code, StatusCode::kOk);
+  EXPECT_TRUE(db->Insert("U", Tuple{Value::Int64(13), Value::String("w"),
+                                    Value::Int64(2)})
+                  .ok());
+  return publish();
+}
+
+std::vector<std::string> SortedSql(const core::PlanMetrics& metrics) {
+  std::vector<std::string> sql = metrics.sql;
+  std::sort(sql.begin(), sql.end());
+  return sql;
+}
+
+std::vector<std::tuple<std::vector<int>, bool, StatusCode>> SortedComponents(
+    const core::PlanMetrics& metrics) {
+  std::vector<std::tuple<std::vector<int>, bool, StatusCode>> components;
+  for (const core::ComponentOutcome& c : metrics.components) {
+    components.emplace_back(c.nodes, c.degraded, c.final_status);
+  }
+  std::sort(components.begin(), components.end());
+  return components;
+}
+
+std::vector<ParityCase> ParityCases() {
+  engine::FaultRule sick_u;
+  sick_u.table = "U";
+  sick_u.fail = true;  // permanent
+  engine::FaultRule transient;
+  transient.fail = true;
+  transient.times = 1;
+
+  std::vector<ParityCase> cases(4);
+  cases[0].name = "permanent U failure degrades to a skipped node";
+  cases[0].policy.rules = {sick_u};
+  cases[1].name = "strict mode on the failing table";
+  cases[1].policy.rules = {sick_u};
+  cases[1].strict = true;
+  cases[2].name = "zero retry budget against a transient failure";
+  cases[2].policy.rules = {transient};
+  cases[2].retry_budget = 0;
+  cases[3].name = "republish after one insert through the result cache";
+  cases[3].strategy = PlanStrategy::kFullyPartitioned;
+  cases[3].cached = true;
+  return cases;
+}
+
+TEST(StrategyParityTest, SequentialAndPooledEndTheSame) {
+  for (const ParityCase& c : ParityCases()) {
+    SCOPED_TRACE(c.name);
+    ParityOutcome sequential = RunParityCase(c, 0);
+    for (size_t workers : {1, 4}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers));
+      ParityOutcome pooled = RunParityCase(c, workers);
+      EXPECT_EQ(pooled.code, sequential.code);
+      EXPECT_EQ(pooled.xml, sequential.xml);
+      EXPECT_EQ(pooled.metrics.failed_nodes, sequential.metrics.failed_nodes);
+      EXPECT_EQ(pooled.metrics.degraded_components,
+                sequential.metrics.degraded_components);
+      EXPECT_EQ(pooled.metrics.cache_hits, sequential.metrics.cache_hits);
+      EXPECT_EQ(pooled.metrics.cache_misses, sequential.metrics.cache_misses);
+      EXPECT_EQ(SortedSql(pooled.metrics), SortedSql(sequential.metrics));
+      EXPECT_EQ(SortedComponents(pooled.metrics),
+                SortedComponents(sequential.metrics));
+    }
+  }
+}
+
+TEST(StrategyParityTest, CasesReachTheirIntendedOutcome) {
+  std::vector<ParityCase> cases = ParityCases();
+  ParityOutcome skipped = RunParityCase(cases[0], 0);
+  ASSERT_EQ(skipped.code, StatusCode::kOk);
+  EXPECT_FALSE(skipped.metrics.failed_nodes.empty());
+  EXPECT_EQ(skipped.metrics.degraded_components, 1u);
+  EXPECT_EQ(RunParityCase(cases[1], 0).code, StatusCode::kUnavailable);
+  EXPECT_EQ(RunParityCase(cases[2], 0).code, StatusCode::kResourceExhausted);
+  ParityOutcome republished = RunParityCase(cases[3], 0);
+  ASSERT_EQ(republished.code, StatusCode::kOk);
+  EXPECT_GE(republished.metrics.cache_hits, 1u);
+  EXPECT_GE(republished.metrics.cache_misses, 1u);
+  // Only the queries actually sent are listed: the fragment-cache hits
+  // are not.
+  EXPECT_EQ(republished.metrics.sql.size(), republished.metrics.cache_misses);
 }
 
 }  // namespace

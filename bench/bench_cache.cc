@@ -62,8 +62,12 @@ void AppendDeltaRow(Database* db, const std::string& table_name) {
                  table_name.c_str());
     std::exit(1);
   }
-  Tuple row = (*table)->rows().front();
-  (*table)->InsertUnchecked(std::move(row));
+  Status appended = (*table)->InsertUnchecked((*table)->Row(0));
+  if (!appended.ok()) {
+    std::fprintf(stderr, "delta row for '%s' refused: %s\n",
+                 table_name.c_str(), appended.ToString().c_str());
+    std::exit(1);
+  }
 }
 
 }  // namespace

@@ -80,21 +80,6 @@ void BM_FilteredScanNoIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_FilteredScanNoIndex);
 
-void BM_IndexProbe(benchmark::State& state) {
-  static bool indexed = [] {
-    auto table = SharedDb()->GetTable("Orders");
-    return table.ok() && (*table)->CreateIndex("orderkey").ok();
-  }();
-  benchmark::DoNotOptimize(indexed);
-  engine::QueryExecutor exec(SharedDb());
-  for (auto _ : state) {
-    auto r = exec.ExecuteSql(
-        "select o.custkey from Orders o where o.orderkey = 42");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_IndexProbe);
-
 void BM_SortWideRelation(benchmark::State& state) {
   engine::QueryExecutor exec(SharedDb());
   for (auto _ : state) {
@@ -118,43 +103,6 @@ void BM_WireSerialization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WireSerialization);
-
-// --- Shard-count axis (DESIGN.md §16) -------------------------------------
-// Arg = columnar shard count. The same scan+filter and hash join as above,
-// but over databases built at 1/4/16 shards: results are byte-identical
-// (differential_test pins that), so any delta here is pure storage-layout
-// cost — shard dispatch overhead vs cache locality of narrower partitions.
-
-Database* ShardedDb(int shard_count) {
-  static Database* dbs[3] = {nullptr, nullptr, nullptr};
-  const int slot = shard_count == 1 ? 0 : shard_count == 4 ? 1 : 2;
-  if (dbs[slot] == nullptr) {
-    dbs[slot] =
-        bench::MakeDatabase(0.01, static_cast<size_t>(shard_count)).release();
-  }
-  return dbs[slot];
-}
-
-void BM_SeqScanFilterSharded(benchmark::State& state) {
-  engine::QueryExecutor exec(ShardedDb(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto r = exec.ExecuteSql(
-        "select l.orderkey from LineItem l where l.qty < 10");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_SeqScanFilterSharded)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_HashJoinSharded(benchmark::State& state) {
-  engine::QueryExecutor exec(ShardedDb(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    auto r = exec.ExecuteSql(
-        "select l.orderkey, o.custkey from LineItem l, Orders o "
-        "where l.orderkey = o.orderkey");
-    benchmark::DoNotOptimize(r);
-  }
-}
-BENCHMARK(BM_HashJoinSharded)->Arg(1)->Arg(4)->Arg(16);
 
 void BM_PublishOptimalPlan(benchmark::State& state) {
   static Publisher* publisher = new Publisher(SharedDb());

@@ -90,7 +90,7 @@ bool AsColumnEquality(const Expr& e, EquiPair* out) {
 // shape `col <op> literal` (either orientation), `col IS [NOT] NULL`, or a
 // NOT over those compiles into a ColPred: one branch-light comparison
 // against pre-classified literal payloads, evaluated straight off a
-// shard's typed arrays with no BoundExpr dispatch and no Value
+// column's typed arrays with no BoundExpr dispatch and no Value
 // materialized per row. Semantics replicate BoundExpr::Test over
 // Value::Compare exactly: a NULL cell fails every comparison (three-valued
 // unknown), int64-vs-int64 compares exactly, mixed numerics widen to
@@ -162,7 +162,7 @@ bool FillLiteral(const Value& v, ColPred* out) {
 
 /// Compiles `e` into a single ColPred. Returns false when the expression
 /// is not of a compilable shape (the caller then keeps the whole filter
-/// set on the legacy bound-expression path).
+/// set on the bound-expression path).
 bool CompileColPred(const Expr& e, const RelSchema& schema, ColPred* out) {
   switch (e.kind()) {
     case Expr::Kind::kBinary: {
@@ -225,9 +225,8 @@ bool CompileColPred(const Expr& e, const RelSchema& schema, ColPred* out) {
   }
 }
 
-/// All-or-nothing: every filter must compile or none is used, so a scan is
-/// either fully columnar or fully legacy (never a mix with different
-/// short-circuit order).
+/// All-or-nothing: every filter must compile or none is used, so a scan
+/// tests either compiled predicates or bound expressions, never a mix.
 bool CompileColumnPreds(const std::vector<const Expr*>& filters,
                         const RelSchema& schema, std::vector<ColPred>* out) {
   out->clear();
@@ -240,7 +239,7 @@ bool CompileColumnPreds(const std::vector<const Expr*>& filters,
   return true;
 }
 
-/// One predicate against cell `pos` of a shard column. Mirrors
+/// One predicate against cell `pos` of a column. Mirrors
 /// BinaryBound::Test over Value::Compare: NULL cells fail comparisons,
 /// pass/fail IS NULL directly.
 bool EvalColPred(const ColumnVector& cv, size_t pos, const ColPred& p) {
@@ -280,57 +279,6 @@ bool EvalColPred(const ColumnVector& cv, size_t pos, const ColPred& p) {
     default: return false;
   }
 }
-
-/// A literal-equality filter with an index on its column, if any: the index
-/// path beats every flavour of full scan, so both MaterializeBaseTable and
-/// the columnar selection scan consult this first.
-struct IndexProbe {
-  const Table::Index* index = nullptr;
-  const Value* probe = nullptr;
-};
-
-IndexProbe FindIndexProbe(const Table& table,
-                          const std::vector<const Expr*>& filters) {
-  for (const sql::Expr* e : filters) {
-    if (e->kind() != Expr::Kind::kBinary) continue;
-    const auto& b = static_cast<const sql::BinaryExpr&>(*e);
-    if (b.op() != BinaryOp::kEq) continue;
-    const sql::ColumnRefExpr* col = nullptr;
-    const sql::LiteralExpr* lit = nullptr;
-    if (b.left().kind() == Expr::Kind::kColumnRef &&
-        b.right().kind() == Expr::Kind::kLiteral) {
-      col = static_cast<const sql::ColumnRefExpr*>(&b.left());
-      lit = static_cast<const sql::LiteralExpr*>(&b.right());
-    } else if (b.right().kind() == Expr::Kind::kColumnRef &&
-               b.left().kind() == Expr::Kind::kLiteral) {
-      col = static_cast<const sql::ColumnRefExpr*>(&b.right());
-      lit = static_cast<const sql::LiteralExpr*>(&b.left());
-    } else {
-      continue;
-    }
-    const Table::Index* candidate = table.GetIndex(col->name());
-    if (candidate != nullptr && !lit->value().is_null()) {
-      return {candidate, &lit->value()};
-    }
-  }
-  return {};
-}
-
-/// One side of a hash join: the rows plus, when they borrow a base table
-/// whose columnar layout is exact, the table itself — keys then encode
-/// straight from the shard columns (EncodeTableJoinKey), byte-identical
-/// to the row encoding, so chains, probes, and key counters never change.
-struct JoinSide {
-  const std::vector<Tuple>* rows;
-  const Table* table = nullptr;
-
-  size_t size() const { return rows->size(); }
-  bool EncodeKey(size_t i, const std::vector<size_t>& cols,
-                 std::string* out) const {
-    if (table != nullptr) return EncodeTableJoinKey(*table, i, cols, out);
-    return EncodeJoinKey((*rows)[i], cols, out);
-  }
-};
 
 /// Chained hash index over packed join keys (key_codec.h): one map entry
 /// per distinct key, rows with equal keys threaded through `next_` links
@@ -385,10 +333,12 @@ Tuple NullPadded(const Tuple& left, size_t right_width) {
 /// constructor indexes the build (right) side on its key columns, and
 /// First encodes one probe (left) row's key and looks it up. Only the
 /// output step differs between the two joins. Every non-NULL key encoded
-/// on either side counts into `stats`.
+/// on either side counts into `stats`. `Side` is QueryExecutor::Input
+/// (size() and EncodeKey are all the index reads).
+template <typename Side>
 class EquiJoinIndex {
  public:
-  EquiJoinIndex(const JoinSide& probe, const JoinSide& build,
+  EquiJoinIndex(const Side& probe, const Side& build,
                 const std::vector<std::pair<size_t, size_t>>& keys,
                 ExecStats* stats)
       : probe_(probe), stats_(stats) {
@@ -431,7 +381,7 @@ class EquiJoinIndex {
     stats_->bytes_encoded += scratch_.size();
   }
 
-  JoinSide probe_;
+  const Side& probe_;
   std::vector<size_t> probe_cols_;
   ExecStats* stats_;
   EncodedKeyIndex index_;
@@ -439,6 +389,63 @@ class EquiJoinIndex {
 };
 
 }  // namespace
+
+size_t QueryExecutor::Input::size() const {
+  if (table == nullptr) return rel.rows.size();
+  return selection ? selection->size() : table->num_rows();
+}
+
+Value QueryExecutor::Input::Cell(size_t i, size_t c) const {
+  if (table == nullptr) return rel.rows[i].values()[c];
+  return table->column(c).ValueAt(RowId(i));
+}
+
+void QueryExecutor::Input::AppendRow(size_t i, Tuple* out) const {
+  if (table == nullptr) {
+    for (const Value& v : rel.rows[i].values()) out->Append(v);
+    return;
+  }
+  const size_t row = RowId(i);
+  for (size_t c = 0; c < rel.schema.size(); ++c) {
+    out->Append(read_columns.empty() || read_columns[c]
+                    ? table->column(c).ValueAt(row)
+                    : Value::Null());
+  }
+}
+
+const Tuple& QueryExecutor::Input::RowRef(size_t i, Tuple* scratch) const {
+  if (table == nullptr) return rel.rows[i];
+  *scratch = table->Row(RowId(i));
+  return *scratch;
+}
+
+Tuple QueryExecutor::Input::TakeRow(size_t i) {
+  return table == nullptr ? std::move(rel.rows[i]) : table->Row(RowId(i));
+}
+
+bool QueryExecutor::Input::EncodeKey(size_t i, const std::vector<size_t>& cols,
+                                     std::string* out) const {
+  if (table == nullptr) return EncodeJoinKey(rel.rows[i], cols, out);
+  return EncodeTableJoinKey(*table, RowId(i), cols, out);
+}
+
+void QueryExecutor::Input::EncodeCell(size_t i, size_t c, bool descending,
+                                      std::string* out) const {
+  if (table != nullptr) {
+    if (descending) {
+      EncodeColumnValueDescending(table->column(c), RowId(i), out);
+    } else {
+      EncodeColumnValue(table->column(c), RowId(i), out);
+    }
+    return;
+  }
+  const Value& v = rel.rows[i].values()[c];
+  if (descending) {
+    EncodeValueDescending(v, out);
+  } else {
+    EncodeValue(v, out);
+  }
+}
 
 Result<Relation> QueryExecutor::ExecuteSql(std::string_view sql_text) {
   // The timeout caps each query, not the executor: re-arm the deadline so a
@@ -455,7 +462,6 @@ Result<Relation> QueryExecutor::ExecuteSql(std::string_view sql_text) {
     obs::AnnotateCurrent("hash_joins", std::to_string(stats_.hash_joins));
     obs::AnnotateCurrent("nested_loop_joins",
                          std::to_string(stats_.nested_loop_joins));
-    obs::AnnotateCurrent("index_probes", std::to_string(stats_.index_probes));
     obs::AnnotateCurrent("keys_encoded", std::to_string(stats_.keys_encoded));
     obs::AnnotateCurrent("bytes_encoded",
                          std::to_string(stats_.bytes_encoded));
@@ -485,165 +491,100 @@ Result<Relation> QueryExecutor::Execute(const sql::Query& query) {
                     static_cast<int64_t>(timeout_ms_ * 1000));
   }
   Relation result;
-  // With no ORDER BY the aligned pre-projection rows are never consulted,
-  // so the final join of each core may fuse with the projection.
-  const bool allow_fusion = query.order_by.empty();
+  // ORDER BY keys outside the select list read the aligned input of a
+  // single-core query.
+  std::optional<Input> aligned;
   for (size_t i = 0; i < query.cores.size(); ++i) {
-    SILK_ASSIGN_OR_RETURN(Relation part,
-                          ExecuteCore(query.cores[i], allow_fusion));
+    SILK_ASSIGN_OR_RETURN(CoreResult part,
+                          ExecuteCore(query.cores[i], query.order_by));
     if (i == 0) {
-      result = std::move(part);
+      result = std::move(part.output);
+      if (query.cores.size() == 1) aligned = std::move(part.aligned_input);
     } else {
-      if (part.schema.size() != result.schema.size()) {
+      if (part.output.schema.size() != result.schema.size()) {
         return Status::InvalidArgument(
             "UNION operands have different arities (" +
             std::to_string(result.schema.size()) + " vs " +
-            std::to_string(part.schema.size()) + ")");
+            std::to_string(part.output.schema.size()) + ")");
       }
       result.rows.insert(result.rows.end(),
-                         std::make_move_iterator(part.rows.begin()),
-                         std::make_move_iterator(part.rows.end()));
+                         std::make_move_iterator(part.output.rows.begin()),
+                         std::make_move_iterator(part.output.rows.end()));
     }
   }
   if (!query.order_by.empty()) {
-    const bool single = query.cores.size() == 1;
-    const RelSchema& preproj_schema =
-        single ? last_preprojection_.schema : result.schema;
-    const std::vector<Tuple>& preproj_rows =
-        single ? (last_preprojection_rows_ != nullptr
-                      ? *last_preprojection_rows_
-                      : last_preprojection_.rows)
-               : result.rows;
-    SILK_RETURN_IF_ERROR(
-        ApplyOrderBy(query, preproj_schema, preproj_rows, &result));
+    SILK_RETURN_IF_ERROR(ApplyOrderBy(
+        query, aligned.has_value() ? &*aligned : nullptr, &result));
   }
-  last_preprojection_ = Relation();  // release memory
-  last_preprojection_rows_ = nullptr;
   return result;
 }
 
-Result<Relation> QueryExecutor::ExecuteCore(const sql::SelectCore& core,
-                                            bool allow_fusion) {
-  const std::vector<Tuple>* borrowed = nullptr;
-  const Table* borrowed_table = nullptr;
-  bool fused = false;
-  scan_selection_active_ = false;
-  SILK_ASSIGN_OR_RETURN(
-      Relation combined,
-      JoinFromList(core, allow_fusion && !core.select_star, &borrowed,
-                   &borrowed_table, &fused));
-  // Selection-borrowed scan (TryColumnarSelectionScan via JoinFromList):
-  // `borrowed` spans the FULL table and `selection` lists the surviving
-  // global row ids in ascending order. Consume the member state here so
-  // recursive cores (derived tables) can never observe it.
-  bool have_selection = scan_selection_active_;
-  std::vector<uint32_t> selection = std::move(scan_selection_);
-  scan_selection_active_ = false;
-  scan_selection_.clear();
-
+Result<QueryExecutor::CoreResult> QueryExecutor::ExecuteCore(
+    const sql::SelectCore& core, const std::vector<sql::OrderItem>& order_by) {
+  SILK_ASSIGN_OR_RETURN(Input in, JoinFromList(core, order_by));
+  CoreResult result;
+  Relation& out = result.output;
+  const size_t n = in.size();
   if (core.select_star) {
-    if (borrowed != nullptr) {
-      last_preprojection_.schema = combined.schema;
-      last_preprojection_.rows.clear();
-      last_preprojection_rows_ = borrowed;  // aligned: result copies these rows
-      combined.rows = *borrowed;
-    } else {
-      last_preprojection_ = combined;
-      last_preprojection_rows_ = &last_preprojection_.rows;
-    }
-    return combined;
+    out.schema = std::move(in.rel.schema);
+    out.rows.reserve(n);
+    for (size_t i = 0; i < n; ++i) out.rows.push_back(in.TakeRow(i));
+    return result;
   }
 
   // Bind projection expressions.
   std::vector<BoundExprPtr> exprs;
-  RelSchema out_schema;
   exprs.reserve(core.select_list.size());
   for (const auto& item : core.select_list) {
     SILK_ASSIGN_OR_RETURN(BoundExprPtr bound,
-                          BindExpr(*item.expr, combined.schema));
+                          BindExpr(*item.expr, in.rel.schema));
     exprs.push_back(std::move(bound));
     if (!item.alias.empty()) {
-      out_schema.Add({"", item.alias});
+      out.schema.Add({"", item.alias});
     } else if (item.expr->kind() == Expr::Kind::kColumnRef) {
       const auto& c = static_cast<const sql::ColumnRefExpr&>(*item.expr);
-      out_schema.Add({c.qualifier(), c.name()});
+      out.schema.Add({c.qualifier(), c.name()});
     } else {
-      out_schema.Add({"", "col" + std::to_string(out_schema.size() + 1)});
+      out.schema.Add({"", "col" + std::to_string(out.schema.size() + 1)});
     }
   }
 
-  // Pure column projections (the shape SilkRoute's view composer emits)
-  // copy cells by index instead of dispatching a bound expression per cell.
-  std::vector<size_t> direct_cols;
-  direct_cols.reserve(core.select_list.size());
-  bool all_direct = true;
-  for (const auto& item : core.select_list) {
-    if (item.expr->kind() != Expr::Kind::kColumnRef) {
-      all_direct = false;
-      break;
+  // Column refs (the view composer's usual select items) copy cells by
+  // index — a borrowed table's straight from its columns, so filter and
+  // projection fuse with no intermediate row copy. Other items evaluate
+  // their bound expression, against the whole row only when one of them
+  // reads a column (a literal tag such as `1 as t` needs none).
+  std::vector<int> direct_cols(core.select_list.size(), -1);
+  bool needs_row = false;
+  for (size_t j = 0; j < core.select_list.size(); ++j) {
+    const Expr& e = *core.select_list[j].expr;
+    if (e.kind() == Expr::Kind::kColumnRef) {
+      const auto& c = static_cast<const sql::ColumnRefExpr&>(e);
+      direct_cols[j] =
+          static_cast<int>(*in.rel.schema.Resolve(c.qualifier(), c.name()));
+      continue;
     }
-    const auto& c = static_cast<const sql::ColumnRefExpr&>(*item.expr);
-    auto idx = combined.schema.Resolve(c.qualifier(), c.name());
-    if (!idx.ok()) {
-      all_direct = false;
-      break;
-    }
-    direct_cols.push_back(*idx);
+    std::vector<const sql::ColumnRefExpr*> refs;
+    CollectColumnRefs(e, &refs);
+    needs_row = needs_row || !refs.empty();
   }
 
-  if (have_selection && !all_direct) {
-    // Rare shape behind a selection scan (expression projection):
-    // materialize the survivors so the generic paths below see exactly
-    // the filtered rows — same copies MaterializeBaseTable would have
-    // made, so this never regresses the pre-selection behaviour.
-    combined.rows.reserve(selection.size());
-    for (uint32_t gid : selection) combined.rows.push_back((*borrowed)[gid]);
-    borrowed = nullptr;
-    borrowed_table = nullptr;
-    have_selection = false;
-  }
-  const std::vector<Tuple>& in_rows =
-      borrowed != nullptr ? *borrowed : combined.rows;
-
-  Relation out;
-  out.schema = std::move(out_schema);
-  if (fused) {
+  if (in.projected) {
     // JoinFromList already produced the projected rows.
-    out.rows = std::move(combined.rows);
-  } else if (all_direct && borrowed_table != nullptr) {
-    // Borrowed base scan + pure column projection: gather the selected
-    // cells straight from the table's columnar shards (row_loc maps each
-    // global row to its shard position) instead of walking the row-store
-    // tuples. ValueAt reproduces the stored Value representation exactly
-    // (columnar_exact is a precondition of borrowed_table), so the
-    // projected stream is unchanged. With a selection the gather visits
-    // only the surviving global ids, in order — filter and projection
-    // fuse with no intermediate row copy at all.
-    const Table& t = *borrowed_table;
-    const size_t n = have_selection ? selection.size() : in_rows.size();
-    out.rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Table::RowLoc loc = t.row_loc(have_selection ? selection[i] : i);
-      const ColumnarShard& shard = t.shard(loc.shard);
-      Tuple projected;
-      projected.mutable_values().reserve(direct_cols.size());
-      for (size_t c : direct_cols) projected.Append(shard.ValueAt(c, loc.pos));
-      out.rows.push_back(std::move(projected));
-    }
-  } else if (all_direct) {
-    out.rows.reserve(in_rows.size());
-    for (const auto& row : in_rows) {
-      Tuple projected;
-      projected.mutable_values().reserve(direct_cols.size());
-      for (size_t c : direct_cols) projected.Append(row.values()[c]);
-      out.rows.push_back(std::move(projected));
-    }
+    out.rows = std::move(in.rel.rows);
   } else {
-    out.rows.reserve(in_rows.size());
-    for (const auto& row : in_rows) {
+    out.rows.reserve(n);
+    Tuple scratch;
+    const Tuple no_columns;
+    for (size_t i = 0; i < n; ++i) {
+      const Tuple& row = needs_row ? in.RowRef(i, &scratch) : no_columns;
       Tuple projected;
       projected.mutable_values().reserve(exprs.size());
-      for (const auto& e : exprs) projected.Append(e->Eval(row));
+      for (size_t j = 0; j < exprs.size(); ++j) {
+        projected.Append(direct_cols[j] >= 0
+                             ? in.Cell(i, static_cast<size_t>(direct_cols[j]))
+                             : exprs[j]->Eval(row));
+      }
       out.rows.push_back(std::move(projected));
     }
   }
@@ -652,6 +593,7 @@ Result<Relation> QueryExecutor::ExecuteCore(const sql::SelectCore& core,
     // contiguous byte string, so hashing and equality are single byte
     // passes instead of a variant walk of t.values() per probe. NULL ==
     // NULL here, as before (Tuple::Compare identity, not SqlEquals).
+    // DISTINCT breaks row alignment, so no aligned input survives it.
     KeyArena arena;
     std::unordered_set<std::string_view> seen;
     seen.reserve(out.rows.size());
@@ -669,64 +611,58 @@ Result<Relation> QueryExecutor::ExecuteCore(const sql::SelectCore& core,
       }
     }
     out.rows = std::move(unique);
-    // DISTINCT breaks row alignment; ORDER BY must use the output schema.
-    last_preprojection_ = Relation();
-    last_preprojection_rows_ = nullptr;
-  } else if (fused || have_selection) {
-    // Fusion and selection scans are only allowed when nothing downstream
-    // reads the pre-projection rows (no ORDER BY in the enclosing query);
-    // with a selection the borrowed rows span the whole table and are not
-    // aligned with the output.
-    last_preprojection_ = Relation();
-    last_preprojection_rows_ = nullptr;
-  } else if (borrowed != nullptr) {
-    last_preprojection_.schema = std::move(combined.schema);
-    last_preprojection_.rows.clear();
-    last_preprojection_rows_ = borrowed;
-  } else {
-    last_preprojection_ = std::move(combined);
-    last_preprojection_rows_ = &last_preprojection_.rows;
+  } else if (!in.projected) {
+    result.aligned_input = std::move(in);
   }
-  return out;
+  return result;
 }
 
-Result<Relation> QueryExecutor::JoinFromList(
-    const sql::SelectCore& core, bool allow_fusion,
-    const std::vector<Tuple>** borrowed_rows, const Table** borrowed_table,
-    bool* fused) {
-  *borrowed_rows = nullptr;
-  *borrowed_table = nullptr;
-  *fused = false;
+Result<QueryExecutor::Input> QueryExecutor::JoinFromList(
+    const sql::SelectCore& core, const std::vector<sql::OrderItem>& order_by) {
   if (core.from.empty()) {
     // `select <literals>`: one empty source row.
-    Relation r;
-    r.rows.emplace_back();
-    return r;
+    Input none;
+    none.rel.rows.emplace_back();
+    return none;
   }
 
-  // Evaluate each FROM item. Base tables are deferred (schema only) so the
-  // pushdown filters below can drive an index probe or a filtered scan
-  // instead of copying the whole table.
-  std::vector<Relation> items;
-  std::vector<const Table*> deferred_base(core.from.size(), nullptr);
-  // borrowed[i] non-null: items[i].rows stay empty and the item reads the
-  // base table's rows in place — no per-query copy of the table.
-  std::vector<const std::vector<Tuple>*> borrowed(core.from.size(), nullptr);
+  // Every reference that can read a base-table cell of this core: the
+  // select list, WHERE, and ORDER BY (which may sort on the input).
+  std::vector<const sql::ColumnRefExpr*> refs;
+  for (const auto& item : core.select_list) {
+    CollectColumnRefs(*item.expr, &refs);
+  }
+  if (core.where) CollectColumnRefs(*core.where, &refs);
+  for (const auto& o : order_by) CollectColumnRefs(*o.expr, &refs);
+
+  // Evaluate each FROM item. Base tables stay in place (schema only): the
+  // pushdown filters below scan them into row-id selections.
+  std::vector<Input> items;
   items.reserve(core.from.size());
   for (const auto& ref : core.from) {
     if (ref->kind() == sql::TableRef::Kind::kBaseTable) {
       const auto& base = static_cast<const sql::BaseTableRef&>(*ref);
       SILK_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(base.table()));
-      Relation rel;
+      Input item;
       for (const auto& col : table->schema().columns()) {
-        rel.schema.Add({base.binding_name(), col.name});
+        item.rel.schema.Add({base.binding_name(), col.name});
       }
-      deferred_base[items.size()] = table;
-      items.push_back(std::move(rel));
+      item.table = table;
+      if (!core.select_star) {
+        item.read_columns.assign(table->schema().num_columns(), false);
+        for (const sql::ColumnRefExpr* r : refs) {
+          auto c = table->schema().FindColumn(r->name());
+          if (c && (r->qualifier().empty() ||
+                    r->qualifier() == base.binding_name())) {
+            item.read_columns[*c] = true;
+          }
+        }
+      }
+      items.push_back(std::move(item));
       continue;
     }
     SILK_ASSIGN_OR_RETURN(Relation rel, EvalTableRef(*ref));
-    items.push_back(std::move(rel));
+    items.push_back(Input{std::move(rel)});
   }
 
   // Classify WHERE conjuncts.
@@ -735,7 +671,7 @@ Result<Relation> QueryExecutor::JoinFromList(
 
   std::vector<const RelSchema*> schemas;
   schemas.reserve(items.size());
-  for (const auto& it : items) schemas.push_back(&it.schema);
+  for (const auto& it : items) schemas.push_back(&it.rel.schema);
 
   struct JoinPred {
     const Expr* expr;
@@ -767,48 +703,22 @@ Result<Relation> QueryExecutor::JoinFromList(
     residual.push_back(c);
   }
 
-  // Push single-item filters down. Deferred base tables materialize here,
-  // through an index probe when a literal-equality filter has one.
+  // Push single-item filters down. A base table scans into a selection
+  // and stays borrowed; other items filter their own rows.
   for (size_t i = 0; i < items.size(); ++i) {
-    if (deferred_base[i] != nullptr) {
-      if (pushdown[i].empty()) {
-        // Unfiltered scan: borrow the table's rows instead of copying them.
-        // Everything downstream reads the item until its rows land in an
-        // owned join output, and the database outlives the query.
-        borrowed[i] = &deferred_base[i]->rows();
-        stats_.rows_scanned += borrowed[i]->size();
-        continue;
-      }
-      if (allow_fusion && items.size() == 1 && residual.empty()) {
-        // Single-table filtered scan feeding a pure projection (no joins,
-        // no residual, no ORDER BY behind us — allow_fusion guarantees
-        // nothing downstream reads aligned pre-projection rows): skip row
-        // materialization entirely. The selection scan records surviving
-        // global row ids; the table is borrowed and ExecuteCore's
-        // projection gathers survivor cells straight from the shards, so
-        // full-width survivor tuples are never copied.
-        SILK_ASSIGN_OR_RETURN(
-            const bool selected,
-            TryColumnarSelectionScan(*deferred_base[i], pushdown[i],
-                                     items[i].schema));
-        if (selected) {
-          borrowed[i] = &deferred_base[i]->rows();
-          continue;
-        }
-      }
-      SILK_RETURN_IF_ERROR(
-          MaterializeBaseTable(*deferred_base[i], pushdown[i], &items[i]));
+    if (items[i].table != nullptr) {
+      SILK_RETURN_IF_ERROR(ScanBaseTable(pushdown[i], &items[i]));
       continue;
     }
     if (pushdown[i].empty()) continue;
     std::vector<BoundExprPtr> filters;
     for (const Expr* e : pushdown[i]) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, items[i].schema));
+      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, items[i].rel.schema));
       filters.push_back(std::move(b));
     }
     std::vector<Tuple> kept;
-    kept.reserve(items[i].rows.size());
-    for (auto& row : items[i].rows) {
+    kept.reserve(items[i].rel.rows.size());
+    for (auto& row : items[i].rel.rows) {
       bool pass = true;
       for (const auto& f : filters) {
         if (f->Test(row) != Tribool::kTrue) {
@@ -818,26 +728,15 @@ Result<Relation> QueryExecutor::JoinFromList(
       }
       if (pass) kept.push_back(std::move(row));
     }
-    items[i].rows = std::move(kept);
+    items[i].rel.rows = std::move(kept);
   }
-
-  auto rows_of = [&](size_t i) -> const std::vector<Tuple>& {
-    return borrowed[i] != nullptr ? *borrowed[i] : items[i].rows;
-  };
-  // The base table behind a borrowed item, when its columnar layout can
-  // stand in for the rows (join keys then encode from shard columns).
-  auto table_of = [&](size_t i) -> const Table* {
-    return borrowed[i] != nullptr && deferred_base[i]->columnar_exact()
-               ? deferred_base[i]
-               : nullptr;
-  };
 
   // Projection fusion: when every select item is a plain column ref, the
   // final greedy join can emit row-id pairs and project straight off its
   // inputs, skipping the wide concatenated tuples entirely (provided no
   // residual predicate survives — checked after the join loop).
   const bool can_fuse =
-      allow_fusion && items.size() > 1 &&
+      order_by.empty() && !core.select_star && items.size() > 1 &&
       std::all_of(core.select_list.begin(), core.select_list.end(),
                   [](const sql::SelectItem& item) {
                     return item.expr->kind() == Expr::Kind::kColumnRef;
@@ -850,17 +749,8 @@ Result<Relation> QueryExecutor::JoinFromList(
   // Greedy hash-join order: start with item 0, repeatedly join the smallest
   // connected unjoined item.
   std::vector<bool> joined(items.size(), false);
-  std::vector<int> item_of;  // which joined item each original index maps to
-  Relation current;
-  current.schema = std::move(items[0].schema);
-  const std::vector<Tuple>* current_borrow = borrowed[0];
-  const Table* current_table = table_of(0);
-  if (current_borrow == nullptr) current.rows = std::move(items[0].rows);
-  auto current_rows = [&]() -> const std::vector<Tuple>& {
-    return current_borrow != nullptr ? *current_borrow : current.rows;
-  };
+  Input current = std::move(items[0]);
   joined[0] = true;
-  std::vector<size_t> joined_set = {0};
   size_t num_joined = 1;
 
   auto pred_connects = [&](const JoinPred& p, size_t candidate) {
@@ -882,7 +772,7 @@ Result<Relation> QueryExecutor::JoinFromList(
                                    });
       if (!connected) continue;
       if (best < 0 ||
-          rows_of(cand).size() < rows_of(static_cast<size_t>(best)).size()) {
+          items[cand].size() < items[static_cast<size_t>(best)].size()) {
         best = static_cast<int>(cand);
       }
     }
@@ -898,23 +788,25 @@ Result<Relation> QueryExecutor::JoinFromList(
       cross_product = true;
     }
     size_t cand = static_cast<size_t>(best);
-    Relation& right = items[cand];
+    const Input& right = items[cand];
 
     if (cross_product) {
+      // No up-front reserve: the output can be far larger than memory, and
+      // the deadline (checked every 256 emitted rows) is what bounds it.
       Relation combined;
-      combined.schema = RelSchema::Concat(current.schema, right.schema);
-      const std::vector<Tuple>& lrows = current_rows();
-      const std::vector<Tuple>& rrows = rows_of(cand);
-      combined.rows.reserve(lrows.size() * rrows.size());
-      for (const auto& l : lrows) {
-        SILK_RETURN_IF_ERROR(CheckDeadline());
-        for (const auto& r : rrows) {
-          combined.rows.push_back(Tuple::Concat(l, r));
+      combined.schema = RelSchema::Concat(current.rel.schema, right.rel.schema);
+      size_t emitted = 0;
+      for (size_t l = 0; l < current.size(); ++l) {
+        for (size_t r = 0; r < right.size(); ++r) {
+          Tuple row;
+          row.mutable_values().reserve(combined.schema.size());
+          current.AppendRow(l, &row);
+          right.AppendRow(r, &row);
+          combined.rows.push_back(std::move(row));
+          if ((++emitted & 0xFF) == 0) SILK_RETURN_IF_ERROR(CheckDeadline());
         }
       }
-      current = std::move(combined);
-      current_borrow = nullptr;
-      current_table = nullptr;
+      current = Input{std::move(combined)};
     } else {
       // Gather all usable predicates between the joined set and `cand`.
       std::vector<std::pair<size_t, size_t>> keys;
@@ -924,14 +816,17 @@ Result<Relation> QueryExecutor::JoinFromList(
             joined[static_cast<size_t>(p.item_a)] ? p.ref_a : p.ref_b;
         const sql::ColumnRefExpr* right_ref =
             joined[static_cast<size_t>(p.item_a)] ? p.ref_b : p.ref_a;
-        auto li = current.schema.Resolve(left_ref->qualifier(), left_ref->name());
-        auto ri = right.schema.Resolve(right_ref->qualifier(), right_ref->name());
+        auto li = current.rel.schema.Resolve(left_ref->qualifier(),
+                                             left_ref->name());
+        auto ri =
+            right.rel.schema.Resolve(right_ref->qualifier(), right_ref->name());
         if (!li.ok() || !ri.ok()) continue;
         keys.emplace_back(*li, *ri);
         p.used = true;
       }
       if (can_fuse && num_joined + 1 == items.size()) {
-        RelSchema wide = RelSchema::Concat(current.schema, right.schema);
+        RelSchema wide =
+            RelSchema::Concat(current.rel.schema, right.rel.schema);
         fuse_cols.clear();
         bool resolved = true;
         for (const auto& item : core.select_list) {
@@ -944,9 +839,7 @@ Result<Relation> QueryExecutor::JoinFromList(
           fuse_cols.push_back(*idx);
         }
         if (resolved) {
-          SILK_ASSIGN_OR_RETURN(
-              pairs, HashJoinPairs(current_rows(), rows_of(cand), keys,
-                                   current_table, table_of(cand)));
+          SILK_ASSIGN_OR_RETURN(pairs, HashJoinPairs(current, right, keys));
           have_pairs = true;
           pair_cand = cand;
           joined[cand] = true;
@@ -955,12 +848,10 @@ Result<Relation> QueryExecutor::JoinFromList(
         }
       }
       SILK_ASSIGN_OR_RETURN(
-          current, HashJoin(sql::JoinType::kInner, current.schema,
-                            current_rows(), right.schema, rows_of(cand), keys,
-                            /*residual=*/nullptr, current_table,
-                            table_of(cand)));
-      current_borrow = nullptr;
-      current_table = nullptr;
+          Relation joined_rel,
+          HashJoin(sql::JoinType::kInner, current, right, keys,
+                   /*residual=*/nullptr));
+      current = Input{std::move(joined_rel)};
     }
     joined[cand] = true;
     ++num_joined;
@@ -972,90 +863,95 @@ Result<Relation> QueryExecutor::JoinFromList(
     if (!p.used) leftover.push_back(p.expr);
   }
   if (have_pairs) {
-    const std::vector<Tuple>& lrows = current_rows();
-    const std::vector<Tuple>& rrows = rows_of(pair_cand);
-    const size_t left_width = current.schema.size();
+    const Input& right = items[pair_cand];
+    const size_t left_width = current.rel.schema.size();
+    Relation joined_rel;
+    joined_rel.schema = RelSchema::Concat(current.rel.schema, right.rel.schema);
+    joined_rel.rows.reserve(pairs.size());
     if (leftover.empty()) {
       // Project straight off the join inputs: the wide tuples never exist.
-      std::vector<Tuple> projected;
-      projected.reserve(pairs.size());
       for (const auto& [li, ri] : pairs) {
         Tuple t;
         t.mutable_values().reserve(fuse_cols.size());
         for (size_t c : fuse_cols) {
-          t.Append(c < left_width ? lrows[li].values()[c]
-                                  : rrows[ri].values()[c - left_width]);
+          t.Append(c < left_width ? current.Cell(li, c)
+                                  : right.Cell(ri, c - left_width));
         }
-        projected.push_back(std::move(t));
+        joined_rel.rows.push_back(std::move(t));
       }
-      current.schema =
-          RelSchema::Concat(current.schema, items[pair_cand].schema);
-      current.rows = std::move(projected);
-      *fused = true;
-      return current;
+      Input fused{std::move(joined_rel)};
+      fused.projected = true;
+      return fused;
     }
     // A residual predicate needs the wide rows after all: materialize them
     // from the pairs (same order HashJoin would have emitted).
-    std::vector<Tuple> wide;
-    wide.reserve(pairs.size());
     for (const auto& [li, ri] : pairs) {
-      wide.push_back(Tuple::Concat(lrows[li], rrows[ri]));
+      Tuple t;
+      t.mutable_values().reserve(joined_rel.schema.size());
+      current.AppendRow(li, &t);
+      right.AppendRow(ri, &t);
+      joined_rel.rows.push_back(std::move(t));
     }
-    current.schema = RelSchema::Concat(current.schema, items[pair_cand].schema);
-    current.rows = std::move(wide);
-    current_borrow = nullptr;
+    current = Input{std::move(joined_rel)};
   }
   if (!leftover.empty()) {
     std::vector<BoundExprPtr> filters;
     for (const Expr* e : leftover) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, current.schema));
+      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, current.rel.schema));
       filters.push_back(std::move(b));
     }
-    auto passes = [&filters](const Tuple& row) {
-      for (const auto& f : filters) {
-        if (f->Test(row) != Tribool::kTrue) return false;
-      }
-      return true;
-    };
     std::vector<Tuple> kept;
-    if (current_borrow != nullptr) {
-      // Borrowed rows belong to the table: copy the survivors.
-      kept.reserve(current_rows().size());
-      for (const auto& row : *current_borrow) {
-        if (passes(row)) kept.push_back(row);
+    for (size_t i = 0; i < current.size(); ++i) {
+      Tuple row = current.TakeRow(i);
+      bool pass = true;
+      for (const auto& f : filters) {
+        if (f->Test(row) != Tribool::kTrue) {
+          pass = false;
+          break;
+        }
       }
-      current_borrow = nullptr;
-    } else {
-      kept.reserve(current_rows().size());
-      for (auto& row : current.rows) {
-        if (passes(row)) kept.push_back(std::move(row));
-      }
+      if (pass) kept.push_back(std::move(row));
     }
-    current.rows = std::move(kept);
+    current.rel.rows = std::move(kept);
+    current.table = nullptr;
+    current.selection.reset();
   }
-  *borrowed_rows = current_borrow;
-  *borrowed_table = current_borrow != nullptr ? current_table : nullptr;
   return current;
 }
 
-Status QueryExecutor::MaterializeBaseTable(
-    const Table& table, const std::vector<const sql::Expr*>& filters,
-    Relation* out) {
-  // Look for a literal-equality filter with an index on its column.
-  const IndexProbe ip = FindIndexProbe(table, filters);
+Status QueryExecutor::ScanBaseTable(
+    const std::vector<const sql::Expr*>& filters, Input* in) {
+  const Table& table = *in->table;
+  const size_t n = table.num_rows();
+  stats_.rows_scanned += n;
+  if (filters.empty()) return Status::OK();  // every row, in place
 
-  if (ip.index != nullptr) {
+  std::vector<uint32_t> selection;
+  std::vector<ColPred> preds;
+  if (CompileColumnPreds(filters, in->rel.schema, &preds)) {
+    // A NULL-literal comparison passes no row.
+    const bool never =
+        std::any_of(preds.begin(), preds.end(),
+                    [](const ColPred& p) { return p.op == ColOp::kNever; });
+    for (size_t r = 0; r < n && !never; ++r) {
+      bool pass = true;
+      for (const ColPred& p : preds) {
+        if (!EvalColPred(table.column(p.col), r, p)) {
+          pass = false;
+          break;
+        }
+      }
+      if (pass) selection.push_back(static_cast<uint32_t>(r));
+    }
+  } else {
     std::vector<BoundExprPtr> bound;
     bound.reserve(filters.size());
     for (const sql::Expr* e : filters) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, out->schema));
+      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, in->rel.schema));
       bound.push_back(std::move(b));
     }
-    auto [begin, end] = ip.index->equal_range(*ip.probe);
-    for (auto it = begin; it != end; ++it) {
-      ++stats_.rows_scanned;
-      ++stats_.index_probes;
-      const Tuple& row = table.rows()[it->second];
+    for (size_t r = 0; r < n; ++r) {
+      const Tuple row = table.Row(r);
       bool pass = true;
       for (const auto& f : bound) {
         if (f->Test(row) != Tribool::kTrue) {
@@ -1063,93 +959,11 @@ Status QueryExecutor::MaterializeBaseTable(
           break;
         }
       }
-      if (pass) out->rows.push_back(row);
+      if (pass) selection.push_back(static_cast<uint32_t>(r));
     }
-    return Status::OK();
   }
-
-  // Columnar scan: the selection pass evaluates compiled column-vs-literal
-  // predicates over the shards' typed arrays and yields surviving global
-  // row ids in ascending order; materializing rows in that order
-  // reproduces the row-major scan's tuple stream byte for byte at any
-  // shard count.
-  SILK_ASSIGN_OR_RETURN(const bool columnar,
-                        TryColumnarSelectionScan(table, filters, out->schema));
-  if (columnar) {
-    scan_selection_active_ = false;
-    const std::vector<uint32_t> sel = std::move(scan_selection_);
-    scan_selection_.clear();
-    const std::vector<Tuple>& rows = table.rows();
-    out->rows.reserve(out->rows.size() + sel.size());
-    for (uint32_t gid : sel) out->rows.push_back(rows[gid]);
-    return Status::OK();
-  }
-  stats_.rows_scanned += table.num_rows();
-
-  std::vector<BoundExprPtr> bound;
-  bound.reserve(filters.size());
-  for (const sql::Expr* e : filters) {
-    SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, out->schema));
-    bound.push_back(std::move(b));
-  }
-  auto passes = [&bound](const Tuple& row) {
-    for (const auto& f : bound) {
-      if (f->Test(row) != Tribool::kTrue) return false;
-    }
-    return true;
-  };
-  for (const Tuple& row : table.rows()) {
-    if (passes(row)) out->rows.push_back(row);
-  }
+  in->selection = std::move(selection);
   return Status::OK();
-}
-
-Result<bool> QueryExecutor::TryColumnarSelectionScan(
-    const Table& table, const std::vector<const sql::Expr*>& filters,
-    const RelSchema& schema) {
-  if (!table.columnar_exact()) return false;
-  // An index probe beats any full scan; leave those filters to
-  // MaterializeBaseTable's index path.
-  if (FindIndexProbe(table, filters).index != nullptr) return false;
-  std::vector<ColPred> preds;
-  if (!CompileColumnPreds(filters, schema, &preds)) return false;
-
-  stats_.rows_scanned += table.num_rows();
-  scan_selection_.clear();
-  scan_selection_active_ = true;
-  const size_t n = table.num_rows();
-  if (n == 0) return true;
-  if (std::any_of(preds.begin(), preds.end(), [](const ColPred& p) {
-        return p.op == ColOp::kNever;
-      })) {
-    return true;  // a NULL-literal comparison passes no rows
-  }
-  // Predicate evaluation reads the shard's typed arrays directly — no
-  // bound-expression dispatch and no per-row Value materialization. Each
-  // shard marks its survivors in a bitmap indexed by table-global row id;
-  // walking the bitmap in ascending global id afterwards yields the same
-  // survivor order a row-major scan would, at any shard count.
-  std::vector<uint8_t> keep(n, 0);
-  for (uint32_t s = 0; s < table.shard_count(); ++s) {
-    const ColumnarShard& shard = table.shard(s);
-    for (size_t pos = 0; pos < shard.size(); ++pos) {
-      bool pass = true;
-      for (const ColPred& p : preds) {
-        if (!EvalColPred(shard.column(p.col), pos, p)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) keep[shard.global_id(pos)] = 1;
-    }
-  }
-  size_t total = 0;
-  for (size_t i = 0; i < n; ++i) total += keep[i];
-  scan_selection_.reserve(total);
-  for (size_t i = 0; i < n; ++i) {
-    if (keep[i]) scan_selection_.push_back(static_cast<uint32_t>(i));
-  }
-  return true;
 }
 
 Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
@@ -1161,27 +975,20 @@ Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
       for (const auto& col : table->schema().columns()) {
         rel.schema.Add({base.binding_name(), col.name});
       }
-      rel.rows = table->rows();  // copy: intermediate results are mutable
+      // Intermediate results are mutable: materialize from the columns.
+      rel.rows.reserve(table->num_rows());
+      for (size_t r = 0; r < table->num_rows(); ++r) {
+        rel.rows.push_back(table->Row(r));
+      }
       stats_.rows_scanned += rel.rows.size();
       return rel;
     }
     case sql::TableRef::Kind::kDerivedTable: {
       const auto& derived = static_cast<const sql::DerivedTableRef&>(ref);
-      // Note: uses a nested executor so last_preprojection_ of the outer
-      // query is not clobbered. The deadline is inherited as-is.
-      QueryExecutor sub(db_);
-      sub.timeout_ms_ = timeout_ms_;
-      sub.has_deadline_ = has_deadline_;
-      sub.deadline_ = deadline_;
-      SILK_ASSIGN_OR_RETURN(Relation rel, sub.Execute(derived.query()));
-      stats_.rows_scanned += sub.stats_.rows_scanned;
-      stats_.rows_joined += sub.stats_.rows_joined;
-      stats_.rows_sorted += sub.stats_.rows_sorted;
-      stats_.hash_joins += sub.stats_.hash_joins;
-      stats_.nested_loop_joins += sub.stats_.nested_loop_joins;
-      stats_.index_probes += sub.stats_.index_probes;
-      stats_.keys_encoded += sub.stats_.keys_encoded;
-      stats_.bytes_encoded += sub.stats_.bytes_encoded;
+      // Execute keeps no per-query state beyond the counters and the
+      // already-armed deadline, so the subquery runs on this executor and
+      // its counters accumulate into this query's.
+      SILK_ASSIGN_OR_RETURN(Relation rel, Execute(derived.query()));
       rel.schema = rel.schema.WithQualifier(derived.alias());
       return rel;
     }
@@ -1235,7 +1042,7 @@ Result<Relation> QueryExecutor::JoinRelations(sql::JoinType type,
         for (const Expr* e : residual_parts) clones.push_back(e->Clone());
         residual_expr = sql::AndAll(std::move(clones));
       }
-      return HashJoin(type, left.schema, left.rows, right.schema, right.rows,
+      return HashJoin(type, Input{std::move(left)}, Input{std::move(right)},
                       keys, residual_expr.get());
     }
   }
@@ -1252,34 +1059,33 @@ Result<Relation> QueryExecutor::JoinRelations(sql::JoinType type,
 }
 
 Result<Relation> QueryExecutor::HashJoin(
-    sql::JoinType type, const RelSchema& left_schema,
-    const std::vector<Tuple>& left_rows, const RelSchema& right_schema,
-    const std::vector<Tuple>& right_rows,
+    sql::JoinType type, const Input& left, const Input& right,
     const std::vector<std::pair<size_t, size_t>>& keys,
-    const sql::Expr* residual, const Table* left_table,
-    const Table* right_table) {
+    const sql::Expr* residual) {
   Relation out;
-  out.schema = RelSchema::Concat(left_schema, right_schema);
+  out.schema = RelSchema::Concat(left.rel.schema, right.rel.schema);
 
   BoundExprPtr residual_bound;
   if (residual != nullptr) {
     SILK_ASSIGN_OR_RETURN(residual_bound, BindExpr(*residual, out.schema));
   }
 
-  EquiJoinIndex join(JoinSide{&left_rows, left_table},
-                     JoinSide{&right_rows, right_table}, keys, &stats_);
+  EquiJoinIndex<Input> join(left, right, keys, &stats_);
   ++stats_.hash_joins;
-  const size_t right_width = right_schema.size();
+  const size_t left_width = left.rel.schema.size();
+  const size_t width = out.schema.size();
   size_t deadline_check = 0;
-  for (size_t l = 0; l < left_rows.size(); ++l) {
-    const Tuple& lrow = left_rows[l];
+  for (size_t l = 0; l < left.size(); ++l) {
     if ((++deadline_check & 0xFF) == 0) {
       SILK_RETURN_IF_ERROR(CheckDeadline());
     }
     bool matched = false;
     for (uint32_t r = join.First(l); r != EncodedKeyIndex::kNil;
          r = join.Next(r)) {
-      Tuple combined = Tuple::Concat(lrow, right_rows[r]);
+      Tuple combined;
+      combined.mutable_values().reserve(width);
+      left.AppendRow(l, &combined);
+      right.AppendRow(r, &combined);
       if (residual_bound &&
           residual_bound->Test(combined) != Tribool::kTrue) {
         continue;
@@ -1288,7 +1094,11 @@ Result<Relation> QueryExecutor::HashJoin(
       out.rows.push_back(std::move(combined));
     }
     if (!matched && type == sql::JoinType::kLeftOuter) {
-      out.rows.push_back(NullPadded(lrow, right_width));
+      Tuple padded;
+      padded.mutable_values().reserve(width);
+      left.AppendRow(l, &padded);
+      for (size_t c = left_width; c < width; ++c) padded.Append(Value::Null());
+      out.rows.push_back(std::move(padded));
     }
   }
   stats_.rows_joined += out.rows.size();
@@ -1296,15 +1106,13 @@ Result<Relation> QueryExecutor::HashJoin(
 }
 
 Result<std::vector<std::pair<uint32_t, uint32_t>>> QueryExecutor::HashJoinPairs(
-    const std::vector<Tuple>& left_rows, const std::vector<Tuple>& right_rows,
-    const std::vector<std::pair<size_t, size_t>>& keys,
-    const Table* left_table, const Table* right_table) {
-  EquiJoinIndex join(JoinSide{&left_rows, left_table},
-                     JoinSide{&right_rows, right_table}, keys, &stats_);
+    const Input& left, const Input& right,
+    const std::vector<std::pair<size_t, size_t>>& keys) {
+  EquiJoinIndex<Input> join(left, right, keys, &stats_);
   ++stats_.hash_joins;
   std::vector<std::pair<uint32_t, uint32_t>> pairs;
   size_t deadline_check = 0;
-  for (uint32_t l = 0; l < left_rows.size(); ++l) {
+  for (uint32_t l = 0; l < left.size(); ++l) {
     if ((++deadline_check & 0xFF) == 0) {
       SILK_RETURN_IF_ERROR(CheckDeadline());
     }
@@ -1479,16 +1287,14 @@ Result<Relation> QueryExecutor::NestedLoopJoin(sql::JoinType type,
 }
 
 Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
-                                   const RelSchema& preproj_schema,
-                                   const std::vector<Tuple>& preproj_rows,
-                                   Relation* result) {
+                                   const Input* aligned, Relation* result) {
   const size_t n = result->rows.size();
-  // Bind each key against the output schema; fall back to the
-  // pre-projection schema (single-core queries only).
+  // Bind each key against the output schema; fall back to the aligned
+  // input's schema (single-core queries only).
   struct Key {
     BoundExprPtr expr;  // null when direct_col applies
     bool ascending;
-    bool from_preprojection;
+    bool from_aligned;
     int direct_col = -1;  // plain column ref: read the cell, skip Eval
   };
   std::vector<Key> bound_keys;
@@ -1504,8 +1310,8 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
             {nullptr, o.ascending, false, static_cast<int>(*idx)});
         continue;
       }
-      if (query.cores.size() == 1 && preproj_rows.size() == n) {
-        idx = preproj_schema.Resolve(c.qualifier(), c.name());
+      if (aligned != nullptr) {
+        idx = aligned->rel.schema.Resolve(c.qualifier(), c.name());
         if (idx.ok()) {
           bound_keys.push_back(
               {nullptr, o.ascending, true, static_cast<int>(*idx)});
@@ -1518,8 +1324,8 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
       bound_keys.push_back({std::move(out_bound).value(), o.ascending, false});
       continue;
     }
-    if (query.cores.size() == 1 && preproj_rows.size() == n) {
-      auto pre_bound = BindExpr(*o.expr, preproj_schema);
+    if (aligned != nullptr) {
+      auto pre_bound = BindExpr(*o.expr, aligned->rel.schema);
       if (pre_bound.ok()) {
         bound_keys.push_back({std::move(pre_bound).value(), o.ascending, true});
         continue;
@@ -1528,6 +1334,12 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
     return Status::InvalidArgument("cannot resolve ORDER BY key '" +
                                    o.expr->ToSql() + "'");
   }
+  // Cell of direct-column key `k` in row i.
+  auto cell = [&](const Key& k, size_t i) {
+    const size_t col = static_cast<size_t>(k.direct_col);
+    return k.from_aligned ? aligned->Cell(i, col)
+                          : result->rows[i].values()[col];
+  };
 
   // Fast path: at most two keys, all direct columns holding only non-null
   // numerics (the shape the view composer's skolem-key ORDER BYs take).
@@ -1539,11 +1351,8 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
                   [](const Key& k) { return k.direct_col >= 0; })) {
     bool numeric = true;
     for (const auto& k : bound_keys) {
-      const std::vector<Tuple>& src =
-          k.from_preprojection ? preproj_rows : result->rows;
-      const size_t col = static_cast<size_t>(k.direct_col);
       for (size_t i = 0; i < n && numeric; ++i) {
-        const Value& v = src[i].values()[col];
+        const Value v = cell(k, i);
         // Tiebreaker-carrying magnitudes (>= 2^53) must take the byte
         // path: the word alone would order them differently.
         if (!(v.is_int64() || v.is_double()) || !NumericFitsWord(v)) {
@@ -1563,10 +1372,7 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
         uint64_t words[2] = {0, 0};
         for (size_t j = 0; j < bound_keys.size(); ++j) {
           const Key& k = bound_keys[j];
-          const Tuple& row =
-              k.from_preprojection ? preproj_rows[i] : result->rows[i];
-          uint64_t bits = OrderedNumericBits(
-              row.values()[static_cast<size_t>(k.direct_col)]);
+          const uint64_t bits = OrderedNumericBits(cell(k, i));
           words[j] = k.ascending ? bits : ~bits;
         }
         recs[i] = {words[0], words[1], static_cast<uint32_t>(i)};
@@ -1598,24 +1404,26 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
   std::string buf;
   std::vector<size_t> ends(n + 1, 0);
   buf.reserve(n * 9 * bound_keys.size());  // a numeric segment is 9 bytes
+  auto encode = [&buf](const Value& v, bool ascending) {
+    if (ascending) {
+      EncodeValue(v, &buf);
+    } else {
+      EncodeValueDescending(v, &buf);
+    }
+  };
+  Tuple scratch;
   for (size_t i = 0; i < n; ++i) {
     for (const auto& k : bound_keys) {
-      const Tuple& row =
-          k.from_preprojection ? preproj_rows[i] : result->rows[i];
-      if (k.direct_col >= 0) {
-        const Value& v = row.values()[static_cast<size_t>(k.direct_col)];
-        if (k.ascending) {
-          EncodeValue(v, &buf);
-        } else {
-          EncodeValueDescending(v, &buf);
-        }
-        continue;
-      }
-      Value v = k.expr->Eval(row);
-      if (k.ascending) {
-        EncodeValue(v, &buf);
+      if (k.direct_col < 0) {
+        encode(k.expr->Eval(k.from_aligned ? aligned->RowRef(i, &scratch)
+                                           : result->rows[i]),
+               k.ascending);
+      } else if (k.from_aligned) {
+        aligned->EncodeCell(i, static_cast<size_t>(k.direct_col),
+                            !k.ascending, &buf);
       } else {
-        EncodeValueDescending(v, &buf);
+        encode(result->rows[i].values()[static_cast<size_t>(k.direct_col)],
+               k.ascending);
       }
     }
     ends[i + 1] = buf.size();

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,7 +51,6 @@ struct ExecStats {
   uint64_t rows_sorted = 0;       // rows passed through ORDER BY
   uint64_t nested_loop_joins = 0; // fallback joins taken (should be rare)
   uint64_t hash_joins = 0;
-  uint64_t index_probes = 0;      // rows fetched through a secondary index
   uint64_t keys_encoded = 0;      // packed keys built (join/sort/distinct)
   uint64_t bytes_encoded = 0;     // bytes of packed-key encoding produced
 };
@@ -138,75 +138,96 @@ class QueryExecutor : public SqlExecutor {
   void ResetStats() { stats_ = ExecStats(); }
 
  private:
-  /// `allow_fusion` permits the final greedy join to skip materializing its
-  /// wide output (see JoinFromList); the caller clears it when ORDER BY may
-  /// need the aligned pre-projection rows.
-  Result<Relation> ExecuteCore(const sql::SelectCore& core, bool allow_fusion);
+  /// What an operator reads: owned rows, or a base table read in place by
+  /// row id — every row, or only the ascending ids in `selection`. Base
+  /// tables are never copied into an intermediate: joins, projection, and
+  /// ORDER BY read their cells straight from the table's columns.
+  struct Input {
+    Input() = default;
+    explicit Input(Relation owned) : rel(std::move(owned)) {}
+
+    Relation rel;  // schema always; rows only when owned (table == nullptr)
+    const Table* table = nullptr;
+    std::optional<std::vector<uint32_t>> selection;
+    /// The borrowed table's columns the query reads at all; the rest build
+    /// as NULL in AppendRow, so wide join rows never copy cells nothing
+    /// looks at. Empty: every column.
+    std::vector<bool> read_columns;
+    /// The rows already carry the select list's values (the final join fused
+    /// with the projection, see JoinFromList); `rel.schema` still describes
+    /// the wide join shape the select items bind against.
+    bool projected = false;
+
+    size_t size() const;
+    size_t RowId(size_t i) const { return selection ? (*selection)[i] : i; }
+    /// Cell (i, c), representation-exact.
+    Value Cell(size_t i, size_t c) const;
+    /// Appends every cell of row i to `out`.
+    void AppendRow(size_t i, Tuple* out) const;
+    /// Row i: a reference to the owned row, or `scratch` filled from the
+    /// table's columns.
+    const Tuple& RowRef(size_t i, Tuple* scratch) const;
+    /// Row i by value; moves an owned row out.
+    Tuple TakeRow(size_t i);
+    /// Join key of row i (EncodeJoinKey's contract: false on a NULL key).
+    bool EncodeKey(size_t i, const std::vector<size_t>& cols,
+                   std::string* out) const;
+    /// Appends the sort-key encoding of cell (i, c).
+    void EncodeCell(size_t i, size_t c, bool descending,
+                    std::string* out) const;
+  };
+
+  /// One SELECT core's output plus, when it exists, the core's input aligned
+  /// 1:1 with the output rows, so ORDER BY can reference non-projected
+  /// columns. There is none after DISTINCT, after fusion, or for SELECT *
+  /// (whose output already holds every input column).
+  struct CoreResult {
+    Relation output;
+    std::optional<Input> aligned_input;
+  };
+
+  /// `order_by` is the enclosing query's: its keys may read the core's
+  /// input, and its absence permits fusion (see JoinFromList).
+  Result<CoreResult> ExecuteCore(const sql::SelectCore& core,
+                                 const std::vector<sql::OrderItem>& order_by);
   Result<Relation> EvalTableRef(const sql::TableRef& ref);
   Result<Relation> EvalJoin(const sql::JoinRef& join);
   Result<Relation> JoinRelations(sql::JoinType type, Relation left,
                                  Relation right, const sql::Expr& on);
-  /// `left_table` / `right_table`, when non-null, are the base tables
-  /// whose rows() the corresponding row span borrows (borrowed scans in
-  /// JoinFromList): join keys for that side are then encoded straight
-  /// from the table's columnar shards (EncodeTableJoinKey), byte-identical
-  /// to the row path, so probes, chains, and stats never change.
-  Result<Relation> HashJoin(sql::JoinType type, const RelSchema& left_schema,
-                            const std::vector<Tuple>& left_rows,
-                            const RelSchema& right_schema,
-                            const std::vector<Tuple>& right_rows,
+  Result<Relation> HashJoin(sql::JoinType type, const Input& left,
+                            const Input& right,
                             const std::vector<std::pair<size_t, size_t>>& keys,
-                            const sql::Expr* residual,
-                            const Table* left_table = nullptr,
-                            const Table* right_table = nullptr);
+                            const sql::Expr* residual);
   Result<Relation> DisjunctiveHashJoin(sql::JoinType type, Relation& left,
                                        Relation& right, const sql::Expr& on);
   Result<Relation> NestedLoopJoin(sql::JoinType type, Relation& left,
                                   Relation& right, const sql::Expr& on);
-  /// Returns the joined relation. When the whole FROM list reduces to one
-  /// unfiltered base-table scan, the returned relation's `rows` stay empty
-  /// and `*borrowed_rows` points at the table's own rows instead (stable
-  /// for the executor's lifetime — the database outlives the query), so
-  /// single-table queries never copy the table. Otherwise `*borrowed_rows`
-  /// is null and the rows are owned as usual. `*borrowed_table` is the
-  /// table behind `*borrowed_rows` when that table's columnar layout is
-  /// exact (Table::columnar_exact) — downstream operators may then read
-  /// cells straight from its shards; null otherwise.
+  /// Joins the FROM list. When it reduces to one base-table scan, the
+  /// result borrows the table (plus the selection its filters left) instead
+  /// of copying it.
   ///
-  /// When `allow_fusion` is set, the select list is all column refs, and no
-  /// residual predicate survives the joins, the final greedy join emits
-  /// row-id pairs and the projection is applied straight off the input
-  /// rows: the wide concatenated tuples are never built. In that case
-  /// `*fused` is set and the returned rows carry the *projected* values in
-  /// select-list order (while `schema` still describes the wide shape for
-  /// expression binding).
-  Result<Relation> JoinFromList(const sql::SelectCore& core, bool allow_fusion,
-                                const std::vector<Tuple>** borrowed_rows,
-                                const Table** borrowed_table, bool* fused);
-  /// Inner hash join emitting (left row id, right row id) pairs in the same
+  /// When there is no ORDER BY (which may read the aligned input), the
+  /// select list is all column refs, and no residual predicate survives the
+  /// joins, the final greedy join emits row-id pairs and the projection is
+  /// applied straight off the input rows: the wide concatenated tuples are
+  /// never built. The result is then `projected` and its rows carry the
+  /// select list's values.
+  Result<Input> JoinFromList(const sql::SelectCore& core,
+                             const std::vector<sql::OrderItem>& order_by);
+  /// Inner hash join emitting (left row, right row) index pairs in the same
   /// order HashJoin would emit rows, without materializing output tuples.
   Result<std::vector<std::pair<uint32_t, uint32_t>>> HashJoinPairs(
-      const std::vector<Tuple>& left_rows, const std::vector<Tuple>& right_rows,
-      const std::vector<std::pair<size_t, size_t>>& keys,
-      const Table* left_table = nullptr, const Table* right_table = nullptr);
-  Status MaterializeBaseTable(const Table& table,
-                              const std::vector<const sql::Expr*>& filters,
-                              Relation* out);
-  /// Columnar filtered scan that defers row materialization: when the table's
-  /// columnar layout is exact, no index probe applies, and every filter
-  /// compiles to a column-vs-literal predicate, evaluates the predicates over
-  /// the shards and records the surviving global row ids (ascending) in
-  /// `scan_selection_`, setting `scan_selection_active_`. Returns true when
-  /// the selection path ran; false means the caller must materialize rows
-  /// the usual way. Callers that keep the selection borrow the table's rows
-  /// and let the projection gather survivor cells straight from the shards —
-  /// the full-width survivor tuples are never copied.
-  Result<bool> TryColumnarSelectionScan(
-      const Table& table, const std::vector<const sql::Expr*>& filters,
-      const RelSchema& schema);
-  Status ApplyOrderBy(const sql::Query& query,
-                      const RelSchema& preproj_schema,
-                      const std::vector<Tuple>& preproj_rows,
+      const Input& left, const Input& right,
+      const std::vector<std::pair<size_t, size_t>>& keys);
+  /// Scans the base table behind `in` with its pushed-down filters,
+  /// leaving the ascending ids of the surviving rows in `in->selection`.
+  /// Column-vs-literal filters evaluate straight off the typed column
+  /// arrays; any other shape tests each materialized row.
+  Status ScanBaseTable(const std::vector<const sql::Expr*>& filters,
+                       Input* in);
+  /// Sorts `result`. `aligned` (nullable) is the input aligned 1:1 with
+  /// the result rows, which keys outside the select list resolve against.
+  Status ApplyOrderBy(const sql::Query& query, const Input* aligned,
                       Relation* result);
 
   Status CheckDeadline() const;
@@ -216,21 +237,6 @@ class QueryExecutor : public SqlExecutor {
   double timeout_ms_ = 0;
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
-
-  // Rows of the pre-projection relation aligned 1:1 with the latest core's
-  // output rows, so ORDER BY can reference non-projected columns.
-  // last_preprojection_rows_ points at last_preprojection_.rows when owned,
-  // or straight at a base table's rows when the scan was borrowed; null
-  // when no aligned pre-projection exists.
-  Relation last_preprojection_;
-  const std::vector<Tuple>* last_preprojection_rows_ = nullptr;
-
-  // Survivor global row ids produced by TryColumnarSelectionScan for the
-  // current core, valid only while scan_selection_active_ is set. ExecuteCore
-  // consumes (moves) the vector immediately after JoinFromList returns, so
-  // recursive cores (derived tables) can never observe a stale selection.
-  std::vector<uint32_t> scan_selection_;
-  bool scan_selection_active_ = false;
 };
 
 /// SqlExecutor over a local Database: a fresh QueryExecutor per call, so

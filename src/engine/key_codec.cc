@@ -152,24 +152,23 @@ bool NumericFitsWord(const Value& v) {
                                      : v.AsDouble());
 }
 
-void EncodeShardValue(const ColumnarShard& shard, size_t col, size_t pos,
-                      std::string* out) {
-  const ColumnVector& cv = shard.column(col);
-  if (cv.IsNull(pos)) {
+void EncodeColumnValue(const ColumnVector& column, size_t row,
+                       std::string* out) {
+  if (column.IsNull(row)) {
     out->push_back(kTagNull);
-  } else if (cv.type() == DataType::kString) {
-    AppendString(cv.StringAt(pos), out);
-  } else if (cv.CellIsInt64(pos)) {
-    AppendInt64Cell(cv.Int64At(pos), out);
+  } else if (column.type() == DataType::kString) {
+    AppendString(column.StringAt(row), out);
+  } else if (column.CellIsInt64(row)) {
+    AppendInt64Cell(column.Int64At(row), out);
   } else {
-    AppendDoubleCell(cv.DoubleAt(pos), out);
+    AppendDoubleCell(column.DoubleAt(row), out);
   }
 }
 
-void EncodeShardValueDescending(const ColumnarShard& shard, size_t col,
-                                size_t pos, std::string* out) {
+void EncodeColumnValueDescending(const ColumnVector& column, size_t row,
+                                 std::string* out) {
   const size_t start = out->size();
-  EncodeShardValue(shard, col, pos, out);
+  EncodeColumnValue(column, row, out);
   for (size_t i = start; i < out->size(); ++i) {
     (*out)[i] = static_cast<char>(~static_cast<unsigned char>((*out)[i]));
   }
@@ -177,11 +176,10 @@ void EncodeShardValueDescending(const ColumnarShard& shard, size_t col,
 
 bool EncodeTableJoinKey(const Table& table, size_t row,
                         const std::vector<size_t>& cols, std::string* out) {
-  const Table::RowLoc loc = table.row_loc(row);
-  const ColumnarShard& shard = table.shard(loc.shard);
   for (size_t c : cols) {
-    if (shard.column(c).IsNull(loc.pos)) return false;
-    EncodeShardValue(shard, c, loc.pos, out);
+    const ColumnVector& column = table.column(c);
+    if (column.IsNull(row)) return false;
+    EncodeColumnValue(column, row, out);
   }
   return true;
 }

@@ -1,10 +1,47 @@
 #include "engine/stats.h"
 
+#include <cmath>
+#include <cstdint>
+#include <string_view>
 #include <unordered_set>
 
-#include "relational/value.h"
+#include "relational/columnar.h"
 
 namespace silkroute::engine {
+
+namespace {
+
+/// Distinct non-NULL values of one column, read off its typed arrays with
+/// no Value built per cell. Numeric distinctness is exact numeric
+/// equality: an integral double counts with the int64 of the same value
+/// (3 and 3.0 are one value, as under Value::Compare).
+size_t CountDistinct(const ColumnVector& column) {
+  if (column.type() == DataType::kString) {
+    std::unordered_set<std::string_view> seen;
+    for (size_t r = 0; r < column.size(); ++r) {
+      if (!column.IsNull(r)) seen.insert(column.StringAt(r));
+    }
+    return seen.size();
+  }
+  std::unordered_set<int64_t> ints;
+  std::unordered_set<double> fractions;
+  for (size_t r = 0; r < column.size(); ++r) {
+    if (column.IsNull(r)) continue;
+    if (column.CellIsInt64(r)) {
+      ints.insert(column.Int64At(r));
+      continue;
+    }
+    const double d = column.DoubleAt(r);
+    if (std::trunc(d) == d && d >= -0x1p63 && d < 0x1p63) {
+      ints.insert(static_cast<int64_t>(d));
+    } else {
+      fractions.insert(d);
+    }
+  }
+  return ints.size() + fractions.size();
+}
+
+}  // namespace
 
 DatabaseStats DatabaseStats::Collect(const Database& db) {
   DatabaseStats stats;
@@ -17,35 +54,19 @@ DatabaseStats DatabaseStats::Collect(const Database& db) {
     TableStats ts;
     ts.row_count = table.num_rows();
     ts.columns.resize(num_cols);
-
-    std::vector<std::unordered_set<Value, ValueHash>> distinct(num_cols);
-    std::vector<size_t> null_counts(num_cols, 0);
-    std::vector<size_t> width_sums(num_cols, 0);
-
-    for (const Tuple& row : table.rows()) {
-      for (size_t c = 0; c < num_cols; ++c) {
-        const Value& v = row[c];
-        width_sums[c] += v.ByteSize();
-        if (v.is_null()) {
-          ++null_counts[c];
-        } else {
-          distinct[c].insert(v);
-        }
-      }
-    }
-
     double row_width = 0;
     for (size_t c = 0; c < num_cols; ++c) {
+      const ColumnVector& column = table.column(c);
       ColumnStats& cs = ts.columns[c];
-      cs.distinct_count = distinct[c].size();
+      cs.distinct_count = CountDistinct(column);
       cs.null_fraction =
           ts.row_count == 0
               ? 0.0
-              : static_cast<double>(null_counts[c]) / ts.row_count;
+              : static_cast<double>(column.null_count()) / ts.row_count;
       cs.avg_width_bytes =
           ts.row_count == 0
               ? 8.0
-              : static_cast<double>(width_sums[c]) / ts.row_count;
+              : static_cast<double>(column.ByteSize()) / ts.row_count;
       row_width += cs.avg_width_bytes;
       stats.column_index_[name][table.schema().column(c).name] = c;
     }

@@ -5,8 +5,7 @@ namespace silkroute {
 Status Database::CreateTable(TableSchema schema) {
   const std::string name = schema.name();
   SILK_RETURN_IF_ERROR(catalog_.AddTable(schema));
-  tables_.emplace(name, std::make_unique<Table>(std::move(schema),
-                                                default_shard_count_));
+  tables_.emplace(name, std::make_unique<Table>(std::move(schema)));
   return Status::OK();
 }
 
@@ -26,9 +25,9 @@ Result<const Table*> Database::GetTable(const std::string& name) const {
   return static_cast<const Table*>(it->second.get());
 }
 
-Status Database::Insert(const std::string& table, Tuple row) {
+Status Database::Insert(const std::string& table, const Tuple& row) {
   SILK_ASSIGN_OR_RETURN(Table * t, GetTable(table));
-  return t->Insert(std::move(row));
+  return t->Insert(row);
 }
 
 size_t Database::TotalByteSize() const {

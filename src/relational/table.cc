@@ -2,19 +2,22 @@
 
 namespace silkroute {
 
-Table::Table(TableSchema schema, size_t shard_count)
-    : schema_(std::move(schema)) {
+Table::Table(TableSchema schema) : schema_(std::move(schema)) {
   for (const auto& k : schema_.primary_key()) {
     auto idx = schema_.FindColumn(k);
     if (idx) key_indices_.push_back(*idx);
   }
-  // Shard on the primary join column: the leading primary-key column when
-  // one is declared, else column 0. Equality joins against the key then
-  // find all candidate rows co-located in one shard.
-  shard_key_col_ = key_indices_.empty() ? 0 : key_indices_.front();
-  if (shard_count == 0) shard_count = 1;
-  shards_.reserve(shard_count);
-  for (size_t s = 0; s < shard_count; ++s) shards_.emplace_back(&schema_);
+  columns_.reserve(schema_.num_columns());
+  for (const ColumnDef& col : schema_.columns()) {
+    columns_.emplace_back(col.type);
+  }
+}
+
+Tuple Table::Row(size_t i) const {
+  Tuple row;
+  row.mutable_values().reserve(columns_.size());
+  for (const ColumnVector& c : columns_) row.Append(c.ValueAt(i));
+  return row;
 }
 
 Tuple Table::ExtractKey(const Tuple& row) const {
@@ -23,7 +26,7 @@ Tuple Table::ExtractKey(const Tuple& row) const {
   return key;
 }
 
-Status Table::Insert(Tuple row) {
+Status Table::CheckShape(const Tuple& row) const {
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument(
         "arity mismatch inserting into '" + schema_.name() + "': got " +
@@ -59,75 +62,42 @@ Status Table::Insert(Tuple row) {
                                "' of type " + DataTypeToString(col.type));
     }
   }
-  if (!key_indices_.empty()) {
-    Tuple key = ExtractKey(row);
-    if (key_set_.count(key) != 0) {
-      return Status::ConstraintViolation("duplicate primary key " +
-                                         key.ToString() + " in table '" +
-                                         schema_.name() + "'");
-    }
-  }
-  CommitRow(std::move(row));
   return Status::OK();
 }
 
-void Table::CommitRow(Tuple row) {
-  if (!key_indices_.empty()) key_set_.insert(ExtractKey(row));
-  // Columnar view first (reads go through rows_ until the version bump
-  // publishes the row, so the shard append is invisible mid-commit). A row
-  // whose arity does not match the schema (possible only through
-  // InsertUnchecked) cannot be laid out columnar; it parks in shard 0 as
-  // all-NULL padding and the table drops to the row-store path for good.
-  const uint64_t global_id = rows_.size();
-  size_t s = 0;
-  if (row.size() == schema_.num_columns()) {
-    s = ShardOf(row[shard_key_col_], shards_.size());
-    columnar_exact_ =
-        shards_[s].Append(row, global_id) && columnar_exact_;
-  } else {
-    Tuple padding;
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      padding.Append(Value::Null());
-    }
-    shards_[0].Append(padding, global_id);
-    columnar_exact_ = false;
+Status Table::Insert(const Tuple& row) {
+  SILK_RETURN_IF_ERROR(CheckShape(row));
+  Tuple key = ExtractKey(row);
+  if (!key_indices_.empty() && key_set_.count(key) != 0) {
+    return Status::ConstraintViolation("duplicate primary key " +
+                                       key.ToString() + " in table '" +
+                                       schema_.name() + "'");
   }
-  row_locs_.push_back({static_cast<uint32_t>(s),
-                       static_cast<uint32_t>(shards_[s].size() - 1)});
-  rows_.push_back(std::move(row));
-  IndexRow(rows_.size() - 1);
+  CommitRow(row, std::move(key));
+  return Status::OK();
+}
+
+Status Table::InsertUnchecked(const Tuple& row) {
+  SILK_RETURN_IF_ERROR(CheckShape(row));
+  CommitRow(row, ExtractKey(row));
+  return Status::OK();
+}
+
+void Table::CommitRow(const Tuple& row, Tuple key) {
+  if (!key_indices_.empty()) key_set_.insert(std::move(key));
+  for (size_t c = 0; c < columns_.size(); ++c) columns_[c].Append(row[c]);
+  ++row_count_;
   version_.fetch_add(1, std::memory_order_release);
 }
 
-Status Table::CreateIndex(const std::string& column) {
-  SILK_ASSIGN_OR_RETURN(size_t position, schema_.ColumnIndex(column));
-  Index& index = indexes_[position];
-  index.clear();
-  index.reserve(rows_.size());
-  for (size_t r = 0; r < rows_.size(); ++r) {
-    const Value& v = rows_[r][position];
-    if (!v.is_null()) index.emplace(v, r);
-  }
-  return Status::OK();
-}
-
-const Table::Index* Table::GetIndex(const std::string& column) const {
-  auto position = schema_.FindColumn(column);
-  if (!position) return nullptr;
-  auto it = indexes_.find(*position);
-  return it == indexes_.end() ? nullptr : &it->second;
-}
-
-void Table::IndexRow(size_t row_position) {
-  for (auto& [column, index] : indexes_) {
-    const Value& v = rows_[row_position][column];
-    if (!v.is_null()) index.emplace(v, row_position);
-  }
+void Table::Reserve(size_t expected_rows) {
+  for (ColumnVector& c : columns_) c.Reserve(expected_rows);
+  if (!key_indices_.empty()) key_set_.reserve(key_set_.size() + expected_rows);
 }
 
 size_t Table::DataByteSize() const {
   size_t total = 0;
-  for (const auto& r : rows_) total += r.ByteSize();
+  for (const ColumnVector& c : columns_) total += c.ByteSize();
   return total;
 }
 

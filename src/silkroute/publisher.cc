@@ -204,7 +204,7 @@ void ComponentStep::Accept(PendingComponent item,
     item.span->Annotate("status", StatusCodeToString(StatusCode::kOk));
   }
   std::lock_guard<std::mutex> lock(mu_);
-  rows_ += stream->num_tuples();
+  row_count_ += stream->num_tuples();
   wire_bytes_ += stream->wire_bytes();
   components_.push_back(std::move(item.outcome));
   done_.push_back(ComponentStream{std::move(item.spec), std::move(stream)});
@@ -303,7 +303,7 @@ Result<std::vector<ComponentStream>> ComponentStep::Finish(
   metrics->sql = std::move(sql_);
   metrics->cache_hits = cache_hits_;
   metrics->cache_misses = cache_misses_;
-  metrics->rows = rows_;
+  metrics->rows = row_count_;
   metrics->wire_bytes = wire_bytes_;
   // Under a pooled strategy query/bind time is summed across workers:
   // aggregate server time, which can exceed the plan's wall-clock time.

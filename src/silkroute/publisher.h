@@ -347,7 +347,7 @@ class ComponentStep {
   std::set<size_t> degraded_origins_;
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
-  size_t rows_ = 0;
+  size_t row_count_ = 0;
   size_t wire_bytes_ = 0;
   double query_ms_ = 0;
   double bind_ms_ = 0;

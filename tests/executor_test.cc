@@ -272,53 +272,6 @@ TEST_F(ExecutorTest, ResidualCrossItemPredicate) {
   EXPECT_EQ(r.rows.size(), 2u);  // (1,101) and (2,102); (1,100) fails 100>100
 }
 
-TEST_F(ExecutorTest, IndexProbeForLiteralEquality) {
-  auto table = db_.GetTable("Part");
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*table)->CreateIndex("suppkey").ok());
-  Relation r = Run(
-      "select p.pname from Part p where p.suppkey = 1 order by pname");
-  ASSERT_EQ(r.rows.size(), 2u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "brass");
-  EXPECT_GT(last_stats_.index_probes, 0u);
-  EXPECT_LT(last_stats_.rows_scanned, 3u);  // probed, not scanned
-}
-
-TEST_F(ExecutorTest, IndexAndScanAgree) {
-  Database indexed;
-  TableSchema t("T", {{"k", DataType::kInt64, false},
-                      {"v", DataType::kInt64, false}});
-  ASSERT_TRUE(indexed.CreateTable(t).ok());
-  auto table = indexed.GetTable("T");
-  ASSERT_TRUE(table.ok());
-  for (int64_t i = 0; i < 200; ++i) {
-    ASSERT_TRUE((*table)->Insert(Tuple{Value::Int64(i), Value::Int64(i % 7)})
-                    .ok());
-  }
-  auto run = [&](const char* sql) {
-    QueryExecutor exec(&indexed);
-    auto result = exec.ExecuteSql(sql);
-    EXPECT_TRUE(result.ok()) << result.status();
-    return result.ok() ? result->rows.size() : 0;
-  };
-  size_t scanned = run("select t.k from T t where t.v = 3");
-  ASSERT_TRUE((*table)->CreateIndex("v").ok());
-  size_t probed = run("select t.k from T t where t.v = 3");
-  EXPECT_EQ(scanned, probed);
-  // Index maintained by inserts after creation.
-  ASSERT_TRUE(
-      (*table)->Insert(Tuple{Value::Int64(200), Value::Int64(3)}).ok());
-  EXPECT_EQ(run("select t.k from T t where t.v = 3"), probed + 1);
-}
-
-TEST_F(ExecutorTest, IndexOnMissingColumnRejected) {
-  auto table = db_.GetTable("Part");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->CreateIndex("nope").code(),
-            StatusCode::kNotFound);
-  EXPECT_EQ((*table)->GetIndex("nope"), nullptr);
-}
-
 TEST_F(ExecutorTest, DistinctRemovesDuplicateRows) {
   Relation r = Run("select distinct p.suppkey from Part p order by suppkey");
   ASSERT_EQ(r.rows.size(), 2u);  // parts belong to suppliers 1 and 2
@@ -354,6 +307,26 @@ TEST_F(ExecutorTest, SelfJoinWithDistinctAliases) {
   ASSERT_EQ(r.rows.size(), 1u);  // (1, 3) share nationkey 10
   EXPECT_EQ(r.rows[0][0].AsInt64(), 1);
   EXPECT_EQ(r.rows[0][1].AsInt64(), 3);
+}
+
+TEST(ExecutorTimeoutTest, CrossProductStopsAtTheDeadline) {
+  // Two 100k-row tables and no join predicate: the 10^10-row cross product
+  // must end in kTimeout, not in an up-front allocation sized for it.
+  Database db;
+  for (const char* name : {"a", "b"}) {
+    ASSERT_TRUE(
+        db.CreateTable(TableSchema(name, {{"k", DataType::kInt64, false}}))
+            .ok());
+    Table* table = *db.GetTable(name);
+    table->Reserve(100000);
+    for (int64_t i = 0; i < 100000; ++i) {
+      ASSERT_TRUE(table->Insert(Tuple{Value::Int64(i)}).ok());
+    }
+  }
+  QueryExecutor exec(&db);
+  exec.set_timeout_ms(50);
+  auto result = exec.ExecuteSql("select a.k, b.k from a, b");
+  EXPECT_EQ(result.status().code(), StatusCode::kTimeout) << result.status();
 }
 
 }  // namespace

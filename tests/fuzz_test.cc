@@ -3,8 +3,13 @@
 // later trips an internal invariant.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "engine/tuple_stream.h"
@@ -213,15 +218,14 @@ TEST(FuzzTest, TupleDecoderNeverCrashes) {
                     valid);
 }
 
-// --- CSV bulk load into sharded columnar storage --------------------------
+// --- CSV bulk load into columnar storage ----------------------------------
 // The loader is the one path where external bytes become column cells, so
-// corruption must surface as a Status before any shard invariant can bend:
-// a partial load (rows before the bad line) must leave the table with its
-// dual representation intact and columnar_exact still true.
+// corruption must surface as a Status before a column can bend: after any
+// partial load (rows before the bad line) every column holds num_rows()
+// cells and Row(i) is exactly the i-th row the loader had to accept.
 
 std::unique_ptr<Database> MakeCsvTarget() {
   auto db = std::make_unique<Database>();
-  db->set_default_shard_count(4);
   TableSchema schema("Part", {{"partkey", DataType::kInt64, false},
                               {"weight", DataType::kDouble, true},
                               {"name", DataType::kString, true}});
@@ -230,25 +234,79 @@ std::unique_ptr<Database> MakeCsvTarget() {
   return db;
 }
 
-/// Attempts the load and checks that however it ended, the table's shard
-/// decomposition still tiles the row store exactly.
+/// The rows LoadCsv must accept from `csv` into MakeCsvTarget's table,
+/// derived here from the loader's documented rules: every data line up to
+/// the first one with the wrong field count, a malformed number, a missing
+/// or duplicate key.
+std::vector<Tuple> ExpectedCsvRows(const std::string& csv) {
+  std::vector<Tuple> rows;
+  std::set<long long> keys;
+  std::istringstream in(csv);
+  std::string line;
+  bool header = true;
+  while (std::getline(in, line)) {
+    if (line.empty() || line == "\r") continue;
+    if (header) {
+      header = false;
+      continue;
+    }
+    const std::vector<std::string> f = ParseCsvRecord(line);
+    if (f.size() != 3) break;
+    char* end = nullptr;
+    const long long key = std::strtoll(f[0].c_str(), &end, 10);
+    if (end == f[0].c_str() || *end != '\0' || !keys.insert(key).second) {
+      break;
+    }
+    Value weight;  // NULL when the field is empty
+    if (!f[1].empty()) {
+      const double d = std::strtod(f[1].c_str(), &end);
+      if (end == f[1].c_str() || *end != '\0') break;
+      weight = Value::Double(d);
+    }
+    rows.push_back(Tuple{Value::Int64(key), weight,
+                         f[2].empty() ? Value::Null() : Value::String(f[2])});
+  }
+  return rows;
+}
+
+/// Exact representation identity: Int64(3) != Double(3.0), -0.0 != 0.0.
+bool ValueIdentical(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
+  if (a.is_int64() != b.is_int64() || a.is_double() != b.is_double()) {
+    return false;
+  }
+  if (a.is_int64()) return a.AsInt64() == b.AsInt64();
+  if (a.is_double()) {
+    const double x = a.AsDouble();
+    const double y = b.AsDouble();
+    return std::memcmp(&x, &y, sizeof(x)) == 0;
+  }
+  return a.AsString() == b.AsString();
+}
+
+/// Attempts the load and checks that however it ended, the table holds
+/// exactly the rows the loader had to accept.
 void LoadAndCheckInvariants(const std::string& csv) {
   auto db = MakeCsvTarget();
   std::istringstream in(csv);
   auto loaded = LoadCsv(&in, CsvLoadOptions{}, "Part", db.get());
-  Table* table = *db->GetTable("Part");
+  const Table& table = **db->GetTable("Part");
   if (loaded.ok()) {
-    ASSERT_EQ(*loaded, table->num_rows());
+    ASSERT_EQ(*loaded, table.num_rows());
   }
-  ASSERT_TRUE(table->columnar_exact());  // validated inserts only
-  size_t total = 0;
-  for (size_t s = 0; s < table->shard_count(); ++s) {
-    total += table->shard(s).size();
+  const std::vector<Tuple> expected = ExpectedCsvRows(csv);
+  ASSERT_EQ(table.num_rows(), expected.size()) << csv;
+  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+    ASSERT_EQ(table.column(c).size(), table.num_rows()) << csv;
   }
-  ASSERT_EQ(total, table->num_rows());
-  for (size_t g = 0; g < table->num_rows(); ++g) {
-    const Table::RowLoc loc = table->row_loc(g);
-    ASSERT_EQ(table->shard(loc.shard).global_id(loc.pos), g);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const Tuple row = table.Row(i);
+    ASSERT_EQ(row.size(), expected[i].size());
+    for (size_t c = 0; c < row.size(); ++c) {
+      ASSERT_TRUE(ValueIdentical(row[c], expected[i][c]))
+          << "row " << i << " col " << c << ": " << row[c] << " vs "
+          << expected[i][c] << "\ncsv: " << csv;
+    }
   }
 }
 
@@ -284,16 +342,14 @@ TEST(FuzzTest, CsvColumnarLoaderRejectsCorruptionClasses) {
   // NULL into a non-nullable key column.
   must_reject("partkey,weight,name\n,1.5,widget\n");
   // Overlong string fields are data, not corruption: they must load and
-  // round-trip through the shard string pool.
+  // round-trip through the column's string pool.
   {
     auto db = MakeCsvTarget();
     const std::string big(1 << 20, 'x');
     std::istringstream in("partkey,weight,name\n1,0.5," + big + "\n");
     auto loaded = LoadCsv(&in, CsvLoadOptions{}, "Part", db.get());
     ASSERT_TRUE(loaded.ok()) << loaded.status();
-    Table* table = *db->GetTable("Part");
-    const Table::RowLoc loc = table->row_loc(0);
-    EXPECT_EQ(table->shard(loc.shard).ValueAt(2, loc.pos).AsString(), big);
+    EXPECT_EQ((*db->GetTable("Part"))->Row(0)[2].AsString(), big);
   }
 }
 

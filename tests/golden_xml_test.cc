@@ -176,42 +176,5 @@ TEST(GoldenXmlTest, Query1LatticeSerialAndConcurrentAreByteIdentical) {
   }
 }
 
-// The sharded columnar layout (DESIGN.md §16) is a storage choice, not a
-// semantic one: the goldens were produced by the row-major seed build, so
-// publishing at shard counts 1 and 16 (every other test runs the default 4)
-// must still reproduce them byte-for-byte — through the columnar scan,
-// join-key, and projection fast paths alike.
-TEST(GoldenXmlTest, DemoLeagueByteIdenticalAcrossShardCounts) {
-  const std::string golden = ReadFileOrDie(GoldenPath("demo_league.xml"));
-  for (size_t shard_count : {size_t{1}, size_t{16}}) {
-    Database db;
-    db.set_default_shard_count(shard_count);
-    LoadDemo(&db);
-    Publisher publisher(&db);
-    PublishOptions options;
-    options.document_element = "league";
-    std::string xml =
-        PublishSerial(&publisher, ReadFileOrDie(DemoPath("view.rxl")), options);
-    EXPECT_EQ(xml, golden) << "shards=" << shard_count;
-  }
-}
-
-TEST(GoldenXmlTest, Query1ByteIdenticalAcrossShardCounts) {
-  const std::string golden =
-      ReadFileOrDie(GoldenPath("query1_scale0002.xml"));
-  for (size_t shard_count : {size_t{1}, size_t{16}}) {
-    auto db = testutil::MakeTinyTpch(0.002, shard_count);
-    Publisher publisher(db.get());
-    auto tree = publisher.BuildViewTree(Query1Rxl());
-    ASSERT_TRUE(tree.ok()) << tree.status();
-    PublishOptions options;
-    options.collect_sql = false;
-    std::ostringstream out;
-    auto metrics = publisher.ExecutePlan(*tree, 0x1E8, options, &out);
-    ASSERT_TRUE(metrics.ok()) << metrics.status();
-    EXPECT_EQ(out.str(), golden) << "shards=" << shard_count;
-  }
-}
-
 }  // namespace
 }  // namespace silkroute::core

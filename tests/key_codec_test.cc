@@ -260,17 +260,23 @@ TEST(KeyCodecTest, OrderedNumericBitsMatchesCompare) {
   }
 }
 
-// --- Column-array encoding (the shard fast path) --------------------------
-// EncodeShardValue reads cells straight out of ColumnVector storage instead
+// --- Column-array encoding -------------------------------------------------
+// EncodeColumnValue reads cells straight out of ColumnVector storage instead
 // of materializing a Value; the executor mixes both paths freely inside one
-// hash join (row-store probe vs columnar build), so the two encoders must be
-// byte-identical over the full type corpus — including int64 cells smuggled
-// into kDouble columns and the ±2^53 tiebreaker regime.
+// hash join (an owned intermediate against a base table's columns), so the
+// two encoders must be byte-identical over the full type corpus — including
+// int64 cells stored in kDouble columns and the ±2^53 tiebreaker regime.
 
 /// A 3-column table whose rows sweep every corpus value through the column
 /// type that can hold it (ints also pass through the kDouble column, where
-/// the exact subtype must survive encoding).
-std::unique_ptr<Table> MakeCorpusTable(size_t shard_count) {
+/// the exact subtype must survive encoding), plus the test's own copy of
+/// the inserted rows — the reference the columns are checked against.
+struct CorpusTable {
+  std::unique_ptr<Table> table;
+  std::vector<Tuple> rows;
+};
+
+CorpusTable MakeCorpusTable() {
   constexpr int64_t kExact = int64_t{1} << 53;
   const double inf = std::numeric_limits<double>::infinity();
   const std::vector<Value> ints = {
@@ -292,39 +298,33 @@ std::unique_ptr<Table> MakeCorpusTable(size_t shard_count) {
   TableSchema schema("corpus", {{"i", DataType::kInt64, /*nullable=*/true},
                                 {"d", DataType::kDouble, true},
                                 {"s", DataType::kString, true}});
-  auto table = std::make_unique<Table>(std::move(schema), shard_count);
+  CorpusTable corpus{std::make_unique<Table>(std::move(schema)), {}};
   const size_t n = ints.size() * nums.size() * strs.size() / 7;
   for (size_t r = 0; r < n; ++r) {
-    EXPECT_TRUE(table
-                    ->Insert(Tuple{ints[r % ints.size()],
-                                   nums[(r * 5) % nums.size()],
-                                   strs[(r * 3) % strs.size()]})
-                    .ok());
+    corpus.rows.push_back(Tuple{ints[r % ints.size()],
+                                nums[(r * 5) % nums.size()],
+                                strs[(r * 3) % strs.size()]});
+    EXPECT_TRUE(corpus.table->Insert(corpus.rows.back()).ok());
   }
-  EXPECT_TRUE(table->columnar_exact());
-  return table;
+  return corpus;
 }
 
-TEST(KeyCodecTest, ShardEncodingIsByteIdenticalToValueEncoding) {
-  for (size_t shard_count : {1u, 4u, 16u}) {
-    auto table = MakeCorpusTable(shard_count);
-    for (size_t g = 0; g < table->num_rows(); ++g) {
-      const Table::RowLoc loc = table->row_loc(g);
-      const ColumnarShard& shard = table->shard(loc.shard);
-      for (size_t c = 0; c < 3; ++c) {
-        const Value& v = table->rows()[g].values()[c];
-        std::string from_value, from_column;
-        EncodeValue(v, &from_value);
-        EncodeShardValue(shard, c, loc.pos, &from_column);
-        EXPECT_EQ(from_column, from_value)
-            << "shards=" << shard_count << " row " << g << " col " << c
-            << " value " << v;
-        std::string desc_value, desc_column;
-        EncodeValueDescending(v, &desc_value);
-        EncodeShardValueDescending(shard, c, loc.pos, &desc_column);
-        EXPECT_EQ(desc_column, desc_value)
-            << "DESC shards=" << shard_count << " row " << g << " col " << c;
-      }
+TEST(KeyCodecTest, ColumnEncodingIsByteIdenticalToValueEncoding) {
+  const CorpusTable corpus = MakeCorpusTable();
+  ASSERT_EQ(corpus.table->num_rows(), corpus.rows.size());
+  for (size_t r = 0; r < corpus.rows.size(); ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      const Value& v = corpus.rows[r].values()[c];
+      const ColumnVector& column = corpus.table->column(c);
+      std::string from_value, from_column;
+      EncodeValue(v, &from_value);
+      EncodeColumnValue(column, r, &from_column);
+      EXPECT_EQ(from_column, from_value)
+          << "row " << r << " col " << c << " value " << v;
+      std::string desc_value, desc_column;
+      EncodeValueDescending(v, &desc_value);
+      EncodeColumnValueDescending(column, r, &desc_column);
+      EXPECT_EQ(desc_column, desc_value) << "DESC row " << r << " col " << c;
     }
   }
 }
@@ -332,23 +332,23 @@ TEST(KeyCodecTest, ShardEncodingIsByteIdenticalToValueEncoding) {
 TEST(KeyCodecTest, TableJoinKeyMatchesTupleJoinKeyIncludingNullRefusal) {
   const std::vector<std::vector<size_t>> col_sets = {{0}, {1}, {2}, {0, 1, 2},
                                                      {2, 0}};
-  for (size_t shard_count : {1u, 4u, 16u}) {
-    auto table = MakeCorpusTable(shard_count);
-    for (size_t g = 0; g < table->num_rows(); ++g) {
-      for (const auto& cols : col_sets) {
-        std::string from_tuple, from_table;
-        const bool ok_tuple = EncodeJoinKey(table->rows()[g], cols,
-                                            &from_tuple);
-        const bool ok_table = EncodeTableJoinKey(*table, g, cols, &from_table);
-        ASSERT_EQ(ok_table, ok_tuple) << "shards=" << shard_count << " row "
-                                      << g;
-        if (ok_tuple) {
-          EXPECT_EQ(from_table, from_tuple)
-              << "shards=" << shard_count << " row " << g;
-        }
+  const CorpusTable corpus = MakeCorpusTable();
+  size_t refused = 0;
+  for (size_t r = 0; r < corpus.rows.size(); ++r) {
+    for (const auto& cols : col_sets) {
+      std::string from_tuple, from_table;
+      const bool ok_tuple = EncodeJoinKey(corpus.rows[r], cols, &from_tuple);
+      const bool ok_table =
+          EncodeTableJoinKey(*corpus.table, r, cols, &from_table);
+      ASSERT_EQ(ok_table, ok_tuple) << "row " << r;
+      if (ok_tuple) {
+        EXPECT_EQ(from_table, from_tuple) << "row " << r;
+      } else {
+        ++refused;
       }
     }
   }
+  EXPECT_GT(refused, 0u);  // the corpus does exercise NULL key columns
 }
 
 TEST(KeyCodecTest, ArenaKeepsViewsStableAcrossChunkGrowth) {

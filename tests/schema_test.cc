@@ -176,6 +176,30 @@ TEST(TableTest, DataByteSize) {
       t.Insert(Tuple{Value::Int64(1), Value::String("abcd"), Value::Int64(2)})
           .ok());
   EXPECT_EQ(t.DataByteSize(), 8u + 8u + 8u);
+
+  // Value::ByteSize's rule per cell: 1 byte per NULL in any column type,
+  // 8 per numeric cell (an int64 in a DOUBLE column included), and length
+  // + 4 per string (the empty string too).
+  Table mixed(TableSchema("M", {{"i", DataType::kInt64, true},
+                                {"d", DataType::kDouble, true},
+                                {"s", DataType::kString, true}}));
+  ASSERT_TRUE(mixed
+                  .Insert(Tuple{Value::Null(), Value::Double(2.5),
+                                Value::String("")})
+                  .ok());
+  ASSERT_TRUE(
+      mixed.Insert(Tuple{Value::Int64(7), Value::Null(), Value::Null()}).ok());
+  ASSERT_TRUE(mixed
+                  .Insert(Tuple{Value::Null(), Value::Int64(3),
+                                Value::String("hello")})
+                  .ok());
+  EXPECT_EQ(mixed.DataByteSize(), (1u + 8u + 4u) + (8u + 1u + 1u) +
+                                      (1u + 8u + 9u));
+  size_t rowwise = 0;
+  for (size_t i = 0; i < mixed.num_rows(); ++i) {
+    rowwise += mixed.Row(i).ByteSize();
+  }
+  EXPECT_EQ(mixed.DataByteSize(), rowwise);
 }
 
 TEST(DatabaseTest, CreateAndInsert) {

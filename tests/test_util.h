@@ -14,13 +14,8 @@
 namespace silkroute::core::testutil {
 
 /// A small, deterministic TPC-H instance (shared per test suite).
-/// `shard_count` selects the columnar shard fan-out for every base table;
-/// the default matches Database's own default so existing callers see the
-/// same layout either way.
-inline std::unique_ptr<Database> MakeTinyTpch(double scale = 0.002,
-                                              size_t shard_count = 4) {
+inline std::unique_ptr<Database> MakeTinyTpch(double scale = 0.002) {
   auto db = std::make_unique<Database>();
-  db->set_default_shard_count(shard_count);
   tpch::TpchConfig config;
   config.scale_factor = scale;
   Status s = tpch::GenerateTpch(config, db.get());

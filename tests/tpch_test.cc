@@ -71,7 +71,7 @@ TEST_F(TpchTest, GenerationIsDeterministic) {
     ASSERT_TRUE(t1.ok() && t2.ok());
     ASSERT_EQ((*t1)->num_rows(), (*t2)->num_rows()) << name;
     for (size_t i = 0; i < (*t1)->num_rows(); ++i) {
-      ASSERT_EQ((*t1)->rows()[i], (*t2)->rows()[i]) << name << " row " << i;
+      ASSERT_EQ((*t1)->Row(i), (*t2)->Row(i)) << name << " row " << i;
     }
   }
 }
@@ -87,7 +87,7 @@ TEST_F(TpchTest, DifferentSeedsProduceDifferentData) {
   auto t2 = db2.GetTable("Supplier");
   bool any_diff = false;
   for (size_t i = 0; i < (*t1)->num_rows() && i < (*t2)->num_rows(); ++i) {
-    if (!((*t1)->rows()[i] == (*t2)->rows()[i])) any_diff = true;
+    if (!((*t1)->Row(i) == (*t2)->Row(i))) any_diff = true;
   }
   EXPECT_TRUE(any_diff);
 }
@@ -101,8 +101,8 @@ TEST_F(TpchTest, PrimaryKeysAreUnique) {
                            "Customer", "Orders", "LineItem"}) {
     auto src = db_->GetTable(name);
     ASSERT_TRUE(src.ok());
-    for (const auto& row : (*src)->rows()) {
-      ASSERT_TRUE(fresh.Insert(name, row).ok()) << name;
+    for (size_t i = 0; i < (*src)->num_rows(); ++i) {
+      ASSERT_TRUE(fresh.Insert(name, (*src)->Row(i)).ok()) << name;
     }
   }
 }
@@ -159,7 +159,8 @@ TEST_F(TpchTest, SuppliersDistinctWithinOrder) {
   auto li = db_->GetTable("LineItem");
   ASSERT_TRUE(li.ok());
   std::map<int64_t, std::set<int64_t>> suppliers_by_order;
-  for (const auto& row : (*li)->rows()) {
+  for (size_t i = 0; i < (*li)->num_rows(); ++i) {
+    const Tuple row = (*li)->Row(i);
     int64_t orderkey = row[0].AsInt64();
     int64_t suppkey = row[2].AsInt64();
     EXPECT_TRUE(suppliers_by_order[orderkey].insert(suppkey).second)

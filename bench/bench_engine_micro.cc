@@ -1,18 +1,23 @@
 // E8 — google-benchmark micro suite for the relational substrate: the
 // operator throughputs that the cost model abstracts (scan+filter, hash
 // join, disjunctive outer join, sort, wire serialization, end-to-end plan
-// execution). Context for interpreting the experiment tables.
+// execution), plus the client-side merge/tag layer on bound streams.
+// Context for interpreting the experiment tables.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <sstream>
+#include <streambuf>
 #include <string_view>
 
 #include "bench/bench_util.h"
 #include "engine/executor.h"
 #include "engine/tuple_stream.h"
+#include "silkroute/greedy.h"
 #include "silkroute/partition.h"
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
+#include "silkroute/tagger.h"
 
 using namespace silkroute;
 using namespace silkroute::core;
@@ -131,6 +136,51 @@ void BM_PublishUnifiedPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PublishUnifiedPlan);
+
+/// An ostream sink that drops every byte, so BM_TagQuery1 times the tagger
+/// and the XML writer, not a growing string.
+class DiscardBuf : public std::streambuf {
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override { return n; }
+  int_type overflow(int_type c) override { return c; }
+};
+
+void BM_TagQuery1(benchmark::State& state) {
+  // The tag layer alone: Query 1's greedy-plan streams are executed and
+  // bound once, then every iteration rewinds them and re-runs the merge.
+  static Publisher* publisher = new Publisher(SharedDb());
+  static ViewTree* tree =
+      new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
+  auto greedy = GeneratePlanGreedy(*tree, publisher->estimator(), {});
+  auto partition = Partition::FromMask(*tree, greedy->FullMask());
+  SqlGenerator gen(tree, SqlGenStyle::kOuterJoin, /*reduce=*/true);
+  std::vector<StreamSpec> specs = gen.GeneratePlan(*partition).value();
+  std::vector<std::unique_ptr<engine::TupleStream>> streams;
+  for (const StreamSpec& spec : specs) {
+    engine::QueryExecutor exec(SharedDb());
+    streams.push_back(std::make_unique<engine::TupleStream>(
+        exec.ExecuteSql(spec.sql).value()));
+  }
+  DiscardBuf discard;
+  std::ostream sink(&discard);
+  for (auto _ : state) {
+    std::vector<Tagger::StreamInput> inputs;
+    for (size_t i = 0; i < specs.size(); ++i) {
+      streams[i]->Rewind();
+      inputs.push_back({&specs[i], streams[i].get()});
+    }
+    xml::XmlWriter writer(&sink);
+    Tagger tagger(tree, &writer, Tagger::Options{"suppliers"});
+    Status tagged = tagger.Run(std::move(inputs));
+    if (tagged.ok()) tagged = writer.Finish();
+    if (!tagged.ok()) {
+      state.SkipWithError(tagged.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(writer.bytes_written());
+  }
+}
+BENCHMARK(BM_TagQuery1);
 
 }  // namespace
 

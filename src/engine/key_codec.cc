@@ -69,13 +69,15 @@ void AppendNumber(double d, std::string* out) {
   AppendBigEndian(OrderedDoubleBits(d), out);
 }
 
+}  // namespace
+
 // Body bytes with 0x00 escaped as {0x00 0xFF}, then a {0x00 0x00}
 // terminator. A shorter string is always a strict byte-prefix of its
 // extensions up to the terminator, and 0x00 0x00 < 0x00 0xFF < any other
 // continuation, so memcmp order over encodings equals string order — and
 // no encoded segment is a prefix of a different segment. Takes a view so
 // string-pool cells encode without materializing a std::string.
-void AppendString(std::string_view s, std::string* out) {
+void EncodeString(std::string_view s, std::string* out) {
   out->push_back(kTagString);
   size_t start = 0;
   for (;;) {
@@ -93,30 +95,26 @@ void AppendString(std::string_view s, std::string* out) {
   out->push_back('\x00');
 }
 
-// Shared by the Value path and the column path: the numeric segment for an
-// exact int64 payload.
-void AppendInt64Cell(int64_t i, std::string* out) {
+void EncodeInt64(int64_t i, std::string* out) {
   const double image = static_cast<double>(i);
   AppendNumber(image, out);
   if (ImageNeedsTie(image)) AppendBigEndian(Int64TieBits(i), out);
 }
 
-void AppendDoubleCell(double d, std::string* out) {
+void EncodeDouble(double d, std::string* out) {
   AppendNumber(d, out);
   if (ImageNeedsTie(d)) AppendBigEndian(DoubleTieBits(d), out);
 }
-
-}  // namespace
 
 void EncodeValue(const Value& v, std::string* out) {
   if (v.is_null()) {
     out->push_back(kTagNull);
   } else if (v.is_int64()) {
-    AppendInt64Cell(v.AsInt64(), out);
+    EncodeInt64(v.AsInt64(), out);
   } else if (v.is_double()) {
-    AppendDoubleCell(v.AsDouble(), out);
+    EncodeDouble(v.AsDouble(), out);
   } else {
-    AppendString(v.AsString(), out);
+    EncodeString(v.AsString(), out);
   }
 }
 
@@ -157,11 +155,11 @@ void EncodeColumnValue(const ColumnVector& column, size_t row,
   if (column.IsNull(row)) {
     out->push_back(kTagNull);
   } else if (column.type() == DataType::kString) {
-    AppendString(column.StringAt(row), out);
+    EncodeString(column.StringAt(row), out);
   } else if (column.CellIsInt64(row)) {
-    AppendInt64Cell(column.Int64At(row), out);
+    EncodeInt64(column.Int64At(row), out);
   } else {
-    AppendDoubleCell(column.DoubleAt(row), out);
+    EncodeDouble(column.DoubleAt(row), out);
   }
 }
 

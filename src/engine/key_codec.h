@@ -55,6 +55,13 @@ namespace silkroute::engine {
 /// memcmp(Encode(a), Encode(b)) agrees in sign with a.Compare(b).
 void EncodeValue(const Value& v, std::string* out);
 
+/// Typed forms of EncodeValue for callers that read cells without a Value
+/// (the tagger reads wire fields in place): each is byte-identical to
+/// EncodeValue on the matching non-null Value.
+void EncodeInt64(int64_t v, std::string* out);
+void EncodeDouble(double v, std::string* out);
+void EncodeString(std::string_view v, std::string* out);
+
 /// Like EncodeValue but with every emitted byte complemented, so memcmp
 /// order is reversed (ORDER BY ... DESC segments). Safe to mix ascending
 /// and descending segments in one composite key: segments are

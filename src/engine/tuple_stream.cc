@@ -64,7 +64,15 @@ void SerializeTuple(const Tuple& tuple, std::string* out) {
   }
 }
 
-Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset) {
+namespace {
+
+// The one decoder of the wire format: parses the row at `*offset`,
+// calling on_count(n) once with its field count and then on_field(field)
+// per field, and advances `*offset`. Shared by the materializing
+// (DeserializeTuple) and the in-place (NextFields) fetch.
+template <typename OnCount, typename OnField>
+Status ParseRow(const std::string& buffer, size_t* offset, OnCount&& on_count,
+                OnField&& on_field) {
   uint32_t n;
   if (!GetU32(buffer, offset, &n)) {
     return Status::InvalidArgument("truncated tuple header");
@@ -77,8 +85,8 @@ Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset) {
         "tuple claims " + std::to_string(n) + " values but only " +
         std::to_string(buffer.size() - *offset) + " byte(s) remain");
   }
-  Tuple tuple;
-  tuple.mutable_values().reserve(n);
+  on_count(n);
+  WireField field;
   for (uint32_t i = 0; i < n; ++i) {
     if (*offset >= buffer.size()) {
       return Status::InvalidArgument("truncated tuple field tag");
@@ -87,14 +95,15 @@ Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset) {
     ++*offset;
     switch (tag) {
       case kTagNull:
-        tuple.Append(Value::Null());
+        field.kind = WireField::Kind::kNull;
         break;
       case kTagInt64: {
         uint64_t bits;
         if (!GetU64(buffer, offset, &bits)) {
           return Status::InvalidArgument("truncated int64 field");
         }
-        tuple.Append(Value::Int64(static_cast<int64_t>(bits)));
+        field.kind = WireField::Kind::kInt64;
+        field.i = static_cast<int64_t>(bits);
         break;
       }
       case kTagDouble: {
@@ -102,9 +111,8 @@ Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset) {
         if (!GetU64(buffer, offset, &bits)) {
           return Status::InvalidArgument("truncated double field");
         }
-        double d;
-        std::memcpy(&d, &bits, 8);
-        tuple.Append(Value::Double(d));
+        field.kind = WireField::Kind::kDouble;
+        std::memcpy(&field.d, &bits, 8);
         break;
       }
       case kTagString: {
@@ -118,14 +126,43 @@ Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset) {
           return Status::InvalidArgument("truncated string payload (wants " +
                                          std::to_string(len) + " byte(s))");
         }
-        tuple.Append(Value::String(buffer.substr(*offset, len)));
+        field.kind = WireField::Kind::kString;
+        field.s = std::string_view(buffer.data() + *offset, len);
         *offset += len;
         break;
       }
       default:
         return Status::InvalidArgument("bad field tag " + std::to_string(tag));
     }
+    on_field(field);
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset) {
+  Tuple tuple;
+  std::vector<Value>& values = tuple.mutable_values();
+  Status parsed = ParseRow(
+      buffer, offset, [&](uint32_t n) { values.reserve(n); },
+      [&](const WireField& f) {
+        switch (f.kind) {
+          case WireField::Kind::kNull:
+            values.push_back(Value::Null());
+            break;
+          case WireField::Kind::kInt64:
+            values.push_back(Value::Int64(f.i));
+            break;
+          case WireField::Kind::kDouble:
+            values.push_back(Value::Double(f.d));
+            break;
+          case WireField::Kind::kString:
+            values.push_back(Value::String(std::string(f.s)));
+            break;
+        }
+      });
+  if (!parsed.ok()) return parsed;
   return tuple;
 }
 
@@ -145,7 +182,30 @@ std::optional<Tuple> TupleStream::Next() {
   if (offset_ >= buffer_->size()) return std::nullopt;
   auto t = DeserializeTuple(*buffer_, &offset_);
   if (!t.ok()) return std::nullopt;  // corrupt stream treated as EOS
+  ++rows_read_;
   return std::move(t).value();
+}
+
+Result<bool> TupleStream::NextFields(std::vector<WireField>* fields) {
+  if (offset_ >= buffer_->size()) {
+    if (rows_read_ != num_tuples_) {
+      return Status::InvalidArgument(
+          "tuple stream ended after " + std::to_string(rows_read_) +
+          " of " + std::to_string(num_tuples_) + " row(s)");
+    }
+    return false;
+  }
+  fields->clear();
+  SILK_RETURN_IF_ERROR(ParseRow(
+      *buffer_, &offset_, [&](uint32_t n) { fields->reserve(n); },
+      [&](const WireField& f) { fields->push_back(f); }));
+  if (fields->size() != schema_.size()) {
+    return Status::InvalidArgument(
+        "tuple has " + std::to_string(fields->size()) + " field(s), schema " +
+        std::to_string(schema_.size()));
+  }
+  ++rows_read_;
+  return true;
 }
 
 }  // namespace silkroute::engine

@@ -12,6 +12,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,17 @@
 #include "relational/tuple.h"
 
 namespace silkroute::engine {
+
+/// One field of a bound row read in place from the wire: nothing is
+/// materialized, and a string is a view into the stream's buffer, valid
+/// while the stream lives.
+struct WireField {
+  enum class Kind : uint8_t { kNull, kInt64, kDouble, kString };
+  Kind kind = Kind::kNull;
+  int64_t i = 0;       // kInt64
+  double d = 0;        // kDouble
+  std::string_view s;  // kString
+};
 
 /// Serializes one tuple to the wire format, appending to `out`.
 void SerializeTuple(const Tuple& tuple, std::string* out);
@@ -46,11 +58,21 @@ class TupleStream {
   const RelSchema& schema() const { return schema_; }
 
   /// Client-side fetch: deserializes and returns the next tuple, or
-  /// nullopt at end of stream.
+  /// nullopt at end of stream. A corrupt stream also reads as nullopt;
+  /// consumers that must not lose rows use NextFields.
   std::optional<Tuple> Next();
 
-  /// Rewinds to the first tuple (used by tests).
-  void Rewind() { offset_ = 0; }
+  /// Allocation-free client-side fetch: decodes the next row's fields in
+  /// place into `*fields` (reusing its storage) and returns true, or
+  /// returns false at end of stream. A corrupt row, or an end of stream
+  /// reached after fewer rows than num_tuples(), is an error.
+  Result<bool> NextFields(std::vector<WireField>* fields);
+
+  /// Rewinds to the first tuple.
+  void Rewind() {
+    offset_ = 0;
+    rows_read_ = 0;
+  }
 
   size_t wire_bytes() const { return buffer_->size(); }
   size_t num_tuples() const { return num_tuples_; }
@@ -64,6 +86,7 @@ class TupleStream {
   RelSchema schema_;
   std::shared_ptr<const std::string> buffer_;
   size_t offset_ = 0;
+  size_t rows_read_ = 0;
   size_t num_tuples_ = 0;
 };
 

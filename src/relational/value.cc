@@ -1,5 +1,6 @@
 #include "relational/value.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -16,18 +17,8 @@ namespace {
 }
 
 std::string FormatDouble(double d) {
-  // Canonical shortest-ish representation: integral doubles print without
-  // trailing zeros, others with up to 6 significant decimals.
-  if (d == static_cast<double>(static_cast<int64_t>(d)) &&
-      std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld.0",
-                  static_cast<long long>(static_cast<int64_t>(d)));
-    return buf;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", d);
-  return buf;
+  char buf[kNumberTextMax];
+  return std::string(DoubleXmlText(d, buf));
 }
 }  // namespace
 
@@ -118,11 +109,23 @@ std::string Value::ToString() const {
   return out;
 }
 
-std::string Value::ToXmlText() const {
-  if (is_null()) return "";
-  if (is_string()) return AsString();
-  if (is_int64()) return std::to_string(std::get<int64_t>(rep_));
-  return FormatDouble(std::get<double>(rep_));
+std::string_view Int64XmlText(int64_t v, char* buf) {
+  char* end = std::to_chars(buf, buf + kNumberTextMax, v).ptr;
+  return std::string_view(buf, static_cast<size_t>(end - buf));
+}
+
+std::string_view DoubleXmlText(double d, char* buf) {
+  // Canonical shortest-ish representation: integral doubles print without
+  // trailing zeros, others with up to 6 significant decimals. The range
+  // check comes first: casting a double outside int64 is undefined.
+  int n;
+  if (std::fabs(d) < 1e15 && d == std::trunc(d)) {
+    n = std::snprintf(buf, kNumberTextMax, "%lld.0",
+                      static_cast<long long>(static_cast<int64_t>(d)));
+  } else {
+    n = std::snprintf(buf, kNumberTextMax, "%.6g", d);
+  }
+  return std::string_view(buf, static_cast<size_t>(n));
 }
 
 std::ostream& operator<<(std::ostream& os, const Value& v) {

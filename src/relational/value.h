@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace silkroute {
@@ -69,8 +70,6 @@ class Value {
 
   /// Rendering used in SQL literals and test output. Strings are quoted.
   std::string ToString() const;
-  /// Rendering used for XML text content (no quotes; numerics canonical).
-  std::string ToXmlText() const;
 
  private:
   struct NullTag {
@@ -83,6 +82,14 @@ class Value {
 };
 
 std::ostream& operator<<(std::ostream& os, const Value& v);
+
+/// XML text of a number (canonical: integral doubles keep a ".0", others
+/// print up to 6 significant digits), written into a caller buffer of at
+/// least kNumberTextMax bytes; returns a view of the text. Lets the tagger
+/// emit cells with no Value and no temporary string.
+inline constexpr size_t kNumberTextMax = 32;
+std::string_view Int64XmlText(int64_t v, char* buf);
+std::string_view DoubleXmlText(double d, char* buf);
 
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }

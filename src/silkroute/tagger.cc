@@ -1,256 +1,215 @@
 #include "silkroute/tagger.h"
 
 #include <algorithm>
-#include <set>
+
+#include "engine/key_codec.h"
 
 namespace silkroute::core {
 
+using engine::WireField;
+
 namespace {
-int CompareKeys(const std::vector<Value>& a, const std::vector<Value>& b) {
-  for (size_t i = 0; i < a.size(); ++i) {
-    int c = a[i].Compare(b[i]);
-    if (c != 0) return c;
-  }
-  return 0;
+void EncodeField(const WireField& f, std::string* out) {
+  if (f.kind == WireField::Kind::kInt64) return engine::EncodeInt64(f.i, out);
+  if (f.kind == WireField::Kind::kDouble) return engine::EncodeDouble(f.d, out);
+  if (f.kind == WireField::Kind::kString) return engine::EncodeString(f.s, out);
+  engine::EncodeValue(Value::Null(), out);
+}
+
+Status WriteValue(const WireField& v, xml::XmlWriter* writer) {
+  if (v.kind == WireField::Kind::kNull) return Status::OK();
+  char buf[kNumberTextMax];
+  return writer->Text(v.kind == WireField::Kind::kString ? v.s
+                      : v.kind == WireField::Kind::kInt64
+                          ? Int64XmlText(v.i, buf)
+                          : DoubleXmlText(v.d, buf));
 }
 }  // namespace
 
-/// A captured node instance waiting to be merged: its global key and the
-/// values of the node's text content, read from the physical row that
-/// carried it. One slot per InstanceSpec — the "constant memory" of the
-/// tagger is one tuple per stream plus one captured instance per view-tree
-/// node.
+/// One stream's cursor. Each InstanceSpec owns one slot for a captured
+/// instance waiting to be merged: the tagger's "constant memory" is one
+/// tuple per stream plus one captured instance per view-tree node.
 struct Tagger::StreamState {
-  struct Pending {
-    std::vector<Value> key;
-    std::vector<Value> values;  // one per kValue content item, in order
+  /// An InstanceSpec resolved against this stream's columns, and its slot.
+  struct Instance {
+    const InstanceSpec* spec = nullptr;
+    std::vector<std::pair<size_t, int64_t>> label_checks;  // (column, label)
+    std::vector<size_t> null_cols;
+    std::vector<int> key_cols;            // per key position: column or -1
+    std::vector<std::string> key_consts;  // encoding where key_cols is -1
+    std::vector<int> value_cols;          // per kValue item: column or -1
+    Key key;  // last captured key (duplicate suppression); empty if none
+    bool pending = false;  // `key` and `values` wait to be merged
+    std::vector<WireField> values;  // views into the wire buffer
   };
 
-  const StreamSpec* spec = nullptr;
   engine::TupleStream* stream = nullptr;
+  std::vector<Instance> instances;
 
-  // Column resolution for this stream's schema.
-  std::vector<int> label_col;       // level (1-based) -> column or -1
-  std::map<VarIndex, int> var_col;  // any var -> column or absent
-
-  std::optional<Tuple> row;    // current physical row
-  size_t instance_cursor = 0;  // next InstanceSpec to try on `row`
+  std::vector<WireField> row;  // current physical row, read in place
   bool rows_done = false;
+  size_t cursor = 0;  // next InstanceSpec to try on `row`; at end: fetch
+  // Key of instance `cursor`, kept across a stall instead of re-encoded.
+  Key staged;
+  bool staged_valid = false;
+  size_t live = 0;  // pending slots
 
-  // Per-spec state: captured instance and the last key seen (duplicate
-  // suppression across adjacent physical rows).
-  std::vector<std::optional<Pending>> pending;
-  std::vector<std::optional<std::vector<Value>>> last_key;
-
-  // Cached index of the minimal pending slot; -1 when empty/stale.
-  int current = -1;
-
-  int ColumnOfVar(VarIndex v) const {
-    auto it = var_col.find(v);
-    return it == var_col.end() ? -1 : it->second;
-  }
-
-  bool Exhausted() const {
-    if (!rows_done || row.has_value()) return false;
-    for (const auto& p : pending) {
-      if (p.has_value()) return false;
+  bool Present(const Instance& inst) const {
+    for (const auto& [col, label] : inst.label_checks) {
+      if (row[col].kind != WireField::Kind::kInt64 || row[col].i != label) {
+        return false;
+      }
+    }
+    for (size_t col : inst.null_cols) {
+      if (row[col].kind != WireField::Kind::kNull) return false;
     }
     return true;
+  }
+
+  void EncodeStagedKey(const Instance& inst) {
+    staged.bytes.clear();
+    staged.bounds.assign(1, 0);
+    for (size_t p = 0; p < inst.key_cols.size(); ++p) {
+      const int col = inst.key_cols[p];
+      if (col < 0) {
+        staged.bytes += inst.key_consts[p];
+      } else {
+        EncodeField(row[static_cast<size_t>(col)], &staged.bytes);
+      }
+      staged.bounds.push_back(static_cast<uint32_t>(staged.bytes.size()));
+    }
   }
 };
 
 Tagger::Tagger(const ViewTree* tree, xml::XmlWriter* writer, Options options)
     : tree_(tree), writer_(writer), options_(std::move(options)) {
-  BuildKeyLayout();
-}
-
-void Tagger::BuildKeyLayout() {
-  const int max_level = tree_->MaxLevel();
-  label_position_.assign(static_cast<size_t>(max_level) + 1, -1);
   size_t pos = 0;
-  for (int j = 1; j <= max_level; ++j) {
-    label_position_[static_cast<size_t>(j)] = static_cast<int>(pos++);
+  for (int j = 1; j <= tree_->MaxLevel(); ++j) {
+    label_position_.push_back(pos++);
     for (const auto& v : tree_->IdentityVarsAtLevel(j)) {
       var_position_.emplace(v, pos++);
     }
   }
   num_positions_ = pos;
-}
 
-bool Tagger::InstancePresent(const StreamState& s,
-                             const InstanceSpec& inst) const {
-  for (const auto& [level, expected] : inst.label_checks) {
-    int col = s.label_col[static_cast<size_t>(level)];
-    if (col < 0) continue;  // constant level: matches by construction
-    const Value& v = (*s.row)[static_cast<size_t>(col)];
-    if (v.is_null()) return false;
-    if (!v.is_int64() || v.AsInt64() != expected) return false;
-  }
-  for (int level : inst.null_levels) {
-    int col = s.label_col[static_cast<size_t>(level)];
-    if (col < 0) continue;
-    if (!(*s.row)[static_cast<size_t>(col)].is_null()) return false;
-  }
-  return true;
-}
-
-void Tagger::BuildKey(const StreamState& s, const InstanceSpec& inst,
-                      std::vector<Value>* key) const {
-  key->assign(num_positions_, Value::Null());
-  const int level = static_cast<int>(inst.path_labels.size());
-  for (int j = 1; j <= level; ++j) {
-    (*key)[static_cast<size_t>(label_position_[static_cast<size_t>(j)])] =
-        Value::Int64(inst.path_labels[static_cast<size_t>(j - 1)]);
-  }
-  for (const auto& v : inst.key_vars) {
-    auto pos_it = var_position_.find(v);
-    if (pos_it == var_position_.end()) continue;
-    int col = s.ColumnOfVar(v);
-    if (col < 0) continue;
-    (*key)[pos_it->second] = (*s.row)[static_cast<size_t>(col)];
+  nodes_.resize(tree_->num_nodes());
+  for (const ViewTreeNode& node : tree_->nodes()) {
+    NodeInfo& info = nodes_[static_cast<size_t>(node.id)];
+    for (int id = node.id; id >= 0; id = tree_->node(id).parent) {
+      info.chain.push_back(id);
+    }
+    std::reverse(info.chain.begin(), info.chain.end());
+    // Two stack entries of the same node share the node's labels by
+    // construction, so its identity variables alone tell instances apart.
+    for (const auto& arg : node.args) {
+      auto it = var_position_.find(arg.index);
+      if (arg.identity && it != var_position_.end()) {
+        info.id_positions.push_back(it->second);
+      }
+    }
+    for (const auto& item : node.content) {
+      if (item.kind == ViewTreeNode::ContentItem::Kind::kValue) {
+        info.value_identity.push_back(tree_->IsIdentityVar(item.value));
+      }
+    }
   }
 }
 
-void Tagger::CaptureValues(const StreamState& s, const InstanceSpec& inst,
-                           std::vector<Value>* values) const {
-  values->clear();
-  const ViewTreeNode& node = tree_->node(inst.node_id);
-  for (const auto& item : node.content) {
-    if (item.kind != ViewTreeNode::ContentItem::Kind::kValue) continue;
-    int col = s.ColumnOfVar(item.value);
-    values->push_back(col >= 0 ? (*s.row)[static_cast<size_t>(col)]
-                               : Value::Null());
-  }
-}
+Tagger::~Tagger() = default;
 
 /// Fills pending slots by expanding physical rows, stopping when a slot it
 /// needs is still occupied (the occupied instance sorts no later, so the
 /// merge will drain it first) or when rows run out.
-Status Tagger::Refill(StreamState* s) {
+Status Tagger::Refill(uint32_t stream_index) {
+  StreamState& s = streams_[stream_index];
   while (true) {
-    if (!s->row.has_value()) {
-      if (s->rows_done) return Status::OK();
-      s->row = s->stream->Next();
-      s->instance_cursor = 0;
-      if (!s->row.has_value()) {
-        s->rows_done = true;
-        return Status::OK();
-      }
+    if (s.cursor == s.instances.size()) {
+      if (s.rows_done) return Status::OK();
+      SILK_ASSIGN_OR_RETURN(bool fetched, s.stream->NextFields(&s.row));
+      s.rows_done = !fetched;
+      if (s.rows_done) return Status::OK();
+      s.cursor = 0;
       ++stats_.rows_consumed;
     }
-    while (s->instance_cursor < s->spec->instances.size()) {
-      const size_t index = s->instance_cursor;
-      const InstanceSpec& inst = s->spec->instances[index];
-      if (!InstancePresent(*s, inst)) {
-        ++s->instance_cursor;
-        continue;
+    for (; s.cursor < s.instances.size(); ++s.cursor) {
+      StreamState::Instance& inst = s.instances[s.cursor];
+      if (!s.staged_valid) {
+        if (!s.Present(inst)) continue;
+        s.EncodeStagedKey(inst);
+        s.staged_valid = true;
       }
-      std::vector<Value> key;
-      BuildKey(*s, inst, &key);
-      auto& last = s->last_key[index];
       // Fused instances must pass through equal-key repeats: each rule's
       // row contributes values that merge into the one element.
-      if (!inst.fused && last.has_value() && *last == key) {
+      if (!inst.spec->fused && inst.key.bytes == s.staged.bytes) {
         ++stats_.duplicates_skipped;
-        ++s->instance_cursor;
+        s.staged_valid = false;
         continue;
       }
-      if (s->pending[index].has_value()) {
-        // Slot occupied by an earlier (no-later-sorting) instance: stall
-        // this row until the merge drains the slot.
-        return Status::OK();
+      // Slot occupied by an earlier (no-later-sorting) instance: stall
+      // this row until the merge drains the slot.
+      if (inst.pending) return Status::OK();
+      std::swap(inst.key, s.staged);
+      s.staged_valid = false;
+      inst.pending = true;
+      inst.values.clear();
+      for (int col : inst.value_cols) {
+        inst.values.push_back(col >= 0 ? s.row[static_cast<size_t>(col)]
+                                       : WireField{});
       }
-      StreamState::Pending p;
-      p.key = key;
-      CaptureValues(*s, inst, &p.values);
-      s->pending[index] = std::move(p);
-      last = std::move(key);
-      ++s->instance_cursor;
-      size_t live = 0;
-      for (const auto& slot : s->pending) {
-        if (slot.has_value()) ++live;
-      }
+      heap_.emplace_back(stream_index, static_cast<uint32_t>(s.cursor));
+      std::push_heap(heap_.begin(), heap_.end(), SlotAfter{this});
       stats_.peak_buffered_tuples =
-          std::max(stats_.peak_buffered_tuples, live);
+          std::max(stats_.peak_buffered_tuples, ++s.live);
     }
-    s->row.reset();  // row fully expanded; fetch the next one
   }
 }
 
-int Tagger::MinPending(const StreamState& s) const {
-  int best = -1;
-  for (size_t i = 0; i < s.pending.size(); ++i) {
-    if (!s.pending[i].has_value()) continue;
-    if (best < 0 ||
-        CompareKeys(s.pending[i]->key,
-                    s.pending[static_cast<size_t>(best)]->key) < 0) {
-      best = static_cast<int>(i);
-    }
-  }
-  return best;
-}
-
-bool Tagger::SameInstanceAt(const std::vector<Value>& open_key,
-                            const std::vector<Value>& new_key,
-                            int node_id) const {
-  const ViewTreeNode& node = tree_->node(node_id);
-  // Labels up to the node's level.
-  for (int j = 1; j <= node.level(); ++j) {
-    size_t pos = static_cast<size_t>(label_position_[static_cast<size_t>(j)]);
-    if (open_key[pos].Compare(new_key[pos]) != 0) return false;
-  }
-  // The node's own identity variables.
-  for (const auto& arg : node.args) {
-    if (!arg.identity) continue;
-    auto it = var_position_.find(arg.index);
-    if (it == var_position_.end()) continue;
-    if (open_key[it->second].Compare(new_key[it->second]) != 0) return false;
-  }
-  return true;
+/// Heap order: key bytes, then stream index, then slot index — the first
+/// stream, and within it the first InstanceSpec, wins a key tie.
+bool Tagger::SlotAfter::operator()(const Slot& a, const Slot& b) const {
+  const int c = tagger->streams_[a.first].instances[a.second].key.bytes.compare(
+      tagger->streams_[b.first].instances[b.second].key.bytes);
+  return c != 0 ? c > 0 : a > b;
 }
 
 Status Tagger::EmitRowContent(const ViewTreeNode& node,
-                              const std::vector<Value>* values,
+                              const std::vector<WireField>* values,
                               bool opening) {
+  const NodeInfo& info = nodes_[static_cast<size_t>(node.id)];
   // Which fused occurrences does this row speak for? Those that supplied a
   // non-null value through a column of their own — shared identity columns
   // (e.g. the fused key itself used as a value) are filled by every rule
   // and don't mark an occurrence active. Ordinary nodes always emit text.
-  std::set<int> active;
-  if (values != nullptr) {
-    size_t value_index = 0;
+  auto active = [&](int occurrence) {
+    size_t v = 0;
     for (const auto& item : node.content) {
       if (item.kind != ViewTreeNode::ContentItem::Kind::kValue) continue;
-      if (value_index < values->size() &&
-          !(*values)[value_index].is_null() &&
-          !tree_->IsIdentityVar(item.value)) {
-        active.insert(item.occurrence);
+      if (item.occurrence == occurrence && values != nullptr &&
+          (*values)[v].kind != WireField::Kind::kNull &&
+          !info.value_identity[v]) {
+        return true;
       }
-      ++value_index;
+      ++v;
     }
-  }
+    return false;
+  };
   size_t value_index = 0;
   for (const auto& item : node.content) {
     switch (item.kind) {
       case ViewTreeNode::ContentItem::Kind::kText:
-        if (!node.fused() || active.count(item.occurrence) > 0) {
+        if (!node.fused() || active(item.occurrence)) {
           SILK_RETURN_IF_ERROR(writer_->Text(item.text));
         }
         break;
-      case ViewTreeNode::ContentItem::Kind::kValue: {
+      case ViewTreeNode::ContentItem::Kind::kValue:
         // Identity-backed values (shared across rules) print once, when
         // the element opens; rule-specific values print with their row.
-        bool emit = opening || !node.fused() ||
-                    !tree_->IsIdentityVar(item.value);
-        if (emit && values != nullptr && value_index < values->size()) {
-          const Value& v = (*values)[value_index];
-          if (!v.is_null()) {
-            SILK_RETURN_IF_ERROR(writer_->Text(v.ToXmlText()));
-          }
+        if (values != nullptr &&
+            (opening || !node.fused() || !info.value_identity[value_index])) {
+          SILK_RETURN_IF_ERROR(WriteValue((*values)[value_index], writer_));
         }
         ++value_index;
         break;
-      }
       case ViewTreeNode::ContentItem::Kind::kChild:
         break;  // children arrive as their own instances
     }
@@ -258,34 +217,35 @@ Status Tagger::EmitRowContent(const ViewTreeNode& node,
   return Status::OK();
 }
 
-Status Tagger::OpenElement_(int node_id, const std::vector<Value>& key,
-                            const std::vector<Value>* values) {
+Status Tagger::OpenElement_(int node_id, const Key& key,
+                            const std::vector<WireField>* values) {
   const ViewTreeNode& node = tree_->node(node_id);
   SILK_RETURN_IF_ERROR(writer_->StartElement(node.tag));
   SILK_RETURN_IF_ERROR(EmitRowContent(node, values, /*opening=*/true));
-  stack_.push_back(OpenElement{node_id, key});
-  stats_.max_open_depth = std::max(stats_.max_open_depth, stack_.size());
+  if (depth_ == stack_.size()) stack_.emplace_back();
+  OpenElement& open = stack_[depth_++];
+  open.node_id = node_id;
+  open.key = key;  // reuses the entry's buffers
+  stats_.max_open_depth = std::max(stats_.max_open_depth, depth_);
   ++stats_.instances_emitted;
   return Status::OK();
 }
 
-Status Tagger::EmitInstance(int node_id, const std::vector<Value>& key,
-                            const std::vector<Value>* values) {
-  // Ancestor chain root..node.
-  std::vector<int> chain;
-  for (int id = node_id; id >= 0; id = tree_->node(id).parent) {
-    chain.push_back(id);
-  }
-  std::reverse(chain.begin(), chain.end());
-
-  // Longest prefix of the open stack matching the chain (same node and same
-  // instance identity).
+Status Tagger::EmitInstance(int node_id, const Key& key,
+                            const std::vector<WireField>* values) {
+  // Longest open-stack prefix matching the ancestor chain: node + identity.
+  const std::vector<int>& chain = nodes_[static_cast<size_t>(node_id)].chain;
   size_t keep = 0;
-  while (keep < stack_.size() && keep < chain.size()) {
+  for (; keep < depth_ && keep < chain.size(); ++keep) {
     const OpenElement& open = stack_[keep];
     if (open.node_id != chain[keep]) break;
-    if (!SameInstanceAt(open.key, key, chain[keep])) break;
-    ++keep;
+    const auto& positions =
+        nodes_[static_cast<size_t>(chain[keep])].id_positions;
+    if (!std::all_of(positions.begin(), positions.end(), [&](size_t p) {
+          return open.key.Position(p) == key.Position(p);
+        })) {
+      break;
+    }
   }
   if (keep == chain.size()) {
     const ViewTreeNode& node = tree_->node(node_id);
@@ -299,9 +259,8 @@ Status Tagger::EmitInstance(int node_id, const std::vector<Value>& key,
     ++stats_.duplicates_skipped;
     return Status::OK();
   }
-  while (stack_.size() > keep) {
+  for (; depth_ > keep; --depth_) {
     SILK_RETURN_IF_ERROR(writer_->EndElement());
-    stack_.pop_back();
   }
   // Open any missing ancestors (should not happen — ancestors' own
   // instances sort first in the merged stream).
@@ -313,64 +272,76 @@ Status Tagger::EmitInstance(int node_id, const std::vector<Value>& key,
   return OpenElement_(node_id, key, values);
 }
 
-Status Tagger::Run(std::vector<StreamInput> streams) {
-  std::vector<StreamState> states(streams.size());
-  for (size_t i = 0; i < streams.size(); ++i) {
-    StreamState& s = states[i];
-    s.spec = streams[i].spec;
-    s.stream = streams[i].stream;
-    s.pending.assign(s.spec->instances.size(), std::nullopt);
-    s.last_key.assign(s.spec->instances.size(), std::nullopt);
-    const engine::RelSchema& schema = s.stream->schema();
-    const int max_level = tree_->MaxLevel();
-    s.label_col.assign(static_cast<size_t>(max_level) + 1, -1);
-    for (int j = 1; j <= max_level; ++j) {
-      auto idx = schema.Resolve("", LabelColumnName(j));
-      if (idx.ok()) s.label_col[static_cast<size_t>(j)] = static_cast<int>(*idx);
-    }
-    // Resolve every view-tree variable that exists in this stream.
-    for (const auto& node : tree_->nodes()) {
-      for (const auto& arg : node.args) {
-        if (s.var_col.count(arg.index) > 0) continue;
-        auto idx = schema.Resolve("", arg.index.ColumnName());
-        if (idx.ok()) s.var_col.emplace(arg.index, static_cast<int>(*idx));
+Status Tagger::Run(std::vector<StreamInput> inputs) {
+  std::string null_key;
+  engine::EncodeValue(Value::Null(), &null_key);
+  streams_.resize(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    StreamState& s = streams_[i];
+    s.stream = inputs[i].stream;
+    // The stream's column of a label or variable, or -1 if it has none.
+    auto column = [&](const std::string& name) {
+      auto idx = s.stream->schema().Resolve("", name);
+      return idx.ok() ? static_cast<int>(*idx) : -1;
+    };
+    for (const InstanceSpec& spec : inputs[i].spec->instances) {
+      StreamState::Instance& inst = s.instances.emplace_back();
+      inst.spec = &spec;
+      // A level with no label column is constant: it matches.
+      for (const auto& [level, expected] : spec.label_checks) {
+        const int col = column(LabelColumnName(level));
+        if (col >= 0) inst.label_checks.emplace_back(col, expected);
+      }
+      for (int level : spec.null_levels) {
+        const int col = column(LabelColumnName(level));
+        if (col >= 0) inst.null_cols.push_back(static_cast<size_t>(col));
+      }
+      // Key sources: the path labels up to the node's level and the key
+      // vars the stream carries; every other position is NULL.
+      inst.key_cols.assign(num_positions_, -1);
+      inst.key_consts.assign(num_positions_, null_key);
+      for (size_t j = 0; j < spec.path_labels.size(); ++j) {
+        std::string& label = inst.key_consts[label_position_[j]];
+        label.clear();
+        engine::EncodeInt64(spec.path_labels[j], &label);
+      }
+      for (const auto& v : spec.key_vars) {
+        auto pos = var_position_.find(v);
+        if (pos != var_position_.end()) {
+          inst.key_cols[pos->second] = column(v.ColumnName());
+        }
+      }
+      for (const auto& item : tree_->node(spec.node_id).content) {
+        if (item.kind == ViewTreeNode::ContentItem::Kind::kValue) {
+          inst.value_cols.push_back(column(item.value.ColumnName()));
+        }
       }
     }
-    SILK_RETURN_IF_ERROR(Refill(&s));
+    s.cursor = s.instances.size();  // no row yet
+    SILK_RETURN_IF_ERROR(Refill(static_cast<uint32_t>(i)));
   }
 
   if (!options_.document_element.empty()) {
     SILK_RETURN_IF_ERROR(writer_->StartElement(options_.document_element));
   }
 
-  while (true) {
-    // Pick the stream/slot with the smallest pending key.
-    StreamState* best_stream = nullptr;
-    int best_slot = -1;
-    for (auto& s : states) {
-      int slot = MinPending(s);
-      if (slot < 0) continue;
-      if (best_stream == nullptr ||
-          CompareKeys(s.pending[static_cast<size_t>(slot)]->key,
-                      best_stream->pending[static_cast<size_t>(best_slot)]
-                          ->key) < 0) {
-        best_stream = &s;
-        best_slot = slot;
-      }
-    }
-    if (best_stream == nullptr) break;
-    StreamState::Pending pending =
-        std::move(*best_stream->pending[static_cast<size_t>(best_slot)]);
-    best_stream->pending[static_cast<size_t>(best_slot)].reset();
-    SILK_RETURN_IF_ERROR(EmitInstance(
-        best_stream->spec->instances[static_cast<size_t>(best_slot)].node_id,
-        pending.key, &pending.values));
-    SILK_RETURN_IF_ERROR(Refill(best_stream));
+  // Drain the smallest pending instance; refill only the stream it came
+  // from, which is the only one whose slots changed.
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), SlotAfter{this});
+    const Slot next = heap_.back();
+    heap_.pop_back();
+    StreamState& s = streams_[next.first];
+    StreamState::Instance& inst = s.instances[next.second];
+    inst.pending = false;
+    --s.live;
+    SILK_RETURN_IF_ERROR(
+        EmitInstance(inst.spec->node_id, inst.key, &inst.values));
+    SILK_RETURN_IF_ERROR(Refill(next.first));
   }
 
-  while (!stack_.empty()) {
+  for (; depth_ > 0; --depth_) {
     SILK_RETURN_IF_ERROR(writer_->EndElement());
-    stack_.pop_back();
   }
   if (!options_.document_element.empty()) {
     SILK_RETURN_IF_ERROR(writer_->EndElement());

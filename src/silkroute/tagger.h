@@ -10,11 +10,17 @@
 // stream's InstanceSpecs, in document order, and merges logical rows across
 // streams by the global interleaved key (L1, identity vars of level 1,
 // L2, ...). Duplicate instances (same full key) are emitted once.
+//
+// Keys are codec-encoded once and ordered by byte compare in a k-way heap
+// (DESIGN.md §10); rows are read in place from the wire and per-row state
+// reuses its storage, so merge/tag allocates nothing per row once warm.
 #ifndef SILKROUTE_SILKROUTE_TAGGER_H_
 #define SILKROUTE_SILKROUTE_TAGGER_H_
 
-#include <optional>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -52,8 +58,10 @@ class Tagger {
   };
 
   Tagger(const ViewTree* tree, xml::XmlWriter* writer, Options options);
+  ~Tagger();
 
-  /// Consumes all streams and writes the document.
+  /// Consumes all streams and writes the document. A corrupt or short
+  /// stream is an error, never a silently truncated document.
   Status Run(std::vector<StreamInput> streams);
 
   const TaggerStats& stats() const { return stats_; }
@@ -61,40 +69,61 @@ class Tagger {
  private:
   struct StreamState;  // runtime cursor per stream
 
+  /// An encoded global key: the concatenated codec segments of all key
+  /// positions, whose byte order is their lexicographic Value order.
+  struct Key {
+    std::string bytes;
+    std::vector<uint32_t> bounds;  // position p is [bounds[p], bounds[p+1])
+    std::string_view Position(size_t p) const {
+      return std::string_view(bytes).substr(bounds[p],
+                                            bounds[p + 1] - bounds[p]);
+    }
+  };
+
+  /// Per view-tree node, resolved once in the constructor.
+  struct NodeInfo {
+    std::vector<int> chain;            // ancestor ids, root..node
+    std::vector<size_t> id_positions;  // key positions of its identity vars
+    std::vector<bool> value_identity;  // per kValue item: identity-backed?
+  };
+
   /// One open-element stack entry.
   struct OpenElement {
     int node_id = -1;
-    std::vector<Value> key;
+    Key key;
   };
 
-  void BuildKeyLayout();
-  Status Refill(StreamState* s);
-  int MinPending(const StreamState& s) const;
-  bool InstancePresent(const StreamState& s, const InstanceSpec& inst) const;
-  void BuildKey(const StreamState& s, const InstanceSpec& inst,
-                std::vector<Value>* key) const;
-  void CaptureValues(const StreamState& s, const InstanceSpec& inst,
-                     std::vector<Value>* values) const;
-  Status EmitInstance(int node_id, const std::vector<Value>& key,
-                      const std::vector<Value>* values);
+  /// A heap entry: (stream index, InstanceSpec slot) of a pending instance.
+  using Slot = std::pair<uint32_t, uint32_t>;
+  struct SlotAfter {  // heap order
+    const Tagger* tagger;
+    bool operator()(const Slot& a, const Slot& b) const;
+  };
+
+  Status Refill(uint32_t stream_index);
+  Status EmitInstance(int node_id, const Key& key,
+                      const std::vector<engine::WireField>* values);
   Status EmitRowContent(const ViewTreeNode& node,
-                        const std::vector<Value>* values, bool opening);
-  Status OpenElement_(int node_id, const std::vector<Value>& key,
-                      const std::vector<Value>* values);
-  bool SameInstanceAt(const std::vector<Value>& open_key,
-                      const std::vector<Value>& new_key, int node_id) const;
+                        const std::vector<engine::WireField>* values,
+                        bool opening);
+  Status OpenElement_(int node_id, const Key& key,
+                      const std::vector<engine::WireField>* values);
 
   const ViewTree* tree_;
   xml::XmlWriter* writer_;
   Options options_;
   TaggerStats stats_;
 
-  // Global key layout.
-  size_t num_positions_ = 0;
-  std::vector<int> label_position_;           // level (1-based) -> position
-  std::map<VarIndex, size_t> var_position_;   // identity var -> position
+  size_t num_positions_ = 0;  // global key layout
+  std::vector<size_t> label_position_;       // level - 1 -> position
+  std::map<VarIndex, size_t> var_position_;  // identity var -> position
 
+  std::vector<NodeInfo> nodes_;
+  std::vector<StreamState> streams_;
+  std::vector<Slot> heap_;  // pending instances, min-heap by SlotAfter
+  // Entries past depth_ keep their buffers for reuse.
   std::vector<OpenElement> stack_;
+  size_t depth_ = 0;
 };
 
 }  // namespace silkroute::core

@@ -150,5 +150,67 @@ TEST(TupleStreamTest, RandomRoundTripProperty) {
   }
 }
 
+TEST(TupleStreamTest, NextFieldsReadsRowsInPlace) {
+  TupleStream stream(MakeRelation({
+      Tuple{Value::Int64(-4), Value::String("xyz")},
+      Tuple{Value::Double(2.5), Value::Null()},
+  }));
+  std::vector<WireField> fields;
+  auto got = stream.NextFields(&fields);
+  ASSERT_TRUE(got.ok() && *got) << got.status();
+  ASSERT_EQ(fields.size(), 2u);
+  EXPECT_EQ(fields[0].kind, WireField::Kind::kInt64);
+  EXPECT_EQ(fields[0].i, -4);
+  EXPECT_EQ(fields[1].kind, WireField::Kind::kString);
+  EXPECT_EQ(fields[1].s, "xyz");
+  // The string is a view into the stream's own wire buffer.
+  const std::string& wire = *stream.shared_wire();
+  EXPECT_GE(fields[1].s.data(), wire.data());
+  EXPECT_LE(fields[1].s.data() + 3, wire.data() + wire.size());
+  got = stream.NextFields(&fields);
+  ASSERT_TRUE(got.ok() && *got);
+  EXPECT_EQ(fields[0].kind, WireField::Kind::kDouble);
+  EXPECT_EQ(fields[0].d, 2.5);
+  EXPECT_EQ(fields[1].kind, WireField::Kind::kNull);
+  got = stream.NextFields(&fields);
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(*got);
+  stream.Rewind();
+  got = stream.NextFields(&fields);
+  ASSERT_TRUE(got.ok() && *got);
+}
+
+TEST(TupleStreamTest, NextFieldsRejectsShortOrCorruptStreams) {
+  TupleStream full(MakeRelation({
+      Tuple{Value::Int64(1), Value::String("a")},
+      Tuple{Value::Int64(2), Value::String("b")},
+  }));
+  const std::string& wire = *full.shared_wire();
+  std::vector<WireField> fields;
+  // Cut at the row boundary: a clean end of stream one row early.
+  TupleStream short_stream(
+      full.schema(),
+      std::make_shared<const std::string>(wire.substr(0, wire.size() / 2)),
+      2);
+  ASSERT_TRUE(*short_stream.NextFields(&fields));
+  EXPECT_EQ(short_stream.NextFields(&fields).status().code(),
+            StatusCode::kInvalidArgument);
+  // Cut inside the last row.
+  TupleStream cut(full.schema(),
+                  std::make_shared<const std::string>(
+                      wire.substr(0, wire.size() - 1)),
+                  2);
+  ASSERT_TRUE(*cut.NextFields(&fields));
+  EXPECT_EQ(cut.NextFields(&fields).status().code(),
+            StatusCode::kInvalidArgument);
+  // A well-formed row whose arity disagrees with the schema.
+  std::string narrow;
+  SerializeTuple(Tuple{Value::Int64(1)}, &narrow);
+  TupleStream mismatched(full.schema(),
+                         std::make_shared<const std::string>(narrow), 1);
+  EXPECT_EQ(mismatched.NextFields(&fields).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace silkroute::engine

@@ -83,10 +83,15 @@ TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Double(2.0).ToString(), "2.0");
 }
 
-TEST(ValueTest, ToXmlText) {
-  EXPECT_EQ(Value::Null().ToXmlText(), "");
-  EXPECT_EQ(Value::Int64(7).ToXmlText(), "7");
-  EXPECT_EQ(Value::String("a<b").ToXmlText(), "a<b");  // escaping is the writer's job
+TEST(ValueTest, XmlNumberText) {
+  char buf[kNumberTextMax];
+  EXPECT_EQ(Int64XmlText(7, buf), "7");
+  EXPECT_EQ(Int64XmlText(INT64_MIN, buf), "-9223372036854775808");
+  EXPECT_EQ(DoubleXmlText(2.0, buf), "2.0");
+  EXPECT_EQ(DoubleXmlText(-0.125, buf), "-0.125");
+  EXPECT_EQ(DoubleXmlText(1.0 / 3, buf), "0.333333");
+  EXPECT_EQ(DoubleXmlText(1e20, buf), "1e+20");
+  EXPECT_EQ(DoubleXmlText(-1.5e-300, buf), "-1.5e-300");
 }
 
 TEST(ValueTest, CompareIsTotalOrderProperty) {

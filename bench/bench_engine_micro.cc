@@ -1,7 +1,8 @@
 // E8 — google-benchmark micro suite for the relational substrate: the
 // operator throughputs that the cost model abstracts (scan+filter, hash
 // join, disjunctive outer join, sort, wire serialization, end-to-end plan
-// execution), plus the client-side merge/tag layer on bound streams.
+// execution, the engine layer of one Query 1 plan), plus the client-side
+// merge/tag layer on bound streams.
 // Context for interpreting the experiment tables.
 #include <benchmark/benchmark.h>
 
@@ -136,6 +137,28 @@ void BM_PublishUnifiedPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PublishUnifiedPlan);
+
+void BM_ExecuteQuery1Unified(benchmark::State& state) {
+  // The engine layer alone: Query 1's unified-plan SQL — one query, two
+  // outer joins over derived tables, a 16-key ORDER BY — executed into a
+  // Relation each iteration, with no bind or tag.
+  static Publisher* publisher = new Publisher(SharedDb());
+  static ViewTree* tree =
+      new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
+  SqlGenerator gen(tree, SqlGenStyle::kOuterJoin, /*reduce=*/true);
+  const std::string sql =
+      gen.GeneratePlan(Partition::Unified(*tree)).value().at(0).sql;
+  for (auto _ : state) {
+    engine::QueryExecutor exec(SharedDb());
+    auto result = exec.ExecuteSql(sql);
+    if (!result.ok()) {
+      state.SkipWithError(result.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_ExecuteQuery1Unified);
 
 /// An ostream sink that drops every byte, so BM_TagQuery1 times the tagger
 /// and the XML writer, not a growing string.

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <memory>
+#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -83,6 +86,25 @@ bool AsColumnEquality(const Expr& e, EquiPair* out) {
   out->left = static_cast<const sql::ColumnRefExpr*>(&b.left());
   out->right = static_cast<const sql::ColumnRefExpr*>(&b.right());
   return true;
+}
+
+/// If `e` equates a column of `left` with a column of `right`, in either
+/// orientation, returns their indices.
+bool CrossSideEquality(const Expr& e, const RelSchema& left,
+                       const RelSchema& right,
+                       std::pair<size_t, size_t>* out) {
+  EquiPair pair;
+  if (!AsColumnEquality(e, &pair)) return false;
+  for (const auto& [l, r] : {std::pair{pair.left, pair.right},
+                             std::pair{pair.right, pair.left}}) {
+    auto li = left.Resolve(l->qualifier(), l->name());
+    auto ri = right.Resolve(r->qualifier(), r->name());
+    if (li.ok() && ri.ok()) {
+      *out = {*li, *ri};
+      return true;
+    }
+  }
+  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,18 +345,11 @@ class EncodedKeyIndex {
   std::vector<uint32_t> next_;
 };
 
-Tuple NullPadded(const Tuple& left, size_t right_width) {
-  Tuple out = left;
-  for (size_t i = 0; i < right_width; ++i) out.Append(Value::Null());
-  return out;
-}
-
-/// The build and probe halves HashJoin and HashJoinPairs share: the
-/// constructor indexes the build (right) side on its key columns, and
-/// First encodes one probe (left) row's key and looks it up. Only the
-/// output step differs between the two joins. Every non-NULL key encoded
-/// on either side counts into `stats`. `Side` is QueryExecutor::Input
-/// (size() and EncodeKey are all the index reads).
+/// The build and probe halves of HashJoin: the constructor indexes the
+/// build (right) side on its key columns, and First encodes one probe
+/// (left) row's key and looks it up. Every non-NULL key encoded on either
+/// side counts into `stats`. `Side` is QueryExecutor::Input (size() and
+/// EncodeKey are all the index reads).
 template <typename Side>
 class EquiJoinIndex {
  public:
@@ -363,8 +378,7 @@ class EquiJoinIndex {
   /// First build row matching probe row `l`, or kNil when there is none
   /// or the probe key is NULL; advance with Next. The chain yields matches
   /// in ascending build-row order (rows were inserted in row order), so
-  /// equal-key output is deterministic in build-row order — which fused
-  /// streams rely on.
+  /// equal-key output is deterministic in build-row order.
   uint32_t First(size_t l) {
     scratch_.clear();
     if (!probe_.EncodeKey(l, probe_cols_, &scratch_)) {
@@ -388,64 +402,282 @@ class EquiJoinIndex {
   std::string scratch_;
 };
 
-}  // namespace
-
-size_t QueryExecutor::Input::size() const {
-  if (table == nullptr) return rel.rows.size();
-  return selection ? selection->size() : table->num_rows();
-}
-
-Value QueryExecutor::Input::Cell(size_t i, size_t c) const {
-  if (table == nullptr) return rel.rows[i].values()[c];
-  return table->column(c).ValueAt(RowId(i));
-}
-
-void QueryExecutor::Input::AppendRow(size_t i, Tuple* out) const {
-  if (table == nullptr) {
-    for (const Value& v : rel.rows[i].values()) out->Append(v);
-    return;
+/// ids[rows[i]] for each i; a kNil row gathers as kNil (outer-join padding).
+std::vector<uint32_t> Gather(const std::vector<uint32_t>& ids,
+                             const std::vector<uint32_t>& rows) {
+  std::vector<uint32_t> out(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out[i] = rows[i] == EncodedKeyIndex::kNil ? EncodedKeyIndex::kNil
+                                              : ids[rows[i]];
   }
-  const size_t row = RowId(i);
-  for (size_t c = 0; c < rel.schema.size(); ++c) {
-    out->Append(read_columns.empty() || read_columns[c]
-                    ? table->column(c).ValueAt(row)
-                    : Value::Null());
-  }
+  return out;
 }
 
-const Tuple& QueryExecutor::Input::RowRef(size_t i, Tuple* scratch) const {
-  if (table == nullptr) return rel.rows[i];
-  *scratch = table->Row(RowId(i));
-  return *scratch;
+std::vector<uint32_t> Iota(size_t n) {
+  std::vector<uint32_t> ids(n);
+  std::iota(ids.begin(), ids.end(), 0u);
+  return ids;
 }
 
-Tuple QueryExecutor::Input::TakeRow(size_t i) {
-  return table == nullptr ? std::move(rel.rows[i]) : table->Row(RowId(i));
-}
-
-bool QueryExecutor::Input::EncodeKey(size_t i, const std::vector<size_t>& cols,
-                                     std::string* out) const {
-  if (table == nullptr) return EncodeJoinKey(rel.rows[i], cols, out);
-  return EncodeTableJoinKey(*table, RowId(i), cols, out);
-}
-
-void QueryExecutor::Input::EncodeCell(size_t i, size_t c, bool descending,
-                                      std::string* out) const {
-  if (table != nullptr) {
-    if (descending) {
-      EncodeColumnValueDescending(table->column(c), RowId(i), out);
-    } else {
-      EncodeColumnValue(table->column(c), RowId(i), out);
-    }
-    return;
-  }
-  const Value& v = rel.rows[i].values()[c];
+void EncodeOrdered(const Value& v, bool descending, std::string* out) {
   if (descending) {
     EncodeValueDescending(v, out);
   } else {
     EncodeValue(v, out);
   }
 }
+
+const Value kNullValue;
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// The row-id batch and its helpers (DESIGN.md §10)
+// ---------------------------------------------------------------------------
+
+/// A row-id batch, the executor's only intermediate. Each source is a base
+/// table read in place or an owned relation (a derived table's result),
+/// and has one id column: `ids[s][i]` is the source-s row behind batch row
+/// i, or kNullRow for the NULL row an outer join pads with. Batch column c
+/// is column `cols[c].col` of source `cols[c].source`. Joins and filters
+/// only move ids; cells are read, encoded, or copied straight from the
+/// sources.
+struct QueryExecutor::Input {
+  static constexpr uint32_t kNullRow = EncodedKeyIndex::kNil;
+  struct Source {
+    const Table* table = nullptr;         // a borrowed base table, or
+    std::shared_ptr<const Relation> rel;  // an owned relation
+  };
+  struct Column {
+    uint32_t source;
+    uint32_t col;
+  };
+
+  RelSchema schema;
+  std::vector<Source> sources;
+  std::vector<std::vector<uint32_t>> ids;
+  std::vector<Column> cols;
+  size_t rows = 0;
+
+  /// The columns of `table`, qualified by `binding`; no rows until
+  /// ScanBaseTable selects them.
+  static Input Borrow(const Table* table, const std::string& binding) {
+    Input in;
+    const auto& columns = table->schema().columns();
+    for (size_t c = 0; c < columns.size(); ++c) {
+      in.schema.Add({binding, columns[c].name});
+      in.cols.push_back({0, static_cast<uint32_t>(c)});
+    }
+    in.sources.push_back({table, nullptr});
+    in.ids.emplace_back();
+    return in;
+  }
+
+  /// Every row of `rel`, which the batch takes over.
+  static Input Own(Relation rel) {
+    Input in;
+    in.schema = std::move(rel.schema);
+    for (size_t c = 0; c < in.schema.size(); ++c) {
+      in.cols.push_back({0, static_cast<uint32_t>(c)});
+    }
+    in.rows = rel.rows.size();
+    in.ids.push_back(Iota(in.rows));
+    in.sources.push_back(
+        {nullptr, std::make_shared<const Relation>(std::move(rel))});
+    return in;
+  }
+
+  /// Row i pairs left row lrows[i] with right row rrows[i] (kNullRow: the
+  /// right side's NULL row). Sources are shared, not copied.
+  static Input Join(const Input& left, const Input& right,
+                    const std::vector<uint32_t>& lrows,
+                    const std::vector<uint32_t>& rrows) {
+    Input out;
+    out.schema = RelSchema::Concat(left.schema, right.schema);
+    out.sources = left.sources;
+    out.sources.insert(out.sources.end(), right.sources.begin(),
+                       right.sources.end());
+    out.cols = left.cols;
+    const auto offset = static_cast<uint32_t>(left.sources.size());
+    for (const Column& c : right.cols) {
+      out.cols.push_back({c.source + offset, c.col});
+    }
+    for (const auto& column : left.ids) {
+      out.ids.push_back(Gather(column, lrows));
+    }
+    for (const auto& column : right.ids) {
+      out.ids.push_back(Gather(column, rrows));
+    }
+    out.rows = lrows.size();
+    return out;
+  }
+
+  size_t size() const { return rows; }
+
+  /// Keeps rows `keep` (batch row indices), in that order.
+  void Keep(const std::vector<uint32_t>& keep) {
+    for (auto& column : ids) column = Gather(column, keep);
+    rows = keep.size();
+  }
+
+  /// Cell (i, c), representation-exact.
+  Value Cell(size_t i, size_t c) const {
+    const Column& col = cols[c];
+    const uint32_t id = ids[col.source][i];
+    if (id == kNullRow) return Value::Null();
+    const Source& s = sources[col.source];
+    return s.table != nullptr ? s.table->column(col.col).ValueAt(id)
+                              : s.rel->rows[id].values()[col.col];
+  }
+
+  /// Join key of row i (EncodeJoinKey's contract: false on a NULL key).
+  bool EncodeKey(size_t i, const std::vector<size_t>& key_cols,
+                 std::string* out) const {
+    for (size_t c : key_cols) {
+      const Column& col = cols[c];
+      const uint32_t id = ids[col.source][i];
+      if (id == kNullRow) return false;
+      const Source& s = sources[col.source];
+      if (s.table != nullptr) {
+        const ColumnVector& column = s.table->column(col.col);
+        if (column.IsNull(id)) return false;
+        EncodeColumnValue(column, id, out);
+      } else {
+        const Value& v = s.rel->rows[id].values()[col.col];
+        if (v.is_null()) return false;
+        EncodeValue(v, out);
+      }
+    }
+    return true;
+  }
+
+  /// Appends the sort-key encoding of cell (i, c).
+  void EncodeCell(size_t i, size_t c, bool descending,
+                  std::string* out) const {
+    const Column& col = cols[c];
+    const uint32_t id = ids[col.source][i];
+    const Source& s = sources[col.source];
+    if (id != kNullRow && s.table != nullptr) {
+      if (descending) {
+        EncodeColumnValueDescending(s.table->column(col.col), id, out);
+      } else {
+        EncodeColumnValue(s.table->column(col.col), id, out);
+      }
+      return;
+    }
+    EncodeOrdered(
+        id == kNullRow ? kNullValue : s.rel->rows[id].values()[col.col],
+        descending, out);
+  }
+};
+
+/// Expressions bound against a batch schema — or the concatenation of two,
+/// for join predicates — evaluated on one reused scratch Tuple that holds
+/// only the columns they read.
+class QueryExecutor::RowExprs {
+ public:
+  Status Add(const Expr& e, const RelSchema& schema) {
+    SILK_ASSIGN_OR_RETURN(BoundExprPtr bound, BindExpr(e, schema));
+    exprs_.push_back(std::move(bound));
+    std::vector<const sql::ColumnRefExpr*> refs;
+    CollectColumnRefs(e, &refs);
+    for (const auto* ref : refs) {
+      // Binding succeeded, so every reference resolves.
+      const size_t c = *schema.Resolve(ref->qualifier(), ref->name());
+      if (std::find(read_.begin(), read_.end(), c) == read_.end()) {
+        read_.push_back(c);
+      }
+    }
+    if (scratch_.size() != schema.size()) scratch_ = Tuple(schema.size());
+    return Status::OK();
+  }
+
+  bool empty() const { return exprs_.empty(); }
+  size_t size() const { return exprs_.size(); }
+
+  /// Loads the read columns through `cell(c)` into the scratch row.
+  template <typename CellFn>
+  const Tuple& LoadWith(const CellFn& cell) {
+    for (size_t c : read_) scratch_[c] = cell(c);
+    return scratch_;
+  }
+  const Tuple& Load(const Input& in, size_t i) {
+    return LoadWith([&](size_t c) { return in.Cell(i, c); });
+  }
+  /// Left row l beside right row r (kNullRow: the right NULL row).
+  const Tuple& Load(const Input& left, size_t l, const Input& right,
+                    uint32_t r) {
+    const size_t width = left.schema.size();
+    return LoadWith([&](size_t c) {
+      if (c < width) return left.Cell(l, c);
+      return r == Input::kNullRow ? Value::Null() : right.Cell(r, c - width);
+    });
+  }
+
+  Value Eval(size_t k, const Tuple& row) const { return exprs_[k]->Eval(row); }
+  /// Every expression tests kTrue.
+  bool AllTrue(const Tuple& row) const {
+    for (const auto& e : exprs_) {
+      if (e->Test(row) != Tribool::kTrue) return false;
+    }
+    return true;
+  }
+  bool Test(const Input& in, size_t i) { return AllTrue(Load(in, i)); }
+  bool Test(const Input& left, size_t l, const Input& right, uint32_t r) {
+    return AllTrue(Load(left, l, right, r));
+  }
+
+ private:
+  std::vector<BoundExprPtr> exprs_;
+  std::vector<size_t> read_;
+  Tuple scratch_;
+};
+
+/// One SELECT core, joined and filtered but not projected: the batch plus,
+/// per select item, where its values come from.
+struct QueryExecutor::Core {
+  /// Where a select item's values come from: batch column `index`,
+  /// expression `index` of `exprs`, or `constants[index]`.
+  struct Item {
+    enum class Kind { kColumn, kExpr, kConstant } kind;
+    size_t index;
+  };
+
+  Input in;
+  RelSchema schema;  // the select list's output columns
+  std::vector<Item> items;
+  RowExprs exprs;
+  std::vector<Value> constants;
+  bool distinct = false;
+
+  /// Output cell (i, j).
+  Value ItemValue(size_t i, size_t j) {
+    const Item& item = items[j];
+    switch (item.kind) {
+      case Item::Kind::kColumn:
+        return in.Cell(i, item.index);
+      case Item::Kind::kExpr:
+        return exprs.Eval(item.index, exprs.Load(in, i));
+      case Item::Kind::kConstant:
+        break;
+    }
+    return constants[item.index];
+  }
+
+  /// Appends the ascending key encoding of output cell (i, j).
+  void EncodeItem(size_t i, size_t j, std::string* out) {
+    const Item& item = items[j];
+    if (item.kind == Item::Kind::kColumn) {
+      in.EncodeCell(i, item.index, false, out);
+    } else {
+      EncodeValue(ItemValue(i, j), out);
+    }
+  }
+};
+
+// ---------------------------------------------------------------------------
+// QueryExecutor
+// ---------------------------------------------------------------------------
 
 Result<Relation> QueryExecutor::ExecuteSql(std::string_view sql_text) {
   // The timeout caps each query, not the executor: re-arm the deadline so a
@@ -459,6 +691,8 @@ Result<Relation> QueryExecutor::ExecuteSql(std::string_view sql_text) {
   if (result.ok() && obs::CurrentSpan() != nullptr) {
     obs::AnnotateCurrent("rows_scanned", std::to_string(stats_.rows_scanned));
     obs::AnnotateCurrent("rows_joined", std::to_string(stats_.rows_joined));
+    obs::AnnotateCurrent("cells_materialized",
+                         std::to_string(stats_.cells_materialized));
     obs::AnnotateCurrent("hash_joins", std::to_string(stats_.hash_joins));
     obs::AnnotateCurrent("nested_loop_joins",
                          std::to_string(stats_.nested_loop_joins));
@@ -490,179 +724,119 @@ Result<Relation> QueryExecutor::Execute(const sql::Query& query) {
                 std::chrono::microseconds(
                     static_cast<int64_t>(timeout_ms_ * 1000));
   }
-  Relation result;
-  // ORDER BY keys outside the select list read the aligned input of a
-  // single-core query.
-  std::optional<Input> aligned;
-  for (size_t i = 0; i < query.cores.size(); ++i) {
-    SILK_ASSIGN_OR_RETURN(CoreResult part,
-                          ExecuteCore(query.cores[i], query.order_by));
-    if (i == 0) {
-      result = std::move(part.output);
-      if (query.cores.size() == 1) aligned = std::move(part.aligned_input);
-    } else {
-      if (part.output.schema.size() != result.schema.size()) {
-        return Status::InvalidArgument(
-            "UNION operands have different arities (" +
-            std::to_string(result.schema.size()) + " vs " +
-            std::to_string(part.output.schema.size()) + ")");
-      }
-      result.rows.insert(result.rows.end(),
-                         std::make_move_iterator(part.output.rows.begin()),
-                         std::make_move_iterator(part.output.rows.end()));
+  std::vector<Core> cores;
+  cores.reserve(query.cores.size());
+  for (const auto& select : query.cores) {
+    SILK_ASSIGN_OR_RETURN(Core core, ExecuteCore(select));
+    if (!cores.empty() && core.items.size() != cores[0].items.size()) {
+      return Status::InvalidArgument(
+          "UNION operands have different arities (" +
+          std::to_string(cores[0].items.size()) + " vs " +
+          std::to_string(core.items.size()) + ")");
     }
+    cores.push_back(std::move(core));
   }
+  std::vector<uint32_t> order;
   if (!query.order_by.empty()) {
-    SILK_RETURN_IF_ERROR(ApplyOrderBy(
-        query, aligned.has_value() ? &*aligned : nullptr, &result));
+    SILK_ASSIGN_OR_RETURN(order, SortRows(query.order_by, cores));
   }
-  return result;
+  return BuildResult(cores, query.order_by.empty() ? nullptr : &order);
 }
 
-Result<QueryExecutor::CoreResult> QueryExecutor::ExecuteCore(
-    const sql::SelectCore& core, const std::vector<sql::OrderItem>& order_by) {
-  SILK_ASSIGN_OR_RETURN(Input in, JoinFromList(core, order_by));
-  CoreResult result;
-  Relation& out = result.output;
-  const size_t n = in.size();
-  if (core.select_star) {
-    out.schema = std::move(in.rel.schema);
-    out.rows.reserve(n);
-    for (size_t i = 0; i < n; ++i) out.rows.push_back(in.TakeRow(i));
-    return result;
-  }
-
-  // Bind projection expressions.
-  std::vector<BoundExprPtr> exprs;
-  exprs.reserve(core.select_list.size());
-  for (const auto& item : core.select_list) {
-    SILK_ASSIGN_OR_RETURN(BoundExprPtr bound,
-                          BindExpr(*item.expr, in.rel.schema));
-    exprs.push_back(std::move(bound));
-    if (!item.alias.empty()) {
-      out.schema.Add({"", item.alias});
-    } else if (item.expr->kind() == Expr::Kind::kColumnRef) {
-      const auto& c = static_cast<const sql::ColumnRefExpr&>(*item.expr);
-      out.schema.Add({c.qualifier(), c.name()});
-    } else {
-      out.schema.Add({"", "col" + std::to_string(out.schema.size() + 1)});
+Result<QueryExecutor::Core> QueryExecutor::ExecuteCore(
+    const sql::SelectCore& select) {
+  Core core;
+  SILK_ASSIGN_OR_RETURN(core.in, JoinFromList(select));
+  const RelSchema& in_schema = core.in.schema;
+  if (select.select_star) {
+    core.schema = in_schema;
+    for (size_t c = 0; c < in_schema.size(); ++c) {
+      core.items.push_back({Core::Item::Kind::kColumn, c});
     }
   }
-
-  // Column refs (the view composer's usual select items) copy cells by
-  // index — a borrowed table's straight from its columns, so filter and
-  // projection fuse with no intermediate row copy. Other items evaluate
-  // their bound expression, against the whole row only when one of them
-  // reads a column (a literal tag such as `1 as t` needs none).
-  std::vector<int> direct_cols(core.select_list.size(), -1);
-  bool needs_row = false;
-  for (size_t j = 0; j < core.select_list.size(); ++j) {
-    const Expr& e = *core.select_list[j].expr;
-    if (e.kind() == Expr::Kind::kColumnRef) {
-      const auto& c = static_cast<const sql::ColumnRefExpr&>(e);
-      direct_cols[j] =
-          static_cast<int>(*in.rel.schema.Resolve(c.qualifier(), c.name()));
-      continue;
-    }
+  // Each item resolves once: a column ref to its batch column, an item
+  // that reads no column (`1 as L1`, `NULL as v`) to its value, anything
+  // else to an expression evaluated per row.
+  for (const auto& item : select.select_list) {
+    const Expr& e = *item.expr;
     std::vector<const sql::ColumnRefExpr*> refs;
     CollectColumnRefs(e, &refs);
-    needs_row = needs_row || !refs.empty();
-  }
-
-  if (in.projected) {
-    // JoinFromList already produced the projected rows.
-    out.rows = std::move(in.rel.rows);
-  } else {
-    out.rows.reserve(n);
-    Tuple scratch;
-    const Tuple no_columns;
-    for (size_t i = 0; i < n; ++i) {
-      const Tuple& row = needs_row ? in.RowRef(i, &scratch) : no_columns;
-      Tuple projected;
-      projected.mutable_values().reserve(exprs.size());
-      for (size_t j = 0; j < exprs.size(); ++j) {
-        projected.Append(direct_cols[j] >= 0
-                             ? in.Cell(i, static_cast<size_t>(direct_cols[j]))
-                             : exprs[j]->Eval(row));
-      }
-      out.rows.push_back(std::move(projected));
+    if (e.kind() == Expr::Kind::kColumnRef) {
+      const auto& c = static_cast<const sql::ColumnRefExpr&>(e);
+      SILK_ASSIGN_OR_RETURN(size_t idx,
+                            in_schema.Resolve(c.qualifier(), c.name()));
+      core.items.push_back({Core::Item::Kind::kColumn, idx});
+    } else if (refs.empty()) {
+      SILK_ASSIGN_OR_RETURN(BoundExprPtr bound, BindExpr(e, in_schema));
+      core.items.push_back(
+          {Core::Item::Kind::kConstant, core.constants.size()});
+      core.constants.push_back(bound->Eval(Tuple()));
+    } else {
+      core.items.push_back({Core::Item::Kind::kExpr, core.exprs.size()});
+      SILK_RETURN_IF_ERROR(core.exprs.Add(e, in_schema));
+    }
+    if (!item.alias.empty()) {
+      core.schema.Add({"", item.alias});
+    } else if (e.kind() == Expr::Kind::kColumnRef) {
+      const auto& c = static_cast<const sql::ColumnRefExpr&>(e);
+      core.schema.Add({c.qualifier(), c.name()});
+    } else {
+      core.schema.Add({"", "col" + std::to_string(core.schema.size() + 1)});
     }
   }
-  if (core.distinct) {
-    // Dedup on packed whole-row keys: each row is encoded once into a
-    // contiguous byte string, so hashing and equality are single byte
-    // passes instead of a variant walk of t.values() per probe. NULL ==
-    // NULL here, as before (Tuple::Compare identity, not SqlEquals).
-    // DISTINCT breaks row alignment, so no aligned input survives it.
+  core.distinct = select.distinct;
+  if (select.distinct) {
+    // Dedup on packed whole-row keys encoded straight from the batch: each
+    // row is encoded once into a contiguous byte string, so hashing and
+    // equality are single byte passes. NULL == NULL here (Tuple::Compare
+    // identity, not SqlEquals); the first row of each group survives.
     KeyArena arena;
     std::unordered_set<std::string_view> seen;
-    seen.reserve(out.rows.size());
-    std::vector<Tuple> unique;
-    unique.reserve(out.rows.size());
+    seen.reserve(core.in.size());
+    std::vector<uint32_t> keep;
     std::string scratch;
-    for (auto& row : out.rows) {
+    for (size_t i = 0; i < core.in.size(); ++i) {
+      SILK_RETURN_IF_ERROR(Tick());
       scratch.clear();
-      EncodeRowKey(row, &scratch);
+      for (size_t j = 0; j < core.items.size(); ++j) {
+        core.EncodeItem(i, j, &scratch);
+      }
       ++stats_.keys_encoded;
       stats_.bytes_encoded += scratch.size();
       if (seen.find(scratch) == seen.end()) {
         seen.insert(arena.Intern(scratch));
-        unique.push_back(std::move(row));
+        keep.push_back(static_cast<uint32_t>(i));
       }
     }
-    out.rows = std::move(unique);
-  } else if (!in.projected) {
-    result.aligned_input = std::move(in);
+    core.in.Keep(keep);
   }
-  return result;
+  return core;
 }
 
 Result<QueryExecutor::Input> QueryExecutor::JoinFromList(
-    const sql::SelectCore& core, const std::vector<sql::OrderItem>& order_by) {
+    const sql::SelectCore& core) {
   if (core.from.empty()) {
-    // `select <literals>`: one empty source row.
+    // `select <literals>`: one row of no columns.
     Input none;
-    none.rel.rows.emplace_back();
+    none.rows = 1;
     return none;
   }
 
-  // Every reference that can read a base-table cell of this core: the
-  // select list, WHERE, and ORDER BY (which may sort on the input).
-  std::vector<const sql::ColumnRefExpr*> refs;
-  for (const auto& item : core.select_list) {
-    CollectColumnRefs(*item.expr, &refs);
-  }
-  if (core.where) CollectColumnRefs(*core.where, &refs);
-  for (const auto& o : order_by) CollectColumnRefs(*o.expr, &refs);
-
-  // Evaluate each FROM item. Base tables stay in place (schema only): the
-  // pushdown filters below scan them into row-id selections.
+  // Evaluate each FROM item. Base tables stay in place: the pushdown
+  // filters below scan them into ascending row-id selections.
   std::vector<Input> items;
+  std::vector<bool> is_base;
   items.reserve(core.from.size());
   for (const auto& ref : core.from) {
-    if (ref->kind() == sql::TableRef::Kind::kBaseTable) {
+    is_base.push_back(ref->kind() == sql::TableRef::Kind::kBaseTable);
+    if (is_base.back()) {
       const auto& base = static_cast<const sql::BaseTableRef&>(*ref);
       SILK_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(base.table()));
-      Input item;
-      for (const auto& col : table->schema().columns()) {
-        item.rel.schema.Add({base.binding_name(), col.name});
-      }
-      item.table = table;
-      if (!core.select_star) {
-        item.read_columns.assign(table->schema().num_columns(), false);
-        for (const sql::ColumnRefExpr* r : refs) {
-          auto c = table->schema().FindColumn(r->name());
-          if (c && (r->qualifier().empty() ||
-                    r->qualifier() == base.binding_name())) {
-            item.read_columns[*c] = true;
-          }
-        }
-      }
-      items.push_back(std::move(item));
+      items.push_back(Input::Borrow(table, base.binding_name()));
       continue;
     }
-    SILK_ASSIGN_OR_RETURN(Relation rel, EvalTableRef(*ref));
-    items.push_back(Input{std::move(rel)});
+    SILK_ASSIGN_OR_RETURN(Input item, EvalTableRef(*ref));
+    items.push_back(std::move(item));
   }
 
   // Classify WHERE conjuncts.
@@ -671,7 +845,7 @@ Result<QueryExecutor::Input> QueryExecutor::JoinFromList(
 
   std::vector<const RelSchema*> schemas;
   schemas.reserve(items.size());
-  for (const auto& it : items) schemas.push_back(&it.rel.schema);
+  for (const auto& it : items) schemas.push_back(&it.schema);
 
   struct JoinPred {
     const Expr* expr;
@@ -703,48 +877,12 @@ Result<QueryExecutor::Input> QueryExecutor::JoinFromList(
     residual.push_back(c);
   }
 
-  // Push single-item filters down. A base table scans into a selection
-  // and stays borrowed; other items filter their own rows.
+  // Push single-item filters down: a base table scans into a selection,
+  // other items filter their own rows.
   for (size_t i = 0; i < items.size(); ++i) {
-    if (items[i].table != nullptr) {
-      SILK_RETURN_IF_ERROR(ScanBaseTable(pushdown[i], &items[i]));
-      continue;
-    }
-    if (pushdown[i].empty()) continue;
-    std::vector<BoundExprPtr> filters;
-    for (const Expr* e : pushdown[i]) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, items[i].rel.schema));
-      filters.push_back(std::move(b));
-    }
-    std::vector<Tuple> kept;
-    kept.reserve(items[i].rel.rows.size());
-    for (auto& row : items[i].rel.rows) {
-      bool pass = true;
-      for (const auto& f : filters) {
-        if (f->Test(row) != Tribool::kTrue) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) kept.push_back(std::move(row));
-    }
-    items[i].rel.rows = std::move(kept);
+    SILK_RETURN_IF_ERROR(is_base[i] ? ScanBaseTable(pushdown[i], &items[i])
+                                    : FilterRows(pushdown[i], &items[i]));
   }
-
-  // Projection fusion: when every select item is a plain column ref, the
-  // final greedy join can emit row-id pairs and project straight off its
-  // inputs, skipping the wide concatenated tuples entirely (provided no
-  // residual predicate survives — checked after the join loop).
-  const bool can_fuse =
-      order_by.empty() && !core.select_star && items.size() > 1 &&
-      std::all_of(core.select_list.begin(), core.select_list.end(),
-                  [](const sql::SelectItem& item) {
-                    return item.expr->kind() == Expr::Kind::kColumnRef;
-                  });
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  bool have_pairs = false;
-  size_t pair_cand = 0;
-  std::vector<size_t> fuse_cols;  // select columns in the wide schema
 
   // Greedy hash-join order: start with item 0, repeatedly join the smallest
   // connected unjoined item.
@@ -792,21 +930,16 @@ Result<QueryExecutor::Input> QueryExecutor::JoinFromList(
 
     if (cross_product) {
       // No up-front reserve: the output can be far larger than memory, and
-      // the deadline (checked every 256 emitted rows) is what bounds it.
-      Relation combined;
-      combined.schema = RelSchema::Concat(current.rel.schema, right.rel.schema);
-      size_t emitted = 0;
-      for (size_t l = 0; l < current.size(); ++l) {
-        for (size_t r = 0; r < right.size(); ++r) {
-          Tuple row;
-          row.mutable_values().reserve(combined.schema.size());
-          current.AppendRow(l, &row);
-          right.AppendRow(r, &row);
-          combined.rows.push_back(std::move(row));
-          if ((++emitted & 0xFF) == 0) SILK_RETURN_IF_ERROR(CheckDeadline());
+      // the deadline (checked on emitted rows) is what bounds it.
+      std::vector<uint32_t> lrows, rrows;
+      for (uint32_t l = 0; l < current.size(); ++l) {
+        for (uint32_t r = 0; r < right.size(); ++r) {
+          SILK_RETURN_IF_ERROR(Tick());
+          lrows.push_back(l);
+          rrows.push_back(r);
         }
       }
-      current = Input{std::move(combined)};
+      current = Input::Join(current, right, lrows, rrows);
     } else {
       // Gather all usable predicates between the joined set and `cand`.
       std::vector<std::pair<size_t, size_t>> keys;
@@ -816,172 +949,85 @@ Result<QueryExecutor::Input> QueryExecutor::JoinFromList(
             joined[static_cast<size_t>(p.item_a)] ? p.ref_a : p.ref_b;
         const sql::ColumnRefExpr* right_ref =
             joined[static_cast<size_t>(p.item_a)] ? p.ref_b : p.ref_a;
-        auto li = current.rel.schema.Resolve(left_ref->qualifier(),
-                                             left_ref->name());
+        auto li = current.schema.Resolve(left_ref->qualifier(),
+                                         left_ref->name());
         auto ri =
-            right.rel.schema.Resolve(right_ref->qualifier(), right_ref->name());
+            right.schema.Resolve(right_ref->qualifier(), right_ref->name());
         if (!li.ok() || !ri.ok()) continue;
         keys.emplace_back(*li, *ri);
         p.used = true;
       }
-      if (can_fuse && num_joined + 1 == items.size()) {
-        RelSchema wide =
-            RelSchema::Concat(current.rel.schema, right.rel.schema);
-        fuse_cols.clear();
-        bool resolved = true;
-        for (const auto& item : core.select_list) {
-          const auto& c = static_cast<const sql::ColumnRefExpr&>(*item.expr);
-          auto idx = wide.Resolve(c.qualifier(), c.name());
-          if (!idx.ok()) {
-            resolved = false;
-            break;
-          }
-          fuse_cols.push_back(*idx);
-        }
-        if (resolved) {
-          SILK_ASSIGN_OR_RETURN(pairs, HashJoinPairs(current, right, keys));
-          have_pairs = true;
-          pair_cand = cand;
-          joined[cand] = true;
-          ++num_joined;
-          continue;  // num_joined == items.size(): exits the loop
-        }
-      }
-      SILK_ASSIGN_OR_RETURN(
-          Relation joined_rel,
-          HashJoin(sql::JoinType::kInner, current, right, keys,
-                   /*residual=*/nullptr));
-      current = Input{std::move(joined_rel)};
+      SILK_ASSIGN_OR_RETURN(current, HashJoin(sql::JoinType::kInner, current,
+                                              right, keys, {}, {}));
     }
     joined[cand] = true;
     ++num_joined;
   }
 
   // Residual predicates (including any join predicates never used).
-  std::vector<const Expr*> leftover = residual;
   for (const auto& p : join_preds) {
-    if (!p.used) leftover.push_back(p.expr);
+    if (!p.used) residual.push_back(p.expr);
   }
-  if (have_pairs) {
-    const Input& right = items[pair_cand];
-    const size_t left_width = current.rel.schema.size();
-    Relation joined_rel;
-    joined_rel.schema = RelSchema::Concat(current.rel.schema, right.rel.schema);
-    joined_rel.rows.reserve(pairs.size());
-    if (leftover.empty()) {
-      // Project straight off the join inputs: the wide tuples never exist.
-      for (const auto& [li, ri] : pairs) {
-        Tuple t;
-        t.mutable_values().reserve(fuse_cols.size());
-        for (size_t c : fuse_cols) {
-          t.Append(c < left_width ? current.Cell(li, c)
-                                  : right.Cell(ri, c - left_width));
-        }
-        joined_rel.rows.push_back(std::move(t));
-      }
-      Input fused{std::move(joined_rel)};
-      fused.projected = true;
-      return fused;
-    }
-    // A residual predicate needs the wide rows after all: materialize them
-    // from the pairs (same order HashJoin would have emitted).
-    for (const auto& [li, ri] : pairs) {
-      Tuple t;
-      t.mutable_values().reserve(joined_rel.schema.size());
-      current.AppendRow(li, &t);
-      right.AppendRow(ri, &t);
-      joined_rel.rows.push_back(std::move(t));
-    }
-    current = Input{std::move(joined_rel)};
-  }
-  if (!leftover.empty()) {
-    std::vector<BoundExprPtr> filters;
-    for (const Expr* e : leftover) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, current.rel.schema));
-      filters.push_back(std::move(b));
-    }
-    std::vector<Tuple> kept;
-    for (size_t i = 0; i < current.size(); ++i) {
-      Tuple row = current.TakeRow(i);
-      bool pass = true;
-      for (const auto& f : filters) {
-        if (f->Test(row) != Tribool::kTrue) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) kept.push_back(std::move(row));
-    }
-    current.rel.rows = std::move(kept);
-    current.table = nullptr;
-    current.selection.reset();
-  }
+  SILK_RETURN_IF_ERROR(FilterRows(residual, &current));
   return current;
+}
+
+Status QueryExecutor::FilterRows(const std::vector<const Expr*>& filters,
+                                 Input* in) {
+  if (filters.empty()) return Status::OK();
+  RowExprs preds;
+  for (const Expr* e : filters) {
+    SILK_RETURN_IF_ERROR(preds.Add(*e, in->schema));
+  }
+  std::vector<uint32_t> keep;
+  for (size_t i = 0; i < in->size(); ++i) {
+    SILK_RETURN_IF_ERROR(Tick());
+    if (preds.Test(*in, i)) keep.push_back(static_cast<uint32_t>(i));
+  }
+  in->Keep(keep);
+  return Status::OK();
 }
 
 Status QueryExecutor::ScanBaseTable(
     const std::vector<const sql::Expr*>& filters, Input* in) {
-  const Table& table = *in->table;
+  const Table& table = *in->sources[0].table;
   const size_t n = table.num_rows();
   stats_.rows_scanned += n;
-  if (filters.empty()) return Status::OK();  // every row, in place
-
-  std::vector<uint32_t> selection;
   std::vector<ColPred> preds;
-  if (CompileColumnPreds(filters, in->rel.schema, &preds)) {
-    // A NULL-literal comparison passes no row.
-    const bool never =
-        std::any_of(preds.begin(), preds.end(),
-                    [](const ColPred& p) { return p.op == ColOp::kNever; });
-    for (size_t r = 0; r < n && !never; ++r) {
-      bool pass = true;
-      for (const ColPred& p : preds) {
-        if (!EvalColPred(table.column(p.col), r, p)) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) selection.push_back(static_cast<uint32_t>(r));
-    }
-  } else {
-    std::vector<BoundExprPtr> bound;
-    bound.reserve(filters.size());
-    for (const sql::Expr* e : filters) {
-      SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*e, in->rel.schema));
-      bound.push_back(std::move(b));
-    }
-    for (size_t r = 0; r < n; ++r) {
-      const Tuple row = table.Row(r);
-      bool pass = true;
-      for (const auto& f : bound) {
-        if (f->Test(row) != Tribool::kTrue) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) selection.push_back(static_cast<uint32_t>(r));
-    }
+  if (filters.empty() || !CompileColumnPreds(filters, in->schema, &preds)) {
+    in->ids[0] = Iota(n);
+    in->rows = n;
+    return FilterRows(filters, in);
   }
-  in->selection = std::move(selection);
+  std::vector<uint32_t> selection;
+  // A NULL-literal comparison passes no row.
+  const bool never =
+      std::any_of(preds.begin(), preds.end(),
+                  [](const ColPred& p) { return p.op == ColOp::kNever; });
+  for (size_t r = 0; r < n && !never; ++r) {
+    bool pass = true;
+    for (const ColPred& p : preds) {
+      if (!EvalColPred(table.column(p.col), r, p)) {
+        pass = false;
+        break;
+      }
+    }
+    if (pass) selection.push_back(static_cast<uint32_t>(r));
+  }
+  in->ids[0] = std::move(selection);
+  in->rows = in->ids[0].size();
   return Status::OK();
 }
 
-Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
+Result<QueryExecutor::Input> QueryExecutor::EvalTableRef(
+    const sql::TableRef& ref) {
   switch (ref.kind()) {
     case sql::TableRef::Kind::kBaseTable: {
       const auto& base = static_cast<const sql::BaseTableRef&>(ref);
       SILK_ASSIGN_OR_RETURN(const Table* table, db_->GetTable(base.table()));
-      Relation rel;
-      for (const auto& col : table->schema().columns()) {
-        rel.schema.Add({base.binding_name(), col.name});
-      }
-      // Intermediate results are mutable: materialize from the columns.
-      rel.rows.reserve(table->num_rows());
-      for (size_t r = 0; r < table->num_rows(); ++r) {
-        rel.rows.push_back(table->Row(r));
-      }
-      stats_.rows_scanned += rel.rows.size();
-      return rel;
+      Input in = Input::Borrow(table, base.binding_name());
+      SILK_RETURN_IF_ERROR(ScanBaseTable({}, &in));
+      return in;
     }
     case sql::TableRef::Kind::kDerivedTable: {
       const auto& derived = static_cast<const sql::DerivedTableRef&>(ref);
@@ -990,7 +1036,7 @@ Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
       // its counters accumulate into this query's.
       SILK_ASSIGN_OR_RETURN(Relation rel, Execute(derived.query()));
       rel.schema = rel.schema.WithQualifier(derived.alias());
-      return rel;
+      return Input::Own(std::move(rel));
     }
     case sql::TableRef::Kind::kJoin:
       return EvalJoin(static_cast<const sql::JoinRef&>(ref));
@@ -998,137 +1044,99 @@ Result<Relation> QueryExecutor::EvalTableRef(const sql::TableRef& ref) {
   return Status::Internal("unknown table ref kind");
 }
 
-Result<Relation> QueryExecutor::EvalJoin(const sql::JoinRef& join) {
-  SILK_ASSIGN_OR_RETURN(Relation left, EvalTableRef(join.left()));
-  SILK_ASSIGN_OR_RETURN(Relation right, EvalTableRef(join.right()));
-  return JoinRelations(join.join_type(), std::move(left), std::move(right),
-                       join.on());
-}
+Result<QueryExecutor::Input> QueryExecutor::EvalJoin(const sql::JoinRef& join) {
+  SILK_ASSIGN_OR_RETURN(Input left, EvalTableRef(join.left()));
+  SILK_ASSIGN_OR_RETURN(Input right, EvalTableRef(join.right()));
+  const sql::JoinType type = join.join_type();
+  const sql::Expr& on = join.on();
 
-Result<Relation> QueryExecutor::JoinRelations(sql::JoinType type,
-                                              Relation left, Relation right,
-                                              const sql::Expr& on) {
   // Case 1: conjunction with at least one column equality -> hash join.
-  {
-    std::vector<const Expr*> conjuncts;
-    CollectConjuncts(on, &conjuncts);
-    std::vector<std::pair<size_t, size_t>> keys;
-    std::vector<const Expr*> residual_parts;
-    for (const Expr* c : conjuncts) {
-      EquiPair pair;
-      if (AsColumnEquality(*c, &pair)) {
-        auto li = left.schema.Resolve(pair.left->qualifier(), pair.left->name());
-        auto ri =
-            right.schema.Resolve(pair.right->qualifier(), pair.right->name());
-        if (li.ok() && ri.ok()) {
-          keys.emplace_back(*li, *ri);
-          continue;
-        }
-        // Try swapped orientation.
-        li = left.schema.Resolve(pair.right->qualifier(), pair.right->name());
-        ri = right.schema.Resolve(pair.left->qualifier(), pair.left->name());
-        if (li.ok() && ri.ok()) {
-          keys.emplace_back(*li, *ri);
-          continue;
-        }
-      }
-      residual_parts.push_back(c);
+  // The other conjuncts split by side: one naming only the build side
+  // filters it before indexing, one naming only the probe side gates
+  // matching (an outer join still pads the row), the rest test each
+  // candidate pair.
+  std::vector<const Expr*> conjuncts;
+  CollectConjuncts(on, &conjuncts);
+  std::vector<std::pair<size_t, size_t>> keys;
+  std::vector<const Expr*> probe_only, build_only, residual;
+  const std::vector<const RelSchema*> schemas = {&left.schema, &right.schema};
+  for (const Expr* c : conjuncts) {
+    std::pair<size_t, size_t> key;
+    if (CrossSideEquality(*c, left.schema, right.schema, &key)) {
+      keys.push_back(key);
+      continue;
     }
-    if (!keys.empty()) {
-      sql::ExprPtr residual_expr;
-      if (!residual_parts.empty()) {
-        std::vector<sql::ExprPtr> clones;
-        clones.reserve(residual_parts.size());
-        for (const Expr* e : residual_parts) clones.push_back(e->Clone());
-        residual_expr = sql::AndAll(std::move(clones));
-      }
-      return HashJoin(type, Input{std::move(left)}, Input{std::move(right)},
-                      keys, residual_expr.get());
+    switch (SoleReferencedRelation(*c, schemas)) {
+      case 0:
+        probe_only.push_back(c);
+        break;
+      case 1:
+        build_only.push_back(c);
+        break;
+      default:
+        residual.push_back(c);
     }
+  }
+  if (!keys.empty()) {
+    SILK_RETURN_IF_ERROR(FilterRows(build_only, &right));
+    return HashJoin(type, left, right, keys, probe_only, residual);
   }
 
   // Case 2: OR of conjunctions, each with column equalities -> disjunctive
   // hash join (the unified outer-join query shape).
-  {
-    auto result = DisjunctiveHashJoin(type, left, right, on);
-    if (result.ok()) return result;
-    // fall through to nested loop on decomposition failure
-  }
-
+  auto result = DisjunctiveHashJoin(type, left, right, on);
+  if (result.ok()) return result;
+  // fall through to nested loop on decomposition failure
   return NestedLoopJoin(type, left, right, on);
 }
 
-Result<Relation> QueryExecutor::HashJoin(
+Result<QueryExecutor::Input> QueryExecutor::HashJoin(
     sql::JoinType type, const Input& left, const Input& right,
     const std::vector<std::pair<size_t, size_t>>& keys,
-    const sql::Expr* residual) {
-  Relation out;
-  out.schema = RelSchema::Concat(left.rel.schema, right.rel.schema);
-
-  BoundExprPtr residual_bound;
-  if (residual != nullptr) {
-    SILK_ASSIGN_OR_RETURN(residual_bound, BindExpr(*residual, out.schema));
+    const std::vector<const Expr*>& probe_only,
+    const std::vector<const Expr*>& residual) {
+  RowExprs gate;
+  for (const Expr* e : probe_only) {
+    SILK_RETURN_IF_ERROR(gate.Add(*e, left.schema));
+  }
+  RowExprs pair_preds;
+  if (!residual.empty()) {
+    const RelSchema both = RelSchema::Concat(left.schema, right.schema);
+    for (const Expr* e : residual) {
+      SILK_RETURN_IF_ERROR(pair_preds.Add(*e, both));
+    }
   }
 
   EquiJoinIndex<Input> join(left, right, keys, &stats_);
   ++stats_.hash_joins;
-  const size_t left_width = left.rel.schema.size();
-  const size_t width = out.schema.size();
-  size_t deadline_check = 0;
-  for (size_t l = 0; l < left.size(); ++l) {
-    if ((++deadline_check & 0xFF) == 0) {
-      SILK_RETURN_IF_ERROR(CheckDeadline());
-    }
+  std::vector<uint32_t> lrows, rrows;
+  for (uint32_t l = 0; l < left.size(); ++l) {
+    SILK_RETURN_IF_ERROR(Tick());
     bool matched = false;
-    for (uint32_t r = join.First(l); r != EncodedKeyIndex::kNil;
-         r = join.Next(r)) {
-      Tuple combined;
-      combined.mutable_values().reserve(width);
-      left.AppendRow(l, &combined);
-      right.AppendRow(r, &combined);
-      if (residual_bound &&
-          residual_bound->Test(combined) != Tribool::kTrue) {
-        continue;
+    if (gate.empty() || gate.Test(left, l)) {
+      for (uint32_t r = join.First(l); r != EncodedKeyIndex::kNil;
+           r = join.Next(r)) {
+        if (!pair_preds.empty() && !pair_preds.Test(left, l, right, r)) {
+          continue;
+        }
+        SILK_RETURN_IF_ERROR(Tick());
+        matched = true;
+        lrows.push_back(l);
+        rrows.push_back(r);
       }
-      matched = true;
-      out.rows.push_back(std::move(combined));
     }
     if (!matched && type == sql::JoinType::kLeftOuter) {
-      Tuple padded;
-      padded.mutable_values().reserve(width);
-      left.AppendRow(l, &padded);
-      for (size_t c = left_width; c < width; ++c) padded.Append(Value::Null());
-      out.rows.push_back(std::move(padded));
+      lrows.push_back(l);
+      rrows.push_back(Input::kNullRow);
     }
   }
-  stats_.rows_joined += out.rows.size();
-  return out;
+  stats_.rows_joined += lrows.size();
+  return Input::Join(left, right, lrows, rrows);
 }
 
-Result<std::vector<std::pair<uint32_t, uint32_t>>> QueryExecutor::HashJoinPairs(
-    const Input& left, const Input& right,
-    const std::vector<std::pair<size_t, size_t>>& keys) {
-  EquiJoinIndex<Input> join(left, right, keys, &stats_);
-  ++stats_.hash_joins;
-  std::vector<std::pair<uint32_t, uint32_t>> pairs;
-  size_t deadline_check = 0;
-  for (uint32_t l = 0; l < left.size(); ++l) {
-    if ((++deadline_check & 0xFF) == 0) {
-      SILK_RETURN_IF_ERROR(CheckDeadline());
-    }
-    for (uint32_t r = join.First(l); r != EncodedKeyIndex::kNil;
-         r = join.Next(r)) {
-      pairs.emplace_back(l, r);
-    }
-  }
-  stats_.rows_joined += pairs.size();
-  return pairs;
-}
-
-Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
-                                                    Relation& left,
-                                                    Relation& right,
-                                                    const sql::Expr& on) {
+Result<QueryExecutor::Input> QueryExecutor::DisjunctiveHashJoin(
+    sql::JoinType type, const Input& left, const Input& right,
+    const sql::Expr& on) {
   std::vector<const Expr*> disjuncts;
   CollectDisjuncts(on, &disjuncts);
   if (disjuncts.size() < 2) {
@@ -1138,45 +1146,29 @@ Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
   struct Disjunct {
     std::vector<size_t> left_cols;   // key columns on the probe side
     std::vector<size_t> right_cols;  // key columns on the build side
-    std::vector<BoundExprPtr> left_filters;
-    std::vector<BoundExprPtr> right_filters;
+    RowExprs left_filters;
+    RowExprs right_filters;
     EncodedKeyIndex index;
   };
-  std::vector<Disjunct> plans;
-  plans.reserve(disjuncts.size());
-
-  for (const Expr* d : disjuncts) {
-    Disjunct plan;
+  std::vector<Disjunct> plans(disjuncts.size());
+  const std::vector<const RelSchema*> schemas = {&left.schema, &right.schema};
+  for (size_t d = 0; d < disjuncts.size(); ++d) {
+    Disjunct& plan = plans[d];
     std::vector<const Expr*> conjuncts;
-    CollectConjuncts(*d, &conjuncts);
+    CollectConjuncts(*disjuncts[d], &conjuncts);
     for (const Expr* c : conjuncts) {
-      EquiPair pair;
-      if (AsColumnEquality(*c, &pair)) {
-        auto li = left.schema.Resolve(pair.left->qualifier(), pair.left->name());
-        auto ri =
-            right.schema.Resolve(pair.right->qualifier(), pair.right->name());
-        if (li.ok() && ri.ok()) {
-          plan.left_cols.push_back(*li);
-          plan.right_cols.push_back(*ri);
-          continue;
-        }
-        li = left.schema.Resolve(pair.right->qualifier(), pair.right->name());
-        ri = right.schema.Resolve(pair.left->qualifier(), pair.left->name());
-        if (li.ok() && ri.ok()) {
-          plan.left_cols.push_back(*li);
-          plan.right_cols.push_back(*ri);
-          continue;
-        }
+      std::pair<size_t, size_t> key;
+      if (CrossSideEquality(*c, left.schema, right.schema, &key)) {
+        plan.left_cols.push_back(key.first);
+        plan.right_cols.push_back(key.second);
+        continue;
       }
       // Single-side predicate?
-      std::vector<const RelSchema*> schemas = {&left.schema, &right.schema};
-      int sole = SoleReferencedRelation(*c, schemas);
+      const int sole = SoleReferencedRelation(*c, schemas);
       if (sole == 0) {
-        SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*c, left.schema));
-        plan.left_filters.push_back(std::move(b));
+        SILK_RETURN_IF_ERROR(plan.left_filters.Add(*c, left.schema));
       } else if (sole == 1) {
-        SILK_ASSIGN_OR_RETURN(BoundExprPtr b, BindExpr(*c, right.schema));
-        plan.right_filters.push_back(std::move(b));
+        SILK_RETURN_IF_ERROR(plan.right_filters.Add(*c, right.schema));
       } else {
         return Status::Unimplemented(
             "disjunct has a cross-side non-equality predicate");
@@ -1185,24 +1177,18 @@ Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
     if (plan.left_cols.empty()) {
       return Status::Unimplemented("disjunct has no column equality");
     }
-    plans.push_back(std::move(plan));
   }
 
   // Build one packed-key index per disjunct.
   std::string scratch;
   for (auto& plan : plans) {
-    plan.index.Reserve(right.rows.size());
-    for (size_t r = 0; r < right.rows.size(); ++r) {
-      bool pass = true;
-      for (const auto& f : plan.right_filters) {
-        if (f->Test(right.rows[r]) != Tribool::kTrue) {
-          pass = false;
-          break;
-        }
+    plan.index.Reserve(right.size());
+    for (size_t r = 0; r < right.size(); ++r) {
+      if (!plan.right_filters.empty() && !plan.right_filters.Test(right, r)) {
+        continue;
       }
-      if (!pass) continue;
       scratch.clear();
-      if (!EncodeJoinKey(right.rows[r], plan.right_cols, &scratch)) continue;
+      if (!right.EncodeKey(r, plan.right_cols, &scratch)) continue;
       ++stats_.keys_encoded;
       stats_.bytes_encoded += scratch.size();
       plan.index.Insert(scratch, static_cast<uint32_t>(r));
@@ -1210,27 +1196,16 @@ Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
   }
 
   ++stats_.hash_joins;
-  Relation out;
-  out.schema = RelSchema::Concat(left.schema, right.schema);
-  const size_t right_width = right.schema.size();
-  std::vector<uint32_t> match_ids;
-  size_t deadline_check = 0;
-  for (const auto& lrow : left.rows) {
-    if ((++deadline_check & 0xFF) == 0) {
-      SILK_RETURN_IF_ERROR(CheckDeadline());
-    }
+  std::vector<uint32_t> lrows, rrows, match_ids;
+  for (uint32_t l = 0; l < left.size(); ++l) {
+    SILK_RETURN_IF_ERROR(Tick());
     match_ids.clear();
-    for (const auto& plan : plans) {
-      bool pass = true;
-      for (const auto& f : plan.left_filters) {
-        if (f->Test(lrow) != Tribool::kTrue) {
-          pass = false;
-          break;
-        }
+    for (auto& plan : plans) {
+      if (!plan.left_filters.empty() && !plan.left_filters.Test(left, l)) {
+        continue;
       }
-      if (!pass) continue;
       scratch.clear();
-      if (!EncodeJoinKey(lrow, plan.left_cols, &scratch)) continue;
+      if (!left.EncodeKey(l, plan.left_cols, &scratch)) continue;
       ++stats_.keys_encoded;
       stats_.bytes_encoded += scratch.size();
       for (uint32_t r = plan.index.Find(scratch);
@@ -1246,190 +1221,217 @@ Result<Relation> QueryExecutor::DisjunctiveHashJoin(sql::JoinType type,
     std::sort(match_ids.begin(), match_ids.end());
     match_ids.erase(std::unique(match_ids.begin(), match_ids.end()),
                     match_ids.end());
-    if (match_ids.empty()) {
-      if (type == sql::JoinType::kLeftOuter) {
-        out.rows.push_back(NullPadded(lrow, right_width));
-      }
-      continue;
+    if (match_ids.empty() && type == sql::JoinType::kLeftOuter) {
+      match_ids.push_back(Input::kNullRow);
     }
-    for (size_t r : match_ids) {
-      out.rows.push_back(Tuple::Concat(lrow, right.rows[r]));
+    for (uint32_t r : match_ids) {
+      SILK_RETURN_IF_ERROR(Tick());
+      lrows.push_back(l);
+      rrows.push_back(r);
     }
   }
-  stats_.rows_joined += out.rows.size();
-  return out;
+  stats_.rows_joined += lrows.size();
+  return Input::Join(left, right, lrows, rrows);
 }
 
-Result<Relation> QueryExecutor::NestedLoopJoin(sql::JoinType type,
-                                               Relation& left, Relation& right,
-                                               const sql::Expr& on) {
-  Relation out;
-  out.schema = RelSchema::Concat(left.schema, right.schema);
-  SILK_ASSIGN_OR_RETURN(BoundExprPtr pred, BindExpr(on, out.schema));
+Result<QueryExecutor::Input> QueryExecutor::NestedLoopJoin(
+    sql::JoinType type, const Input& left, const Input& right,
+    const sql::Expr& on) {
+  RowExprs pred;
+  SILK_RETURN_IF_ERROR(
+      pred.Add(on, RelSchema::Concat(left.schema, right.schema)));
   ++stats_.nested_loop_joins;
-  const size_t right_width = right.schema.size();
-  for (const auto& lrow : left.rows) {
-    SILK_RETURN_IF_ERROR(CheckDeadline());
+  std::vector<uint32_t> lrows, rrows;
+  for (uint32_t l = 0; l < left.size(); ++l) {
+    SILK_RETURN_IF_ERROR(Tick());
     bool matched = false;
-    for (const auto& rrow : right.rows) {
-      Tuple combined = Tuple::Concat(lrow, rrow);
-      if (pred->Test(combined) == Tribool::kTrue) {
+    for (uint32_t r = 0; r < right.size(); ++r) {
+      SILK_RETURN_IF_ERROR(Tick());
+      if (pred.Test(left, l, right, r)) {
         matched = true;
-        out.rows.push_back(std::move(combined));
+        lrows.push_back(l);
+        rrows.push_back(r);
       }
     }
     if (!matched && type == sql::JoinType::kLeftOuter) {
-      out.rows.push_back(NullPadded(lrow, right_width));
+      lrows.push_back(l);
+      rrows.push_back(Input::kNullRow);
     }
   }
-  stats_.rows_joined += out.rows.size();
-  return out;
+  stats_.rows_joined += lrows.size();
+  return Input::Join(left, right, lrows, rrows);
 }
 
-Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
-                                   const Input* aligned, Relation* result) {
-  const size_t n = result->rows.size();
-  // Bind each key against the output schema; fall back to the aligned
-  // input's schema (single-core queries only).
-  struct Key {
-    BoundExprPtr expr;  // null when direct_col applies
-    bool ascending;
-    bool from_aligned;
-    int direct_col = -1;  // plain column ref: read the cell, skip Eval
+Result<std::vector<uint32_t>> QueryExecutor::SortRows(
+    const std::vector<sql::OrderItem>& order_by, std::vector<Core>& cores) {
+  // Rows are numbered across the cores of a UNION: core k's row i is
+  // `first[k] + i`. The sort permutes those numbers; no row moves.
+  std::vector<size_t> first(cores.size() + 1, 0);
+  for (size_t k = 0; k < cores.size(); ++k) {
+    first[k + 1] = first[k] + cores[k].in.size();
+  }
+  const size_t n = first.back();
+
+  // Resolve every key per core: against the output schema first, whose
+  // column j is each core's item j; a single core without DISTINCT may
+  // also sort on its input columns.
+  struct KeyCell {
+    int col = -1;                       // a batch column, or
+    const Value* constant = nullptr;    // a constant, or
+    std::function<Value(size_t)> eval;  // a value computed per row
   };
-  std::vector<Key> bound_keys;
-  for (const auto& o : query.order_by) {
-    // A bare column ref resolves against the same schemas BindExpr would
-    // use; encoding then reads the cell in place instead of paying a
-    // bound-expression dispatch and a Value copy per row.
-    if (o.expr->kind() == Expr::Kind::kColumnRef) {
-      const auto& c = static_cast<const sql::ColumnRefExpr&>(*o.expr);
-      auto idx = result->schema.Resolve(c.qualifier(), c.name());
-      if (idx.ok()) {
-        bound_keys.push_back(
-            {nullptr, o.ascending, false, static_cast<int>(*idx)});
-        continue;
-      }
-      if (aligned != nullptr) {
-        idx = aligned->rel.schema.Resolve(c.qualifier(), c.name());
+  const RelSchema& out_schema = cores[0].schema;
+  std::vector<std::vector<KeyCell>> keys(cores.size());
+  std::vector<std::unique_ptr<RowExprs>> computed;  // the evals' bindings
+  for (size_t k = 0; k < cores.size(); ++k) {
+    Core& core = cores[k];
+    const bool input_keys = cores.size() == 1 && !core.distinct;
+    for (const auto& o : order_by) {
+      KeyCell cell;
+      bool found = false;
+      if (o.expr->kind() == Expr::Kind::kColumnRef) {
+        const auto& c = static_cast<const sql::ColumnRefExpr&>(*o.expr);
+        auto idx = out_schema.Resolve(c.qualifier(), c.name());
         if (idx.ok()) {
-          bound_keys.push_back(
-              {nullptr, o.ascending, true, static_cast<int>(*idx)});
-          continue;
+          const size_t j = *idx;
+          const Core::Item& item = core.items[j];
+          switch (item.kind) {
+            case Core::Item::Kind::kColumn:
+              cell.col = static_cast<int>(item.index);
+              break;
+            case Core::Item::Kind::kExpr:
+              cell.eval = [&core, j](size_t i) { return core.ItemValue(i, j); };
+              break;
+            case Core::Item::Kind::kConstant:
+              cell.constant = &core.constants[item.index];
+          }
+          found = true;
+        } else if (input_keys) {
+          idx = core.in.schema.Resolve(c.qualifier(), c.name());
+          if (idx.ok()) {
+            cell.col = static_cast<int>(*idx);
+            found = true;
+          }
         }
       }
-    }
-    auto out_bound = BindExpr(*o.expr, result->schema);
-    if (out_bound.ok()) {
-      bound_keys.push_back({std::move(out_bound).value(), o.ascending, false});
-      continue;
-    }
-    if (aligned != nullptr) {
-      auto pre_bound = BindExpr(*o.expr, aligned->rel.schema);
-      if (pre_bound.ok()) {
-        bound_keys.push_back({std::move(pre_bound).value(), o.ascending, true});
-        continue;
+      if (!found) {
+        auto exprs = std::make_unique<RowExprs>();
+        RowExprs* e = exprs.get();
+        if (e->Add(*o.expr, out_schema).ok()) {
+          cell.eval = [e, &core](size_t i) {
+            return e->Eval(0, e->LoadWith([&](size_t j) {
+              return core.ItemValue(i, j);
+            }));
+          };
+          found = true;
+        } else if (input_keys && e->Add(*o.expr, core.in.schema).ok()) {
+          cell.eval = [e, &core](size_t i) {
+            return e->Eval(0, e->Load(core.in, i));
+          };
+          found = true;
+        }
+        computed.push_back(std::move(exprs));
       }
+      if (!found) {
+        return Status::InvalidArgument("cannot resolve ORDER BY key '" +
+                                       o.expr->ToSql() + "'");
+      }
+      keys[k].push_back(std::move(cell));
     }
-    return Status::InvalidArgument("cannot resolve ORDER BY key '" +
-                                   o.expr->ToSql() + "'");
   }
-  // Cell of direct-column key `k` in row i.
-  auto cell = [&](const Key& k, size_t i) {
-    const size_t col = static_cast<size_t>(k.direct_col);
-    return k.from_aligned ? aligned->Cell(i, col)
-                          : result->rows[i].values()[col];
+  // Every row of one core ties on a constant key (a literal item such as
+  // `L1`), so it cannot change the order: sort on the other keys only.
+  std::vector<size_t> used;
+  for (size_t j = 0; j < order_by.size(); ++j) {
+    if (cores.size() > 1 || keys[0][j].constant == nullptr) used.push_back(j);
+  }
+  auto value_of = [&](size_t k, const KeyCell& cell, size_t i) {
+    if (cell.col >= 0) {
+      return cores[k].in.Cell(i, static_cast<size_t>(cell.col));
+    }
+    return cell.constant != nullptr ? *cell.constant : cell.eval(i);
   };
 
-  // Fast path: at most two keys, all direct columns holding only non-null
-  // numerics (the shape the view composer's skolem-key ORDER BYs take).
-  // Each key packs into one machine word whose unsigned order equals the
-  // encoded-segment order, so the sort runs over flat PODs and never
-  // builds a byte buffer.
-  if (!bound_keys.empty() && bound_keys.size() <= 2 &&
-      std::all_of(bound_keys.begin(), bound_keys.end(),
-                  [](const Key& k) { return k.direct_col >= 0; })) {
-    bool numeric = true;
-    for (const auto& k : bound_keys) {
-      for (size_t i = 0; i < n && numeric; ++i) {
-        const Value v = cell(k, i);
+  std::vector<uint32_t> order(n);
+  // Fast path: at most two keys, all columns or constants holding only
+  // non-null numerics (the shape the view composer's skolem-key ORDER BYs
+  // take). Each key packs into one machine word whose unsigned order
+  // equals the encoded-segment order, so the sort runs over flat PODs and
+  // never builds a byte buffer.
+  bool numeric = used.size() <= 2;
+  for (size_t k = 0; k < cores.size() && numeric; ++k) {
+    for (size_t j : used) {
+      const KeyCell& cell = keys[k][j];
+      if (cell.eval) numeric = false;
+      for (size_t i = 0; i < cores[k].in.size() && numeric; ++i) {
+        const Value v = value_of(k, cell, i);
         // Tiebreaker-carrying magnitudes (>= 2^53) must take the byte
         // path: the word alone would order them differently.
         if (!(v.is_int64() || v.is_double()) || !NumericFitsWord(v)) {
           numeric = false;
         }
       }
-      if (!numeric) break;
     }
-    if (numeric) {
-      struct WordRec {
-        uint64_t k0;
-        uint64_t k1;
-        uint32_t idx;
-      };
-      std::vector<WordRec> recs(n);
-      for (size_t i = 0; i < n; ++i) {
+  }
+  if (numeric) {
+    struct WordRec {
+      uint64_t k0;
+      uint64_t k1;
+      uint32_t idx;
+    };
+    std::vector<WordRec> recs(n);
+    for (size_t k = 0; k < cores.size(); ++k) {
+      for (size_t i = 0; i < cores[k].in.size(); ++i) {
         uint64_t words[2] = {0, 0};
-        for (size_t j = 0; j < bound_keys.size(); ++j) {
-          const Key& k = bound_keys[j];
-          const uint64_t bits = OrderedNumericBits(cell(k, i));
-          words[j] = k.ascending ? bits : ~bits;
+        for (size_t w = 0; w < used.size(); ++w) {
+          const size_t j = used[w];
+          const uint64_t bits = OrderedNumericBits(value_of(k, keys[k][j], i));
+          words[w] = order_by[j].ascending ? bits : ~bits;
         }
-        recs[i] = {words[0], words[1], static_cast<uint32_t>(i)};
+        const size_t g = first[k] + i;
+        recs[g] = {words[0], words[1], static_cast<uint32_t>(g)};
       }
-      stats_.keys_encoded += n;
-      stats_.bytes_encoded += n * 8 * bound_keys.size();
-      std::sort(recs.begin(), recs.end(),
-                [](const WordRec& a, const WordRec& b) {
-                  if (a.k0 != b.k0) return a.k0 < b.k0;
-                  if (a.k1 != b.k1) return a.k1 < b.k1;
-                  return a.idx < b.idx;  // stable order on full ties
-                });
-      std::vector<Tuple> sorted;
-      sorted.reserve(n);
-      for (const WordRec& r : recs) {
-        sorted.push_back(std::move(result->rows[r.idx]));
-      }
-      result->rows = std::move(sorted);
-      stats_.rows_sorted += n;
-      return Status::OK();
     }
+    stats_.keys_encoded += n;
+    stats_.bytes_encoded += n * 8 * used.size();
+    SILK_RETURN_IF_ERROR(CheckDeadline());
+    std::sort(recs.begin(), recs.end(),
+              [](const WordRec& a, const WordRec& b) {
+                if (a.k0 != b.k0) return a.k0 < b.k0;
+                if (a.k1 != b.k1) return a.k1 < b.k1;
+                return a.idx < b.idx;  // stable order on full ties
+              });
+    for (size_t g = 0; g < n; ++g) order[g] = recs[g].idx;
+    stats_.rows_sorted += n;
+    return order;
   }
 
   // Encode one packed sort key per row (key_codec.h): ascending segments
   // use the order-preserving encoding directly, descending segments are
-  // byte-complemented, so the whole composite key sorts by memcmp —
-  // no variant dispatch in the comparator. Keys are packed back-to-back
-  // in one flat buffer; `ends[i]` marks where row i's key stops.
+  // byte-complemented, so the whole composite key sorts by memcmp — no
+  // variant dispatch in the comparator. Keys are packed back-to-back in
+  // one flat buffer; `ends[g]` marks where row g's key stops.
   std::string buf;
   std::vector<size_t> ends(n + 1, 0);
-  buf.reserve(n * 9 * bound_keys.size());  // a numeric segment is 9 bytes
-  auto encode = [&buf](const Value& v, bool ascending) {
-    if (ascending) {
-      EncodeValue(v, &buf);
-    } else {
-      EncodeValueDescending(v, &buf);
-    }
-  };
-  Tuple scratch;
-  for (size_t i = 0; i < n; ++i) {
-    for (const auto& k : bound_keys) {
-      if (k.direct_col < 0) {
-        encode(k.expr->Eval(k.from_aligned ? aligned->RowRef(i, &scratch)
-                                           : result->rows[i]),
-               k.ascending);
-      } else if (k.from_aligned) {
-        aligned->EncodeCell(i, static_cast<size_t>(k.direct_col),
-                            !k.ascending, &buf);
-      } else {
-        encode(result->rows[i].values()[static_cast<size_t>(k.direct_col)],
-               k.ascending);
+  buf.reserve(n * 9 * used.size());  // a numeric segment is 9 bytes
+  for (size_t k = 0; k < cores.size(); ++k) {
+    const Input& in = cores[k].in;
+    for (size_t i = 0; i < in.size(); ++i) {
+      for (size_t j : used) {
+        const KeyCell& cell = keys[k][j];
+        const bool descending = !order_by[j].ascending;
+        if (cell.col >= 0) {
+          in.EncodeCell(i, static_cast<size_t>(cell.col), descending, &buf);
+        } else {
+          EncodeOrdered(value_of(k, cell, i), descending, &buf);
+        }
       }
+      ends[first[k] + i + 1] = buf.size();
     }
-    ends[i + 1] = buf.size();
   }
   stats_.keys_encoded += n;
   stats_.bytes_encoded += buf.size();
+  SILK_RETURN_IF_ERROR(CheckDeadline());
   const char* base = buf.data();
   // Sort flat records instead of a bare permutation: each record inlines
   // the first eight key bytes (big-endian, zero-padded) so the vast
@@ -1442,16 +1444,16 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
     uint32_t idx;
   };
   std::vector<SortRec> recs(n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t off = ends[i];
-    const size_t len = ends[i + 1] - off;
+  for (size_t g = 0; g < n; ++g) {
+    const size_t off = ends[g];
+    const size_t len = ends[g + 1] - off;
     const auto* p = reinterpret_cast<const unsigned char*>(base + off);
     const size_t m = len < 8 ? len : 8;
     uint64_t prefix = 0;
     for (size_t b = 0; b < m; ++b) prefix = (prefix << 8) | p[b];
     prefix <<= 8 * (8 - m);
-    recs[i] = {prefix, off, static_cast<uint32_t>(len),
-               static_cast<uint32_t>(i)};
+    recs[g] = {prefix, off, static_cast<uint32_t>(len),
+               static_cast<uint32_t>(g)};
   }
   std::sort(recs.begin(), recs.end(),
             [base](const SortRec& a, const SortRec& b) {
@@ -1467,14 +1469,42 @@ Status QueryExecutor::ApplyOrderBy(const sql::Query& query,
               // same result stable_sort gave, without its merge buffer.
               return a.idx < b.idx;
             });
-  std::vector<Tuple> sorted;
-  sorted.reserve(n);
-  for (const SortRec& r : recs) {
-    sorted.push_back(std::move(result->rows[r.idx]));
-  }
-  result->rows = std::move(sorted);
+  for (size_t g = 0; g < n; ++g) order[g] = recs[g].idx;
   stats_.rows_sorted += n;
-  return Status::OK();
+  return order;
+}
+
+Result<Relation> QueryExecutor::BuildResult(
+    std::vector<Core>& cores, const std::vector<uint32_t>* order) {
+  Relation out;
+  out.schema = cores[0].schema;
+  const size_t width = out.schema.size();
+  size_t n = 0;
+  for (const Core& core : cores) n += core.in.size();
+  out.rows.reserve(n);
+  // Each result row is built exactly once, in final order.
+  auto emit = [&](Core& core, size_t i) {
+    Tuple row;
+    row.mutable_values().reserve(width);
+    for (size_t j = 0; j < width; ++j) row.Append(core.ItemValue(i, j));
+    out.rows.push_back(std::move(row));
+    return Tick();
+  };
+  if (order == nullptr) {
+    for (Core& core : cores) {
+      for (size_t i = 0; i < core.in.size(); ++i) {
+        SILK_RETURN_IF_ERROR(emit(core, i));
+      }
+    }
+  } else {
+    for (size_t g : *order) {
+      size_t k = 0;
+      while (g >= cores[k].in.size()) g -= cores[k++].in.size();
+      SILK_RETURN_IF_ERROR(emit(cores[k], g));
+    }
+  }
+  stats_.cells_materialized += n * width;
+  return out;
 }
 
 Result<std::vector<std::pair<std::string, uint64_t>>>

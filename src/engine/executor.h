@@ -8,14 +8,16 @@
 //    conjunction containing column equalities, a *disjunctive hash join*
 //    when it is an OR of such conjunctions (the shape SilkRoute's unified
 //    outer-join queries produce), and a nested loop otherwise;
-//  - UNION ALL concatenates; ORDER BY sorts the materialized result.
+//  - UNION ALL concatenates; ORDER BY sorts a permutation of row ids.
+//
+// Intermediates are row-id batches over borrowed base tables and owned
+// derived-table results; a result cell is built once, in final order.
 #ifndef SILKROUTE_ENGINE_EXECUTOR_H_
 #define SILKROUTE_ENGINE_EXECUTOR_H_
 
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,6 +51,8 @@ struct ExecStats {
   uint64_t rows_scanned = 0;      // base-table rows read
   uint64_t rows_joined = 0;       // rows emitted by join operators
   uint64_t rows_sorted = 0;       // rows passed through ORDER BY
+  uint64_t cells_materialized = 0;  // Values built into results (derived
+                                    // tables' included)
   uint64_t nested_loop_joins = 0; // fallback joins taken (should be rare)
   uint64_t hash_joins = 0;
   uint64_t keys_encoded = 0;      // packed keys built (join/sort/distinct)
@@ -138,105 +142,60 @@ class QueryExecutor : public SqlExecutor {
   void ResetStats() { stats_ = ExecStats(); }
 
  private:
-  /// What an operator reads: owned rows, or a base table read in place by
-  /// row id — every row, or only the ascending ids in `selection`. Base
-  /// tables are never copied into an intermediate: joins, projection, and
-  /// ORDER BY read their cells straight from the table's columns.
-  struct Input {
-    Input() = default;
-    explicit Input(Relation owned) : rel(std::move(owned)) {}
+  // Defined in executor.cc (DESIGN.md §10).
+  struct Input;    // a row-id batch: the only intermediate
+  class RowExprs;  // expressions evaluated over batch rows
+  struct Core;     // one SELECT core, joined but not yet projected
 
-    Relation rel;  // schema always; rows only when owned (table == nullptr)
-    const Table* table = nullptr;
-    std::optional<std::vector<uint32_t>> selection;
-    /// The borrowed table's columns the query reads at all; the rest build
-    /// as NULL in AppendRow, so wide join rows never copy cells nothing
-    /// looks at. Empty: every column.
-    std::vector<bool> read_columns;
-    /// The rows already carry the select list's values (the final join fused
-    /// with the projection, see JoinFromList); `rel.schema` still describes
-    /// the wide join shape the select items bind against.
-    bool projected = false;
-
-    size_t size() const;
-    size_t RowId(size_t i) const { return selection ? (*selection)[i] : i; }
-    /// Cell (i, c), representation-exact.
-    Value Cell(size_t i, size_t c) const;
-    /// Appends every cell of row i to `out`.
-    void AppendRow(size_t i, Tuple* out) const;
-    /// Row i: a reference to the owned row, or `scratch` filled from the
-    /// table's columns.
-    const Tuple& RowRef(size_t i, Tuple* scratch) const;
-    /// Row i by value; moves an owned row out.
-    Tuple TakeRow(size_t i);
-    /// Join key of row i (EncodeJoinKey's contract: false on a NULL key).
-    bool EncodeKey(size_t i, const std::vector<size_t>& cols,
-                   std::string* out) const;
-    /// Appends the sort-key encoding of cell (i, c).
-    void EncodeCell(size_t i, size_t c, bool descending,
-                    std::string* out) const;
-  };
-
-  /// One SELECT core's output plus, when it exists, the core's input aligned
-  /// 1:1 with the output rows, so ORDER BY can reference non-projected
-  /// columns. There is none after DISTINCT, after fusion, or for SELECT *
-  /// (whose output already holds every input column).
-  struct CoreResult {
-    Relation output;
-    std::optional<Input> aligned_input;
-  };
-
-  /// `order_by` is the enclosing query's: its keys may read the core's
-  /// input, and its absence permits fusion (see JoinFromList).
-  Result<CoreResult> ExecuteCore(const sql::SelectCore& core,
-                                 const std::vector<sql::OrderItem>& order_by);
-  Result<Relation> EvalTableRef(const sql::TableRef& ref);
-  Result<Relation> EvalJoin(const sql::JoinRef& join);
-  Result<Relation> JoinRelations(sql::JoinType type, Relation left,
-                                 Relation right, const sql::Expr& on);
-  Result<Relation> HashJoin(sql::JoinType type, const Input& left,
-                            const Input& right,
-                            const std::vector<std::pair<size_t, size_t>>& keys,
-                            const sql::Expr* residual);
-  Result<Relation> DisjunctiveHashJoin(sql::JoinType type, Relation& left,
-                                       Relation& right, const sql::Expr& on);
-  Result<Relation> NestedLoopJoin(sql::JoinType type, Relation& left,
-                                  Relation& right, const sql::Expr& on);
-  /// Joins the FROM list. When it reduces to one base-table scan, the
-  /// result borrows the table (plus the selection its filters left) instead
-  /// of copying it.
-  ///
-  /// When there is no ORDER BY (which may read the aligned input), the
-  /// select list is all column refs, and no residual predicate survives the
-  /// joins, the final greedy join emits row-id pairs and the projection is
-  /// applied straight off the input rows: the wide concatenated tuples are
-  /// never built. The result is then `projected` and its rows carry the
-  /// select list's values.
-  Result<Input> JoinFromList(const sql::SelectCore& core,
-                             const std::vector<sql::OrderItem>& order_by);
-  /// Inner hash join emitting (left row, right row) index pairs in the same
-  /// order HashJoin would emit rows, without materializing output tuples.
-  Result<std::vector<std::pair<uint32_t, uint32_t>>> HashJoinPairs(
-      const Input& left, const Input& right,
-      const std::vector<std::pair<size_t, size_t>>& keys);
+  /// Joins and filters the core's FROM list, resolves its select items,
+  /// and applies DISTINCT. No result cell is built yet.
+  Result<Core> ExecuteCore(const sql::SelectCore& select);
+  Result<Input> EvalTableRef(const sql::TableRef& ref);
+  Result<Input> EvalJoin(const sql::JoinRef& join);
+  /// Equi-join of `left` (probe) and `right` (build): `probe_only`
+  /// conjuncts gate which probe rows may match, `residual` ones test each
+  /// candidate pair. Rows come out in probe order, then ascending build
+  /// row; an unmatched probe row of an outer join pads with NULLs.
+  Result<Input> HashJoin(sql::JoinType type, const Input& left,
+                         const Input& right,
+                         const std::vector<std::pair<size_t, size_t>>& keys,
+                         const std::vector<const sql::Expr*>& probe_only,
+                         const std::vector<const sql::Expr*>& residual);
+  Result<Input> DisjunctiveHashJoin(sql::JoinType type, const Input& left,
+                                    const Input& right, const sql::Expr& on);
+  Result<Input> NestedLoopJoin(sql::JoinType type, const Input& left,
+                               const Input& right, const sql::Expr& on);
+  /// Joins the FROM list: greedy hash joins along the WHERE equalities,
+  /// single-item conjuncts pushed down, the rest a residual filter.
+  Result<Input> JoinFromList(const sql::SelectCore& core);
   /// Scans the base table behind `in` with its pushed-down filters,
-  /// leaving the ascending ids of the surviving rows in `in->selection`.
+  /// leaving the ascending ids of the surviving rows in its id column.
   /// Column-vs-literal filters evaluate straight off the typed column
-  /// arrays; any other shape tests each materialized row.
+  /// arrays; any other shape goes through FilterRows.
   Status ScanBaseTable(const std::vector<const sql::Expr*>& filters,
                        Input* in);
-  /// Sorts `result`. `aligned` (nullable) is the input aligned 1:1 with
-  /// the result rows, which keys outside the select list resolve against.
-  Status ApplyOrderBy(const sql::Query& query, const Input* aligned,
-                      Relation* result);
+  /// Keeps the rows of `in` on which every filter is true.
+  Status FilterRows(const std::vector<const sql::Expr*>& filters, Input* in);
+  /// The ORDER BY permutation of the rows of `cores` (numbered core by
+  /// core), ties kept in that numbering's order.
+  Result<std::vector<uint32_t>> SortRows(
+      const std::vector<sql::OrderItem>& order_by, std::vector<Core>& cores);
+  /// Builds the result: every row of `cores`, in `order` when there is one.
+  Result<Relation> BuildResult(std::vector<Core>& cores,
+                               const std::vector<uint32_t>* order);
 
   Status CheckDeadline() const;
+  /// Counts one unit of row work and checks the deadline every 256.
+  Status Tick() {
+    return (++ticks_ & 0xFF) == 0 ? CheckDeadline() : Status::OK();
+  }
 
   const Database* db_;
   ExecStats stats_;
   double timeout_ms_ = 0;
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
+  uint64_t ticks_ = 0;
 };
 
 /// SqlExecutor over a local Database: a fresh QueryExecutor per call, so
@@ -258,9 +217,10 @@ class DatabaseExecutor : public SqlExecutor {
     if (timeout_ms > 0) executor.set_timeout_ms(timeout_ms);
     auto result = executor.ExecuteSql(sql);
     const ExecStats& s = executor.stats();
-    if (keys_encoded_counter_ != nullptr && s.keys_encoded > 0) {
+    if (keys_encoded_counter_ != nullptr) {
       keys_encoded_counter_->Add(s.keys_encoded);
       key_bytes_counter_->Add(s.bytes_encoded);
+      cells_counter_->Add(s.cells_materialized);
     }
     {
       std::lock_guard<std::mutex> lock(stats_mu_);
@@ -276,18 +236,16 @@ class DatabaseExecutor : public SqlExecutor {
   Result<std::vector<std::pair<std::string, uint64_t>>> FetchTableVersions(
       const std::vector<std::string>& tables) override;
 
-  /// Mirrors cumulative packed-key counters into `registry` (nullable to
-  /// turn accounting off). Counters are resolved here once; the per-query
-  /// hot path then pays only relaxed atomic adds.
+  /// Mirrors cumulative packed-key and materialized-cell counters into
+  /// `registry` (nullable to turn accounting off). Counters are resolved
+  /// here once; the per-query hot path then pays only relaxed atomic adds.
   void set_metrics_registry(obs::MetricsRegistry* registry) {
-    keys_encoded_counter_ =
-        registry != nullptr
-            ? registry->counter("silkroute_engine_keys_encoded_total")
-            : nullptr;
-    key_bytes_counter_ =
-        registry != nullptr
-            ? registry->counter("silkroute_engine_key_bytes_encoded_total")
-            : nullptr;
+    auto counter = [registry](const char* name) {
+      return registry != nullptr ? registry->counter(name) : nullptr;
+    };
+    keys_encoded_counter_ = counter("silkroute_engine_keys_encoded_total");
+    key_bytes_counter_ = counter("silkroute_engine_key_bytes_encoded_total");
+    cells_counter_ = counter("silkroute_engine_cells_materialized_total");
   }
 
   /// Stats of the most recent query (last writer wins under concurrency).
@@ -303,6 +261,7 @@ class DatabaseExecutor : public SqlExecutor {
   // race with in-flight ExecuteSql calls).
   obs::Counter* keys_encoded_counter_ = nullptr;
   obs::Counter* key_bytes_counter_ = nullptr;
+  obs::Counter* cells_counter_ = nullptr;
   mutable std::mutex stats_mu_;
   ExecStats stats_;
 };

@@ -172,16 +172,6 @@ void EncodeColumnValueDescending(const ColumnVector& column, size_t row,
   }
 }
 
-bool EncodeTableJoinKey(const Table& table, size_t row,
-                        const std::vector<size_t>& cols, std::string* out) {
-  for (size_t c : cols) {
-    const ColumnVector& column = table.column(c);
-    if (column.IsNull(row)) return false;
-    EncodeColumnValue(column, row, out);
-  }
-  return true;
-}
-
 std::string_view KeyArena::Intern(std::string_view bytes) {
   if (bytes.size() > cur_left_) {
     size_t chunk = chunk_bytes_ > bytes.size() ? chunk_bytes_ : bytes.size();

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "relational/columnar.h"
-#include "relational/table.h"
 #include "relational/tuple.h"
 #include "relational/value.h"
 
@@ -93,12 +92,6 @@ void EncodeColumnValue(const ColumnVector& column, size_t row,
 /// EncodeValueDescending on the materialized Value.
 void EncodeColumnValueDescending(const ColumnVector& column, size_t row,
                                  std::string* out);
-
-/// Join key for row `row` encoded from the table's columns — byte-identical
-/// to EncodeJoinKey on table.Row(row), including the false-on-NULL-key
-/// contract.
-bool EncodeTableJoinKey(const Table& table, size_t row,
-                        const std::vector<size_t>& cols, std::string* out);
 
 /// The 8-byte payload a non-null numeric Value contributes to its encoded
 /// segment, as a host integer: unsigned comparison of two payloads equals

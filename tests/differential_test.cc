@@ -1,7 +1,9 @@
 // Differential testing harness: the engine against an independent SQL
 // reference. A seeded generator produces random schemas, NULL-heavy data,
-// and random queries (multi-way comma joins, LEFT OUTER JOIN ... ON,
-// single-table filters, DISTINCT, ORDER BY over mixed-type keys). Every
+// and random queries (multi-way comma joins, LEFT OUTER JOIN ... ON with
+// one-sided ON conjuncts, derived tables — two of them outer-joined is the
+// unified plan's shape — UNION ALL, literal select items, single-source
+// filters, DISTINCT, ORDER BY over up to four mixed-type keys). Every
 // query exists twice: as SQL text for the engine, and as a structured
 // description that a deliberately naive nested-loop evaluator in this file
 // runs over the harness's own copy of the generated tuples — never the
@@ -10,10 +12,11 @@
 // and Tuple::Compare (DISTINCT).
 //
 // Agreement rules:
-//  - status: both succeed, or both fail (e.g. DISTINCT with an ORDER BY
-//    key outside the select list);
-//  - without DISTINCT, equal multisets of exactly-represented tuples
-//    (Int64(3) != Double(3.0), -0.0 != 0.0 bitwise);
+//  - status: both succeed, or both fail (e.g. DISTINCT or UNION with an
+//    ORDER BY key outside the select list);
+//  - without DISTINCT (or over a UNION), equal multisets of
+//    exactly-represented tuples (Int64(3) != Double(3.0), -0.0 != 0.0
+//    bitwise);
 //  - with DISTINCT, equal sets under Tuple::Compare;
 //  - when every ORDER BY key is projected, the engine's rows are also
 //    non-decreasing in the ASC/DESC keys.
@@ -25,6 +28,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -120,17 +125,23 @@ void BuildDatabaseInto(Rng& rng, GenDb* gen) {
 // Query description and SQL rendering
 // ---------------------------------------------------------------------------
 
+struct CoreSpec;
+
+/// One FROM item of a core: base table tN, or a derived table — a nested
+/// core rendered `(SELECT ...) AS dI` whose columns are its items' aliases.
+struct FromItem {
+  size_t table = 0;
+  std::shared_ptr<const CoreSpec> derived;
+};
+
+/// A column of one of a core's FROM items.
 struct ColRef {
-  size_t table;
-  size_t col;  // index into kCols
+  size_t src;  // index into CoreSpec::from
+  size_t col;  // kCols index for a base table, item index for a derived one
 };
 
 bool SameCol(const ColRef& a, const ColRef& b) {
-  return a.table == b.table && a.col == b.col;
-}
-
-std::string Qualified(const ColRef& c) {
-  return "t" + std::to_string(c.table) + "." + kCols[c.col];
+  return a.src == b.src && a.col == b.col;
 }
 
 /// One WHERE / ON conjunct: `a = b`, `a = <literal>`, or `a IS NOT NULL`.
@@ -141,117 +152,321 @@ struct Pred {
   int64_t literal = 0;  // kColEqInt
 };
 
-std::string PredSql(const Pred& p) {
-  switch (p.kind) {
-    case Pred::Kind::kColEq:
-      return Qualified(p.a) + " = " + Qualified(p.b);
-    case Pred::Kind::kColEqInt:
-      return Qualified(p.a) + " = " + std::to_string(p.literal);
-    case Pred::Kind::kIsNotNull:
-      return Qualified(p.a) + " IS NOT NULL";
-  }
-  return "";
-}
-
-struct OrderKey {
-  ColRef col;
-  bool ascending;
+/// One select item: a column, or a literal such as `1 AS lit0`.
+struct Item {
+  bool literal = false;
+  ColRef col{0, 0};
+  Value value;        // literal
+  std::string alias;  // every literal, and every item of a derived core
 };
 
-struct QuerySpec {
-  size_t use = 0;  // tables t0..t{use-1}
-  bool distinct = false;
-  bool outer = false;     // t0 LEFT OUTER JOIN t1 ON `on`
+Item ColumnItem(ColRef col) {
+  Item item;
+  item.col = col;
+  return item;
+}
+
+std::string ValueSql(const Value& v) {
+  if (v.is_null()) return "NULL";
+  if (v.is_int64()) return std::to_string(v.AsInt64());
+  return "'" + v.AsString() + "'";
+}
+
+/// One SELECT core: a comma FROM list, or from[0] LEFT OUTER JOIN from[1].
+struct CoreSpec {
+  std::vector<FromItem> from;
+  bool outer = false;
   std::vector<Pred> on;
-  std::vector<ColRef> select;
+  std::vector<Item> select;
   std::vector<Pred> where;
-  std::vector<OrderKey> order_by;
+  bool distinct = false;
+
+  std::string Binding(size_t src) const {
+    return from[src].derived ? "d" + std::to_string(src)
+                             : "t" + std::to_string(from[src].table);
+  }
+  std::string Column(const ColRef& c) const {
+    const FromItem& f = from[c.src];
+    return Binding(c.src) + "." +
+           (f.derived ? f.derived->select[c.col].alias : kCols[c.col]);
+  }
+  size_t Width(size_t src) const {
+    return from[src].derived ? from[src].derived->select.size() : 4;
+  }
+  /// Whether column `c` draws from the small integer key domain.
+  bool IsKey(const ColRef& c) const {
+    const FromItem& f = from[c.src];
+    if (!f.derived) return c.col == kK0 || c.col == kK1;
+    const Item& item = f.derived->select[c.col];
+    return item.literal ? item.value.is_int64() : f.derived->IsKey(item.col);
+  }
+
+  std::string PredSql(const Pred& p) const {
+    switch (p.kind) {
+      case Pred::Kind::kColEq:
+        return Column(p.a) + " = " + Column(p.b);
+      case Pred::Kind::kColEqInt:
+        return Column(p.a) + " = " + std::to_string(p.literal);
+      case Pred::Kind::kIsNotNull:
+        return Column(p.a) + " IS NOT NULL";
+    }
+    return "";
+  }
 
   std::string Sql() const {
     std::ostringstream sql;
     sql << "SELECT ";
     if (distinct) sql << "DISTINCT ";
     for (size_t i = 0; i < select.size(); ++i) {
-      sql << (i > 0 ? ", " : "") << Qualified(select[i]);
+      const Item& item = select[i];
+      sql << (i > 0 ? ", " : "")
+          << (item.literal ? ValueSql(item.value) : Column(item.col));
+      if (!item.alias.empty()) sql << " AS " << item.alias;
     }
+    auto from_sql = [&](size_t s) {
+      return from[s].derived ? "(" + from[s].derived->Sql() + ") AS " +
+                                   Binding(s)
+                             : Binding(s);
+    };
+    sql << " FROM " << from_sql(0);
     if (outer) {
-      sql << " FROM t0 LEFT OUTER JOIN t1 ON ";
+      sql << " LEFT OUTER JOIN " << from_sql(1) << " ON ";
       for (size_t i = 0; i < on.size(); ++i) {
         sql << (i > 0 ? " AND " : "") << PredSql(on[i]);
       }
     } else {
-      sql << " FROM ";
-      for (size_t t = 0; t < use; ++t) sql << (t > 0 ? ", t" : "t") << t;
+      for (size_t s = 1; s < from.size(); ++s) sql << ", " << from_sql(s);
     }
     for (size_t i = 0; i < where.size(); ++i) {
       sql << (i > 0 ? " AND " : " WHERE ") << PredSql(where[i]);
-    }
-    for (size_t i = 0; i < order_by.size(); ++i) {
-      sql << (i > 0 ? ", " : " ORDER BY ") << Qualified(order_by[i].col)
-          << (order_by[i].ascending ? "" : " DESC");
     }
     return sql.str();
   }
 };
 
-ColRef RandomCol(Rng& rng, size_t use) {
-  const size_t table = Pick(rng, use);
-  return {table, Pick(rng, 4)};
+/// An ORDER BY key: a literal select item of the first core by its alias,
+/// or a qualified column in that core's scope.
+struct OrderKey {
+  int item = -1;  // >= 0: literal item, named by alias
+  ColRef col{0, 0};
+  bool ascending = true;
+};
+
+/// A query: one core, or several joined by UNION ALL, plus ORDER BY.
+struct QuerySpec {
+  std::vector<CoreSpec> cores;
+  std::vector<OrderKey> order_by;
+
+  const CoreSpec& first() const { return cores[0]; }
+
+  std::string Sql() const {
+    std::string sql;
+    for (size_t i = 0; i < cores.size(); ++i) {
+      sql += (i > 0 ? " UNION ALL " : "") + cores[i].Sql();
+    }
+    for (size_t i = 0; i < order_by.size(); ++i) {
+      const OrderKey& k = order_by[i];
+      sql += (i > 0 ? ", " : " ORDER BY ") +
+             (k.item >= 0 ? first().select[static_cast<size_t>(k.item)].alias
+                          : first().Column(k.col)) +
+             (k.ascending ? "" : " DESC");
+    }
+    return sql;
+  }
+};
+
+ColRef RandomCol(Rng& rng, const CoreSpec& c) {
+  const size_t src = Pick(rng, c.from.size());
+  return {src, Pick(rng, c.Width(src))};
 }
 
-size_t RandomKeyCol(Rng& rng) { return rng() % 2 ? kK0 : kK1; }
-
-/// One random query over tables t0..t{use-1}. Shapes:
-///  - comma FROM list with equijoin WHERE conjuncts (the greedy hash-join
-///    planner; dropping a conjunct occasionally forces a cross product),
-///  - LEFT OUTER JOIN ... ON (two tables),
-/// plus optional single-table filters, DISTINCT, and 1-2 ORDER BY keys.
-QuerySpec GenerateQuery(Rng& rng, size_t num_tables) {
-  QuerySpec q;
-  q.use = 2 + Pick(rng, num_tables - 1);  // 2..num_tables
-  q.outer = q.use == 2 && Chance(rng, 25);
-  q.distinct = Chance(rng, 30);
-  const size_t num_select = 1 + Pick(rng, 4);
-  for (size_t i = 0; i < num_select; ++i) {
-    q.select.push_back(RandomCol(rng, q.use));
+/// A random key-domain column of source `src` (every source has one).
+ColRef RandomKeyCol(Rng& rng, const CoreSpec& c, size_t src) {
+  std::vector<size_t> keys;
+  for (size_t col = 0; col < c.Width(src); ++col) {
+    if (c.IsKey({src, col})) keys.push_back(col);
   }
+  return {src, keys[Pick(rng, keys.size())]};
+}
 
-  if (q.outer) {
-    const size_t on_pairs = Chance(rng, 30) ? 2 : 1;
-    for (size_t i = 0; i < on_pairs; ++i) {
-      const size_t left = RandomKeyCol(rng);
-      q.on.push_back({Pred::Kind::kColEq, {0, left}, {1, RandomKeyCol(rng)}});
-    }
-  } else {
-    for (size_t t = 0; t + 1 < q.use; ++t) {
-      // 10%: drop the conjunct, leaving a cross product.
-      if (Chance(rng, 10)) continue;
-      const size_t left = RandomKeyCol(rng);
-      q.where.push_back(
-          {Pred::Kind::kColEq, {t, left}, {t + 1, RandomKeyCol(rng)}});
-    }
+/// `1 AS <alias>`, `2 AS ...`, `NULL AS ...`, or `'x' AS ...`.
+Item RandomLiteral(Rng& rng, std::string alias) {
+  Item item;
+  item.literal = true;
+  switch (rng() % 4) {
+    case 0:
+    case 1:
+      item.value = Value::Int64(1 + static_cast<int64_t>(rng() % 2));
+      break;
+    case 2:
+      item.value = Value::Null();
+      break;
+    default:
+      item.value = Value::String("x");
   }
+  item.alias = std::move(alias);
+  return item;
+}
 
-  // Single-table filters, pushed down by the planner.
+/// FROM t0, ..., t{use-1} with an equijoin conjunct between neighbours;
+/// unless `always_join`, 10% of conjuncts are dropped (a cross product).
+void FillCommaCore(Rng& rng, size_t use, bool always_join, CoreSpec* c) {
+  for (size_t t = 0; t < use; ++t) c->from.push_back({t, nullptr});
+  for (size_t t = 0; t + 1 < use; ++t) {
+    if (!always_join && Chance(rng, 10)) continue;
+    c->where.push_back({Pred::Kind::kColEq, RandomKeyCol(rng, *c, t),
+                        RandomKeyCol(rng, *c, t + 1)});
+  }
+}
+
+/// Single-source filters, pushed down by the planner.
+void AddFilters(Rng& rng, CoreSpec* c) {
+  const size_t n = c->from.size();
   if (Chance(rng, 40)) {
-    const size_t table = Pick(rng, q.use);
-    const size_t col = RandomKeyCol(rng);
-    q.where.push_back({Pred::Kind::kColEqInt, {table, col}, {0, 0},
-                       static_cast<int64_t>(rng() % 10)});
+    c->where.push_back({Pred::Kind::kColEqInt,
+                        RandomKeyCol(rng, *c, Pick(rng, n)), {0, 0},
+                        static_cast<int64_t>(rng() % 10)});
   }
+  // IS NOT NULL and the cross-type DOUBLE filter name base-table columns.
+  std::vector<size_t> base;
+  for (size_t s = 0; s < n; ++s) {
+    if (!c->from[s].derived) base.push_back(s);
+  }
+  if (base.empty()) return;
   if (Chance(rng, 20)) {
-    q.where.push_back({Pred::Kind::kIsNotNull, {Pick(rng, q.use), kS0}});
+    c->where.push_back(
+        {Pred::Kind::kIsNotNull, {base[Pick(rng, base.size())], kS0}});
   }
   if (Chance(rng, 15)) {  // cross-type: a DOUBLE column against 3
-    q.where.push_back(
-        {Pred::Kind::kColEqInt, {Pick(rng, q.use), kD0}, {0, 0}, 3});
+    c->where.push_back({Pred::Kind::kColEqInt,
+                        {base[Pick(rng, base.size())], kD0}, {0, 0}, 3});
+  }
+}
+
+/// `count` items: columns, and 20% literals named lit0, lit1, ...
+void AddSelect(Rng& rng, size_t count, CoreSpec* c) {
+  for (size_t i = 0; i < count; ++i) {
+    if (Chance(rng, 20)) {
+      c->select.push_back(RandomLiteral(rng, "lit" + std::to_string(i)));
+    } else {
+      c->select.push_back(ColumnItem(RandomCol(rng, *c)));
+    }
+  }
+}
+
+/// A derived table's core: one or two joined base tables, a key column
+/// first, then columns and literals, every item aliased c0, c1, ...
+std::shared_ptr<CoreSpec> GenerateDerived(Rng& rng, size_t num_tables) {
+  auto d = std::make_shared<CoreSpec>();
+  FillCommaCore(rng, 1 + Pick(rng, std::min<size_t>(2, num_tables)),
+                /*always_join=*/true, d.get());
+  AddFilters(rng, d.get());
+  d->select.push_back(
+      ColumnItem(RandomKeyCol(rng, *d, Pick(rng, d->from.size()))));
+  const size_t more = 1 + Pick(rng, 3);
+  for (size_t i = 0; i < more; ++i) {
+    if (Chance(rng, 35)) {
+      d->select.push_back(RandomLiteral(rng, ""));
+    } else {
+      d->select.push_back(ColumnItem(RandomCol(rng, *d)));
+    }
+  }
+  for (size_t i = 0; i < d->select.size(); ++i) {
+    d->select[i].alias = "c" + std::to_string(i);
+  }
+  return d;
+}
+
+/// A conjunct naming only source `src` of an outer join's ON clause.
+Pred OneSidePred(Rng& rng, const CoreSpec& c, size_t src) {
+  if (!c.from[src].derived && Chance(rng, 40)) {
+    return {Pred::Kind::kIsNotNull, {src, kS0}};
+  }
+  return {Pred::Kind::kColEqInt, RandomKeyCol(rng, c, src), {0, 0},
+          static_cast<int64_t>(rng() % 3)};
+}
+
+/// One random query over tables t0..t{num_tables-1}. Shapes:
+///  - comma FROM list with equijoin WHERE conjuncts (the greedy hash-join
+///    planner; dropping a conjunct occasionally forces a cross product),
+///  - t0 LEFT OUTER JOIN t1 ON key equalities, plus conjuncts naming only
+///    the probe side (they gate matching) or only the build side (they
+///    filter it),
+///  - derived tables in FROM: two derived tables outer-joined (the unified
+///    plan's shape) or comma-joined, or one beside a base table,
+///  - UNION ALL of two comma cores,
+/// plus literal select items, single-source filters, DISTINCT (single
+/// core), and 1-4 ORDER BY keys (three or more take the byte-key path).
+QuerySpec GenerateQuery(Rng& rng, size_t num_tables) {
+  QuerySpec q;
+  const uint32_t shape = rng() % 100;
+  const size_t num_select = 1 + Pick(rng, 4);
+  CoreSpec core;
+  if (shape < 45 || shape >= 80) {
+    FillCommaCore(rng, 2 + Pick(rng, num_tables - 1), false, &core);
+  } else if (shape < 60) {
+    FillCommaCore(rng, 2, true, &core);
+    core.outer = true;
+    core.on = std::move(core.where);
+    core.where.clear();
+    if (Chance(rng, 30)) {
+      core.on.push_back({Pred::Kind::kColEq, RandomKeyCol(rng, core, 0),
+                         RandomKeyCol(rng, core, 1)});
+    }
+  } else {
+    core.from.push_back({0, GenerateDerived(rng, num_tables)});
+    if (Chance(rng, 75)) {
+      core.from.push_back({0, GenerateDerived(rng, num_tables)});
+    } else {
+      core.from.push_back({Pick(rng, num_tables), nullptr});
+    }
+    const Pred link{Pred::Kind::kColEq, RandomKeyCol(rng, core, 0),
+                    RandomKeyCol(rng, core, 1)};
+    core.outer = Chance(rng, 60);
+    (core.outer ? core.on : core.where).push_back(link);
+  }
+  if (core.outer) {
+    if (Chance(rng, 35)) core.on.push_back(OneSidePred(rng, core, 1));
+    if (Chance(rng, 25)) core.on.push_back(OneSidePred(rng, core, 0));
+    for (size_t i = core.on.size(); i > 1; --i) {
+      std::swap(core.on[i - 1], core.on[Pick(rng, i)]);
+    }
+  }
+  AddSelect(rng, num_select, &core);
+  AddFilters(rng, &core);
+  const bool is_union = shape >= 80;
+  core.distinct = !is_union && Chance(rng, 30);
+  q.cores.push_back(std::move(core));
+  if (is_union) {
+    CoreSpec second;
+    FillCommaCore(rng, 2 + Pick(rng, num_tables - 1), false, &second);
+    AddSelect(rng, num_select, &second);
+    AddFilters(rng, &second);
+    q.cores.push_back(std::move(second));
   }
 
   if (Chance(rng, 50)) {
-    const size_t num_keys = 1 + (Chance(rng, 40) ? 1 : 0);
+    const CoreSpec& first = q.first();
+    const size_t num_keys =
+        Chance(rng, 30) ? 3 + Pick(rng, 2) : 1 + (Chance(rng, 30) ? 1 : 0);
+    std::vector<int> literals, columns;
+    for (size_t i = 0; i < first.select.size(); ++i) {
+      (first.select[i].literal ? literals : columns)
+          .push_back(static_cast<int>(i));
+    }
     for (size_t i = 0; i < num_keys; ++i) {
-      const ColRef col = RandomCol(rng, q.use);
-      q.order_by.push_back({col, !Chance(rng, 40)});
+      OrderKey key;
+      key.ascending = !Chance(rng, 40);
+      if (!literals.empty() && Chance(rng, 15)) {
+        key.item = literals[Pick(rng, literals.size())];
+      } else if (is_union && !columns.empty() && Chance(rng, 70)) {
+        key.col = first.select[static_cast<size_t>(
+                                   columns[Pick(rng, columns.size())])]
+                      .col;
+      } else {
+        key.col = RandomCol(rng, first);
+      }
+      q.order_by.push_back(key);
     }
   }
   return q;
@@ -261,11 +476,12 @@ QuerySpec GenerateQuery(Rng& rng, size_t num_tables) {
 // The reference: nested loops over the harness's tuples
 // ---------------------------------------------------------------------------
 
-/// One source row: a row pointer per table, null for outer-join padding.
+/// One source row: a row pointer per FROM item, null for outer-join
+/// padding.
 using Binding = std::vector<const Tuple*>;
 
 Value CellOf(const Binding& b, const ColRef& c) {
-  const Tuple* row = b[c.table];
+  const Tuple* row = b[c.src];
   return row == nullptr ? Value::Null() : row->values()[c.col];
 }
 
@@ -285,85 +501,71 @@ bool PredTrue(const Pred& p, const Binding& b) {
   return false;
 }
 
-size_t MaxTable(const Pred& p) {
-  return p.kind == Pred::Kind::kColEq ? std::max(p.a.table, p.b.table)
-                                      : p.a.table;
+size_t MaxSource(const Pred& p) {
+  return p.kind == Pred::Kind::kColEq ? std::max(p.a.src, p.b.src)
+                                      : p.a.src;
 }
 
-/// Binds t{level}.. in turn, testing each WHERE conjunct as soon as every
-/// table it names is bound (the conjunction is order-insensitive), and
-/// hands every surviving binding to `emit`.
+using Rows = std::vector<Tuple>;
+
+/// Binds sources level.. in turn, testing each WHERE conjunct as soon as
+/// every source it names is bound (the conjunction is order-insensitive),
+/// and hands every surviving binding to `emit`.
 template <typename Emit>
-void EnumerateInner(const std::vector<std::vector<Tuple>>& data,
-                    const QuerySpec& q, size_t level, Binding* b,
+void EnumerateInner(const std::vector<const Rows*>& sources,
+                    const CoreSpec& c, size_t level, Binding* b,
                     const Emit& emit) {
-  if (level == q.use) {
+  if (level == sources.size()) {
     emit(*b);
     return;
   }
-  for (const Tuple& row : data[level]) {
+  for (const Tuple& row : *sources[level]) {
     (*b)[level] = &row;
     bool pass = true;
-    for (const Pred& p : q.where) {
-      if (MaxTable(p) == level && !PredTrue(p, *b)) {
+    for (const Pred& p : c.where) {
+      if (MaxSource(p) == level && !PredTrue(p, *b)) {
         pass = false;
         break;
       }
     }
-    if (pass) EnumerateInner(data, q, level + 1, b, emit);
+    if (pass) EnumerateInner(sources, c, level + 1, b, emit);
   }
 }
 
-/// The reference's answer: its rows, or ok == false when it refuses the
-/// query.
-struct Reference {
-  bool ok = true;
-  std::vector<Tuple> rows;
-};
-
-/// Output column of `key`'s column when exactly one select item names it;
-/// -1 otherwise (absent or ambiguous).
-int UniqueOutputColumn(const QuerySpec& q, const ColRef& key) {
-  int found = -1;
-  for (size_t i = 0; i < q.select.size(); ++i) {
-    if (!SameCol(q.select[i], key)) continue;
-    if (found >= 0) return -1;
-    found = static_cast<int>(i);
-  }
-  return found;
-}
-
-Reference RunReference(const std::vector<std::vector<Tuple>>& data,
-                       const QuerySpec& q) {
-  Reference ref;
-  // After DISTINCT only the select list is left to sort by, and a key has
-  // to name exactly one of its columns.
-  if (q.distinct) {
-    for (const OrderKey& k : q.order_by) {
-      if (UniqueOutputColumn(q, k.col) < 0) ref.ok = false;
+/// One core's rows: derived tables first, recursively, then the joins.
+Rows RunCore(const std::vector<Rows>& data, const CoreSpec& c) {
+  std::vector<Rows> derived(c.from.size());
+  std::vector<const Rows*> sources;
+  for (size_t s = 0; s < c.from.size(); ++s) {
+    if (c.from[s].derived) {
+      derived[s] = RunCore(data, *c.from[s].derived);
+      sources.push_back(&derived[s]);
+    } else {
+      sources.push_back(&data[c.from[s].table]);
     }
-    if (!ref.ok) return ref;
   }
-
+  Rows out;
   auto emit = [&](const Binding& b) {
     Tuple row;
-    for (const ColRef& c : q.select) row.Append(CellOf(b, c));
-    ref.rows.push_back(std::move(row));
+    for (const Item& item : c.select) {
+      row.Append(item.literal ? item.value : CellOf(b, item.col));
+    }
+    out.push_back(std::move(row));
   };
-  if (q.outer) {
+  if (c.outer) {
     // ON decides the matches (and the NULL padding); WHERE then filters
     // the joined rows.
     auto emit_if_where = [&](const Binding& b) {
-      if (std::all_of(q.where.begin(), q.where.end(),
+      if (std::all_of(c.where.begin(), c.where.end(),
                       [&](const Pred& p) { return PredTrue(p, b); })) {
         emit(b);
       }
     };
-    for (const Tuple& l : data[0]) {
+    for (const Tuple& l : *sources[0]) {
       bool matched = false;
-      for (const Tuple& r : data[1]) {
+      for (const Tuple& r : *sources[1]) {
         const Binding b = {&l, &r};
-        if (std::all_of(q.on.begin(), q.on.end(),
+        if (std::all_of(c.on.begin(), c.on.end(),
                         [&](const Pred& p) { return PredTrue(p, b); })) {
           matched = true;
           emit_if_where(b);
@@ -372,17 +574,55 @@ Reference RunReference(const std::vector<std::vector<Tuple>>& data,
       if (!matched) emit_if_where({&l, nullptr});
     }
   } else {
-    Binding b(q.use, nullptr);
-    EnumerateInner(data, q, 0, &b, emit);
+    Binding b(sources.size(), nullptr);
+    EnumerateInner(sources, c, 0, &b, emit);
   }
-  if (q.distinct) {
-    std::sort(ref.rows.begin(), ref.rows.end(),
+  if (c.distinct) {
+    std::sort(out.begin(), out.end(),
               [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
-    ref.rows.erase(std::unique(ref.rows.begin(), ref.rows.end(),
-                               [](const Tuple& a, const Tuple& b) {
-                                 return a.Compare(b) == 0;
-                               }),
-                   ref.rows.end());
+    out.erase(std::unique(out.begin(), out.end(),
+                          [](const Tuple& a, const Tuple& b) {
+                            return a.Compare(b) == 0;
+                          }),
+              out.end());
+  }
+  return out;
+}
+
+/// The reference's answer: its rows, or ok == false when it refuses the
+/// query.
+struct Reference {
+  bool ok = true;
+  Rows rows;
+};
+
+/// Output column of ORDER BY key `k`: its literal item, or the one column
+/// item naming its column; -1 when none or several do.
+int UniqueOutputColumn(const CoreSpec& c, const OrderKey& k) {
+  if (k.item >= 0) return k.item;
+  int found = -1;
+  for (size_t i = 0; i < c.select.size(); ++i) {
+    if (c.select[i].literal || !SameCol(c.select[i].col, k.col)) continue;
+    if (found >= 0) return -1;
+    found = static_cast<int>(i);
+  }
+  return found;
+}
+
+Reference RunReference(const std::vector<Rows>& data, const QuerySpec& q) {
+  Reference ref;
+  // After DISTINCT, and over a UNION, only the select list is left to
+  // sort by, and a key has to name exactly one of its columns.
+  if (q.first().distinct || q.cores.size() > 1) {
+    for (const OrderKey& k : q.order_by) {
+      if (UniqueOutputColumn(q.first(), k) < 0) ref.ok = false;
+    }
+    if (!ref.ok) return ref;
+  }
+  for (const CoreSpec& c : q.cores) {
+    Rows rows = RunCore(data, c);
+    ref.rows.insert(ref.rows.end(), std::make_move_iterator(rows.begin()),
+                    std::make_move_iterator(rows.end()));
   }
   return ref;
 }
@@ -447,12 +687,12 @@ std::string Disagreement(const QuerySpec& q, const Reference& ref,
                : "engine refused with " + engine.status().ToString();
   }
   for (const Tuple& row : engine->rows) {
-    if (row.size() != q.select.size()) {
+    if (row.size() != q.first().select.size()) {
       return "engine row " + RowToString(row) + " has the wrong arity";
     }
   }
 
-  if (q.distinct) {
+  if (q.cores.size() == 1 && q.first().distinct) {
     std::vector<Tuple> got = engine->rows;
     std::sort(got.begin(), got.end(),
               [](const Tuple& a, const Tuple& b) { return a.Compare(b) < 0; });
@@ -496,12 +736,18 @@ std::string Disagreement(const QuerySpec& q, const Reference& ref,
 
   // Sortedness, when every ORDER BY key is projected.
   std::vector<size_t> key_cols;
+  const std::vector<Item>& select = q.first().select;
   for (const OrderKey& k : q.order_by) {
-    const auto it = std::find_if(
-        q.select.begin(), q.select.end(),
-        [&](const ColRef& c) { return SameCol(c, k.col); });
-    if (it == q.select.end()) return "";
-    key_cols.push_back(static_cast<size_t>(it - q.select.begin()));
+    if (k.item >= 0) {
+      key_cols.push_back(static_cast<size_t>(k.item));
+      continue;
+    }
+    const auto it =
+        std::find_if(select.begin(), select.end(), [&](const Item& item) {
+          return !item.literal && SameCol(item.col, k.col);
+        });
+    if (it == select.end()) return "";
+    key_cols.push_back(static_cast<size_t>(it - select.begin()));
   }
   const std::vector<Tuple>& rows = engine->rows;
   for (size_t i = 1; i < rows.size(); ++i) {
@@ -528,6 +774,7 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
   constexpr uint32_t kBaseSeed = 20260805;
 
   int executed = 0, refused = 0, ordered = 0;
+  int derived = 0, unions = 0, literals = 0, long_keys = 0, one_sided_on = 0;
   for (int i = 0; i < num_queries; ++i) {
     const uint32_t seed = kBaseSeed + static_cast<uint32_t>(i);
     Rng rng(seed);
@@ -549,12 +796,28 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     ++executed;
     refused += ref.ok ? 0 : 1;
     ordered += q.order_by.empty() ? 0 : 1;
+    const CoreSpec& first = q.first();
+    derived += first.from[0].derived ? 1 : 0;
+    unions += q.cores.size() > 1 ? 1 : 0;
+    literals += std::any_of(first.select.begin(), first.select.end(),
+                            [](const Item& item) { return item.literal; });
+    long_keys += q.order_by.size() >= 3 ? 1 : 0;
+    one_sided_on += std::any_of(first.on.begin(), first.on.end(),
+                                [](const Pred& p) {
+                                  return p.kind != Pred::Kind::kColEq;
+                                });
   }
   EXPECT_EQ(executed, num_queries);
-  // The generator must keep exercising both outcomes and ORDER BY.
+  // The generator must keep exercising both outcomes, ORDER BY, and every
+  // shape it knows.
   if (num_queries >= 500) {
     EXPECT_GT(refused, 0);
     EXPECT_GT(ordered, num_queries / 4);
+    EXPECT_GT(derived, num_queries / 10);
+    EXPECT_GT(unions, num_queries / 10);
+    EXPECT_GT(literals, num_queries / 10);
+    EXPECT_GT(long_keys, num_queries / 20);
+    EXPECT_GT(one_sided_on, num_queries / 20);
   }
 }
 

@@ -329,5 +329,34 @@ TEST(ExecutorTimeoutTest, CrossProductStopsAtTheDeadline) {
   EXPECT_EQ(result.status().code(), StatusCode::kTimeout) << result.status();
 }
 
+TEST(ExecutorTimeoutTest, SkewedJoinStopsAtTheDeadline) {
+  // 250 probe rows x 40,000 build rows, every key equal: 10^7 output rows
+  // from fewer probe rows than one deadline-check interval. The deadline
+  // must be checked on emitted rows, not only per probe row.
+  Database db;
+  const std::pair<const char*, int> tables[] = {{"a", 250}, {"b", 40000}};
+  for (const auto& [name, rows] : tables) {
+    ASSERT_TRUE(db.CreateTable(TableSchema(name,
+                                           {{"k", DataType::kInt64, false},
+                                            {"v", DataType::kInt64, false}}))
+                    .ok());
+    Table* table = *db.GetTable(name);
+    table->Reserve(rows);
+    for (int64_t i = 0; i < rows; ++i) {
+      ASSERT_TRUE(table->Insert(Tuple{Value::Int64(7), Value::Int64(i)}).ok());
+    }
+  }
+  for (const char* sql :
+       {"select a.v, b.v from a, b where a.k = b.k",
+        "select a.v, b.v from a left outer join b on a.k = b.k",
+        "select a.v, b.v from a, b where a.k = b.k order by b.v, a.v"}) {
+    QueryExecutor exec(&db);
+    exec.set_timeout_ms(50);
+    auto result = exec.ExecuteSql(sql);
+    EXPECT_EQ(result.status().code(), StatusCode::kTimeout)
+        << sql << ": " << result.status();
+  }
+}
+
 }  // namespace
 }  // namespace silkroute::engine

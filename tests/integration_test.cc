@@ -4,11 +4,15 @@
 // claim behind the paper's plan-space exploration.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 
+#include "engine/executor.h"
 #include "silkroute/partition.h"
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
+#include "silkroute/sqlgen.h"
+#include "sql/parser.h"
 #include "tests/test_util.h"
 #include "xml/dtd.h"
 #include "xml/reader.h"
@@ -104,6 +108,57 @@ INSTANTIATE_TEST_SUITE_P(AllPlans, PlanSweepTest,
 // ---------------------------------------------------------------------------
 // Document-level checks.
 // ---------------------------------------------------------------------------
+
+/// Sum of rows x width over `query`'s result and the result of every
+/// derived table inside it, each executed on its own.
+uint64_t ResultCells(const Database& db, const sql::Query& query) {
+  engine::QueryExecutor exec(&db);
+  auto result = exec.Execute(query);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return 0;
+  uint64_t cells = result->rows.size() * result->schema.size();
+  std::function<void(const sql::TableRef&)> visit =
+      [&](const sql::TableRef& ref) {
+        if (ref.kind() == sql::TableRef::Kind::kDerivedTable) {
+          cells += ResultCells(
+              db, static_cast<const sql::DerivedTableRef&>(ref).query());
+        } else if (ref.kind() == sql::TableRef::Kind::kJoin) {
+          const auto& join = static_cast<const sql::JoinRef&>(ref);
+          visit(join.left());
+          visit(join.right());
+        }
+      };
+  for (const auto& core : query.cores) {
+    for (const auto& ref : core.from) visit(*ref);
+  }
+  return cells;
+}
+
+// The executor builds each result cell exactly once: its
+// cells_materialized counter equals rows x width summed over the results
+// it returns, derived tables' results included — no intermediate copies.
+TEST(PublisherTest, Query1BuildsEachResultCellOnce) {
+  auto tree = env()->publisher().BuildViewTree(Query1Rxl());
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  for (const Partition& plan :
+       {Partition::Unified(*tree), Partition::FullyPartitioned(*tree)}) {
+    for (auto style : {SqlGenStyle::kOuterJoin, SqlGenStyle::kOuterUnion}) {
+      SqlGenerator gen(&*tree, style, /*reduce=*/true);
+      auto specs = gen.GeneratePlan(plan);
+      ASSERT_TRUE(specs.ok()) << specs.status();
+      for (const StreamSpec& spec : *specs) {
+        engine::QueryExecutor exec(&env()->db());
+        auto result = exec.ExecuteSql(spec.sql);
+        ASSERT_TRUE(result.ok()) << result.status();
+        auto query = sql::ParseQuery(spec.sql);
+        ASSERT_TRUE(query.ok()) << query.status();
+        const uint64_t expected = ResultCells(env()->db(), **query);
+        EXPECT_GT(expected, 0u) << spec.sql;
+        EXPECT_EQ(exec.stats().cells_materialized, expected) << spec.sql;
+      }
+    }
+  }
+}
 
 TEST(PublisherTest, Query1DocumentValidatesAgainstPaperDtd) {
   std::string xml = Reference(Query1Rxl().data());

@@ -329,28 +329,6 @@ TEST(KeyCodecTest, ColumnEncodingIsByteIdenticalToValueEncoding) {
   }
 }
 
-TEST(KeyCodecTest, TableJoinKeyMatchesTupleJoinKeyIncludingNullRefusal) {
-  const std::vector<std::vector<size_t>> col_sets = {{0}, {1}, {2}, {0, 1, 2},
-                                                     {2, 0}};
-  const CorpusTable corpus = MakeCorpusTable();
-  size_t refused = 0;
-  for (size_t r = 0; r < corpus.rows.size(); ++r) {
-    for (const auto& cols : col_sets) {
-      std::string from_tuple, from_table;
-      const bool ok_tuple = EncodeJoinKey(corpus.rows[r], cols, &from_tuple);
-      const bool ok_table =
-          EncodeTableJoinKey(*corpus.table, r, cols, &from_table);
-      ASSERT_EQ(ok_table, ok_tuple) << "row " << r;
-      if (ok_tuple) {
-        EXPECT_EQ(from_table, from_tuple) << "row " << r;
-      } else {
-        ++refused;
-      }
-    }
-  }
-  EXPECT_GT(refused, 0u);  // the corpus does exercise NULL key columns
-}
-
 TEST(KeyCodecTest, ArenaKeepsViewsStableAcrossChunkGrowth) {
   KeyArena arena(/*chunk_bytes=*/16);
   std::vector<std::pair<std::string, std::string_view>> interned;

@@ -2,7 +2,8 @@
 // operator throughputs that the cost model abstracts (scan+filter, hash
 // join, disjunctive outer join, sort, wire serialization, end-to-end plan
 // execution, the engine layer of one Query 1 plan), plus the client-side
-// merge/tag layer on bound streams.
+// merge/tag layer on bound streams and the two planning paths of a Sec. 7
+// fragment (an uncached Prepare, a publish whose prepared plan is stored).
 // Context for interpreting the experiment tables.
 #include <benchmark/benchmark.h>
 
@@ -14,10 +15,12 @@
 #include "bench/bench_util.h"
 #include "engine/executor.h"
 #include "engine/tuple_stream.h"
+#include "rxl/parser.h"
 #include "silkroute/greedy.h"
 #include "silkroute/partition.h"
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
+#include "silkroute/subview.h"
 #include "silkroute/tagger.h"
 
 using namespace silkroute;
@@ -159,6 +162,49 @@ void BM_ExecuteQuery1Unified(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteQuery1Unified);
+
+std::string NationSubviewRxl() {
+  auto view = rxl::ParseRxl(Query1Rxl()).value();
+  return ComposeSubview(view, "/supplier[nation='FRANCE']").value().ToString();
+}
+
+void BM_PrepareNationSubview(benchmark::State& state) {
+  // The prepared-plan miss path for a Sec. 7 fragment: RXL parse, view
+  // tree, genPlan, permissible cut and SQL generation, stored nowhere.
+  static Publisher* publisher = new Publisher(SharedDb());
+  const std::string rxl = NationSubviewRxl();
+  PublishOptions opt;
+  for (auto _ : state) {
+    auto plan = publisher->Prepare(rxl, opt);
+    if (!plan.ok()) {
+      state.SkipWithError(plan.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(plan);
+  }
+}
+BENCHMARK(BM_PrepareNationSubview);
+
+void BM_PublishNationSubview(benchmark::State& state) {
+  // The hit path: a warm Publisher::Publish of the same fragment, whose
+  // prepared plan the first publish stored.
+  static Publisher* publisher = new Publisher(SharedDb());
+  const std::string rxl = NationSubviewRxl();
+  PublishOptions opt;
+  opt.collect_sql = false;
+  opt.document_element = "fragment";
+  std::ostringstream warm;
+  if (!publisher->Publish(rxl, opt, &warm).ok()) {
+    state.SkipWithError("warm-up publish failed");
+    return;
+  }
+  for (auto _ : state) {
+    std::ostringstream sink;
+    auto result = publisher->Publish(rxl, opt, &sink);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_PublishNationSubview);
 
 /// An ostream sink that drops every byte, so BM_TagQuery1 times the tagger
 /// and the XML writer, not a growing string.

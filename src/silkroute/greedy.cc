@@ -83,11 +83,20 @@ Result<GreedyPlan> GeneratePlanGreedy(const ViewTree& tree,
   SqlGenerator gen(&tree, params.style, params.reduce);
   CachedOracle cached(oracle);
 
+  // Every round re-probes the unchanged components, so costs are memoized
+  // by node set first: SQL is generated once per distinct component. The
+  // SQL-keyed oracle cache still sees every distinct text, so the request
+  // count is unchanged.
+  std::map<std::vector<int>, double> cost_by_nodes;
   auto cost_of = [&](const std::vector<int>& nodes) -> Result<double> {
+    auto it = cost_by_nodes.find(nodes);
+    if (it != cost_by_nodes.end()) return it->second;
     SILK_ASSIGN_OR_RETURN(StreamSpec spec, gen.GenerateComponent(nodes));
     SILK_ASSIGN_OR_RETURN(engine::QueryEstimate est,
                           cached.Estimate(spec.sql));
-    return params.a * est.cost + params.b * est.data_size();
+    double cost = params.a * est.cost + params.b * est.data_size();
+    cost_by_nodes.emplace(nodes, cost);
+    return cost;
   };
 
   // Current components: each node starts alone.

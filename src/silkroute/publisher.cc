@@ -35,16 +35,57 @@ Result<PublishResult> Publisher::PublishSubview(std::string_view rxl_text,
   return Publish(composed.ToString(), options, out);
 }
 
-Result<PublishResult> Publisher::Publish(std::string_view rxl_text,
-                                         const PublishOptions& options,
-                                         std::ostream* out) {
-  SILK_ASSIGN_OR_RETURN(ViewTree tree, BuildViewTree(rxl_text));
+PreparedPlan::PreparedPlan(std::shared_ptr<const ViewTree> view_tree,
+                           const PublishOptions& options)
+    : tree(std::move(view_tree)),
+      gen(tree.get(), options.style, options.reduce,
+          options.distinct_selects) {}
 
-  PublishResult result;
+namespace {
+
+/// SQL generation for a chosen mask, and what every publish of the plan
+/// derives from the SQL.
+Result<std::shared_ptr<const PreparedPlan>> GenerateComponents(
+    std::shared_ptr<const ViewTree> tree, uint64_t mask,
+    GreedyPlan greedy_plan, const PublishOptions& options) {
+  auto plan = std::make_shared<PreparedPlan>(std::move(tree), options);
+  plan->mask = mask;
+  plan->greedy_plan = std::move(greedy_plan);
+  SILK_ASSIGN_OR_RETURN(Partition partition,
+                        Partition::FromMask(*plan->tree, mask));
+  SILK_ASSIGN_OR_RETURN(plan->specs, plan->gen.GeneratePlan(partition));
+  std::set<std::string> tables;
+  for (StreamSpec& spec : plan->specs) {
+    spec.tables = ComponentTables(*plan->tree, spec.covered_nodes);
+    tables.insert(spec.tables.begin(), spec.tables.end());
+    plan->normalized_sql.push_back(NormalizeSql(spec.sql));
+    plan->sql_fingerprint += '|';
+    plan->sql_fingerprint += plan->normalized_sql.back();
+  }
+  plan->tables.assign(tables.begin(), tables.end());
+  return std::shared_ptr<const PreparedPlan>(std::move(plan));
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const PreparedPlan>> Publisher::Prepare(
+    std::string_view rxl_text, const PublishOptions& options) {
+  // The estimator mutates its request counter; concurrent publishers share
+  // it, so planning is serialized (execution is not).
+  std::lock_guard<std::mutex> lock(plan_mu_);
+  return PrepareLocked(rxl_text, options);
+}
+
+Result<std::shared_ptr<const PreparedPlan>> Publisher::PrepareLocked(
+    std::string_view rxl_text, const PublishOptions& options) {
+  SILK_ASSIGN_OR_RETURN(ViewTree built, BuildViewTree(rxl_text));
+  auto tree = std::make_shared<const ViewTree>(std::move(built));
+
+  GreedyPlan greedy_plan;
   uint64_t mask = 0;
   switch (options.strategy) {
     case PlanStrategy::kUnified:
-      mask = Partition::Unified(tree).mask();
+      mask = Partition::Unified(*tree).mask();
       break;
     case PlanStrategy::kFullyPartitioned:
       mask = 0;
@@ -56,24 +97,80 @@ Result<PublishResult> Publisher::Publish(std::string_view rxl_text,
       GreedyParams params = options.greedy;
       params.style = options.style;
       params.reduce = options.reduce;
-      // The estimator mutates its request counter; concurrent publishers
-      // share it, so planning is serialized (execution is not).
-      std::lock_guard<std::mutex> lock(plan_mu_);
       engine::CostOracle* oracle = options.plan_oracle != nullptr
                                        ? options.plan_oracle
                                        : &estimator_;
-      SILK_ASSIGN_OR_RETURN(result.greedy_plan,
-                            GeneratePlanGreedy(tree, oracle, params));
-      mask = result.greedy_plan.FullMask();
+      SILK_ASSIGN_OR_RETURN(greedy_plan,
+                            GeneratePlanGreedy(*tree, oracle, params));
+      mask = greedy_plan.FullMask();
       break;
     }
   }
   SILK_ASSIGN_OR_RETURN(mask,
-                        MakePermissible(tree, mask, options.style,
+                        MakePermissible(*tree, mask, options.style,
                                         options.reduce, options.source));
-  SILK_ASSIGN_OR_RETURN(result.metrics,
-                        ExecutePlan(tree, mask, options, out));
-  return result;
+  return GenerateComponents(std::move(tree), mask, std::move(greedy_plan),
+                            options);
+}
+
+Publisher::PlanKey::PlanKey(std::string_view rxl_text,
+                            const PublishOptions& options)
+    : rxl(rxl_text),
+      strategy(options.strategy),
+      explicit_mask(options.explicit_mask),
+      style(options.style),
+      reduce(options.reduce),
+      distinct_selects(options.distinct_selects),
+      supports_outer_join(options.source.supports_outer_join),
+      supports_union(options.source.supports_union),
+      a(options.greedy.a),
+      b(options.greedy.b),
+      t1(options.greedy.t1),
+      t2(options.greedy.t2) {}
+
+std::shared_ptr<const PreparedPlan> Publisher::FindPlan(
+    const PlanKey& key) const {
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  auto it = plans_.find(key);
+  return it != plans_.end() ? it->second : nullptr;
+}
+
+Result<std::shared_ptr<const PreparedPlan>> Publisher::PrepareCached(
+    std::string_view rxl_text, const PublishOptions& options, bool* hit) {
+  // For the publisher's lifetime a plan is a pure function of its key: the
+  // statistics were collected at construction and the catalog only grows.
+  // A caller's oracle is not (a measured one drifts as it records).
+  if (options.plan_oracle != nullptr) return Prepare(rxl_text, options);
+  PlanKey key(rxl_text, options);
+  if (std::shared_ptr<const PreparedPlan> stored = FindPlan(key)) {
+    *hit = true;
+    return stored;
+  }
+  // Misses plan one at a time. A request that raced another for the same
+  // view finds that plan on this second look instead of planning again.
+  std::lock_guard<std::mutex> planning(plan_mu_);
+  if (std::shared_ptr<const PreparedPlan> stored = FindPlan(key)) {
+    *hit = true;
+    return stored;
+  }
+  SILK_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedPlan> plan,
+                        PrepareLocked(rxl_text, options));
+  // Inserts happen only here, under plan_mu_ and after the second look, so
+  // the key is new. Errors are not stored.
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  auto inserted = plans_.emplace(std::move(key), plan).first;
+  plan_order_.push_back(&inserted->first);
+  if (plan_order_.size() > kMaxPreparedPlans) {
+    // A publish still running the evicted plan holds its own reference.
+    plans_.erase(plans_.find(*plan_order_.front()));
+    plan_order_.pop_front();
+  }
+  return plan;
+}
+
+size_t Publisher::prepared_plans() const {
+  std::lock_guard<std::mutex> lock(plans_mu_);
+  return plans_.size();
 }
 
 ComponentStep::ComponentStep(const ViewTree& tree, const SqlGenerator& gen,
@@ -103,7 +200,7 @@ PendingComponent ComponentStep::Pending(StreamSpec spec, size_t origin,
                                         obs::SpanHandle* parent) const {
   PendingComponent item;
   item.outcome.nodes = spec.covered_nodes;
-  item.outcome.tables = ComponentTables(tree_, spec.covered_nodes);
+  item.outcome.tables = spec.tables;
   // Null — not an inert handle — when tracing is off, so the disabled path
   // allocates nothing.
   obs::Tracer* tracer = options_.tracer;
@@ -261,6 +358,7 @@ std::vector<PendingComponent> ComponentStep::Fail(PendingComponent item,
       Abort(spec.status());
       return {};
     }
+    spec->tables = ComponentTables(tree_, *part);
     follow_ups.push_back(
         Pending(std::move(spec).value(), item.origin, item.span.get()));
   }
@@ -373,23 +471,43 @@ Result<std::vector<ComponentStream>> SequentialExecution::Run(
 
 }  // namespace
 
-Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
-                                           uint64_t mask,
-                                           const PublishOptions& options,
-                                           std::ostream* out) {
-  SILK_ASSIGN_OR_RETURN(Partition plan, Partition::FromMask(tree, mask));
-  SqlGenerator gen(&tree, options.style, options.reduce,
-                   options.distinct_selects);
-  SILK_ASSIGN_OR_RETURN(std::vector<StreamSpec> specs, gen.GeneratePlan(plan));
-
-  PlanMetrics metrics;
-  metrics.mask = mask;
-  metrics.num_streams = specs.size();
-
+template <typename PrepareFn>
+Result<PublishResult> Publisher::Run(const PublishOptions& options,
+                                     std::ostream* out, PrepareFn prepare) {
+  // The plan span starts before planning, so the trace shows what obtaining
+  // the plan cost and whether the cache served it.
   obs::SpanHandle plan_span =
       obs::Tracer::Child(options.tracer, options.parent_span, "plan");
-  plan_span.AnnotateCount("mask", mask);
-  plan_span.AnnotateCount("num_components", specs.size());
+  PublishResult result;
+  PlanMetrics& metrics = result.metrics;
+  std::shared_ptr<const PreparedPlan> plan;
+  {
+    obs::SpanHandle plan_phase =
+        obs::Tracer::Child(options.tracer, &plan_span, "phase:plan");
+    Timer plan_timer;
+    SILK_ASSIGN_OR_RETURN(plan, prepare(&metrics.plan_cached));
+    metrics.plan_ms = plan_timer.ElapsedMillis();
+    plan_phase.AnnotateMs("ms", metrics.plan_ms);
+    plan_phase.Annotate("cache", metrics.plan_cached ? "hit" : "miss");
+  }
+  if (options.metrics_registry != nullptr) {
+    obs::MetricsRegistry* reg = options.metrics_registry;
+    reg->histogram("silkroute_phase_plan_us")
+        ->RecordMicros(metrics.plan_ms * 1000.0);
+    // Both series always exist, so a stats table shows a zero.
+    reg->counter("silkroute_plan_cache_hits_total")
+        ->Add(metrics.plan_cached ? 1 : 0);
+    reg->counter("silkroute_plan_cache_misses_total")
+        ->Add(metrics.plan_cached ? 0 : 1);
+  }
+  result.greedy_plan = plan->greedy_plan;
+  metrics.mask = plan->mask;
+  metrics.num_streams = plan->specs.size();
+  plan_span.AnnotateMs("plan_ms", metrics.plan_ms);
+  plan_span.AnnotateCount("mask", plan->mask);
+  plan_span.AnnotateCount("num_components", plan->specs.size());
+  // Each publish keys and consumes its own copies of the specs.
+  std::vector<StreamSpec> specs = plan->specs;
 
   // Result cache (DESIGN.md §15). The version vector of every table the
   // plan touches is snapshotted once, BEFORE any query runs: a write that
@@ -401,13 +519,7 @@ Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
   bool cache_live = false;
   std::string doc_key;
   if (cache != nullptr) {
-    std::set<std::string> table_set;
-    for (const StreamSpec& spec : specs) {
-      for (std::string& t : ComponentTables(tree, spec.covered_nodes)) {
-        table_set.insert(std::move(t));
-      }
-    }
-    std::vector<std::string> table_list(table_set.begin(), table_set.end());
+    const std::vector<std::string>& table_list = plan->tables;
     Result<engine::TableVersionVector> fetched =
         [&]() -> Result<engine::TableVersionVector> {
       if (options.executor != nullptr) {
@@ -426,9 +538,9 @@ Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
     if (fetched.ok()) {
       cache_live = true;
       const engine::TableVersionVector& versions = fetched.value();
-      for (StreamSpec& spec : specs) {
+      for (size_t i = 0; i < specs.size(); ++i) {
         engine::TableVersionVector sub;
-        for (const std::string& t : ComponentTables(tree, spec.covered_nodes)) {
+        for (const std::string& t : specs[i].tables) {
           auto it = std::lower_bound(
               versions.begin(), versions.end(), t,
               [](const auto& pair, const std::string& name) {
@@ -436,20 +548,17 @@ Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
               });
           if (it != versions.end() && it->first == t) sub.push_back(*it);
         }
-        spec.cache_key =
-            engine::ResultCache::FragmentKey(NormalizeSql(spec.sql), sub);
+        specs[i].cache_key =
+            engine::ResultCache::FragmentKey(plan->normalized_sql[i], sub);
       }
       // The document fingerprint pins everything that shapes the XML: the
       // partition, every component's SQL (style/reduce/distinct are all
       // reflected there), and the tagging options.
-      std::string fingerprint = std::to_string(mask);
+      std::string fingerprint = std::to_string(plan->mask);
       fingerprint += '|';
       fingerprint += options.document_element;
       fingerprint += options.pretty ? "|p" : "|c";
-      for (const StreamSpec& spec : specs) {
-        fingerprint += '|';
-        fingerprint += NormalizeSql(spec.sql);
-      }
+      fingerprint += plan->sql_fingerprint;
       doc_key = engine::ResultCache::DocumentKey(fingerprint,
                                                  fetched.value());
       if (auto doc = cache->Lookup(doc_key)) {
@@ -470,7 +579,7 @@ Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
         if (options.metrics_registry != nullptr) {
           options.metrics_registry->counter("silkroute_plans_total")->Add();
         }
-        return metrics;
+        return result;
       }
     }
   }
@@ -481,9 +590,9 @@ Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
       options.execution != nullptr ? options.execution : &sequential;
   SILK_ASSIGN_OR_RETURN(
       std::vector<ComponentStream> done,
-      execution->Run(tree, gen, std::move(specs), options, &metrics,
-                     &plan_span));
-  if (metrics.timed_out) return metrics;  // partial metrics, no document
+      execution->Run(*plan->tree, plan->gen, std::move(specs), options,
+                     &metrics, &plan_span));
+  if (metrics.timed_out) return result;  // partial metrics, no document
   metrics.num_streams = done.size();
 
   // Restore document order after degradation: streams sorted by component
@@ -502,7 +611,7 @@ Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
   xml::XmlWriter::Options writer_options;
   writer_options.pretty = options.pretty;
   xml::XmlWriter writer(sink, writer_options);
-  Tagger tagger(&tree, &writer,
+  Tagger tagger(plan->tree.get(), &writer,
                 Tagger::Options{options.document_element});
   std::vector<Tagger::StreamInput> inputs;
   inputs.reserve(done.size());
@@ -588,7 +697,29 @@ Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
     reg->counter("silkroute_xml_writer_flushes_total")
         ->Add(metrics.xml_flushes);
   }
-  return metrics;
+  return result;
+}
+
+Result<PublishResult> Publisher::Publish(std::string_view rxl_text,
+                                         const PublishOptions& options,
+                                         std::ostream* out) {
+  return Run(options, out, [&](bool* hit) {
+    return PrepareCached(rxl_text, options, hit);
+  });
+}
+
+Result<PlanMetrics> Publisher::ExecutePlan(const ViewTree& tree,
+                                           uint64_t mask,
+                                           const PublishOptions& options,
+                                           std::ostream* out) {
+  // The caller's tree outlives the call: share it without owning it.
+  std::shared_ptr<const ViewTree> borrowed(std::shared_ptr<void>(), &tree);
+  SILK_ASSIGN_OR_RETURN(PublishResult result,
+                        Run(options, out, [&](bool*) {
+                          return GenerateComponents(borrowed, mask, {},
+                                                    options);
+                        }));
+  return std::move(result.metrics);
 }
 
 }  // namespace silkroute::core

@@ -19,12 +19,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <set>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -131,7 +133,9 @@ struct PublishOptions {
   /// Overrides the publisher's synthetic estimator for greedy planning —
   /// typically an engine::MeasuredCostOracle overlaying a loaded profile.
   /// Null = the built-in CostEstimator. Planning is serialized internally,
-  /// so the oracle needs no thread-safety of its own.
+  /// so the oracle needs no thread-safety of its own. A plan made with an
+  /// oracle is never stored in the publisher's prepared-plan cache: a
+  /// measured oracle's answers drift as its profile records.
   engine::CostOracle* plan_oracle = nullptr;
 };
 
@@ -159,6 +163,12 @@ struct ComponentOutcome {
 struct PlanMetrics {
   uint64_t mask = 0;
   size_t num_streams = 0;
+  /// Time to obtain the prepared plan: RXL parse, view tree, plan choice,
+  /// permissible cut and SQL generation on a miss; a lookup on a hit. Not
+  /// part of total_ms(), which keeps the paper's query + bind + tag.
+  double plan_ms = 0;
+  /// The plan came from the publisher's prepared-plan cache.
+  bool plan_cached = false;
   /// True if a query hit the configured timeout; times are then partial
   /// and no document was produced.
   bool timed_out = false;
@@ -247,6 +257,35 @@ struct PublishResult {
   PlanMetrics metrics;
   /// Present when strategy == kGreedy.
   GreedyPlan greedy_plan;
+};
+
+/// Everything a publish derives from the view text and the plan-shaping
+/// options alone (DESIGN.md §8 "Prepared plans"). Publisher::Prepare makes
+/// one; every publish of the same view under the same plan options then
+/// shares it read-only. Tagging options and everything per request
+/// (executor, deadline, tracer, caches) are applied at run time.
+struct PreparedPlan {
+  PreparedPlan(std::shared_ptr<const ViewTree> view_tree,
+               const PublishOptions& options);
+
+  std::shared_ptr<const ViewTree> tree;
+  /// The final (permissible) edge mask.
+  uint64_t mask = 0;
+  /// Present when strategy == kGreedy.
+  GreedyPlan greedy_plan;
+  /// The plan's SQL generator over *tree; degradation generates the split
+  /// halves of a failed component with it.
+  SqlGenerator gen;
+  /// One spec per component in component-root order, with `tables` filled
+  /// and `cache_key` empty: each publish keys its own copies.
+  std::vector<StreamSpec> specs;
+  /// NormalizeSql of each spec's SQL, the text of its fragment-cache key.
+  std::vector<std::string> normalized_sql;
+  /// Every table the components introduce, sorted and deduplicated: the
+  /// version vector a cached publish fetches.
+  std::vector<std::string> tables;
+  /// The SQL part of the document-cache fingerprint.
+  std::string sql_fingerprint;
 };
 
 /// A component query awaiting execution. Degradation replaces one item
@@ -358,10 +397,15 @@ class ComponentStep {
 /// Thread-compatible for concurrent publishing: Publish/ExecutePlan may be
 /// called from multiple threads at once provided each call writes to its
 /// own output stream and any caller-supplied executor/execution strategy is
-/// itself thread-safe. The shared cost estimator is serialized internally
-/// (planning is cheap next to execution).
+/// itself thread-safe. The shared cost estimator is serialized internally;
+/// greedy planning is not cheap next to execution (a one-nation fragment
+/// of Query 1 plans for longer than it executes), which is why Publish
+/// keeps the plans it prepared.
 class Publisher {
  public:
+  /// Prepared plans kept per publisher; the oldest is evicted first.
+  static constexpr size_t kMaxPreparedPlans = 256;
+
   /// Statistics are collected once at construction (ANALYZE).
   explicit Publisher(const Database* db);
 
@@ -371,7 +415,16 @@ class Publisher {
   /// Parses RXL text and builds the labeled view tree.
   Result<ViewTree> BuildViewTree(std::string_view rxl_text) const;
 
-  /// Full pipeline: RXL text -> XML on `out`.
+  /// Parses the view, builds its tree, chooses the plan (strategy,
+  /// explicit_mask, greedy, plan_oracle), cuts it to a permissible one
+  /// (source) and generates its SQL (style, reduce, distinct_selects).
+  /// Always plans, one call at a time; Publish is the memoized caller.
+  Result<std::shared_ptr<const PreparedPlan>> Prepare(
+      std::string_view rxl_text, const PublishOptions& options);
+
+  /// Full pipeline: RXL text -> XML on `out`. The prepared plan is looked
+  /// up by the view text and the plan-shaping options first; a miss
+  /// prepares and stores it (unless options.plan_oracle is set).
   Result<PublishResult> Publish(std::string_view rxl_text,
                                 const PublishOptions& options,
                                 std::ostream* out);
@@ -385,17 +438,68 @@ class Publisher {
                                        std::ostream* out);
 
   /// Executes one explicit plan for a pre-built view tree (the benchmark
-  /// harness entry point).
+  /// harness entry point): an unstored prepared plan over `tree`, run by
+  /// the same step as Publish.
   Result<PlanMetrics> ExecutePlan(const ViewTree& tree, uint64_t mask,
                                   const PublishOptions& options,
                                   std::ostream* out);
 
+  /// Prepared plans currently stored (at most kMaxPreparedPlans).
+  size_t prepared_plans() const;
+
  private:
+  /// The prepared-plan cache key: the view text and every plan-shaping
+  /// option. Tagging and per-request options are deliberately absent.
+  struct PlanKey {
+    PlanKey(std::string_view rxl_text, const PublishOptions& options);
+    bool operator==(const PlanKey&) const = default;
+
+    std::string rxl;
+    PlanStrategy strategy;
+    uint64_t explicit_mask;
+    SqlGenStyle style;
+    bool reduce;
+    bool distinct_selects;
+    bool supports_outer_join;
+    bool supports_union;
+    double a, b, t1, t2;
+  };
+  /// Hashes the view text only; the few option sets one text is published
+  /// under are told apart by equality.
+  struct PlanKeyHash {
+    size_t operator()(const PlanKey& key) const {
+      return std::hash<std::string>()(key.rxl);
+    }
+  };
+
+  /// Prepare through the cache; `*hit` reports a stored plan.
+  Result<std::shared_ptr<const PreparedPlan>> PrepareCached(
+      std::string_view rxl_text, const PublishOptions& options, bool* hit);
+  /// Prepare's work; the caller holds plan_mu_.
+  Result<std::shared_ptr<const PreparedPlan>> PrepareLocked(
+      std::string_view rxl_text, const PublishOptions& options);
+  /// The stored plan for `key`, or null.
+  std::shared_ptr<const PreparedPlan> FindPlan(const PlanKey& key) const;
+  /// The run step shared by Publish and ExecutePlan: obtains the plan via
+  /// `prepare` under the plan span's phase:plan, then executes, tags and
+  /// records it.
+  template <typename PrepareFn>
+  Result<PublishResult> Run(const PublishOptions& options, std::ostream* out,
+                            PrepareFn prepare);
+
   const Database* db_;
   engine::DatabaseStats stats_;
   engine::CostEstimator estimator_;
-  /// Serializes greedy planning (the estimator counts requests).
+  /// Serializes planning (the estimator counts requests) and the cache's
+  /// inserts. Taken before plans_mu_, never after.
   std::mutex plan_mu_;
+  /// Guards only the cache lookup and insert; a miss plans outside it.
+  mutable std::mutex plans_mu_;
+  std::unordered_map<PlanKey, std::shared_ptr<const PreparedPlan>,
+                     PlanKeyHash>
+      plans_;
+  /// Stored keys, oldest first (pointers into plans_' stable nodes).
+  std::deque<const PlanKey*> plan_order_;
 };
 
 }  // namespace silkroute::core

@@ -66,6 +66,10 @@ struct StreamSpec {
   std::string sql;                   // final SQL text, with ORDER BY
   std::vector<int> covered_nodes;    // ascending node ids
   std::vector<InstanceSpec> instances;  // document order
+  /// Backend tables the component introduces (ComponentTables, source.h):
+  /// its circuit-breaker keys and cache-key version set. Filled by the
+  /// publisher once per prepared plan; empty straight from the generator.
+  std::vector<std::string> tables;
   /// Result-cache fragment key (publisher, DESIGN.md §15): packed from the
   /// normalized SQL and the versions of the tables the component names.
   /// Empty = uncacheable (version fetch failed, cache off, or a degraded

@@ -10,8 +10,10 @@
 #include "engine/measured_oracle.h"
 #include "engine/stats.h"
 #include "obs/profile.h"
+#include "rxl/parser.h"
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
+#include "silkroute/subview.h"
 #include "tests/test_util.h"
 
 namespace silkroute::core {
@@ -219,6 +221,85 @@ TEST_F(GreedyTest, ObservedProfileOverlayChangesThePlan) {
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_EQ(synthetic_xml.str(), measured_xml.str());
   EXPECT_FALSE(synthetic_xml.str().empty());
+}
+
+TEST_F(GreedyTest, PlanOracleBypassesThePreparedPlanCache) {
+  // The overlay loop above, through one Publisher that first stored the
+  // synthetic plan of the same text: every overlay publish must plan
+  // afresh (a measured oracle drifts as its profile records), and the
+  // stored synthetic plan must survive the overlay publishes untouched.
+  Publisher publisher(db_);
+  PublishOptions options;
+  options.document_element = "suppliers";
+  std::ostringstream synthetic_xml;
+  auto synthetic = publisher.Publish(Query1Rxl(), options, &synthetic_xml);
+  ASSERT_TRUE(synthetic.ok()) << synthetic.status();
+  ASSERT_EQ(synthetic->greedy_plan.mandatory_edges.size(), 6u);
+  ASSERT_EQ(synthetic->greedy_plan.optional_edges.size(), 3u);
+
+  obs::WorkloadProfile profile;
+  std::set<std::string> known;
+  GreedyPlan measured_plan;
+  for (int round = 0; round < 16; ++round) {
+    engine::MeasuredCostOracle overlay(publisher.estimator(), &profile);
+    CapturingOracle capture(&overlay);
+    PublishOptions overlaid = options;
+    overlaid.plan_oracle = &capture;
+    std::ostringstream xml;
+    auto result = publisher.Publish(Query1Rxl(), overlaid, &xml);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_FALSE(result->metrics.plan_cached) << "round " << round;
+    EXPECT_EQ(xml.str(), synthetic_xml.str());
+    measured_plan = result->greedy_plan;
+    size_t before = known.size();
+    for (const auto& sql : capture.seen) {
+      if (known.insert(sql).second) profile.RecordQuery(sql, 100.0, 1, 1);
+    }
+    if (known.size() == before) break;
+  }
+  EXPECT_EQ(measured_plan.mandatory_edges.size(), tree_->num_edges());
+  EXPECT_TRUE(measured_plan.optional_edges.empty());
+  EXPECT_EQ(publisher.prepared_plans(), 1u);
+
+  std::ostringstream again_xml;
+  auto again = publisher.Publish(Query1Rxl(), options, &again_xml);
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_TRUE(again->metrics.plan_cached);
+  EXPECT_EQ(again->greedy_plan.mandatory_edges,
+            synthetic->greedy_plan.mandatory_edges);
+  EXPECT_EQ(again->greedy_plan.optional_edges,
+            synthetic->greedy_plan.optional_edges);
+  EXPECT_EQ(again_xml.str(), synthetic_xml.str());
+}
+
+TEST_F(GreedyTest, NodeSetMemoKeepsPlansAndRequestCounts) {
+  // genPlan memoizes costs by node set before the SQL-keyed oracle cache;
+  // the plans and the distinct-request counts are pinned to the values
+  // the SQL-only memo produced on this database.
+  auto view = rxl::ParseRxl(Query1Rxl());
+  ASSERT_TRUE(view.ok()) << view.status();
+  auto nation = ComposeSubview(*view, "/supplier[nation='FRANCE']");
+  ASSERT_TRUE(nation.ok()) << nation.status();
+  struct Pin {
+    std::string rxl;
+    std::vector<size_t> mandatory;
+    std::vector<size_t> optional;
+    size_t requests;
+  };
+  const std::vector<Pin> pins = {
+      {std::string(Query1Rxl()), {3, 4, 5, 6, 7, 8}, {0, 1, 2}, 35},
+      {std::string(Query2Rxl()), {4, 5, 6, 7, 8}, {}, 28},
+      {nation->ToString(), {6, 7, 8}, {0, 1, 2, 3, 4, 5}, 32},
+  };
+  for (const Pin& pin : pins) {
+    ViewTree tree = MustBuildTree(pin.rxl, db_->catalog());
+    engine::CostEstimator oracle(&db_->catalog(), stats_);
+    auto plan = GeneratePlanGreedy(tree, &oracle, GreedyParams{});
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_EQ(plan->mandatory_edges, pin.mandatory);
+    EXPECT_EQ(plan->optional_edges, pin.optional);
+    EXPECT_EQ(plan->oracle_requests, pin.requests);
+  }
 }
 
 TEST_F(GreedyTest, Query2PlansParallelStarEdges) {

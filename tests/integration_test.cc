@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <sstream>
+#include <tuple>
 
 #include "engine/executor.h"
 #include "silkroute/partition.h"
@@ -297,11 +298,188 @@ TEST(PublisherTest, PrettyOutputStillParses) {
   EXPECT_TRUE(xml::ParseXml(out.str()).ok());
 }
 
+// ---------------------------------------------------------------------------
+// Prepared-plan cache (DESIGN.md §8 "Prepared plans").
+// ---------------------------------------------------------------------------
+
+struct Published {
+  std::string xml;
+  PublishResult result;
+};
+
+Published MustPublish(Publisher* publisher, std::string_view rxl,
+                      const PublishOptions& options) {
+  Published published;
+  std::ostringstream out;
+  auto result = publisher->Publish(rxl, options, &out);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (result.ok()) published.result = std::move(result).value();
+  published.xml = out.str();
+  return published;
+}
+
+TEST(PreparedPlanTest, MissAndHitMatchAFreshPublisher) {
+  Publisher cached(&env()->db());
+  const SourceDescription no_outer_join{false, true};
+  const SourceDescription no_union{true, false};
+  for (PlanStrategy strategy :
+       {PlanStrategy::kGreedy, PlanStrategy::kUnified,
+        PlanStrategy::kFullyPartitioned, PlanStrategy::kExplicitMask}) {
+    for (SqlGenStyle style :
+         {SqlGenStyle::kOuterJoin, SqlGenStyle::kOuterUnion}) {
+      for (bool reduce : {true, false}) {
+        for (const SourceDescription& source :
+             {SourceDescription{}, no_outer_join, no_union}) {
+          PublishOptions options;
+          options.strategy = strategy;
+          options.explicit_mask = 0x1E8;
+          options.style = style;
+          options.reduce = reduce;
+          options.source = source;
+          options.document_element = "suppliers";
+          std::string where = std::to_string(static_cast<int>(strategy)) +
+                              "/" + SqlGenStyleToString(style) + "/" +
+                              (reduce ? "reduce" : "full") + "/" +
+                              (source.supports_outer_join ? "oj" : "no-oj") +
+                              (source.supports_union ? "+union" : "-union");
+          Publisher fresh(&env()->db());
+          Published expected = MustPublish(&fresh, Query1Rxl(), options);
+          Published miss = MustPublish(&cached, Query1Rxl(), options);
+          Published hit = MustPublish(&cached, Query1Rxl(), options);
+          EXPECT_FALSE(miss.result.metrics.plan_cached) << where;
+          EXPECT_TRUE(hit.result.metrics.plan_cached) << where;
+          EXPECT_FALSE(expected.xml.empty()) << where;
+          EXPECT_EQ(miss.xml, expected.xml) << where;
+          EXPECT_EQ(hit.xml, expected.xml) << where;
+          EXPECT_EQ(hit.result.metrics.mask, expected.result.metrics.mask)
+              << where;
+          EXPECT_EQ(hit.result.metrics.sql, expected.result.metrics.sql)
+              << where;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cached.prepared_plans(), 4u * 2u * 2u * 3u);
+}
+
+/// What a plan-shaping option decides: the mask, the SQL and the greedy
+/// edge split.
+auto PlanShape(const PublishResult& result) {
+  return std::make_tuple(result.metrics.mask, result.metrics.sql,
+                         result.greedy_plan.mandatory_edges,
+                         result.greedy_plan.optional_edges);
+}
+
+TEST(PreparedPlanTest, EveryPlanShapingOptionIsInTheKey) {
+  // Each case changes exactly one plan-shaping field of `base`. The second
+  // publish on the shared publisher must plan what the field implies; a
+  // field missing from the key would serve the base's stored plan.
+  using Edit = std::function<void(PublishOptions*)>;
+  struct Case {
+    const char* field;
+    PlanStrategy strategy;
+    Edit edit;
+    SqlGenStyle style = SqlGenStyle::kOuterJoin;
+  };
+  const std::vector<Case> cases = {
+      {"strategy", PlanStrategy::kGreedy,
+       [](PublishOptions* o) {
+         o->strategy = PlanStrategy::kFullyPartitioned;
+       }},
+      {"explicit_mask", PlanStrategy::kExplicitMask,
+       [](PublishOptions* o) { o->explicit_mask = 0x0F0; }},
+      {"style", PlanStrategy::kUnified,
+       [](PublishOptions* o) { o->style = SqlGenStyle::kOuterUnion; }},
+      {"reduce", PlanStrategy::kUnified,
+       [](PublishOptions* o) { o->reduce = false; }},
+      {"distinct_selects", PlanStrategy::kUnified,
+       [](PublishOptions* o) { o->distinct_selects = true; }},
+      {"source.supports_outer_join", PlanStrategy::kUnified,
+       [](PublishOptions* o) { o->source.supports_outer_join = false; }},
+      // Reduced outer-join plans of Query 1 need no UNION; outer-union ones
+      // do.
+      {"source.supports_union", PlanStrategy::kUnified,
+       [](PublishOptions* o) { o->source.supports_union = false; },
+       SqlGenStyle::kOuterUnion},
+      {"greedy.a", PlanStrategy::kGreedy,
+       [](PublishOptions* o) { o->greedy.a = 0; }},
+      {"greedy.b", PlanStrategy::kGreedy,
+       [](PublishOptions* o) { o->greedy.b = 1e6; }},
+      {"greedy.t1", PlanStrategy::kGreedy,
+       [](PublishOptions* o) { o->greedy.t1 = 1e30; }},
+      {"greedy.t2", PlanStrategy::kGreedy,
+       [](PublishOptions* o) { o->greedy.t2 = -1e30; }},
+  };
+  for (const Case& c : cases) {
+    PublishOptions base;
+    base.strategy = c.strategy;
+    base.style = c.style;
+    base.explicit_mask = 0x1E8;
+    base.document_element = "suppliers";
+    PublishOptions variant = base;
+    c.edit(&variant);
+
+    Publisher fresh_base(&env()->db());
+    Publisher fresh_variant(&env()->db());
+    Published base_plan = MustPublish(&fresh_base, Query1Rxl(), base);
+    Published expected = MustPublish(&fresh_variant, Query1Rxl(), variant);
+    // The field matters here: its change alone changes the plan.
+    ASSERT_NE(PlanShape(expected.result), PlanShape(base_plan.result))
+        << c.field;
+
+    Publisher cached(&env()->db());
+    MustPublish(&cached, Query1Rxl(), base);
+    Published second = MustPublish(&cached, Query1Rxl(), variant);
+    EXPECT_FALSE(second.result.metrics.plan_cached) << c.field;
+    EXPECT_EQ(PlanShape(second.result), PlanShape(expected.result))
+        << c.field;
+    EXPECT_EQ(second.xml, expected.xml) << c.field;
+  }
+}
+
+TEST(PreparedPlanTest, CacheIsBoundedAndEvictsOldestFirst) {
+  // cap + k distinct one-nation views: the cache holds at most cap plans,
+  // the oldest are re-planned on return, and every document matches one
+  // from a publisher that planned it afresh.
+  constexpr size_t kExtra = 4;
+  const size_t views = Publisher::kMaxPreparedPlans + kExtra;
+  auto view = [](size_t i) {
+    return "from Nation $n where $n.nationkey = " + std::to_string(i % 25) +
+           ", $n.regionkey < " + std::to_string(100 + i) +
+           " construct <nation>$n.name</nation>";
+  };
+  PublishOptions options;
+  options.strategy = PlanStrategy::kUnified;
+  options.document_element = "doc";
+  Publisher cached(&env()->db());
+  Publisher reference(&env()->db());
+  for (size_t i = 0; i < views; ++i) {
+    Published got = MustPublish(&cached, view(i), options);
+    Published want = MustPublish(&reference, view(i), options);
+    EXPECT_FALSE(got.result.metrics.plan_cached) << i;
+    EXPECT_NE(got.xml.find("<nation>"), std::string::npos) << i;
+    EXPECT_EQ(got.xml, want.xml) << i;
+    EXPECT_LE(cached.prepared_plans(), Publisher::kMaxPreparedPlans) << i;
+  }
+  EXPECT_EQ(cached.prepared_plans(), Publisher::kMaxPreparedPlans);
+
+  Published newest = MustPublish(&cached, view(views - 1), options);
+  EXPECT_TRUE(newest.result.metrics.plan_cached);
+  Published evicted = MustPublish(&cached, view(0), options);
+  EXPECT_FALSE(evicted.result.metrics.plan_cached);
+  EXPECT_EQ(evicted.xml, MustPublish(&reference, view(0), options).xml);
+  EXPECT_EQ(cached.prepared_plans(), Publisher::kMaxPreparedPlans);
+}
+
 TEST(PublisherTest, InvalidRxlSurfacesParseError) {
   PublishOptions opt;
   std::ostringstream out;
   auto result = env()->publisher().Publish("from construct", opt, &out);
   EXPECT_FALSE(result.ok());
+  // Errors are not stored as prepared plans.
+  Publisher fresh(&env()->db());
+  EXPECT_FALSE(fresh.Publish("from construct", opt, &out).ok());
+  EXPECT_EQ(fresh.prepared_plans(), 0u);
 }
 
 }  // namespace

@@ -231,6 +231,7 @@ TEST(TracedPublishTest, SerialPlanSpanTreeReproducesPhaseTotals) {
   EXPECT_EQ(components, metrics->num_streams);
 
   // The trace alone reproduces the PlanMetrics phase split.
+  ExpectPhaseSum(spans, *plan, "phase:plan", metrics->plan_ms);
   ExpectPhaseSum(spans, *plan, "phase:query", metrics->query_ms);
   ExpectPhaseSum(spans, *plan, "phase:bind", metrics->bind_ms);
   ExpectPhaseSum(spans, *plan, "phase:tag", metrics->tag_ms);
@@ -238,6 +239,59 @@ TEST(TracedPublishTest, SerialPlanSpanTreeReproducesPhaseTotals) {
   MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("silkroute_plans_total"), 1u);
   EXPECT_EQ(snap.histograms.at("silkroute_phase_query_us").count, 1u);
+  // ExecutePlan runs an unstored plan: one miss, no hit.
+  EXPECT_EQ(snap.histograms.at("silkroute_phase_plan_us").count, 1u);
+  EXPECT_EQ(snap.counters.at("silkroute_plan_cache_misses_total"), 1u);
+  EXPECT_EQ(snap.counters.at("silkroute_plan_cache_hits_total"), 0u);
+}
+
+TEST(TracedPublishTest, PlanPhaseReportsCacheHitsUnderThePlanSpan) {
+  auto db = testutil::MakeTinyTpch();
+  core::Publisher publisher(db.get());
+  CollectingSink sink;
+  Tracer tracer(&sink);
+  MetricsRegistry registry;
+  core::PublishOptions options;
+  options.document_element = "suppliers";
+  options.tracer = &tracer;
+  options.metrics_registry = &registry;
+  std::vector<double> plan_ms;
+  for (int i = 0; i < 2; ++i) {
+    std::ostringstream out;
+    auto result = publisher.Publish(core::Query1Rxl(), options, &out);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->metrics.plan_cached, i == 1);
+    plan_ms.push_back(result->metrics.plan_ms);
+  }
+
+  std::vector<Span> spans = sink.spans();
+  ExpectWellFormedTree(spans);
+  std::vector<const Span*> plans;
+  for (const auto& s : spans) {
+    if (s.name == "plan") plans.push_back(&s);
+  }
+  ASSERT_EQ(plans.size(), 2u);
+  for (size_t i = 0; i < plans.size(); ++i) {
+    const Span* phase = nullptr;
+    for (const auto& s : spans) {
+      if (s.name == "phase:plan" && s.parent_id == plans[i]->id) {
+        EXPECT_EQ(phase, nullptr) << "more than one phase:plan";
+        phase = &s;
+      }
+    }
+    ASSERT_NE(phase, nullptr);
+    const std::string* cache = FindAnnotation(*phase, "cache");
+    ASSERT_NE(cache, nullptr);
+    EXPECT_EQ(*cache, i == 0 ? "miss" : "hit");
+    // The plan span opens before planning, so planning nests inside it.
+    EXPECT_GE(phase->start_ns, plans[i]->start_ns);
+    ExpectPhaseSum(spans, *plans[i], "phase:plan", plan_ms[i]);
+  }
+
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counters.at("silkroute_plan_cache_misses_total"), 1u);
+  EXPECT_EQ(snap.counters.at("silkroute_plan_cache_hits_total"), 1u);
+  EXPECT_EQ(snap.histograms.at("silkroute_phase_plan_us").count, 2u);
 }
 
 TEST(TracedPublishTest, DegradedFollowUpsNestUnderFailedComponent) {

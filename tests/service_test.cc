@@ -17,7 +17,11 @@
 #include "engine/result_cache.h"
 #include "service/circuit_breaker.h"
 #include "service/publishing_service.h"
+#include "obs/metrics.h"
+#include "rxl/parser.h"
 #include "silkroute/publisher.h"
+#include "silkroute/queries.h"
+#include "silkroute/subview.h"
 #include "sql/ddl.h"
 #include "tests/test_util.h"
 
@@ -306,6 +310,64 @@ TEST(PublishingServiceTest, PublishAllConcurrentRequestsAllIdentical) {
   EXPECT_EQ(metrics.failed, 0u);
   EXPECT_EQ(metrics.admission.admitted, 12u);
   EXPECT_EQ(metrics.admission.shed_requests, 0u);
+}
+
+TEST(PublishingServiceTest, ConcurrentSubviewsShareThePreparedPlans) {
+  // Sec. 7 fragments of Query 1, each requested six times at once by 8
+  // workers. Racing misses of one view wait for the planning lock and find
+  // the first one's plan, so each view is planned exactly once, and every
+  // document must still equal the serial one.
+  auto db = core::testutil::MakeTinyTpch(0.002);
+  auto view = rxl::ParseRxl(core::Query1Rxl());
+  ASSERT_TRUE(view.ok()) << view.status();
+  std::vector<std::string> texts;
+  for (const char* path :
+       {"/supplier[nation='FRANCE']", "/supplier[nation='GERMANY']",
+        "/supplier[nation='PERU']", "/supplier/part/order[orderkey=1]",
+        "/supplier/part/order[orderkey=3]",
+        "/supplier/part/order[orderkey=7]"}) {
+    auto composed = core::ComposeSubview(*view, path);
+    ASSERT_TRUE(composed.ok()) << path << ": " << composed.status();
+    texts.push_back(composed->ToString());
+  }
+  PublishOptions options;
+  options.document_element = "fragment";
+  std::vector<std::string> serial;
+  for (const std::string& text : texts) {
+    Publisher publisher(db.get());
+    std::ostringstream out;
+    auto result = publisher.Publish(text, options, &out);
+    ASSERT_TRUE(result.ok()) << result.status();
+    serial.push_back(out.str());
+  }
+
+  obs::MetricsRegistry registry;
+  ServiceOptions service_options;
+  service_options.workers = 8;
+  service_options.admission.max_pending_requests = 64;
+  service_options.metrics_registry = &registry;
+  PublishingService service(db.get(), service_options);
+  constexpr size_t kRounds = 6;
+  std::vector<ServiceRequest> requests;
+  for (size_t round = 0; round < kRounds; ++round) {
+    for (const std::string& text : texts) {
+      ServiceRequest request;
+      request.rxl = text;
+      request.options = options;
+      requests.push_back(std::move(request));
+    }
+  }
+  auto responses = service.PublishAll(std::move(requests));
+  ASSERT_EQ(responses.size(), kRounds * texts.size());
+  for (size_t i = 0; i < responses.size(); ++i) {
+    ASSERT_TRUE(responses[i].status.ok()) << responses[i].status;
+    EXPECT_EQ(responses[i].xml, serial[i % texts.size()]) << i;
+  }
+  auto counters = registry.Snapshot().counters;
+  uint64_t hits = counters.at("silkroute_plan_cache_hits_total");
+  uint64_t misses = counters.at("silkroute_plan_cache_misses_total");
+  EXPECT_EQ(misses, texts.size());
+  EXPECT_EQ(hits, responses.size() - texts.size());
 }
 
 TEST(PublishingServiceTest, QueryBudgetZeroShedsWithResourceExhausted) {

@@ -377,10 +377,9 @@ int main(int argc, char** argv) {
   }
 
   Publisher publisher(&db);
-  auto tree = publisher.BuildViewTree(rxl);
-  CLI_CHECK(tree);
-
   if (args.dtd) {
+    auto tree = publisher.BuildViewTree(rxl);
+    CLI_CHECK(tree);
     auto dtd = GenerateDtdText(*tree, args.root);
     CLI_CHECK(dtd);
     std::cout << *dtd;
@@ -487,32 +486,19 @@ int main(int argc, char** argv) {
   }
 
   if (args.explain) {
-    std::cout << "view tree:\n" << tree->ToString() << "\n";
-    uint64_t mask;
+    // The prepared plan a publish with the same flags runs.
+    options.plan_oracle = measured_oracle.get();
+    auto plan = publisher.Prepare(rxl, options);
+    CLI_CHECK(plan);
+    const ViewTree& tree = *(*plan)->tree;
+    std::cout << "view tree:\n" << tree.ToString() << "\n";
     if (options.strategy == PlanStrategy::kGreedy) {
-      GreedyParams params = options.greedy;
-      params.style = options.style;
-      params.reduce = options.reduce;
-      engine::CostOracle* oracle = measured_oracle != nullptr
-                                       ? measured_oracle.get()
-                                       : static_cast<engine::CostOracle*>(
-                                             publisher.estimator());
-      auto plan = GeneratePlanGreedy(*tree, oracle, params);
-      CLI_CHECK(plan);
-      std::cout << "greedy " << plan->ToString(*tree) << "\n";
-      mask = plan->FullMask();
-    } else if (options.strategy == PlanStrategy::kFullyPartitioned) {
-      mask = 0;
-    } else {
-      mask = Partition::Unified(*tree).mask();
+      std::cout << "greedy " << (*plan)->greedy_plan.ToString(tree) << "\n";
     }
-    auto partition = Partition::FromMask(*tree, mask);
+    auto partition = Partition::FromMask(tree, (*plan)->mask);
     CLI_CHECK(partition);
     std::cout << "plan: " << partition->ToString() << "\n";
-    SqlGenerator gen(&*tree, options.style, options.reduce);
-    auto specs = gen.GeneratePlan(*partition);
-    CLI_CHECK(specs);
-    for (const auto& spec : *specs) {
+    for (const auto& spec : (*plan)->specs) {
       auto est = publisher.estimator()->EstimateSql(spec.sql);
       CLI_CHECK(est);
       std::cout << "-- rows~" << static_cast<long long>(est->rows)

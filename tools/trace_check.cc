@@ -7,10 +7,10 @@
 //  - timestamps are monotonic: end_ns >= start_ns, and a child never
 //    starts before its parent (children may END after their parent —
 //    degradation follow-ups outlive the failed component's span);
-//  - per plan span, the "ms" annotations of its phase:query / phase:bind /
-//    phase:tag descendants sum to the plan's query_ms / bind_ms / tag_ms
-//    annotations (the trace reproduces the metrics), within 1% plus the
-//    %.3f formatting slack;
+//  - per plan span, the "ms" annotations of its phase:plan / phase:query /
+//    phase:bind / phase:tag descendants sum to the plan's plan_ms /
+//    query_ms / bind_ms / tag_ms annotations (the trace reproduces the
+//    metrics), within 1% plus the %.3f formatting slack;
 //  - per "server" span (a remote subtree stitched under a client attempt
 //    span, DESIGN.md §14), the "ms" annotations of its direct phase:*
 //    children sum to no more than the client-side parent span's duration
@@ -360,6 +360,9 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < spans.size(); ++i) {
     if (spans[i].name != "plan") continue;
     ++plans;
+    if (!CheckPhaseSum(spans[i], spans, "phase:plan", "plan_ms", lines[i])) {
+      ++failures;
+    }
     if (!CheckPhaseSum(spans[i], spans, "phase:query", "query_ms", lines[i])) {
       ++failures;
     }

@@ -2,7 +2,8 @@
 // operator throughputs that the cost model abstracts (scan+filter, hash
 // join, disjunctive outer join, sort, wire serialization, end-to-end plan
 // execution, the engine layer of one Query 1 plan), plus the client-side
-// merge/tag layer on bound streams and the two planning paths of a Sec. 7
+// merge/tag layer on bound streams (Query 1's greedy plan, and its fully
+// partitioned plan at Config A) and the two planning paths of a Sec. 7
 // fragment (an uncached Prepare, a publish whose prepared plan is stored).
 // Context for interpreting the experiment tables.
 #include <benchmark/benchmark.h>
@@ -214,24 +215,21 @@ class DiscardBuf : public std::streambuf {
   int_type overflow(int_type c) override { return c; }
 };
 
-void BM_TagQuery1(benchmark::State& state) {
-  // The tag layer alone: Query 1's greedy-plan streams are executed and
-  // bound once, then every iteration rewinds them and re-runs the merge.
-  static Publisher* publisher = new Publisher(SharedDb());
-  static ViewTree* tree =
-      new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
-  auto greedy = GeneratePlanGreedy(*tree, publisher->estimator(), {});
-  auto partition = Partition::FromMask(*tree, greedy->FullMask());
-  SqlGenerator gen(tree, SqlGenStyle::kOuterJoin, /*reduce=*/true);
-  std::vector<StreamSpec> specs = gen.GeneratePlan(*partition).value();
+/// The tag layer alone: `specs` are executed and bound once, then every
+/// iteration rewinds the streams and re-runs the merge into a discarding
+/// sink. Reports how many root-instance ranges the tagger cut.
+void TagBoundStreams(benchmark::State& state, Database* db,
+                     const ViewTree* tree,
+                     const std::vector<StreamSpec>& specs) {
   std::vector<std::unique_ptr<engine::TupleStream>> streams;
   for (const StreamSpec& spec : specs) {
-    engine::QueryExecutor exec(SharedDb());
+    engine::QueryExecutor exec(db);
     streams.push_back(std::make_unique<engine::TupleStream>(
         exec.ExecuteSql(spec.sql).value()));
   }
   DiscardBuf discard;
   std::ostream sink(&discard);
+  size_t ranges = 0;
   for (auto _ : state) {
     std::vector<Tagger::StreamInput> inputs;
     for (size_t i = 0; i < specs.size(); ++i) {
@@ -246,10 +244,37 @@ void BM_TagQuery1(benchmark::State& state) {
       state.SkipWithError(tagged.ToString().c_str());
       break;
     }
+    ranges = tagger.stats().ranges;
     benchmark::DoNotOptimize(writer.bytes_written());
   }
+  state.counters["ranges"] = static_cast<double>(ranges);
+}
+
+void BM_TagQuery1(benchmark::State& state) {
+  // Query 1's greedy-plan streams.
+  static Publisher* publisher = new Publisher(SharedDb());
+  static ViewTree* tree =
+      new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
+  auto greedy = GeneratePlanGreedy(*tree, publisher->estimator(), {});
+  auto partition = Partition::FromMask(*tree, greedy->FullMask());
+  SqlGenerator gen(tree, SqlGenStyle::kOuterJoin, /*reduce=*/true);
+  TagBoundStreams(state, SharedDb(), tree,
+                  gen.GeneratePlan(*partition).value());
 }
 BENCHMARK(BM_TagQuery1);
+
+void BM_TagQuery1ConfigA(benchmark::State& state) {
+  // Query 1's fully partitioned streams at Config A (TPC-H scale 0.025):
+  // the whole view, large enough to tag in one range per core.
+  static Database* db = bench::MakeDatabase(0.025).release();
+  static ViewTree* tree = new ViewTree(
+      Publisher(db).BuildViewTree(Query1Rxl()).value());
+  SqlGenerator gen(tree, SqlGenStyle::kOuterJoin, /*reduce=*/false);
+  TagBoundStreams(state, db, tree,
+                  gen.GeneratePlan(Partition::FullyPartitioned(*tree))
+                      .value());
+}
+BENCHMARK(BM_TagQuery1ConfigA);
 
 }  // namespace
 

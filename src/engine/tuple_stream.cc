@@ -25,14 +25,14 @@ void PutU64(uint64_t v, std::string* out) {
   out->append(buf, 8);
 }
 
-bool GetU32(const std::string& buf, size_t* off, uint32_t* v) {
+bool GetU32(std::string_view buf, size_t* off, uint32_t* v) {
   if (*off + 4 > buf.size()) return false;
   std::memcpy(v, buf.data() + *off, 4);
   *off += 4;
   return true;
 }
 
-bool GetU64(const std::string& buf, size_t* off, uint64_t* v) {
+bool GetU64(std::string_view buf, size_t* off, uint64_t* v) {
   if (*off + 8 > buf.size()) return false;
   std::memcpy(v, buf.data() + *off, 8);
   *off += 8;
@@ -71,7 +71,7 @@ namespace {
 // per field, and advances `*offset`. Shared by the materializing
 // (DeserializeTuple) and the in-place (NextFields) fetch.
 template <typename OnCount, typename OnField>
-Status ParseRow(const std::string& buffer, size_t* offset, OnCount&& on_count,
+Status ParseRow(std::string_view buffer, size_t* offset, OnCount&& on_count,
                 OnField&& on_field) {
   uint32_t n;
   if (!GetU32(buffer, offset, &n)) {
@@ -141,7 +141,7 @@ Status ParseRow(const std::string& buffer, size_t* offset, OnCount&& on_count,
 
 }  // namespace
 
-Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset) {
+Result<Tuple> DeserializeTuple(std::string_view buffer, size_t* offset) {
   Tuple tuple;
   std::vector<Value>& values = tuple.mutable_values();
   Status parsed = ParseRow(
@@ -175,19 +175,64 @@ TupleStream::TupleStream(Relation relation)
   for (const auto& r : relation.rows) estimate += r.ByteSize() + 8;
   buffer->reserve(estimate);
   for (const auto& r : relation.rows) SerializeTuple(r, buffer.get());
+  end_ = buffer->size();
   buffer_ = std::move(buffer);
 }
 
+TupleStream TupleStream::Slice(size_t begin, size_t end,
+                               size_t num_tuples) const {
+  TupleStream slice(schema_, buffer_, num_tuples);
+  slice.begin_ = slice.offset_ = begin;
+  slice.end_ = end;
+  return slice;
+}
+
+Result<std::vector<size_t>> TupleStream::RowOffsets() const {
+  const std::string_view bytes = std::string_view(*buffer_).substr(0, end_);
+  std::vector<size_t> offsets;
+  offsets.reserve(num_tuples_ - rows_read_ + 1);
+  size_t offset = offset_;
+  while (offset < end_) {
+    offsets.push_back(offset);
+    SILK_RETURN_IF_ERROR(ParseRow(
+        bytes, &offset, [](uint32_t) {}, [](const WireField&) {}));
+  }
+  if (rows_read_ + offsets.size() != num_tuples_) {
+    return Status::InvalidArgument(
+        "tuple stream ended after " +
+        std::to_string(rows_read_ + offsets.size()) + " of " +
+        std::to_string(num_tuples_) + " row(s)");
+  }
+  offsets.push_back(end_);
+  return offsets;
+}
+
+Status TupleStream::FieldsAt(size_t* offset,
+                             std::vector<WireField>* fields) const {
+  fields->clear();
+  SILK_RETURN_IF_ERROR(ParseRow(
+      std::string_view(*buffer_).substr(0, end_), offset,
+      [&](uint32_t n) { fields->reserve(n); },
+      [&](const WireField& f) { fields->push_back(f); }));
+  if (fields->size() != schema_.size()) {
+    return Status::InvalidArgument(
+        "tuple has " + std::to_string(fields->size()) + " field(s), schema " +
+        std::to_string(schema_.size()));
+  }
+  return Status::OK();
+}
+
 std::optional<Tuple> TupleStream::Next() {
-  if (offset_ >= buffer_->size()) return std::nullopt;
-  auto t = DeserializeTuple(*buffer_, &offset_);
+  if (offset_ >= end_) return std::nullopt;
+  auto t = DeserializeTuple(std::string_view(*buffer_).substr(0, end_),
+                            &offset_);
   if (!t.ok()) return std::nullopt;  // corrupt stream treated as EOS
   ++rows_read_;
   return std::move(t).value();
 }
 
 Result<bool> TupleStream::NextFields(std::vector<WireField>* fields) {
-  if (offset_ >= buffer_->size()) {
+  if (offset_ >= end_) {
     if (rows_read_ != num_tuples_) {
       return Status::InvalidArgument(
           "tuple stream ended after " + std::to_string(rows_read_) +
@@ -195,15 +240,7 @@ Result<bool> TupleStream::NextFields(std::vector<WireField>* fields) {
     }
     return false;
   }
-  fields->clear();
-  SILK_RETURN_IF_ERROR(ParseRow(
-      *buffer_, &offset_, [&](uint32_t n) { fields->reserve(n); },
-      [&](const WireField& f) { fields->push_back(f); }));
-  if (fields->size() != schema_.size()) {
-    return Status::InvalidArgument(
-        "tuple has " + std::to_string(fields->size()) + " field(s), schema " +
-        std::to_string(schema_.size()));
-  }
+  SILK_RETURN_IF_ERROR(FieldsAt(&offset_, fields));
   ++rows_read_;
   return true;
 }

@@ -37,7 +37,7 @@ struct WireField {
 void SerializeTuple(const Tuple& tuple, std::string* out);
 
 /// Deserializes one tuple starting at `*offset`; advances `*offset`.
-Result<Tuple> DeserializeTuple(const std::string& buffer, size_t* offset);
+Result<Tuple> DeserializeTuple(std::string_view buffer, size_t* offset);
 
 class TupleStream {
  public:
@@ -53,7 +53,24 @@ class TupleStream {
               size_t num_tuples)
       : schema_(std::move(schema)),
         buffer_(std::move(wire)),
+        end_(buffer_->size()),
         num_tuples_(num_tuples) {}
+
+  /// A zero-copy stream over the `num_tuples` rows in bytes [begin, end) of
+  /// this stream's wire buffer; `begin` and `end` are row boundaries from
+  /// RowOffsets. The slice shares the buffer and reads as its own stream.
+  TupleStream Slice(size_t begin, size_t end, size_t num_tuples) const;
+
+  /// The byte offsets of the unread rows, followed by the end offset: what
+  /// Slice cuts at. Checks the row framing only (field counts against the
+  /// schema are checked as rows are read); a stream shorter than
+  /// num_tuples() is an error, as in NextFields.
+  Result<std::vector<size_t>> RowOffsets() const;
+
+  /// Decodes the row starting at byte `*offset` (a RowOffsets entry) in
+  /// place, as NextFields does, and advances `*offset` past it; the
+  /// stream's own cursor does not move.
+  Status FieldsAt(size_t* offset, std::vector<WireField>* fields) const;
 
   const RelSchema& schema() const { return schema_; }
 
@@ -70,14 +87,15 @@ class TupleStream {
 
   /// Rewinds to the first tuple.
   void Rewind() {
-    offset_ = 0;
+    offset_ = begin_;
     rows_read_ = 0;
   }
 
-  size_t wire_bytes() const { return buffer_->size(); }
+  size_t wire_bytes() const { return end_ - begin_; }
   size_t num_tuples() const { return num_tuples_; }
 
-  /// The bound wire buffer, shareable with a cache entry at no copy.
+  /// The bound wire buffer, shareable with a cache entry at no copy (the
+  /// whole buffer, also for a slice).
   const std::shared_ptr<const std::string>& shared_wire() const {
     return buffer_;
   }
@@ -85,6 +103,8 @@ class TupleStream {
  private:
   RelSchema schema_;
   std::shared_ptr<const std::string> buffer_;
+  size_t begin_ = 0;  // this stream's bytes of *buffer_: [begin_, end_)
+  size_t end_ = 0;
   size_t offset_ = 0;
   size_t rows_read_ = 0;
   size_t num_tuples_ = 0;

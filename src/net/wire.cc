@@ -508,9 +508,9 @@ Result<engine::Relation> DeserializeRelation(std::string_view bytes) {
                                    std::to_string(*nrows));
   }
   relation.rows.reserve(static_cast<size_t>(*nrows));
-  // DeserializeTuple still works on (const std::string&, size_t*); give it
-  // the row region. The copy is bounded by kMaxFramePayload upstream.
-  std::string row_bytes(bytes.substr(bytes.size() - reader.remaining()));
+  // The row region, read in place: no copy of the rows' bytes.
+  const std::string_view row_bytes =
+      bytes.substr(bytes.size() - reader.remaining());
   size_t offset = 0;
   for (uint64_t i = 0; i < *nrows; ++i) {
     auto tuple = engine::DeserializeTuple(row_bytes, &offset);

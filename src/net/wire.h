@@ -224,8 +224,11 @@ Result<TracedEnd> DecodeTracedEndPayload(std::string_view payload);
 
 // --- Relation codec --------------------------------------------------------
 // Schema (column qualifiers/names) followed by row count and the rows in
-// TupleStream's serialization format — the same bytes a TupleStream would
-// hold, so the binding cost the paper measures is paid exactly once.
+// TupleStream's serialization format. The rows are bound twice on the
+// remote path: the server serializes them here, the client's
+// DeserializeRelation materializes them as Tuples, and the publisher's
+// bind step (ComponentStep::ExecuteAndBind) serializes those Tuples again
+// into its TupleStream. DESIGN.md §10 records this double bind.
 
 void SerializeRelation(const engine::Relation& relation, std::string* out);
 

@@ -1,5 +1,7 @@
 #include "xml/writer.h"
 
+#include <cstdint>
+
 #include "xml/escape.h"
 
 namespace silkroute::xml {
@@ -16,6 +18,21 @@ XmlWriter::XmlWriter(std::ostream* out, Options options)
   }
 }
 
+XmlWriter::XmlWriter(const Continuation& from)
+    : out_(nullptr),
+      stack_(from.depth),
+      resumed_from_(from),
+      start_tag_open_(from.start_tag_open) {
+  options_.pretty = from.pretty;
+  options_.declaration = false;
+  options_.buffer_bytes = SIZE_MAX;  // never flushes: Append takes buffer_
+}
+
+XmlWriter::Continuation XmlWriter::Continue() const {
+  return Continuation{options_.pretty, stack_.size(), start_tag_open_,
+                      bytes_written_ > 0 || resumed_from_.wrote_any};
+}
+
 void XmlWriter::Write(std::string_view s) {
   bytes_written_ += s.size();
   if (options_.buffer_bytes == 0) {
@@ -27,7 +44,7 @@ void XmlWriter::Write(std::string_view s) {
 }
 
 void XmlWriter::FlushBuffer() {
-  if (buffer_.empty()) return;
+  if (buffer_.empty() || out_ == nullptr) return;
   out_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
   buffer_.clear();
   ++flushes_;
@@ -46,7 +63,7 @@ void XmlWriter::CloseStartTagIfOpen() {
 
 void XmlWriter::Indent() {
   if (!options_.pretty) return;
-  if (bytes_written_ > 0) Write("\n");
+  if (bytes_written_ > 0 || resumed_from_.wrote_any) Write("\n");
   for (size_t i = 0; i < stack_.size(); ++i) Write("  ");
 }
 
@@ -110,7 +127,11 @@ Status XmlWriter::EndElement() {
   if (stack_.empty()) {
     return Status::InvalidArgument("EndElement() with no open element");
   }
-  std::string name = stack_.back();
+  if (stack_.size() == resumed_from_.depth) {
+    return Status::InvalidArgument(
+        "EndElement() would close an element a detached writer resumed in");
+  }
+  std::string name = std::move(stack_.back());
   stack_.pop_back();
   if (start_tag_open_) {
     Write("/>");
@@ -126,12 +147,41 @@ Status XmlWriter::EndElement() {
 }
 
 Status XmlWriter::Finish() {
-  while (!stack_.empty()) {
+  while (stack_.size() > resumed_from_.depth) {
     SILK_RETURN_IF_ERROR(EndElement());
   }
   if (options_.pretty) Write("\n");
   FlushBuffer();
-  out_->flush();
+  if (out_ != nullptr) out_->flush();
+  return Status::OK();
+}
+
+Status XmlWriter::Append(XmlWriter* detached) {
+  const Continuation& from = detached->resumed_from_;
+  if (from.depth != stack_.size() || from.pretty != options_.pretty ||
+      detached->stack_.size() != from.depth ||
+      (from.start_tag_open && !start_tag_open_)) {
+    return Status::InvalidArgument(
+        "Append() of a writer that did not resume at this position");
+  }
+  std::string_view bytes = detached->buffer_;
+  if (bytes.empty()) return Status::OK();
+  if (options_.pretty && from.wrote_any && !Continue().wrote_any &&
+      bytes.front() == '\n') {
+    bytes.remove_prefix(1);  // a document's first token has no line break
+  }
+  if (!from.start_tag_open) CloseStartTagIfOpen();
+  if (options_.buffer_bytes == 0 || bytes.size() < options_.buffer_bytes) {
+    Write(bytes);
+  } else {
+    // Large output goes straight through rather than growing buffer_.
+    FlushBuffer();
+    out_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    bytes_written_ += bytes.size();
+    ++flushes_;
+  }
+  start_tag_open_ = detached->start_tag_open_;
+  just_wrote_text_ = detached->just_wrote_text_;
   return Status::OK();
 }
 

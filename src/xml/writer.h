@@ -28,6 +28,22 @@ class XmlWriter {
   explicit XmlWriter(std::ostream* out) : XmlWriter(out, Options()) {}
   XmlWriter(std::ostream* out, Options options);
 
+  /// Where a detached writer resumes a document.
+  struct Continuation {
+    bool pretty = false;
+    size_t depth = 0;             // elements open around the resumed output
+    bool start_tag_open = false;  // the innermost start tag lacks its '>'
+    bool wrote_any = false;       // pretty mode breaks lines after output
+  };
+
+  /// This writer's position, for a detached writer to resume from.
+  Continuation Continue() const;
+
+  /// A detached writer: resumes a document at `from` and keeps what it
+  /// writes in memory, never flushing, until a writer of that document
+  /// Appends it. It cannot close the `from.depth` elements around it.
+  explicit XmlWriter(const Continuation& from);
+
   /// Flushes any buffered output (Finish also does; this covers writers
   /// abandoned mid-document, e.g. on error paths, so the ostream still
   /// observes everything that was logically written).
@@ -52,6 +68,14 @@ class XmlWriter {
   /// Closes all open elements.
   Status Finish();
 
+  /// Writes a detached writer's output here, as if its tokens had been
+  /// written by this writer, and takes over its end state. `detached` must
+  /// have closed what it opened and resumed at this writer's depth and
+  /// pretty mode, after markup (not text). It may assume a closed start tag
+  /// and earlier output where this writer has neither: Append then closes
+  /// the open start tag, or drops the leading line break, itself.
+  Status Append(XmlWriter* detached);
+
   size_t depth() const { return stack_.size(); }
   size_t bytes_written() const { return bytes_written_; }
   /// Number of buffered chunks pushed to the ostream so far.
@@ -67,6 +91,7 @@ class XmlWriter {
   std::ostream* out_;
   Options options_;
   std::vector<std::string> stack_;
+  Continuation resumed_from_;  // detached: the state it resumed at
   bool start_tag_open_ = false;  // "<name" emitted but not yet ">"
   bool just_wrote_text_ = false;
   size_t bytes_written_ = 0;

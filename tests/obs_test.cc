@@ -235,6 +235,14 @@ TEST(TracedPublishTest, SerialPlanSpanTreeReproducesPhaseTotals) {
   ExpectPhaseSum(spans, *plan, "phase:query", metrics->query_ms);
   ExpectPhaseSum(spans, *plan, "phase:bind", metrics->bind_ms);
   ExpectPhaseSum(spans, *plan, "phase:tag", metrics->tag_ms);
+  // A document this small is tagged in one root-instance range.
+  for (const auto& s : spans) {
+    if (s.name != "phase:tag") continue;
+    const std::string* ranges = FindAnnotation(s, "ranges");
+    ASSERT_NE(ranges, nullptr);
+    EXPECT_EQ(*ranges, "1");
+    EXPECT_EQ(metrics->tagger.ranges, 1u);
+  }
 
   MetricsSnapshot snap = registry.Snapshot();
   EXPECT_EQ(snap.counters.at("silkroute_plans_total"), 1u);

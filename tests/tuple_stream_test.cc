@@ -212,5 +212,66 @@ TEST(TupleStreamTest, NextFieldsRejectsShortOrCorruptStreams) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(TupleStreamTest, SlicesShareTheWireAndReadOnlyTheirRows) {
+  TupleStream full(MakeRelation({
+      Tuple{Value::Int64(1), Value::String("a")},
+      Tuple{Value::Int64(2), Value::String("bb")},
+      Tuple{Value::Int64(3), Value::Null()},
+  }));
+  auto offsets = full.RowOffsets();
+  ASSERT_TRUE(offsets.ok()) << offsets.status();
+  ASSERT_EQ(offsets->size(), 4u);  // three rows and the end
+  EXPECT_EQ(offsets->front(), 0u);
+  EXPECT_EQ(offsets->back(), full.wire_bytes());
+
+  size_t at = (*offsets)[1];
+  std::vector<WireField> fields;
+  ASSERT_TRUE(full.FieldsAt(&at, &fields).ok());
+  EXPECT_EQ(fields[1].s, "bb");
+  EXPECT_EQ(at, (*offsets)[2]);
+
+  TupleStream tail = full.Slice((*offsets)[1], (*offsets)[3], 2);
+  EXPECT_EQ(tail.shared_wire(), full.shared_wire());  // no copy
+  EXPECT_EQ(tail.wire_bytes(), (*offsets)[3] - (*offsets)[1]);
+  auto tail_offsets = tail.RowOffsets();
+  ASSERT_TRUE(tail_offsets.ok());
+  EXPECT_EQ(*tail_offsets, std::vector<size_t>(offsets->begin() + 1,
+                                               offsets->end()));
+  ASSERT_TRUE(tail.NextFields(&fields).value());
+  EXPECT_EQ(fields[0].i, 2);
+  ASSERT_TRUE(tail.NextFields(&fields).value());
+  EXPECT_EQ(fields[0].i, 3);
+  EXPECT_FALSE(tail.NextFields(&fields).value());
+  tail.Rewind();
+  ASSERT_TRUE(tail.NextFields(&fields).value());
+  EXPECT_EQ(fields[0].i, 2);
+
+  // A slice promising more rows than its bytes hold is short.
+  TupleStream head = full.Slice(0, (*offsets)[1], 2);
+  EXPECT_EQ(head.RowOffsets().status().code(), StatusCode::kInvalidArgument);
+  ASSERT_TRUE(head.NextFields(&fields).value());
+  EXPECT_EQ(head.NextFields(&fields).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TupleStreamTest, RowOffsetsRejectsBrokenFraming) {
+  TupleStream full(MakeRelation({
+      Tuple{Value::Int64(1), Value::String("a")},
+      Tuple{Value::Int64(2), Value::String("b")},
+  }));
+  const std::string& wire = *full.shared_wire();
+  TupleStream cut(full.schema(),
+                  std::make_shared<const std::string>(
+                      wire.substr(0, wire.size() - 1)),
+                  2);
+  EXPECT_EQ(cut.RowOffsets().status().code(), StatusCode::kInvalidArgument);
+  TupleStream short_stream(
+      full.schema(),
+      std::make_shared<const std::string>(wire.substr(0, wire.size() / 2)),
+      2);
+  EXPECT_EQ(short_stream.RowOffsets().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace silkroute::engine

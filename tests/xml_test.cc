@@ -260,6 +260,118 @@ TEST(XmlWriterTest, DestructorFlushesAbandonedDocument) {
   EXPECT_EQ(out.str(), "<partial>abandoned mid-document");
 }
 
+/// Writes `<r><a>1</a><b/></r>`-style siblings: `n` elements named `name`.
+void EmitSiblings(XmlWriter* w, const std::string& name, int n) {
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(w->StartElement(name).ok());
+    ASSERT_TRUE(w->StartElement("v").ok());
+    ASSERT_TRUE(w->Text(std::to_string(i) + " & more").ok());
+    ASSERT_TRUE(w->EndElement().ok());
+    ASSERT_TRUE(w->EndElement().ok());
+  }
+}
+
+TEST(XmlWriterTest, DetachedContinuationAppendsTheSameBytes) {
+  // The tagger's range split: siblings written straight through, or the
+  // later ones by a writer detached after the first and appended back.
+  for (bool pretty : {false, true}) {
+    for (bool wrapped : {false, true}) {
+      XmlWriter::Options opts;
+      opts.pretty = pretty;
+      std::ostringstream direct_out;
+      XmlWriter direct(&direct_out, opts);
+      if (wrapped) {
+        ASSERT_TRUE(direct.StartElement("doc").ok());
+      }
+      EmitSiblings(&direct, "a", 2);
+      EmitSiblings(&direct, "b", 3);
+      ASSERT_TRUE(direct.Finish().ok());
+
+      std::ostringstream split_out;
+      XmlWriter split(&split_out, opts);
+      if (wrapped) {
+        ASSERT_TRUE(split.StartElement("doc").ok());
+      }
+      XmlWriter::Continuation resume = split.Continue();
+      resume.start_tag_open = false;  // resumes after the first range
+      resume.wrote_any = true;
+      XmlWriter detached(resume);
+      EmitSiblings(&detached, "b", 3);
+      EmitSiblings(&split, "a", 2);
+      ASSERT_TRUE(split.Append(&detached).ok());
+      ASSERT_TRUE(split.Finish().ok());
+      EXPECT_EQ(split_out.str(), direct_out.str())
+          << "pretty " << pretty << " wrapped " << wrapped;
+      EXPECT_EQ(split.bytes_written(), direct.bytes_written());
+    }
+  }
+}
+
+TEST(XmlWriterTest, AppendAfterAnEmptyFirstRange) {
+  // The range before the detached one wrote nothing: Append closes the
+  // still-open start tag, or drops the line break a document's first token
+  // never has.
+  for (bool wrapped : {false, true}) {
+    XmlWriter::Options opts;
+    opts.pretty = true;
+    opts.declaration = false;
+    std::ostringstream direct_out;
+    XmlWriter direct(&direct_out, opts);
+    if (wrapped) {
+      ASSERT_TRUE(direct.StartElement("doc").ok());
+    }
+    EmitSiblings(&direct, "b", 2);
+    ASSERT_TRUE(direct.Finish().ok());
+
+    std::ostringstream split_out;
+    XmlWriter split(&split_out, opts);
+    if (wrapped) {
+      ASSERT_TRUE(split.StartElement("doc").ok());
+    }
+    XmlWriter::Continuation resume = split.Continue();
+    resume.start_tag_open = false;
+    resume.wrote_any = true;
+    XmlWriter detached(resume);
+    EmitSiblings(&detached, "b", 2);
+    ASSERT_TRUE(split.Append(&detached).ok());
+    ASSERT_TRUE(split.Finish().ok());
+    EXPECT_EQ(split_out.str(), direct_out.str()) << "wrapped " << wrapped;
+  }
+}
+
+TEST(XmlWriterTest, DetachedWriterMisuseIsAnError) {
+  std::ostringstream out;
+  XmlWriter w(&out);
+  ASSERT_TRUE(w.StartElement("doc").ok());
+  XmlWriter detached(w.Continue());
+  // It cannot close the element it resumed inside.
+  EXPECT_FALSE(detached.EndElement().ok());
+  ASSERT_TRUE(detached.StartElement("open").ok());
+  // Elements it left open, or a depth it did not resume at, are refused.
+  EXPECT_FALSE(w.Append(&detached).ok());
+  ASSERT_TRUE(detached.EndElement().ok());
+  ASSERT_TRUE(w.StartElement("deeper").ok());
+  EXPECT_FALSE(w.Append(&detached).ok());
+  // The detached writer closed <doc>'s start tag itself; this one has too.
+  ASSERT_TRUE(w.EndElement().ok());
+  EXPECT_FALSE(w.Append(&detached).ok());
+  ASSERT_TRUE(w.Finish().ok());
+  EXPECT_EQ(out.str(),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?><doc><deeper/></doc>");
+
+  // Resumed right there, it appends: its first token closes the tag.
+  std::ostringstream out2;
+  XmlWriter w2(&out2);
+  ASSERT_TRUE(w2.StartElement("doc").ok());
+  XmlWriter detached2(w2.Continue());
+  ASSERT_TRUE(detached2.StartElement("open").ok());
+  ASSERT_TRUE(detached2.EndElement().ok());
+  EXPECT_TRUE(w2.Append(&detached2).ok());
+  ASSERT_TRUE(w2.Finish().ok());
+  EXPECT_EQ(out2.str(),
+            "<?xml version=\"1.0\" encoding=\"UTF-8\"?><doc><open/></doc>");
+}
+
 TEST(XmlReaderTest, DeepNestingRoundTrip) {
   std::ostringstream out;
   XmlWriter::Options opts;

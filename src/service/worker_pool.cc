@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/lanes.h"
+
 namespace silkroute::service {
 
 WorkerPool::WorkerPool(size_t num_threads, obs::MetricsRegistry* metrics) {
@@ -72,6 +74,7 @@ void WorkerPool::WorkerLoop() {
               std::chrono::steady_clock::now() - entry.enqueued)
               .count());
     }
+    BusyLane busy;  // a tag that could fan out sees this core taken
     entry.task();
   }
 }

@@ -8,7 +8,9 @@
 // only execute queries and enqueue follow-ups), so the pool cannot
 // deadlock. Shutdown drains: queued tasks still run, which is cheap
 // because the service cancels its CancelToken first and drained tasks
-// fail fast.
+// fail fast. A worker running a task holds a busy core lane
+// (common/lanes.h), so the range-parallel tagger only borrows the cores
+// the pool leaves idle.
 #ifndef SILKROUTE_SERVICE_WORKER_POOL_H_
 #define SILKROUTE_SERVICE_WORKER_POOL_H_
 

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "common/lanes.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -241,6 +247,62 @@ TEST(TimerTest, RestartResets) {
   double before = t.ElapsedMicros();
   t.Restart();
   EXPECT_LE(t.ElapsedMicros(), before + 1e6);
+}
+
+TEST(LanesTest, CapacityIsTheCoreCountClampedToTheMaximum) {
+  EXPECT_GE(LaneCapacity(), 1u);
+  EXPECT_LE(LaneCapacity(), kMaxLanes);
+  EXPECT_LE(LaneCapacity(),
+            std::max<size_t>(1, std::thread::hardware_concurrency()));
+}
+
+TEST(LanesTest, NestedBusyMarksCountTheThreadOnce) {
+  const size_t idle = BusyLanes();
+  {
+    BusyLane outer;
+    EXPECT_EQ(BusyLanes(), idle + 1);
+    {
+      BusyLane inner;
+      EXPECT_EQ(BusyLanes(), idle + 1);
+    }
+    EXPECT_EQ(BusyLanes(), idle + 1);
+  }
+  EXPECT_EQ(BusyLanes(), idle);
+}
+
+TEST(LanesTest, LoansTakeOnlyIdleLanesAndGiveThemBack) {
+  ASSERT_EQ(BusyLanes(), 0u);
+  BusyLane busy;
+  {
+    LaneLoan all(kMaxLanes * 2);
+    EXPECT_EQ(all.count(), LaneCapacity() - 1);
+    EXPECT_EQ(BusyLanes(), LaneCapacity());
+    LaneLoan none(1);
+    EXPECT_EQ(none.count(), 0u);
+  }
+  EXPECT_EQ(BusyLanes(), 1u);
+  LaneLoan zero(0);
+  EXPECT_EQ(zero.count(), 0u);
+  EXPECT_EQ(BusyLanes(), 1u);
+}
+
+TEST(LanesTest, ConcurrentLoansNeverExceedCapacity) {
+  std::atomic<size_t> peak{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 1000; ++i) {
+        LaneLoan loan(2);
+        size_t now = BusyLanes();
+        size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_LE(peak.load(), LaneCapacity());
+  EXPECT_EQ(BusyLanes(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -13,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/lanes.h"
 #include "engine/fault_injection.h"
 #include "engine/result_cache.h"
 #include "service/circuit_breaker.h"
@@ -756,6 +758,46 @@ TEST(StrategyParityTest, CasesReachTheirIntendedOutcome) {
   // Only the queries actually sent are listed: the fragment-cache hits
   // are not.
   EXPECT_EQ(republished.metrics.sql.size(), republished.metrics.cache_misses);
+}
+
+/// Records how many core lanes were busy while each query ran.
+class LaneRecordingExecutor : public engine::DatabaseExecutor {
+ public:
+  using DatabaseExecutor::DatabaseExecutor;
+  Result<engine::Relation> ExecuteSqlWithDeadline(std::string_view sql,
+                                                  double timeout_ms) override {
+    busy.push_back(BusyLanes());
+    return DatabaseExecutor::ExecuteSqlWithDeadline(sql, timeout_ms);
+  }
+  std::vector<size_t> busy;
+};
+
+TEST(PublisherLanesTest, APublishHoldsOneBusyLane) {
+  // The sequential strategy runs its queries on the publishing thread,
+  // which counts as one busy lane for the whole publish.
+  auto db = core::testutil::MakeTinyTpch(0.002);
+  LaneRecordingExecutor executor(db.get());
+  PublishOptions options;
+  options.executor = &executor;
+  std::ostringstream out;
+  ASSERT_EQ(BusyLanes(), 0u);
+  auto result = Publisher(db.get()).Publish(core::Query1Rxl(), options, &out);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_FALSE(executor.busy.empty());
+  for (size_t busy : executor.busy) EXPECT_EQ(busy, 1u);
+  EXPECT_EQ(BusyLanes(), 0u);
+}
+
+TEST(WorkerPoolTest, ARunningTaskHoldsABusyLane) {
+  // The range-parallel tagger borrows only lanes no pool worker is using.
+  ASSERT_EQ(BusyLanes(), 0u);
+  std::promise<size_t> seen;
+  {
+    WorkerPool pool(2);
+    ASSERT_TRUE(pool.Submit([&] { seen.set_value(BusyLanes()); }));
+    EXPECT_EQ(seen.get_future().get(), 1u);
+  }
+  EXPECT_EQ(BusyLanes(), 0u);
 }
 
 }  // namespace

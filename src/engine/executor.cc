@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -429,6 +430,25 @@ void EncodeOrdered(const Value& v, bool descending, std::string* out) {
 
 const Value kNullValue;
 
+/// Whether a derived table runs as a batch inlined into its parent's
+/// (DESIGN.md §10): one SELECT core with a FROM list and no ORDER BY,
+/// whose items are columns or read no column. UNION ALL, ORDER BY, a
+/// computed item or a missing FROM materializes it into a Relation.
+bool InlinesAsBatch(const sql::Query& query) {
+  if (query.cores.size() != 1 || !query.order_by.empty()) return false;
+  const sql::SelectCore& core = query.cores[0];
+  if (core.from.empty()) return false;
+  return std::all_of(core.select_list.begin(), core.select_list.end(),
+                     [](const sql::SelectItem& item) {
+                       if (item.expr->kind() == Expr::Kind::kColumnRef) {
+                         return true;
+                       }
+                       std::vector<const sql::ColumnRefExpr*> refs;
+                       CollectColumnRefs(*item.expr, &refs);
+                       return refs.empty();
+                     });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -436,12 +456,14 @@ const Value kNullValue;
 // ---------------------------------------------------------------------------
 
 /// A row-id batch, the executor's only intermediate. Each source is a base
-/// table read in place or an owned relation (a derived table's result),
-/// and has one id column: `ids[s][i]` is the source-s row behind batch row
-/// i, or kNullRow for the NULL row an outer join pads with. Batch column c
-/// is column `cols[c].col` of source `cols[c].source`. Joins and filters
-/// only move ids; cells are read, encoded, or copied straight from the
-/// sources.
+/// table read in place or an owned relation (a derived table's result
+/// that materializes), and has one id column: `ids[s][i]` is the source-s
+/// row behind batch row i, or kNullRow for the NULL row an outer join pads
+/// with. Batch column c is column `cols[c].col` of source `cols[c].source`,
+/// or a constant column: an inlined derived table's literal item, whose
+/// value the column holds and reads while `source` (that table's first
+/// source) has a row, NULL on the padding. Joins and filters only move ids;
+/// cells are read, encoded, or copied straight from the sources.
 struct QueryExecutor::Input {
   static constexpr uint32_t kNullRow = EncodedKeyIndex::kNil;
   struct Source {
@@ -451,6 +473,7 @@ struct QueryExecutor::Input {
   struct Column {
     uint32_t source;
     uint32_t col;
+    std::optional<Value> constant;  // set: a constant column
   };
 
   RelSchema schema;
@@ -466,7 +489,7 @@ struct QueryExecutor::Input {
     const auto& columns = table->schema().columns();
     for (size_t c = 0; c < columns.size(); ++c) {
       in.schema.Add({binding, columns[c].name});
-      in.cols.push_back({0, static_cast<uint32_t>(c)});
+      in.cols.push_back({0, static_cast<uint32_t>(c), std::nullopt});
     }
     in.sources.push_back({table, nullptr});
     in.ids.emplace_back();
@@ -478,7 +501,7 @@ struct QueryExecutor::Input {
     Input in;
     in.schema = std::move(rel.schema);
     for (size_t c = 0; c < in.schema.size(); ++c) {
-      in.cols.push_back({0, static_cast<uint32_t>(c)});
+      in.cols.push_back({0, static_cast<uint32_t>(c), std::nullopt});
     }
     in.rows = rel.rows.size();
     in.ids.push_back(Iota(in.rows));
@@ -500,7 +523,7 @@ struct QueryExecutor::Input {
     out.cols = left.cols;
     const auto offset = static_cast<uint32_t>(left.sources.size());
     for (const Column& c : right.cols) {
-      out.cols.push_back({c.source + offset, c.col});
+      out.cols.push_back({c.source + offset, c.col, c.constant});
     }
     for (const auto& column : left.ids) {
       out.ids.push_back(Gather(column, lrows));
@@ -520,14 +543,28 @@ struct QueryExecutor::Input {
     rows = keep.size();
   }
 
+  /// The table column behind `col`, or nullptr for a constant column or
+  /// an owned relation's column (whose cells are Values: see Held).
+  const ColumnVector* TableColumn(const Column& col) const {
+    const Table* table = sources[col.source].table;
+    return !col.constant && table != nullptr
+               ? &table->column(col.col)
+               : nullptr;
+  }
+  /// Cell `id` of a column TableColumn declines; kNullRow reads NULL.
+  const Value& Held(const Column& col, uint32_t id) const {
+    if (id == kNullRow) return kNullValue;
+    return col.constant ? *col.constant
+                        : sources[col.source].rel->rows[id].values()[col.col];
+  }
+
   /// Cell (i, c), representation-exact.
   Value Cell(size_t i, size_t c) const {
     const Column& col = cols[c];
     const uint32_t id = ids[col.source][i];
-    if (id == kNullRow) return Value::Null();
-    const Source& s = sources[col.source];
-    return s.table != nullptr ? s.table->column(col.col).ValueAt(id)
-                              : s.rel->rows[id].values()[col.col];
+    const ColumnVector* column = TableColumn(col);
+    return column != nullptr && id != kNullRow ? column->ValueAt(id)
+                                               : Held(col, id);
   }
 
   /// Join key of row i (EncodeJoinKey's contract: false on a NULL key).
@@ -537,13 +574,11 @@ struct QueryExecutor::Input {
       const Column& col = cols[c];
       const uint32_t id = ids[col.source][i];
       if (id == kNullRow) return false;
-      const Source& s = sources[col.source];
-      if (s.table != nullptr) {
-        const ColumnVector& column = s.table->column(col.col);
-        if (column.IsNull(id)) return false;
-        EncodeColumnValue(column, id, out);
+      if (const ColumnVector* column = TableColumn(col)) {
+        if (column->IsNull(id)) return false;
+        EncodeColumnValue(*column, id, out);
       } else {
-        const Value& v = s.rel->rows[id].values()[col.col];
+        const Value& v = Held(col, id);
         if (v.is_null()) return false;
         EncodeValue(v, out);
       }
@@ -556,18 +591,16 @@ struct QueryExecutor::Input {
                   std::string* out) const {
     const Column& col = cols[c];
     const uint32_t id = ids[col.source][i];
-    const Source& s = sources[col.source];
-    if (id != kNullRow && s.table != nullptr) {
+    const ColumnVector* column = TableColumn(col);
+    if (column != nullptr && id != kNullRow) {
       if (descending) {
-        EncodeColumnValueDescending(s.table->column(col.col), id, out);
+        EncodeColumnValueDescending(*column, id, out);
       } else {
-        EncodeColumnValue(s.table->column(col.col), id, out);
+        EncodeColumnValue(*column, id, out);
       }
       return;
     }
-    EncodeOrdered(
-        id == kNullRow ? kNullValue : s.rel->rows[id].values()[col.col],
-        descending, out);
+    EncodeOrdered(Held(col, id), descending, out);
   }
 };
 
@@ -672,6 +705,25 @@ struct QueryExecutor::Core {
     } else {
       EncodeValue(ItemValue(i, j), out);
     }
+  }
+
+  /// The core as derived table `alias`, inlined (InlinesAsBatch holds, so
+  /// every item is a column or a constant): item j becomes batch column j,
+  /// a constant item a constant column of the core's first source. That
+  /// source is never padded inside the core, because every join pads only
+  /// its right side, so it has a row exactly when the derived row exists.
+  Input TakeAsDerived(const std::string& alias) && {
+    Input out = std::move(in);
+    std::vector<Input::Column> cols;
+    cols.reserve(items.size());
+    for (const Item& item : items) {
+      cols.push_back(item.kind == Item::Kind::kColumn
+                         ? out.cols[item.index]
+                         : Input::Column{0, 0, constants[item.index]});
+    }
+    out.cols = std::move(cols);
+    out.schema = schema.WithQualifier(alias);
+    return out;
   }
 };
 
@@ -1031,9 +1083,14 @@ Result<QueryExecutor::Input> QueryExecutor::EvalTableRef(
     }
     case sql::TableRef::Kind::kDerivedTable: {
       const auto& derived = static_cast<const sql::DerivedTableRef&>(ref);
-      // Execute keeps no per-query state beyond the counters and the
-      // already-armed deadline, so the subquery runs on this executor and
-      // its counters accumulate into this query's.
+      // Execute and ExecuteCore keep no per-query state beyond the counters
+      // and the already-armed deadline, so the subquery runs on this
+      // executor and its counters accumulate into this query's.
+      if (InlinesAsBatch(derived.query())) {
+        SILK_ASSIGN_OR_RETURN(Core core,
+                              ExecuteCore(derived.query().cores[0]));
+        return std::move(core).TakeAsDerived(derived.alias());
+      }
       SILK_ASSIGN_OR_RETURN(Relation rel, Execute(derived.query()));
       rel.schema = rel.schema.WithQualifier(derived.alias());
       return Input::Own(std::move(rel));

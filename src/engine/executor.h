@@ -10,8 +10,10 @@
 //    outer-join queries produce), and a nested loop otherwise;
 //  - UNION ALL concatenates; ORDER BY sorts a permutation of row ids.
 //
-// Intermediates are row-id batches over borrowed base tables and owned
-// derived-table results; a result cell is built once, in final order.
+// Intermediates are row-id batches over borrowed base tables; a derived
+// table that is one SELECT core without ORDER BY is inlined into its
+// parent's batch, any other is an owned result. A result cell is built
+// once, in final order.
 #ifndef SILKROUTE_ENGINE_EXECUTOR_H_
 #define SILKROUTE_ENGINE_EXECUTOR_H_
 
@@ -52,7 +54,7 @@ struct ExecStats {
   uint64_t rows_joined = 0;       // rows emitted by join operators
   uint64_t rows_sorted = 0;       // rows passed through ORDER BY
   uint64_t cells_materialized = 0;  // Values built into results (derived
-                                    // tables' included)
+                                    // tables that materialize included)
   uint64_t nested_loop_joins = 0; // fallback joins taken (should be rare)
   uint64_t hash_joins = 0;
   uint64_t keys_encoded = 0;      // packed keys built (join/sort/distinct)

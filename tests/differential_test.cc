@@ -2,14 +2,16 @@
 // reference. A seeded generator produces random schemas, NULL-heavy data,
 // and random queries (multi-way comma joins, LEFT OUTER JOIN ... ON with
 // one-sided ON conjuncts, derived tables — two of them outer-joined is the
-// unified plan's shape — UNION ALL, literal select items, single-source
-// filters, DISTINCT, ORDER BY over up to four mixed-type keys). Every
-// query exists twice: as SQL text for the engine, and as a structured
-// description that a deliberately naive nested-loop evaluator in this file
-// runs over the harness's own copy of the generated tuples — never the
-// engine's tables, parser, planner, or key codec. The reference needs
-// nothing but Value::Compare (WHERE under three-valued logic, ORDER BY)
-// and Tuple::Compare (DISTINCT).
+// unified plan's shape; nested two deep, outer-joined or DISTINCT inside,
+// which the engine inlines, or carrying UNION ALL, ORDER BY or a computed
+// item, which it materializes — UNION ALL, literal select items,
+// single-source filters, DISTINCT, ORDER BY over up to four mixed-type
+// keys). Every query exists twice: as SQL text for the engine, and as a
+// structured description that a deliberately naive nested-loop evaluator
+// in this file runs over the harness's own copy of the generated tuples —
+// never the engine's tables, parser, planner, or key codec. The reference
+// needs nothing but Value::Compare (WHERE under three-valued logic, ORDER
+// BY) and Tuple::Compare (DISTINCT).
 //
 // Agreement rules:
 //  - status: both succeed, or both fail (e.g. DISTINCT or UNION with an
@@ -26,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -128,7 +131,8 @@ void BuildDatabaseInto(Rng& rng, GenDb* gen) {
 struct CoreSpec;
 
 /// One FROM item of a core: base table tN, or a derived table — a nested
-/// core rendered `(SELECT ...) AS dI` whose columns are its items' aliases.
+/// core rendered `(SELECT ...) AS dI` whose columns are its items' aliases
+/// (see CoreSpec::QuerySql for the UNION ALL and ORDER BY it may carry).
 struct FromItem {
   size_t table = 0;
   std::shared_ptr<const CoreSpec> derived;
@@ -152,9 +156,11 @@ struct Pred {
   int64_t literal = 0;  // kColEqInt
 };
 
-/// One select item: a column, or a literal such as `1 AS lit0`.
+/// One select item: a column, a literal such as `1 AS lit0`, or (in a
+/// derived core) the computed `<key column> + 1`.
 struct Item {
   bool literal = false;
+  bool plus_one = false;  // the column's value plus one; NULL stays NULL
   ColRef col{0, 0};
   Value value;        // literal
   std::string alias;  // every literal, and every item of a derived core
@@ -173,6 +179,8 @@ std::string ValueSql(const Value& v) {
 }
 
 /// One SELECT core: a comma FROM list, or from[0] LEFT OUTER JOIN from[1].
+/// A derived table's core may also carry a second core it is UNION ALL'd
+/// with and an ORDER BY item; either makes the engine materialize it.
 struct CoreSpec {
   std::vector<FromItem> from;
   bool outer = false;
@@ -180,6 +188,8 @@ struct CoreSpec {
   std::vector<Item> select;
   std::vector<Pred> where;
   bool distinct = false;
+  std::shared_ptr<const CoreSpec> union_all;  // derived tables only
+  int order_item = -1;  // derived tables only: >= 0, ORDER BY this item
 
   std::string Binding(size_t src) const {
     return from[src].derived ? "d" + std::to_string(src)
@@ -193,12 +203,37 @@ struct CoreSpec {
   size_t Width(size_t src) const {
     return from[src].derived ? from[src].derived->select.size() : 4;
   }
-  /// Whether column `c` draws from the small integer key domain.
+  /// Whether column `c` draws from the small integer key domain (in every
+  /// core of a derived table's UNION ALL).
   bool IsKey(const ColRef& c) const {
     const FromItem& f = from[c.src];
     if (!f.derived) return c.col == kK0 || c.col == kK1;
-    const Item& item = f.derived->select[c.col];
-    return item.literal ? item.value.is_int64() : f.derived->IsKey(item.col);
+    for (const CoreSpec* d : {f.derived.get(), f.derived->union_all.get()}) {
+      if (d == nullptr) continue;
+      const Item& item = d->select[c.col];
+      if (!(item.literal ? item.value.is_int64() : d->IsKey(item.col))) {
+        return false;
+      }
+    }
+    return true;
+  }
+  /// Whether column `c` may carry d0's Int64 and Double forms of one
+  /// number (3 vs 3.0). DISTINCT keeps whichever comes first, so a derived
+  /// DISTINCT core must not select one: the reference cannot tell which.
+  bool MayMixNumerics(const ColRef& c) const {
+    const FromItem& f = from[c.src];
+    if (!f.derived) return c.col == kD0;
+    for (const CoreSpec* d : {f.derived.get(), f.derived->union_all.get()}) {
+      if (d == nullptr) continue;
+      const Item& item = d->select[c.col];
+      if (!item.literal && d->MayMixNumerics(item.col)) return true;
+    }
+    return false;
+  }
+  /// Whether column `c` is a literal item of a derived table.
+  bool IsDerivedLiteral(const ColRef& c) const {
+    const FromItem& f = from[c.src];
+    return f.derived != nullptr && f.derived->select[c.col].literal;
   }
 
   std::string PredSql(const Pred& p) const {
@@ -220,11 +255,12 @@ struct CoreSpec {
     for (size_t i = 0; i < select.size(); ++i) {
       const Item& item = select[i];
       sql << (i > 0 ? ", " : "")
-          << (item.literal ? ValueSql(item.value) : Column(item.col));
+          << (item.literal ? ValueSql(item.value) : Column(item.col))
+          << (item.plus_one ? " + 1" : "");
       if (!item.alias.empty()) sql << " AS " << item.alias;
     }
     auto from_sql = [&](size_t s) {
-      return from[s].derived ? "(" + from[s].derived->Sql() + ") AS " +
+      return from[s].derived ? "(" + from[s].derived->QuerySql() + ") AS " +
                                    Binding(s)
                              : Binding(s);
     };
@@ -241,6 +277,16 @@ struct CoreSpec {
       sql << (i > 0 ? " AND " : " WHERE ") << PredSql(where[i]);
     }
     return sql.str();
+  }
+
+  /// A derived table's query: the core, its UNION ALL, its ORDER BY.
+  std::string QuerySql() const {
+    std::string sql = Sql();
+    if (union_all) sql += " UNION ALL " + union_all->Sql();
+    if (order_item >= 0) {
+      sql += " ORDER BY " + select[static_cast<size_t>(order_item)].alias;
+    }
+    return sql;
   }
 };
 
@@ -354,21 +400,80 @@ void AddSelect(Rng& rng, size_t count, CoreSpec* c) {
   }
 }
 
-/// A derived table's core: one or two joined base tables, a key column
-/// first, then columns and literals, every item aliased c0, c1, ...
-std::shared_ptr<CoreSpec> GenerateDerived(Rng& rng, size_t num_tables) {
+/// A conjunct naming only source `src` of an outer join's ON clause.
+Pred OneSidePred(Rng& rng, const CoreSpec& c, size_t src) {
+  if (!c.from[src].derived && Chance(rng, 40)) {
+    return {Pred::Kind::kIsNotNull, {src, kS0}};
+  }
+  return {Pred::Kind::kColEqInt, RandomKeyCol(rng, c, src), {0, 0},
+          static_cast<int64_t>(rng() % 3)};
+}
+
+/// Turns a comma core of two sources into from[0] LEFT OUTER JOIN from[1]
+/// ON its WHERE conjuncts, sometimes plus one-sided ones.
+void MakeOuter(Rng& rng, CoreSpec* c) {
+  c->outer = true;
+  c->on = std::move(c->where);
+  c->where.clear();
+  if (Chance(rng, 35)) c->on.push_back(OneSidePred(rng, *c, 1));
+  if (Chance(rng, 25)) c->on.push_back(OneSidePred(rng, *c, 0));
+  for (size_t i = c->on.size(); i > 1; --i) {
+    std::swap(c->on[i - 1], c->on[Pick(rng, i)]);
+  }
+}
+
+std::shared_ptr<CoreSpec> GenerateDerived(Rng& rng, size_t num_tables,
+                                          int depth);
+
+/// A derived table's core, every item aliased c0, c1, ...: a key column
+/// first, then `width - 1` columns, literals and computed items (`width`
+/// 0: 2-4 items). Its FROM is one or two comma-joined base tables, a base
+/// table LEFT OUTER JOIN another (the padded side's literals stay
+/// non-NULL), or — above `depth` 2 — a nested derived table joined to a
+/// base table, the unified plan's two levels.
+std::shared_ptr<CoreSpec> GenerateDerivedCore(Rng& rng, size_t num_tables,
+                                              int depth, size_t width) {
   auto d = std::make_shared<CoreSpec>();
-  FillCommaCore(rng, 1 + Pick(rng, std::min<size_t>(2, num_tables)),
-                /*always_join=*/true, d.get());
+  const uint32_t shape = rng() % 100;
+  if (depth < 2 && shape < 25) {
+    d->from.push_back({0, GenerateDerived(rng, num_tables, depth + 1)});
+    d->from.push_back({Pick(rng, num_tables), nullptr});
+    d->where.push_back({Pred::Kind::kColEq, RandomKeyCol(rng, *d, 0),
+                        RandomKeyCol(rng, *d, 1)});
+    if (Chance(rng, 50)) MakeOuter(rng, d.get());
+  } else if (shape < 50) {
+    FillCommaCore(rng, 2, /*always_join=*/true, d.get());
+    MakeOuter(rng, d.get());
+    // Gate the probe side: most rows then pad.
+    if (Chance(rng, 50)) d->on.push_back(OneSidePred(rng, *d, 0));
+  } else {
+    FillCommaCore(rng, 1 + Pick(rng, std::min<size_t>(2, num_tables)),
+                  /*always_join=*/true, d.get());
+  }
   AddFilters(rng, d.get());
+  d->distinct = Chance(rng, 20);
   d->select.push_back(
       ColumnItem(RandomKeyCol(rng, *d, Pick(rng, d->from.size()))));
-  const size_t more = 1 + Pick(rng, 3);
+  const size_t more = width > 0 ? width - 1 : 1 + Pick(rng, 3);
+  std::vector<size_t> base;
+  for (size_t s = 0; s < d->from.size(); ++s) {
+    if (!d->from[s].derived) base.push_back(s);
+  }
   for (size_t i = 0; i < more; ++i) {
-    if (Chance(rng, 35)) {
+    const uint32_t kind = rng() % 100;
+    if (kind < 35) {
       d->select.push_back(RandomLiteral(rng, ""));
+    } else if (kind < 42) {
+      Item item = ColumnItem(
+          {base[Pick(rng, base.size())], Chance(rng, 50) ? kK0 : kK1});
+      item.plus_one = true;
+      d->select.push_back(item);
     } else {
-      d->select.push_back(ColumnItem(RandomCol(rng, *d)));
+      ColRef col = RandomCol(rng, *d);
+      if (d->distinct && d->MayMixNumerics(col)) {
+        col = RandomKeyCol(rng, *d, col.src);
+      }
+      d->select.push_back(ColumnItem(col));
     }
   }
   for (size_t i = 0; i < d->select.size(); ++i) {
@@ -377,13 +482,19 @@ std::shared_ptr<CoreSpec> GenerateDerived(Rng& rng, size_t num_tables) {
   return d;
 }
 
-/// A conjunct naming only source `src` of an outer join's ON clause.
-Pred OneSidePred(Rng& rng, const CoreSpec& c, size_t src) {
-  if (!c.from[src].derived && Chance(rng, 40)) {
-    return {Pred::Kind::kIsNotNull, {src, kS0}};
+/// A derived table: a core, 10% of them UNION ALL'd with a second core of
+/// the same width and 10% ordered by one of their items.
+std::shared_ptr<CoreSpec> GenerateDerived(Rng& rng, size_t num_tables,
+                                          int depth) {
+  auto d = GenerateDerivedCore(rng, num_tables, depth, 0);
+  if (Chance(rng, 10)) {
+    d->union_all =
+        GenerateDerivedCore(rng, num_tables, depth, d->select.size());
   }
-  return {Pred::Kind::kColEqInt, RandomKeyCol(rng, c, src), {0, 0},
-          static_cast<int64_t>(rng() % 3)};
+  if (Chance(rng, 10)) {
+    d->order_item = static_cast<int>(Pick(rng, d->select.size()));
+  }
+  return d;
 }
 
 /// One random query over tables t0..t{num_tables-1}. Shapes:
@@ -406,33 +517,37 @@ QuerySpec GenerateQuery(Rng& rng, size_t num_tables) {
     FillCommaCore(rng, 2 + Pick(rng, num_tables - 1), false, &core);
   } else if (shape < 60) {
     FillCommaCore(rng, 2, true, &core);
-    core.outer = true;
-    core.on = std::move(core.where);
-    core.where.clear();
     if (Chance(rng, 30)) {
-      core.on.push_back({Pred::Kind::kColEq, RandomKeyCol(rng, core, 0),
-                         RandomKeyCol(rng, core, 1)});
+      core.where.push_back({Pred::Kind::kColEq, RandomKeyCol(rng, core, 0),
+                            RandomKeyCol(rng, core, 1)});
     }
+    MakeOuter(rng, &core);
   } else {
-    core.from.push_back({0, GenerateDerived(rng, num_tables)});
+    core.from.push_back({0, GenerateDerived(rng, num_tables, 0)});
     if (Chance(rng, 75)) {
-      core.from.push_back({0, GenerateDerived(rng, num_tables)});
+      core.from.push_back({0, GenerateDerived(rng, num_tables, 0)});
     } else {
       core.from.push_back({Pick(rng, num_tables), nullptr});
     }
-    const Pred link{Pred::Kind::kColEq, RandomKeyCol(rng, core, 0),
-                    RandomKeyCol(rng, core, 1)};
-    core.outer = Chance(rng, 60);
-    (core.outer ? core.on : core.where).push_back(link);
-  }
-  if (core.outer) {
-    if (Chance(rng, 35)) core.on.push_back(OneSidePred(rng, core, 1));
-    if (Chance(rng, 25)) core.on.push_back(OneSidePred(rng, core, 0));
-    for (size_t i = core.on.size(); i > 1; --i) {
-      std::swap(core.on[i - 1], core.on[Pick(rng, i)]);
-    }
+    core.where.push_back({Pred::Kind::kColEq, RandomKeyCol(rng, core, 0),
+                          RandomKeyCol(rng, core, 1)});
+    if (Chance(rng, 60)) MakeOuter(rng, &core);
   }
   AddSelect(rng, num_select, &core);
+  for (size_t src = 0; src < core.from.size(); ++src) {
+    // Read a derived literal: NULL where an outer join padded its table,
+    // its value wherever the table has a row, padded inside it or not.
+    if (!core.from[src].derived || !Chance(rng, 50)) continue;
+    const auto& items = core.from[src].derived->select;
+    std::vector<size_t> literals;
+    for (size_t i = 0; i < items.size(); ++i) {
+      if (items[i].literal) literals.push_back(i);
+    }
+    if (!literals.empty()) {
+      core.select.push_back(
+          ColumnItem({src, literals[Pick(rng, literals.size())]}));
+    }
+  }
   AddFilters(rng, &core);
   const bool is_union = shape >= 80;
   core.distinct = !is_union && Chance(rng, 30);
@@ -532,13 +647,15 @@ void EnumerateInner(const std::vector<const Rows*>& sources,
   }
 }
 
+Rows RunDerived(const std::vector<Rows>& data, const CoreSpec& c);
+
 /// One core's rows: derived tables first, recursively, then the joins.
 Rows RunCore(const std::vector<Rows>& data, const CoreSpec& c) {
   std::vector<Rows> derived(c.from.size());
   std::vector<const Rows*> sources;
   for (size_t s = 0; s < c.from.size(); ++s) {
     if (c.from[s].derived) {
-      derived[s] = RunCore(data, *c.from[s].derived);
+      derived[s] = RunDerived(data, *c.from[s].derived);
       sources.push_back(&derived[s]);
     } else {
       sources.push_back(&data[c.from[s].table]);
@@ -548,7 +665,9 @@ Rows RunCore(const std::vector<Rows>& data, const CoreSpec& c) {
   auto emit = [&](const Binding& b) {
     Tuple row;
     for (const Item& item : c.select) {
-      row.Append(item.literal ? item.value : CellOf(b, item.col));
+      Value v = item.literal ? item.value : CellOf(b, item.col);
+      if (item.plus_one && !v.is_null()) v = Value::Int64(v.AsInt64() + 1);
+      row.Append(std::move(v));
     }
     out.push_back(std::move(row));
   };
@@ -587,6 +706,18 @@ Rows RunCore(const std::vector<Rows>& data, const CoreSpec& c) {
               out.end());
   }
   return out;
+}
+
+/// A derived table's rows: its core's, then its UNION ALL core's. Its
+/// ORDER BY cannot change the multiset its parent reads.
+Rows RunDerived(const std::vector<Rows>& data, const CoreSpec& c) {
+  Rows rows = RunCore(data, c);
+  if (c.union_all) {
+    Rows more = RunCore(data, *c.union_all);
+    rows.insert(rows.end(), std::make_move_iterator(more.begin()),
+                std::make_move_iterator(more.end()));
+  }
+  return rows;
 }
 
 /// The reference's answer: its rows, or ok == false when it refuses the
@@ -766,6 +897,61 @@ std::string Disagreement(const QuerySpec& q, const Reference& ref,
   return "";
 }
 
+/// The derived-table shapes one query exercises: the engine inlines a
+/// single-core derived table into its parent's batch and materializes the
+/// rest, and the test insists that the generator keeps reaching both.
+struct DerivedShapes {
+  bool padded_literal = false;  // a derived literal read through a LEFT
+                                // OUTER JOIN's padding (reads NULL)
+  bool own_outer = false;  // a literal read from a derived table whose own
+                           // LEFT OUTER JOIN pads (it stays non-NULL)
+  bool nested = false;     // a derived table inside a derived table
+  bool distinct = false;   // DISTINCT inside a derived table
+  bool literal_key = false;  // a join or ORDER BY key on a derived literal
+  // Materialized: UNION ALL, ORDER BY, a computed item.
+  bool union_all = false;
+  bool order_by = false;
+  bool computed = false;
+};
+
+void CountDerived(const CoreSpec& d, int depth, DerivedShapes* out) {
+  out->nested |= depth > 0;
+  out->distinct |= d.distinct;
+  out->union_all |= d.union_all != nullptr;
+  out->order_by |= d.order_item >= 0;
+  out->computed |= std::any_of(d.select.begin(), d.select.end(),
+                               [](const Item& item) { return item.plus_one; });
+  for (const CoreSpec* c : {&d, d.union_all.get()}) {
+    if (c == nullptr) continue;
+    for (const FromItem& f : c->from) {
+      if (f.derived) CountDerived(*f.derived, depth + 1, out);
+    }
+  }
+}
+
+DerivedShapes CountDerivedShapes(const QuerySpec& q) {
+  DerivedShapes out;
+  const CoreSpec& c = q.first();
+  for (const FromItem& f : c.from) {
+    if (f.derived) CountDerived(*f.derived, 0, &out);
+  }
+  for (const Item& item : c.select) {
+    if (item.literal || !c.IsDerivedLiteral(item.col)) continue;
+    out.padded_literal |= c.outer && item.col.src == 1;
+    out.own_outer |= c.from[item.col.src].derived->outer;
+  }
+  for (const auto* preds : {&c.on, &c.where}) {
+    for (const Pred& p : *preds) {
+      out.literal_key |= p.kind == Pred::Kind::kColEq &&
+                         (c.IsDerivedLiteral(p.a) || c.IsDerivedLiteral(p.b));
+    }
+  }
+  for (const OrderKey& k : q.order_by) {
+    out.literal_key |= k.item < 0 && c.IsDerivedLiteral(k.col);
+  }
+  return out;
+}
+
 TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
   int num_queries = 500;
   if (const char* env = std::getenv("SILK_DIFF_QUERIES")) {
@@ -775,6 +961,9 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
 
   int executed = 0, refused = 0, ordered = 0;
   int derived = 0, unions = 0, literals = 0, long_keys = 0, one_sided_on = 0;
+  int padded_literal = 0, own_outer = 0, nested = 0, derived_distinct = 0,
+      literal_key = 0, derived_union = 0, derived_order = 0,
+      derived_computed = 0;
   for (int i = 0; i < num_queries; ++i) {
     const uint32_t seed = kBaseSeed + static_cast<uint32_t>(i);
     Rng rng(seed);
@@ -806,7 +995,22 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
                                 [](const Pred& p) {
                                   return p.kind != Pred::Kind::kColEq;
                                 });
+    const DerivedShapes shapes = CountDerivedShapes(q);
+    padded_literal += shapes.padded_literal;
+    own_outer += shapes.own_outer;
+    nested += shapes.nested;
+    derived_distinct += shapes.distinct;
+    literal_key += shapes.literal_key;
+    derived_union += shapes.union_all;
+    derived_order += shapes.order_by;
+    derived_computed += shapes.computed;
   }
+  std::printf(
+      "derived shapes: padded literal %d, own outer join %d, nested %d, "
+      "distinct %d, literal key %d, union all %d, order by %d, computed "
+      "%d\n",
+      padded_literal, own_outer, nested, derived_distinct, literal_key,
+      derived_union, derived_order, derived_computed);
   EXPECT_EQ(executed, num_queries);
   // The generator must keep exercising both outcomes, ORDER BY, and every
   // shape it knows.
@@ -818,6 +1022,14 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     EXPECT_GT(literals, num_queries / 10);
     EXPECT_GT(long_keys, num_queries / 20);
     EXPECT_GT(one_sided_on, num_queries / 20);
+    EXPECT_GT(padded_literal, num_queries / 100);
+    EXPECT_GT(own_outer, num_queries / 100);
+    EXPECT_GT(nested, num_queries / 100);
+    EXPECT_GT(derived_distinct, num_queries / 100);
+    EXPECT_GT(literal_key, num_queries / 100);
+    EXPECT_GT(derived_union, num_queries / 100);
+    EXPECT_GT(derived_order, num_queries / 100);
+    EXPECT_GT(derived_computed, num_queries / 100);
   }
 }
 

@@ -110,55 +110,109 @@ INSTANTIATE_TEST_SUITE_P(AllPlans, PlanSweepTest,
 // Document-level checks.
 // ---------------------------------------------------------------------------
 
-/// Sum of rows x width over `query`'s result and the result of every
-/// derived table inside it, each executed on its own.
-uint64_t ResultCells(const Database& db, const sql::Query& query) {
+/// Whether the executor materializes derived table `query` into a
+/// Relation instead of inlining it into its parent's batch: anything but
+/// one SELECT core with a FROM list, no ORDER BY, and only column and
+/// literal items (DESIGN.md §10).
+bool Materializes(const sql::Query& query) {
+  if (query.cores.size() != 1 || !query.order_by.empty() ||
+      query.cores[0].from.empty()) {
+    return true;
+  }
+  for (const auto& item : query.cores[0].select_list) {
+    const auto kind = item.expr->kind();
+    if (kind != sql::Expr::Kind::kColumnRef &&
+        kind != sql::Expr::Kind::kLiteral) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Rows x width of `query`'s result, executed on its own, plus the cells
+/// of every derived table inside it that materializes. An inlined derived
+/// table builds no cell; the derived tables nested in it still count.
+/// `materialized` counts the derived tables that materialize.
+uint64_t ResultCells(const Database& db, const sql::Query& query,
+                     int* materialized) {
   engine::QueryExecutor exec(&db);
   auto result = exec.Execute(query);
   EXPECT_TRUE(result.ok()) << result.status();
   if (!result.ok()) return 0;
   uint64_t cells = result->rows.size() * result->schema.size();
+  std::function<void(const sql::Query&)> visit_from;
   std::function<void(const sql::TableRef&)> visit =
       [&](const sql::TableRef& ref) {
         if (ref.kind() == sql::TableRef::Kind::kDerivedTable) {
-          cells += ResultCells(
-              db, static_cast<const sql::DerivedTableRef&>(ref).query());
+          const auto& derived =
+              static_cast<const sql::DerivedTableRef&>(ref).query();
+          if (Materializes(derived)) {
+            ++*materialized;
+            cells += ResultCells(db, derived, materialized);
+          } else {
+            visit_from(derived);
+          }
         } else if (ref.kind() == sql::TableRef::Kind::kJoin) {
           const auto& join = static_cast<const sql::JoinRef&>(ref);
           visit(join.left());
           visit(join.right());
         }
       };
-  for (const auto& core : query.cores) {
-    for (const auto& ref : core.from) visit(*ref);
-  }
+  visit_from = [&](const sql::Query& q) {
+    for (const auto& core : q.cores) {
+      for (const auto& ref : core.from) visit(*ref);
+    }
+  };
+  visit_from(query);
   return cells;
 }
 
 // The executor builds each result cell exactly once: its
-// cells_materialized counter equals rows x width summed over the results
-// it returns, derived tables' results included — no intermediate copies.
+// cells_materialized counter equals rows x width of the result it returns
+// plus the results of the derived tables that materialize. A derived table
+// inlined into its parent's batch builds none, so the outer-join plans'
+// derived tables cost no cell — no intermediate copies.
 TEST(PublisherTest, Query1BuildsEachResultCellOnce) {
   auto tree = env()->publisher().BuildViewTree(Query1Rxl());
   ASSERT_TRUE(tree.ok()) << tree.status();
+  std::vector<std::string> sqls;
   for (const Partition& plan :
        {Partition::Unified(*tree), Partition::FullyPartitioned(*tree)}) {
     for (auto style : {SqlGenStyle::kOuterJoin, SqlGenStyle::kOuterUnion}) {
-      SqlGenerator gen(&*tree, style, /*reduce=*/true);
-      auto specs = gen.GeneratePlan(plan);
-      ASSERT_TRUE(specs.ok()) << specs.status();
-      for (const StreamSpec& spec : *specs) {
-        engine::QueryExecutor exec(&env()->db());
-        auto result = exec.ExecuteSql(spec.sql);
-        ASSERT_TRUE(result.ok()) << result.status();
-        auto query = sql::ParseQuery(spec.sql);
-        ASSERT_TRUE(query.ok()) << query.status();
-        const uint64_t expected = ResultCells(env()->db(), **query);
-        EXPECT_GT(expected, 0u) << spec.sql;
-        EXPECT_EQ(exec.stats().cells_materialized, expected) << spec.sql;
+      for (bool reduce : {true, false}) {
+        SqlGenerator gen(&*tree, style, reduce);
+        auto specs = gen.GeneratePlan(plan);
+        ASSERT_TRUE(specs.ok()) << specs.status();
+        for (const StreamSpec& spec : *specs) sqls.push_back(spec.sql);
       }
     }
   }
+  // Derived tables that still materialize: a UNION ALL inside an inlined
+  // one, and one with an ORDER BY and a computed item.
+  sqls.push_back(
+      "select D.k, D.one, D.s from (select n.nationkey as k, 1 as one, "
+      "U.s as s from Nation n, (select s.suppkey as s, s.nationkey as nk "
+      "from Supplier s union all select s.suppkey as s, s.nationkey as nk "
+      "from Supplier s) as U where n.nationkey = U.nk) as D left outer "
+      "join (select c.custkey + 0 as ck, c.nationkey as nk from Customer c "
+      "order by ck) as C on D.k = C.nk order by D.k, D.s");
+  int with_derived = 0, materialized = 0;
+  for (const std::string& sql : sqls) {
+    engine::QueryExecutor exec(&env()->db());
+    auto result = exec.ExecuteSql(sql);
+    ASSERT_TRUE(result.ok()) << result.status() << "\n" << sql;
+    auto query = sql::ParseQuery(sql);
+    ASSERT_TRUE(query.ok()) << query.status();
+    const uint64_t expected =
+        ResultCells(env()->db(), **query, &materialized);
+    EXPECT_GT(expected, 0u) << sql;
+    EXPECT_EQ(exec.stats().cells_materialized, expected) << sql;
+    with_derived += sql.find("from (select") != std::string::npos;
+  }
+  EXPECT_GT(with_derived, 1);
+  // Besides the two above, the unreduced outer-join plans' `C` derived
+  // tables materialize: each is a UNION ALL of a class's children.
+  EXPECT_GT(materialized, 2);
 }
 
 TEST(PublisherTest, Query1DocumentValidatesAgainstPaperDtd) {

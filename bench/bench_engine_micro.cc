@@ -1,6 +1,6 @@
 // E8 — google-benchmark micro suite for the relational substrate: the
 // operator throughputs that the cost model abstracts (scan+filter, hash
-// join, disjunctive outer join, sort, wire serialization, end-to-end plan
+// join on integer and string keys, disjunctive outer join, sort, wire serialization, end-to-end plan
 // execution, the engine layer of one Query 1 plan), plus the client-side
 // merge/tag layer on bound streams (Query 1's greedy plan, and its fully
 // partitioned plan at Config A) and the two planning paths of a Sec. 7
@@ -54,6 +54,19 @@ void BM_HashJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashJoin);
+
+// A string join key: the word index hashes the names and verifies every
+// candidate against its bytes.
+void BM_HashJoinStringKey(benchmark::State& state) {
+  engine::QueryExecutor exec(SharedDb());
+  for (auto _ : state) {
+    auto r = exec.ExecuteSql(
+        "select p1.partkey, p2.partkey from Part p1, Part p2 "
+        "where p1.name = p2.name");
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_HashJoinStringKey);
 
 void BM_ChainJoin4Way(benchmark::State& state) {
   engine::QueryExecutor exec(SharedDb());

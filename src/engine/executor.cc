@@ -303,104 +303,229 @@ bool EvalColPred(const ColumnVector& cv, size_t pos, const ColPred& p) {
   }
 }
 
-/// Chained hash index over packed join keys (key_codec.h): one map entry
-/// per distinct key, rows with equal keys threaded through `next_` links
-/// in insertion order. Probes therefore walk matches in ascending build-
-/// row order for free — hash-table iteration order never leaks out — and
-/// key bytes live contiguously in the arena instead of one
-/// vector<Value> node per build row. Row ids are uint32 (a build side
-/// anywhere near 4B rows would have exhausted memory long before).
-class EncodedKeyIndex {
+/// murmur3's 64-bit finalizer. Every output bit depends on every input
+/// bit, which a join word needs: a small integer's double image has ~40
+/// low zero bits, and a hash that leaves them unmixed piles its keys into
+/// one probe run.
+uint64_t Fmix64(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+/// A non-NULL join-key cell as the word index reads it (DESIGN.md §10): a
+/// numeric's codec segment, or a string's bytes.
+struct KeyCell {
+  NumericSegment num;
+  std::string_view str;
+  bool is_string = false;
+
+  static KeyCell Of(const ColumnVector& column, uint32_t id) {
+    KeyCell cell;
+    if (column.type() == DataType::kString) {
+      cell.is_string = true;
+      cell.str = column.StringAt(id);
+    } else {
+      cell.num = column.CellIsInt64(id) ? Int64Segment(column.Int64At(id))
+                                        : DoubleSegment(column.DoubleAt(id));
+    }
+    return cell;
+  }
+  static KeyCell Of(const Value& v) {
+    KeyCell cell;
+    if (v.is_string()) {
+      cell.is_string = true;
+      cell.str = v.AsString();
+    } else {
+      cell.num = v.is_int64() ? Int64Segment(v.AsInt64())
+                              : DoubleSegment(v.AsDouble());
+    }
+    return cell;
+  }
+
+  /// A numeric's ordered image, a string's 64-bit hash.
+  uint64_t Word() const {
+    return is_string ? std::hash<std::string_view>()(str) : num.image;
+  }
+  /// Whether the word is the whole segment (a numeric below 2^53), so
+  /// equal words of two exact cells are equal segments.
+  bool Exact() const { return !is_string && !num.has_tie; }
+  /// Whether the two cells' codec segments are byte-equal.
+  bool SameSegment(const KeyCell& other) const {
+    if (is_string != other.is_string) return false;
+    return is_string ? str == other.str
+                     : num.image == other.num.image && num.tie == other.num.tie;
+  }
+};
+
+/// Flat open-addressing hash index over join keys of `width` words (one
+/// KeyCell word per key column). Each distinct word tuple owns one chain
+/// of row ids threaded through `next_` in insertion order, so a probe
+/// walks candidates in ascending build-row order and hash-table order
+/// never leaks out. Slots hold a 32-bit hash tag and the key's number;
+/// the words live in one flat array. Equal words are a match only when
+/// both keys are exact (Exact); the caller verifies every other candidate.
+/// Row ids are uint32 (a build side anywhere near 4B rows would have
+/// exhausted memory long before).
+class WordKeyIndex {
  public:
   static constexpr uint32_t kNil = 0xFFFFFFFFu;
 
-  void Reserve(size_t rows) {
-    map_.reserve(rows);
-    next_.assign(rows, kNil);
+  WordKeyIndex(size_t width, size_t rows)
+      : width_(width), next_(rows, kNil), exact_(rows, 0) {
+    size_t capacity = 16;
+    while (capacity < 2 * rows) capacity <<= 1;  // load factor <= 1/2
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    words_.reserve(rows * width);
+    heads_.reserve(rows);
+    tails_.reserve(rows);
   }
 
-  void Insert(std::string_view key, uint32_t row) {
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-      map_.emplace(arena_.Intern(key), Chain{row, row});
+  /// Appends `row` (rows arrive ascending) to the chain of `words`.
+  void Insert(const uint64_t* words, bool exact, uint32_t row) {
+    exact_[row] = exact;
+    const auto [s, tag] = Locate(words);
+    Slot& slot = slots_[s];
+    if (slot.key == kNil) {
+      slot = {tag, static_cast<uint32_t>(heads_.size())};
+      heads_.push_back(row);
+      tails_.push_back(row);
+      words_.insert(words_.end(), words, words + width_);
     } else {
-      next_[it->second.tail] = row;
-      it->second.tail = row;
+      next_[tails_[slot.key]] = row;
+      tails_[slot.key] = row;
     }
   }
 
-  /// Head of the chain for `key`, or kNil; advance with NextRow.
-  uint32_t Find(std::string_view key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? kNil : it->second.head;
+  /// Head of the chain for `words`, or kNil; advance with NextRow.
+  uint32_t Find(const uint64_t* words) const {
+    const Slot& slot = slots_[Locate(words).first];
+    return slot.key == kNil ? kNil : heads_[slot.key];
   }
   uint32_t NextRow(uint32_t row) const { return next_[row]; }
+  bool Exact(uint32_t row) const { return exact_[row] != 0; }
 
  private:
-  struct Chain {
-    uint32_t head;
-    uint32_t tail;
+  struct Slot {
+    uint32_t tag = 0;
+    uint32_t key = kNil;  // kNil: empty
   };
-  KeyArena arena_;
-  std::unordered_map<std::string_view, Chain> map_;
-  std::vector<uint32_t> next_;
+  /// The slot of `words` (their key's, or the empty slot where a new key
+  /// goes) and their hash tag. Each word mixes in through Fmix64.
+  std::pair<size_t, uint32_t> Locate(const uint64_t* words) const {
+    uint64_t h = 0;
+    for (size_t k = 0; k < width_; ++k) {
+      h = Fmix64(h * 0x9E3779B97F4A7C15ULL + words[k]);
+    }
+    const auto tag = static_cast<uint32_t>(h >> 32);
+    for (size_t s = h & mask_;; s = (s + 1) & mask_) {
+      const Slot& slot = slots_[s];
+      if (slot.key == kNil ||
+          (slot.tag == tag &&
+           std::equal(words, words + width_,
+                      &words_[size_t{slot.key} * width_]))) {
+        return {s, tag};
+      }
+    }
+  }
+
+  size_t width_;
+  size_t mask_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<uint64_t> words_;  // key k's words at [k * width_, +width_)
+  std::vector<uint32_t> heads_;  // per key
+  std::vector<uint32_t> tails_;  // per key
+  std::vector<uint32_t> next_;   // per row
+  std::vector<uint8_t> exact_;   // per row
 };
 
-/// The build and probe halves of HashJoin: the constructor indexes the
-/// build (right) side on its key columns, and First encodes one probe
-/// (left) row's key and looks it up. Every non-NULL key encoded on either
-/// side counts into `stats`. `Side` is QueryExecutor::Input (size() and
-/// EncodeKey are all the index reads).
+/// One hash join's index and probe, serving both hash-join kernels: the
+/// constructor indexes the build rows `keep` accepts on their key columns,
+/// and First/Next walk the build rows whose key equals probe row l's, in
+/// ascending build-row order. A candidate whose words match but that is not
+/// exact on both sides is verified against the codec segments. Every
+/// non-NULL key read on either side counts into `stats` as one key of 8
+/// bytes per word. `Side` is QueryExecutor::Input (size() and KeyCellAt
+/// are all the index reads).
 template <typename Side>
 class EquiJoinIndex {
  public:
-  EquiJoinIndex(const Side& probe, const Side& build,
-                const std::vector<std::pair<size_t, size_t>>& keys,
-                ExecStats* stats)
-      : probe_(probe), stats_(stats) {
-    std::vector<size_t> build_cols;
-    probe_cols_.reserve(keys.size());
-    build_cols.reserve(keys.size());
-    for (const auto& [li, ri] : keys) {
-      probe_cols_.push_back(li);
-      build_cols.push_back(ri);
-    }
-    index_.Reserve(build.size());
+  template <typename Keep>
+  EquiJoinIndex(const Side& probe, std::vector<size_t> probe_cols,
+                const Side& build, std::vector<size_t> build_cols,
+                ExecStats* stats, const Keep& keep)
+      : probe_(probe),
+        build_(build),
+        probe_cols_(std::move(probe_cols)),
+        build_cols_(std::move(build_cols)),
+        stats_(stats),
+        index_(build_cols_.size(), build.size()),
+        words_(build_cols_.size()) {
     for (size_t r = 0; r < build.size(); ++r) {
-      scratch_.clear();
-      // EncodeKey returns false on a NULL key column: such rows can
-      // never match, so they are simply not indexed.
-      if (!build.EncodeKey(r, build_cols, &scratch_)) continue;
-      CountKey();
-      index_.Insert(scratch_, static_cast<uint32_t>(r));
+      // A NULL key column never matches, so such rows are not indexed.
+      if (!keep(r) || !ReadKey(build_, r, build_cols_)) continue;
+      index_.Insert(words_.data(), exact_, static_cast<uint32_t>(r));
     }
   }
 
   /// First build row matching probe row `l`, or kNil when there is none
-  /// or the probe key is NULL; advance with Next. The chain yields matches
-  /// in ascending build-row order (rows were inserted in row order), so
-  /// equal-key output is deterministic in build-row order.
+  /// or the probe key is NULL; advance with Next.
   uint32_t First(size_t l) {
-    scratch_.clear();
-    if (!probe_.EncodeKey(l, probe_cols_, &scratch_)) {
-      return EncodedKeyIndex::kNil;
-    }
-    CountKey();
-    return index_.Find(scratch_);
+    probe_row_ = l;
+    if (!ReadKey(probe_, l, probe_cols_)) return WordKeyIndex::kNil;
+    return Match(index_.Find(words_.data()));
   }
-  uint32_t Next(uint32_t r) const { return index_.NextRow(r); }
+  uint32_t Next(uint32_t r) { return Match(index_.NextRow(r)); }
 
  private:
-  void CountKey() {
+  /// Loads row i's key words and exactness; false on a NULL key column.
+  bool ReadKey(const Side& side, size_t i, const std::vector<size_t>& cols) {
+    exact_ = true;
+    for (size_t k = 0; k < cols.size(); ++k) {
+      KeyCell cell;
+      if (!side.KeyCellAt(i, cols[k], &cell)) return false;
+      words_[k] = cell.Word();
+      exact_ = exact_ && cell.Exact();
+    }
     ++stats_->keys_encoded;
-    stats_->bytes_encoded += scratch_.size();
+    stats_->bytes_encoded += 8 * cols.size();
+    return true;
+  }
+
+  /// The first candidate from `r` on whose key equals the probe row's.
+  uint32_t Match(uint32_t r) {
+    while (r != WordKeyIndex::kNil && !(exact_ && index_.Exact(r)) &&
+           !Verify(r)) {
+      r = index_.NextRow(r);
+    }
+    return r;
+  }
+
+  /// Whether build row r's key segments equal the probe row's.
+  bool Verify(uint32_t r) {
+    ++stats_->keys_verified;
+    for (size_t k = 0; k < probe_cols_.size(); ++k) {
+      KeyCell a, b;
+      probe_.KeyCellAt(probe_row_, probe_cols_[k], &a);
+      build_.KeyCellAt(r, build_cols_[k], &b);
+      if (!a.SameSegment(b)) return false;
+    }
+    return true;
   }
 
   const Side& probe_;
+  const Side& build_;
   std::vector<size_t> probe_cols_;
+  std::vector<size_t> build_cols_;
   ExecStats* stats_;
-  EncodedKeyIndex index_;
-  std::string scratch_;
+  WordKeyIndex index_;
+  std::vector<uint64_t> words_;  // the key being built or probed
+  bool exact_ = true;
+  size_t probe_row_ = 0;
 };
 
 /// ids[rows[i]] for each i; a kNil row gathers as kNil (outer-join padding).
@@ -408,8 +533,8 @@ std::vector<uint32_t> Gather(const std::vector<uint32_t>& ids,
                              const std::vector<uint32_t>& rows) {
   std::vector<uint32_t> out(rows.size());
   for (size_t i = 0; i < rows.size(); ++i) {
-    out[i] = rows[i] == EncodedKeyIndex::kNil ? EncodedKeyIndex::kNil
-                                              : ids[rows[i]];
+    out[i] = rows[i] == WordKeyIndex::kNil ? WordKeyIndex::kNil
+                                           : ids[rows[i]];
   }
   return out;
 }
@@ -465,7 +590,7 @@ bool InlinesAsBatch(const sql::Query& query) {
 /// source) has a row, NULL on the padding. Joins and filters only move ids;
 /// cells are read, encoded, or copied straight from the sources.
 struct QueryExecutor::Input {
-  static constexpr uint32_t kNullRow = EncodedKeyIndex::kNil;
+  static constexpr uint32_t kNullRow = WordKeyIndex::kNil;
   struct Source {
     const Table* table = nullptr;         // a borrowed base table, or
     std::shared_ptr<const Relation> rel;  // an owned relation
@@ -567,22 +692,19 @@ struct QueryExecutor::Input {
                                                : Held(col, id);
   }
 
-  /// Join key of row i (EncodeJoinKey's contract: false on a NULL key).
-  bool EncodeKey(size_t i, const std::vector<size_t>& key_cols,
-                 std::string* out) const {
-    for (size_t c : key_cols) {
-      const Column& col = cols[c];
-      const uint32_t id = ids[col.source][i];
-      if (id == kNullRow) return false;
-      if (const ColumnVector* column = TableColumn(col)) {
-        if (column->IsNull(id)) return false;
-        EncodeColumnValue(*column, id, out);
-      } else {
-        const Value& v = Held(col, id);
-        if (v.is_null()) return false;
-        EncodeValue(v, out);
-      }
+  /// Join-key cell (i, c), or false when it is NULL.
+  bool KeyCellAt(size_t i, size_t c, KeyCell* out) const {
+    const Column& col = cols[c];
+    const uint32_t id = ids[col.source][i];
+    if (id == kNullRow) return false;
+    if (const ColumnVector* column = TableColumn(col)) {
+      if (column->IsNull(id)) return false;
+      *out = KeyCell::Of(*column, id);
+      return true;
     }
+    const Value& v = Held(col, id);
+    if (v.is_null()) return false;
+    *out = KeyCell::Of(v);
     return true;
   }
 
@@ -751,6 +873,8 @@ Result<Relation> QueryExecutor::ExecuteSql(std::string_view sql_text) {
     obs::AnnotateCurrent("keys_encoded", std::to_string(stats_.keys_encoded));
     obs::AnnotateCurrent("bytes_encoded",
                          std::to_string(stats_.bytes_encoded));
+    obs::AnnotateCurrent("keys_verified",
+                         std::to_string(stats_.keys_verified));
     obs::AnnotateCurrent("result_rows",
                          std::to_string(result.value().rows.size()));
   }
@@ -1164,14 +1288,21 @@ Result<QueryExecutor::Input> QueryExecutor::HashJoin(
     }
   }
 
-  EquiJoinIndex<Input> join(left, right, keys, &stats_);
+  std::vector<size_t> probe_cols, build_cols;
+  for (const auto& [li, ri] : keys) {
+    probe_cols.push_back(li);
+    build_cols.push_back(ri);
+  }
+  EquiJoinIndex<Input> join(left, std::move(probe_cols), right,
+                            std::move(build_cols), &stats_,
+                            [](size_t) { return true; });
   ++stats_.hash_joins;
   std::vector<uint32_t> lrows, rrows;
   for (uint32_t l = 0; l < left.size(); ++l) {
     SILK_RETURN_IF_ERROR(Tick());
     bool matched = false;
     if (gate.empty() || gate.Test(left, l)) {
-      for (uint32_t r = join.First(l); r != EncodedKeyIndex::kNil;
+      for (uint32_t r = join.First(l); r != WordKeyIndex::kNil;
            r = join.Next(r)) {
         if (!pair_preds.empty() && !pair_preds.Test(left, l, right, r)) {
           continue;
@@ -1205,7 +1336,6 @@ Result<QueryExecutor::Input> QueryExecutor::DisjunctiveHashJoin(
     std::vector<size_t> right_cols;  // key columns on the build side
     RowExprs left_filters;
     RowExprs right_filters;
-    EncodedKeyIndex index;
   };
   std::vector<Disjunct> plans(disjuncts.size());
   const std::vector<const RelSchema*> schemas = {&left.schema, &right.schema};
@@ -1236,20 +1366,15 @@ Result<QueryExecutor::Input> QueryExecutor::DisjunctiveHashJoin(
     }
   }
 
-  // Build one packed-key index per disjunct.
-  std::string scratch;
-  for (auto& plan : plans) {
-    plan.index.Reserve(right.size());
-    for (size_t r = 0; r < right.size(); ++r) {
-      if (!plan.right_filters.empty() && !plan.right_filters.Test(right, r)) {
-        continue;
-      }
-      scratch.clear();
-      if (!right.EncodeKey(r, plan.right_cols, &scratch)) continue;
-      ++stats_.keys_encoded;
-      stats_.bytes_encoded += scratch.size();
-      plan.index.Insert(scratch, static_cast<uint32_t>(r));
-    }
+  // One index per disjunct, over the build rows its filters keep.
+  std::vector<EquiJoinIndex<Input>> indexes;
+  indexes.reserve(plans.size());
+  for (Disjunct& plan : plans) {
+    indexes.emplace_back(left, plan.left_cols, right, plan.right_cols, &stats_,
+                         [&](size_t r) {
+                           return plan.right_filters.empty() ||
+                                  plan.right_filters.Test(right, r);
+                         });
   }
 
   ++stats_.hash_joins;
@@ -1257,16 +1382,11 @@ Result<QueryExecutor::Input> QueryExecutor::DisjunctiveHashJoin(
   for (uint32_t l = 0; l < left.size(); ++l) {
     SILK_RETURN_IF_ERROR(Tick());
     match_ids.clear();
-    for (auto& plan : plans) {
-      if (!plan.left_filters.empty() && !plan.left_filters.Test(left, l)) {
-        continue;
-      }
-      scratch.clear();
-      if (!left.EncodeKey(l, plan.left_cols, &scratch)) continue;
-      ++stats_.keys_encoded;
-      stats_.bytes_encoded += scratch.size();
-      for (uint32_t r = plan.index.Find(scratch);
-           r != EncodedKeyIndex::kNil; r = plan.index.NextRow(r)) {
+    for (size_t d = 0; d < plans.size(); ++d) {
+      RowExprs& gate = plans[d].left_filters;
+      if (!gate.empty() && !gate.Test(left, l)) continue;
+      for (uint32_t r = indexes[d].First(l); r != WordKeyIndex::kNil;
+           r = indexes[d].Next(r)) {
         match_ids.push_back(r);
       }
     }

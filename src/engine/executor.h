@@ -57,8 +57,11 @@ struct ExecStats {
                                     // tables that materialize included)
   uint64_t nested_loop_joins = 0; // fallback joins taken (should be rare)
   uint64_t hash_joins = 0;
-  uint64_t keys_encoded = 0;      // packed keys built (join/sort/distinct)
-  uint64_t bytes_encoded = 0;     // bytes of packed-key encoding produced
+  uint64_t keys_encoded = 0;      // keys built (join/sort/distinct)
+  uint64_t bytes_encoded = 0;     // bytes of key encoding produced (a join
+                                  // key counts 8 per word)
+  uint64_t keys_verified = 0;     // join candidates whose words matched but
+                                  // whose codec segments had to be compared
 };
 
 /// Abstract connection to the target RDBMS: one ExecuteSql call per

@@ -10,63 +10,21 @@ constexpr char kTagNull = '\x00';
 constexpr char kTagNumber = '\x01';
 constexpr char kTagString = '\x02';
 
-// Maps a double onto a uint64 whose unsigned order equals the double's
-// numeric order: negative values flip all bits (reversing their two's-
-// complement-style descending magnitude), non-negatives just set the sign
-// bit so they sort above every negative. -0.0 is normalized to 0.0 first,
-// mirroring Value::Hash, so the two zeros encode identically.
-uint64_t OrderedDoubleBits(double d) {
-  if (d == 0.0) d = 0.0;
-  uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(d));
-  std::memcpy(&bits, &d, sizeof(bits));
-  if (bits & 0x8000000000000000ULL) return ~bits;
-  return bits | 0x8000000000000000ULL;
-}
-
-void AppendBigEndian(uint64_t u, std::string* out) {
-  char buf[8];
+// Writes `u` big-endian into dst[0..8).
+void StoreBigEndian(uint64_t u, char* dst) {
   for (int i = 7; i >= 0; --i) {
-    buf[i] = static_cast<char>(u & 0xFF);
+    dst[i] = static_cast<char>(u & 0xFF);
     u >>= 8;
   }
-  out->append(buf, 8);
 }
 
-// 2^53: the first magnitude where distinct int64s share a double image, so
-// the 8-byte image alone stops being order-exact for integers.
-constexpr double kExactIntLimit = 9007199254740992.0;
-
-// Whether a numeric segment with image `d` carries the 8-byte integer
-// tiebreaker. The predicate is a pure function of the image: two segments
-// with equal image bytes always have equal lengths, which keeps composite
-// keys self-delimiting (the first differing byte between two keys still
-// falls inside the differing segment).
-bool ImageNeedsTie(double d) {
-  return d >= kExactIntLimit || d <= -kExactIntLimit;
-}
-
-// Offset-binary image of an int64: unsigned order equals signed order.
-uint64_t Int64TieBits(int64_t v) {
-  return static_cast<uint64_t>(v) ^ 0x8000000000000000ULL;
-}
-
-// Tiebreaker for a double in the tie regime. Every such double is an
-// integer; clamping into int64 orders it exactly like the integers that
-// share its image. At or beyond ±2^63 the image is unique among doubles
-// (and ties with the saturated int64 extremes, matching Value::Compare's
-// via-double verdict there), so saturation never mis-orders anything —
-// it only avoids an out-of-range cast.
-uint64_t DoubleTieBits(double d) {
-  if (!(d == d)) return 0;                       // NaN: defensive only
-  if (d >= 9223372036854775808.0) return ~0ULL;  // >= 2^63
-  if (d < -9223372036854775808.0) return 0;      // < -2^63
-  return Int64TieBits(static_cast<int64_t>(d));
-}
-
-void AppendNumber(double d, std::string* out) {
-  out->push_back(kTagNumber);
-  AppendBigEndian(OrderedDoubleBits(d), out);
+// A numeric segment (its tag, image and any tiebreaker) in one append.
+void AppendNumber(const NumericSegment& seg, std::string* out) {
+  char buf[17];
+  buf[0] = kTagNumber;
+  StoreBigEndian(seg.image, buf + 1);
+  if (seg.has_tie) StoreBigEndian(seg.tie, buf + 9);
+  out->append(buf, seg.has_tie ? 17 : 9);
 }
 
 }  // namespace
@@ -96,14 +54,11 @@ void EncodeString(std::string_view s, std::string* out) {
 }
 
 void EncodeInt64(int64_t i, std::string* out) {
-  const double image = static_cast<double>(i);
-  AppendNumber(image, out);
-  if (ImageNeedsTie(image)) AppendBigEndian(Int64TieBits(i), out);
+  AppendNumber(Int64Segment(i), out);
 }
 
 void EncodeDouble(double d, std::string* out) {
-  AppendNumber(d, out);
-  if (ImageNeedsTie(d)) AppendBigEndian(DoubleTieBits(d), out);
+  AppendNumber(DoubleSegment(d), out);
 }
 
 void EncodeValue(const Value& v, std::string* out) {
@@ -140,15 +95,17 @@ void EncodeRowKey(const Tuple& row, std::string* out) {
   for (const Value& v : row.values()) EncodeValue(v, out);
 }
 
-uint64_t OrderedNumericBits(const Value& v) {
-  return OrderedDoubleBits(v.is_int64() ? static_cast<double>(v.AsInt64())
-                                        : v.AsDouble());
+namespace {
+
+NumericSegment SegmentOf(const Value& v) {
+  return v.is_int64() ? Int64Segment(v.AsInt64()) : DoubleSegment(v.AsDouble());
 }
 
-bool NumericFitsWord(const Value& v) {
-  return !ImageNeedsTie(v.is_int64() ? static_cast<double>(v.AsInt64())
-                                     : v.AsDouble());
-}
+}  // namespace
+
+uint64_t OrderedNumericBits(const Value& v) { return SegmentOf(v).image; }
+
+bool NumericFitsWord(const Value& v) { return !SegmentOf(v).has_tie; }
 
 void EncodeColumnValue(const ColumnVector& column, size_t row,
                        std::string* out) {

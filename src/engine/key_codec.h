@@ -39,6 +39,7 @@
 #define SILKROUTE_ENGINE_KEY_CODEC_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -60,6 +61,84 @@ void EncodeValue(const Value& v, std::string* out);
 void EncodeInt64(int64_t v, std::string* out);
 void EncodeDouble(double v, std::string* out);
 void EncodeString(std::string_view v, std::string* out);
+
+/// A numeric value's segment as machine words: `image` is the 8 bytes after
+/// the 0x01 tag (OrderedNumericBits), and `tie` the int64 tiebreaker the
+/// segment appends when `has_tie` (image magnitude >= 2^53; 0 otherwise).
+/// Two numeric segments are byte-equal iff their images and ties are
+/// equal; `has_tie` is a function of the image.
+struct NumericSegment {
+  uint64_t image = 0;
+  uint64_t tie = 0;
+  bool has_tie = false;
+};
+
+// Inline: the hash join reads a segment per key cell.
+namespace codec_detail {
+
+// Maps a double onto a uint64 whose unsigned order equals the double's
+// numeric order: negative values flip all bits (reversing their two's-
+// complement-style descending magnitude), non-negatives just set the sign
+// bit so they sort above every negative. -0.0 is normalized to 0.0 first,
+// mirroring Value::Hash, so the two zeros encode identically.
+inline uint64_t OrderedDoubleBits(double d) {
+  if (d == 0.0) d = 0.0;
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(bits));
+  if (bits & 0x8000000000000000ULL) return ~bits;
+  return bits | 0x8000000000000000ULL;
+}
+
+// 2^53: the first magnitude where distinct int64s share a double image, so
+// the 8-byte image alone stops being order-exact for integers.
+constexpr double kExactIntLimit = 9007199254740992.0;
+
+// Whether a numeric segment with image `d` carries the 8-byte integer
+// tiebreaker. The predicate is a pure function of the image: two segments
+// with equal image bytes always have equal lengths, which keeps composite
+// keys self-delimiting (the first differing byte between two keys still
+// falls inside the differing segment).
+inline bool ImageNeedsTie(double d) {
+  return d >= kExactIntLimit || d <= -kExactIntLimit;
+}
+
+// Offset-binary image of an int64: unsigned order equals signed order.
+inline uint64_t Int64TieBits(int64_t v) {
+  return static_cast<uint64_t>(v) ^ 0x8000000000000000ULL;
+}
+
+// Tiebreaker for a double in the tie regime. Every such double is an
+// integer; clamping into int64 orders it exactly like the integers that
+// share its image. At or beyond ±2^63 the image is unique among doubles
+// (and ties with the saturated int64 extremes, matching Value::Compare's
+// via-double verdict there), so saturation never mis-orders anything —
+// it only avoids an out-of-range cast.
+inline uint64_t DoubleTieBits(double d) {
+  if (!(d == d)) return 0;                       // NaN: defensive only
+  if (d >= 9223372036854775808.0) return ~0ULL;  // >= 2^63
+  if (d < -9223372036854775808.0) return 0;      // < -2^63
+  return Int64TieBits(static_cast<int64_t>(d));
+}
+
+}  // namespace codec_detail
+
+inline NumericSegment Int64Segment(int64_t v) {
+  const double image = static_cast<double>(v);
+  NumericSegment seg;
+  seg.image = codec_detail::OrderedDoubleBits(image);
+  seg.has_tie = codec_detail::ImageNeedsTie(image);
+  if (seg.has_tie) seg.tie = codec_detail::Int64TieBits(v);
+  return seg;
+}
+
+inline NumericSegment DoubleSegment(double v) {
+  NumericSegment seg;
+  seg.image = codec_detail::OrderedDoubleBits(v);
+  seg.has_tie = codec_detail::ImageNeedsTie(v);
+  if (seg.has_tie) seg.tie = codec_detail::DoubleTieBits(v);
+  return seg;
+}
 
 /// Like EncodeValue but with every emitted byte complemented, so memcmp
 /// order is reversed (ORDER BY ... DESC segments). Safe to mix ascending

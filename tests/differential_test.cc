@@ -6,7 +6,8 @@
 // which the engine inlines, or carrying UNION ALL, ORDER BY or a computed
 // item, which it materializes — UNION ALL, literal select items,
 // single-source filters, DISTINCT, ORDER BY over up to four mixed-type
-// keys). Every query exists twice: as SQL text for the engine, and as a
+// keys; join keys over small integers, strings, and the DOUBLE column's
+// mixed and tiebreaker-regime numerics). Every query exists twice: as SQL text for the engine, and as a
 // structured description that a deliberately naive nested-loop evaluator
 // in this file runs over the harness's own copy of the generated tuples —
 // never the engine's tables, parser, planner, or key codec. The reference
@@ -63,7 +64,9 @@ constexpr size_t kK0 = 0, kK1 = 1, kD0 = 2, kS0 = 3;
 Value RandomDoubleColValue(Rng& rng) {
   // A kDouble column accepts int64s too, so this column carries the
   // cross-type Compare/Hash semantics (3 vs 3.0) and the giant-magnitude
-  // tiebreaker regime into join keys, DISTINCT, and ORDER BY.
+  // tiebreaker regime into join keys, DISTINCT, and ORDER BY. No double
+  // here is the image of a different int64 (no 2^53 beside 2^53 + 1),
+  // where Value::Compare and the key codec disagree by design.
   static const double kDoubles[] = {-1e300, -2.5,  -0.5, -0.0, 0.0,
                                     0.5,    3.0,   7.0,  1e15, 9007199254740994.0};
   constexpr int64_t kExact = int64_t{1} << 53;
@@ -335,6 +338,25 @@ ColRef RandomKeyCol(Rng& rng, const CoreSpec& c, size_t src) {
   return {src, keys[Pick(rng, keys.size())]};
 }
 
+/// `a = b` joining sources `a_src` and `b_src`: mostly key-domain columns;
+/// between two base tables sometimes their strings, or the DOUBLE column
+/// against itself or an integer key (the hash join then verifies word
+/// matches of strings and of tiebreaker-regime numerics).
+Pred RandomJoinPred(Rng& rng, const CoreSpec& c, size_t a_src, size_t b_src) {
+  if (!c.from[a_src].derived && !c.from[b_src].derived) {
+    const uint32_t kind = rng() % 100;
+    if (kind < 12) {
+      return {Pred::Kind::kColEq, {a_src, kS0}, {b_src, kS0}};
+    }
+    if (kind < 20) {
+      return {Pred::Kind::kColEq, {a_src, kD0},
+              {b_src, Chance(rng, 70) ? kD0 : kK0}};
+    }
+  }
+  return {Pred::Kind::kColEq, RandomKeyCol(rng, c, a_src),
+          RandomKeyCol(rng, c, b_src)};
+}
+
 /// `1 AS <alias>`, `2 AS ...`, `NULL AS ...`, or `'x' AS ...`.
 Item RandomLiteral(Rng& rng, std::string alias) {
   Item item;
@@ -360,8 +382,7 @@ void FillCommaCore(Rng& rng, size_t use, bool always_join, CoreSpec* c) {
   for (size_t t = 0; t < use; ++t) c->from.push_back({t, nullptr});
   for (size_t t = 0; t + 1 < use; ++t) {
     if (!always_join && Chance(rng, 10)) continue;
-    c->where.push_back({Pred::Kind::kColEq, RandomKeyCol(rng, *c, t),
-                        RandomKeyCol(rng, *c, t + 1)});
+    c->where.push_back(RandomJoinPred(rng, *c, t, t + 1));
   }
 }
 
@@ -517,10 +538,7 @@ QuerySpec GenerateQuery(Rng& rng, size_t num_tables) {
     FillCommaCore(rng, 2 + Pick(rng, num_tables - 1), false, &core);
   } else if (shape < 60) {
     FillCommaCore(rng, 2, true, &core);
-    if (Chance(rng, 30)) {
-      core.where.push_back({Pred::Kind::kColEq, RandomKeyCol(rng, core, 0),
-                            RandomKeyCol(rng, core, 1)});
-    }
+    if (Chance(rng, 30)) core.where.push_back(RandomJoinPred(rng, core, 0, 1));
     MakeOuter(rng, &core);
   } else {
     core.from.push_back({0, GenerateDerived(rng, num_tables, 0)});
@@ -964,6 +982,7 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
   int padded_literal = 0, own_outer = 0, nested = 0, derived_distinct = 0,
       literal_key = 0, derived_union = 0, derived_order = 0,
       derived_computed = 0;
+  int word_matches = 0, verified = 0;
   for (int i = 0; i < num_queries; ++i) {
     const uint32_t seed = kBaseSeed + static_cast<uint32_t>(i);
     Rng rng(seed);
@@ -1004,6 +1023,12 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     derived_union += shapes.union_all;
     derived_order += shapes.order_by;
     derived_computed += shapes.computed;
+    // The word index settles a match on words alone when both keys are
+    // numerics below 2^53, and verifies every other candidate.
+    const ExecStats& stats = executor.stats();
+    verified += stats.keys_verified > 0;
+    word_matches += stats.keys_verified == 0 && stats.hash_joins > 0 &&
+                    engine.ok() && !engine->rows.empty();
   }
   std::printf(
       "derived shapes: padded literal %d, own outer join %d, nested %d, "
@@ -1011,6 +1036,8 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
       "%d\n",
       padded_literal, own_outer, nested, derived_distinct, literal_key,
       derived_union, derived_order, derived_computed);
+  std::printf("join matches: words only %d, verified candidates %d\n",
+              word_matches, verified);
   EXPECT_EQ(executed, num_queries);
   // The generator must keep exercising both outcomes, ORDER BY, and every
   // shape it knows.
@@ -1030,6 +1057,8 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     EXPECT_GT(derived_union, num_queries / 100);
     EXPECT_GT(derived_order, num_queries / 100);
     EXPECT_GT(derived_computed, num_queries / 100);
+    EXPECT_GT(word_matches, num_queries / 100);
+    EXPECT_GT(verified, num_queries / 100);
   }
 }
 

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "engine/executor.h"
 #include "sql/parser.h"
@@ -307,6 +313,245 @@ TEST_F(ExecutorTest, SelfJoinWithDistinctAliases) {
   ASSERT_EQ(r.rows.size(), 1u);  // (1, 3) share nationkey 10
   EXPECT_EQ(r.rows[0][0].AsInt64(), 1);
   EXPECT_EQ(r.rows[0][1].AsInt64(), 3);
+}
+
+// ---------------------------------------------------------------------------
+// Join equality matrix: every hash-join kernel against nested loops
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kExact = int64_t{1} << 53;  // the codec's tiebreaker limit
+
+/// Join-key equality by nested loops: Value::SqlEquals (NULL never
+/// matches, 3 == 3.0, -0.0 == 0.0), refined at the one point the key codec
+/// documents (key_codec.h): an int64 and a double whose image reaches
+/// 2^53 are equal only when the double is exactly that integer.
+bool JoinEquals(const Value& a, const Value& b) {
+  if (!a.SqlEquals(b)) return false;
+  if (a.is_int64() == b.is_int64() || a.is_string() || b.is_string()) {
+    return true;
+  }
+  const int64_t i = a.is_int64() ? a.AsInt64() : b.AsInt64();
+  const double d = a.is_int64() ? b.AsDouble() : a.AsDouble();
+  if (std::fabs(d) < static_cast<double>(kExact)) return true;
+  return d >= -9223372036854775808.0 && d < 9223372036854775808.0 &&
+         static_cast<int64_t>(d) == i;
+}
+
+/// One side of a join: its numeric-or-NULL cells, then its string cells.
+struct KeySide {
+  std::vector<Value> numeric;
+  std::vector<Value> strings;
+  std::vector<Value> All() const {
+    std::vector<Value> all = numeric;
+    all.insert(all.end(), strings.begin(), strings.end());
+    return all;
+  }
+};
+
+/// key_codec_test's corpus, cut down to the join-equality edge cases.
+KeySide ProbeCorpus() {
+  return {{Value::Null(), Value::Int64(3), Value::Double(3.0),
+           Value::Double(-0.0), Value::Double(0.0), Value::Int64(kExact - 1),
+           Value::Int64(-(kExact - 1)), Value::Int64(kExact),
+           Value::Int64(-kExact), Value::Int64(kExact + 1),
+           Value::Double(static_cast<double>(kExact)), Value::Double(1e300),
+           Value::Double(-2.5), Value::Int64(0)},
+          {Value::String(""), Value::String(std::string("\0", 1)),
+           Value::String(std::string("a\0b", 3)), Value::String("a"),
+           Value::String("3"), Value::String("")}};
+}
+
+/// The build side: the same cells in another order, some repeated, so a
+/// key's chain holds several rows.
+KeySide BuildCorpus() {
+  KeySide side = ProbeCorpus();
+  std::reverse(side.numeric.begin(), side.numeric.end());
+  std::reverse(side.strings.begin(), side.strings.end());
+  side.numeric.push_back(Value::Int64(kExact + 1));
+  side.numeric.push_back(Value::Double(3.0));
+  side.numeric.push_back(Value::Int64(kExact));
+  side.numeric.push_back(Value::Null());
+  side.strings.push_back(Value::String(std::string("\0", 1)));
+  side.strings.push_back(Value::String("3"));
+  return side;
+}
+
+using Pair = std::pair<int64_t, std::optional<int64_t>>;
+
+class JoinEqualityTest : public ::testing::Test {
+ protected:
+  /// Tables <name>N(id, v DOUBLE) and <name>S(id, v STRING) holding the
+  /// side's cells; ids number the cells of All() from `first_id`.
+  void AddSide(const std::string& name, const KeySide& side,
+               int64_t first_id) {
+    int64_t id = first_id;
+    for (const auto& [suffix, type, cells] :
+         {std::tuple{"N", DataType::kDouble, &side.numeric},
+          std::tuple{"S", DataType::kString, &side.strings}}) {
+      const std::string table = name + suffix;
+      ASSERT_TRUE(db_.CreateTable(TableSchema(table,
+                                              {{"id", DataType::kInt64, false},
+                                               {"v", type, true}}))
+                      .ok());
+      for (const Value& v : *cells) {
+        ASSERT_TRUE(db_.Insert(table, Tuple{Value::Int64(id++), v}).ok());
+      }
+    }
+  }
+
+  std::vector<Pair> Run(const std::string& sql) {
+    QueryExecutor exec(&db_);
+    auto result = exec.ExecuteSql(sql);
+    EXPECT_TRUE(result.ok()) << sql << "\n" << result.status();
+    stats_ = exec.stats();
+    std::vector<Pair> pairs;
+    if (!result.ok()) return pairs;
+    for (const Tuple& row : result->rows) {
+      pairs.emplace_back(row[0].AsInt64(),
+                         row[1].is_null() ? std::nullopt
+                                          : std::optional(row[1].AsInt64()));
+    }
+    return pairs;
+  }
+
+  /// Nested loops: probe order, then ascending build row; `outer` pads an
+  /// unmatched probe row, `match` decides each pair by position.
+  template <typename Match>
+  static std::vector<Pair> Expected(size_t probe_rows, int64_t probe_id,
+                                    size_t build_rows, int64_t build_id,
+                                    bool outer, const Match& match) {
+    std::vector<Pair> pairs;
+    for (size_t l = 0; l < probe_rows; ++l) {
+      bool matched = false;
+      for (size_t r = 0; r < build_rows; ++r) {
+        if (!match(l, r)) continue;
+        matched = true;
+        pairs.emplace_back(probe_id + static_cast<int64_t>(l),
+                           build_id + static_cast<int64_t>(r));
+      }
+      if (!matched && outer) {
+        pairs.emplace_back(probe_id + static_cast<int64_t>(l), std::nullopt);
+      }
+    }
+    return pairs;
+  }
+
+  Database db_;
+  ExecStats stats_;
+};
+
+TEST_F(JoinEqualityTest, EveryKernelMatchesNestedLoopsOverTheCorpus) {
+  const KeySide probe = ProbeCorpus(), build = BuildCorpus();
+  AddSide("L", probe, 0);
+  AddSide("R", build, 0);
+  // A UNION ALL derived table materializes, so its one column holds
+  // numerics and strings side by side as Values; a base table's column is
+  // read from its typed arrays.
+  const std::string a =
+      "(select id, v from LN union all select id, v from LS) as a";
+  const std::string b =
+      "(select id, v from RN union all select id, v from RS) as b";
+  struct Source {
+    std::string a, b;
+    std::vector<Value> probe, build;
+    int64_t probe_id, build_id;
+  };
+  const int64_t strings_at = static_cast<int64_t>(probe.numeric.size());
+  const int64_t build_strings_at = static_cast<int64_t>(build.numeric.size());
+  const std::vector<Source> sources = {
+      {a, b, probe.All(), build.All(), 0, 0},
+      {"LN a", "RN b", probe.numeric, build.numeric, 0, 0},
+      {"LS a", "RS b", probe.strings, build.strings, strings_at,
+       build_strings_at},
+  };
+  for (const Source& src : sources) {
+    const auto equal = [&](size_t l, size_t r) {
+      return JoinEquals(src.probe[l], src.build[r]);
+    };
+    const auto expected = [&](bool outer, const auto& match) {
+      return Expected(src.probe.size(), src.probe_id, src.build.size(),
+                      src.build_id, outer, match);
+    };
+    const std::string select = "select a.id, b.id from ";
+    EXPECT_EQ(Run(select + src.a + ", " + src.b + " where a.v = b.v"),
+              expected(false, equal))
+        << src.a;
+    EXPECT_EQ(Run(select + src.a + " join " + src.b + " on a.v = b.v"),
+              expected(false, equal))
+        << src.a;
+    EXPECT_EQ(
+        Run(select + src.a + " left outer join " + src.b + " on a.v = b.v"),
+        expected(true, equal))
+        << src.a;
+    // Two disjuncts: equal keys, or equal ids.
+    EXPECT_EQ(Run(select + src.a + " left outer join " + src.b +
+                  " on a.v = b.v or a.id = b.id"),
+              expected(true, [&](size_t l, size_t r) {
+                return equal(l, r) ||
+                       src.probe_id + static_cast<int64_t>(l) ==
+                           src.build_id + static_cast<int64_t>(r);
+              }))
+        << src.a;
+    EXPECT_EQ(stats_.nested_loop_joins, 0u);  // the disjunctive hash join
+  }
+}
+
+TEST_F(JoinEqualityTest, TwoColumnKeyMixesAStringAndAnInt) {
+  const std::vector<std::pair<std::string, int64_t>> probe = {
+      {"a", 1}, {"a", kExact}, {"", kExact + 1}, {"b", 1}, {"a", 2}};
+  const std::vector<std::pair<std::string, int64_t>> build = {
+      {"a", kExact + 1}, {"a", 1}, {"", kExact}, {"a", kExact},
+      {"", kExact + 1},  {"a", 1}, {"b", 2}};
+  for (const auto& [name, rows] : {std::pair{"L2", &probe},
+                                   std::pair{"R2", &build}}) {
+    ASSERT_TRUE(db_.CreateTable(TableSchema(name,
+                                            {{"id", DataType::kInt64, false},
+                                             {"s", DataType::kString, false},
+                                             {"i", DataType::kInt64, false}}))
+                    .ok());
+    int64_t id = 0;
+    for (const auto& [str, i] : *rows) {
+      ASSERT_TRUE(db_.Insert(name, Tuple{Value::Int64(id++), Value::String(str),
+                                         Value::Int64(i)})
+                      .ok());
+    }
+  }
+  const auto equal = [&](size_t l, size_t r) {
+    return probe[l].first == build[r].first && probe[l].second == build[r].second;
+  };
+  EXPECT_EQ(Run("select a.id, b.id from L2 a join R2 b "
+                "on a.s = b.s and a.i = b.i"),
+            Expected(probe.size(), 0, build.size(), 0, false, equal));
+  EXPECT_GT(stats_.keys_verified, 0u);  // a string column is never exact
+  EXPECT_EQ(Run("select a.id, b.id from L2 a left outer join R2 b "
+                "on a.i = b.i and a.s = b.s"),
+            Expected(probe.size(), 0, build.size(), 0, true, equal));
+}
+
+TEST_F(JoinEqualityTest, WordTiesAreSettledByTheCodecSegment) {
+  // Past 2^53 the word is the double image alone, which int64 2^53 and
+  // 2^53 + 1 share: the verify step must tell them apart, and must still
+  // match int64 2^53 with the double 2^53.
+  for (const char* name : {"I", "J"}) {
+    ASSERT_TRUE(db_.CreateTable(TableSchema(name,
+                                            {{"id", DataType::kInt64, false},
+                                             {"v", DataType::kDouble, false}}))
+                    .ok());
+  }
+  ASSERT_TRUE(db_.Insert("I", Tuple{Value::Int64(0), Value::Int64(kExact)}).ok());
+  ASSERT_TRUE(
+      db_.Insert("J", Tuple{Value::Int64(0), Value::Int64(kExact + 1)}).ok());
+  ASSERT_TRUE(db_.Insert("J", Tuple{Value::Int64(1),
+                                    Value::Double(static_cast<double>(kExact))})
+                  .ok());
+  EXPECT_EQ(Run("select I.id, J.id from I, J where I.v = J.v"),
+            (std::vector<Pair>{{0, 1}}));
+  EXPECT_EQ(stats_.keys_verified, 2u);  // both candidates share the word
+
+  // Below 2^53 a word match is final: nothing is verified.
+  EXPECT_EQ(Run("select a.id, b.id from J a, J b where a.id = b.id"),
+            (std::vector<Pair>{{0, 0}, {1, 1}}));
+  EXPECT_EQ(stats_.keys_verified, 0u);
 }
 
 TEST(ExecutorTimeoutTest, CrossProductStopsAtTheDeadline) {

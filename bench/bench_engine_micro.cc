@@ -1,8 +1,9 @@
 // E8 — google-benchmark micro suite for the relational substrate: the
 // operator throughputs that the cost model abstracts (scan+filter, hash
-// join on integer and string keys, disjunctive outer join, sort, wire serialization, end-to-end plan
-// execution, the engine layer of one Query 1 plan), plus the client-side
-// merge/tag layer on bound streams (Query 1's greedy plan, and its fully
+// join on integer and string keys, disjunctive outer join, sort, wire
+// serialization, end-to-end plan execution, the engine layer of one
+// Query 1 plan alone and with its bind), plus the client-side merge/tag
+// layer on bound streams (Query 1's greedy plan, and its fully
 // partitioned plan at Config A) and the two planning paths of a Sec. 7
 // fragment (an uncached Prepare, a publish whose prepared plan is stored).
 // Context for interpreting the experiment tables.
@@ -176,6 +177,28 @@ void BM_ExecuteQuery1Unified(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExecuteQuery1Unified);
+
+void BM_ExecuteAndBindQuery1Unified(benchmark::State& state) {
+  // The local publish path's engine and bind layers: the same SQL handed
+  // over as Rows and bound into a TupleStream straight from the batch.
+  static Publisher* publisher = new Publisher(SharedDb());
+  static ViewTree* tree =
+      new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
+  SqlGenerator gen(tree, SqlGenStyle::kOuterJoin, /*reduce=*/true);
+  const std::string sql =
+      gen.GeneratePlan(Partition::Unified(*tree)).value().at(0).sql;
+  for (auto _ : state) {
+    engine::QueryExecutor exec(SharedDb());
+    auto rows = exec.ExecuteRows(sql, 0, nullptr);
+    if (!rows.ok()) {
+      state.SkipWithError(rows.status().ToString().c_str());
+      break;
+    }
+    engine::TupleStream stream(std::move(rows).value());
+    benchmark::DoNotOptimize(stream.wire_bytes());
+  }
+}
+BENCHMARK(BM_ExecuteAndBindQuery1Unified);
 
 std::string NationSubviewRxl() {
   auto view = rxl::ParseRxl(Query1Rxl()).value();

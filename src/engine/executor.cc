@@ -11,6 +11,7 @@
 
 #include "engine/expr_eval.h"
 #include "engine/key_codec.h"
+#include "engine/tuple_stream.h"
 #include "relational/columnar.h"
 #include "obs/trace.h"
 #include "sql/parser.h"
@@ -853,32 +854,53 @@ struct QueryExecutor::Core {
 // QueryExecutor
 // ---------------------------------------------------------------------------
 
-Result<Relation> QueryExecutor::ExecuteSql(std::string_view sql_text) {
+Result<Rows> QueryExecutor::ParseAndExecute(std::string_view sql_text) {
   // The timeout caps each query, not the executor: re-arm the deadline so a
   // reused executor does not charge query N+1 for query N's elapsed time.
   has_deadline_ = false;
   SILK_ASSIGN_OR_RETURN(sql::QueryPtr q, sql::ParseQuery(sql_text));
-  auto result = Execute(*q);
+  return Execute(*q);
+}
+
+void QueryExecutor::AnnotateSpan(size_t result_rows) const {
   // Attach this query's physical-plan counters to the enclosing attempt
   // span, if one is installed (the string building is gated on the span so
   // untraced runs pay only the thread-local load).
-  if (result.ok() && obs::CurrentSpan() != nullptr) {
-    obs::AnnotateCurrent("rows_scanned", std::to_string(stats_.rows_scanned));
-    obs::AnnotateCurrent("rows_joined", std::to_string(stats_.rows_joined));
-    obs::AnnotateCurrent("cells_materialized",
-                         std::to_string(stats_.cells_materialized));
-    obs::AnnotateCurrent("hash_joins", std::to_string(stats_.hash_joins));
-    obs::AnnotateCurrent("nested_loop_joins",
-                         std::to_string(stats_.nested_loop_joins));
-    obs::AnnotateCurrent("keys_encoded", std::to_string(stats_.keys_encoded));
-    obs::AnnotateCurrent("bytes_encoded",
-                         std::to_string(stats_.bytes_encoded));
-    obs::AnnotateCurrent("keys_verified",
-                         std::to_string(stats_.keys_verified));
-    obs::AnnotateCurrent("result_rows",
-                         std::to_string(result.value().rows.size()));
-  }
-  return result;
+  if (obs::CurrentSpan() == nullptr) return;
+  obs::AnnotateCurrent("rows_scanned", std::to_string(stats_.rows_scanned));
+  obs::AnnotateCurrent("rows_joined", std::to_string(stats_.rows_joined));
+  obs::AnnotateCurrent("cells_materialized",
+                       std::to_string(stats_.cells_materialized));
+  obs::AnnotateCurrent("hash_joins", std::to_string(stats_.hash_joins));
+  obs::AnnotateCurrent("nested_loop_joins",
+                       std::to_string(stats_.nested_loop_joins));
+  obs::AnnotateCurrent("keys_encoded", std::to_string(stats_.keys_encoded));
+  obs::AnnotateCurrent("bytes_encoded", std::to_string(stats_.bytes_encoded));
+  obs::AnnotateCurrent("keys_verified", std::to_string(stats_.keys_verified));
+  obs::AnnotateCurrent("result_rows", std::to_string(result_rows));
+}
+
+Result<Relation> QueryExecutor::ExecuteSql(std::string_view sql_text) {
+  SILK_ASSIGN_OR_RETURN(Rows rows, ParseAndExecute(sql_text));
+  Relation relation = Materialize(std::move(rows));
+  AnnotateSpan(relation.rows.size());
+  return relation;
+}
+
+Result<Rows> QueryExecutor::ExecuteRows(std::string_view sql_text,
+                                        double timeout_ms,
+                                        CancelToken* cancel) {
+  (void)cancel;
+  timeout_ms_ = timeout_ms;
+  SILK_ASSIGN_OR_RETURN(Rows rows, ParseAndExecute(sql_text));
+  AnnotateSpan(rows.size());
+  return rows;
+}
+
+Relation QueryExecutor::Materialize(Rows rows) {
+  Relation relation = std::move(rows).ToRelation();
+  stats_.cells_materialized += relation.rows.size() * relation.schema.size();
+  return relation;
 }
 
 Status QueryExecutor::CheckDeadline() const {
@@ -890,7 +912,7 @@ Status QueryExecutor::CheckDeadline() const {
   return Status::OK();
 }
 
-Result<Relation> QueryExecutor::Execute(const sql::Query& query) {
+Result<Rows> QueryExecutor::Execute(const sql::Query& query) {
   if (query.cores.empty()) {
     return Status::InvalidArgument("query has no SELECT cores");
   }
@@ -912,11 +934,14 @@ Result<Relation> QueryExecutor::Execute(const sql::Query& query) {
     }
     cores.push_back(std::move(core));
   }
-  std::vector<uint32_t> order;
+  Rows rows;
+  rows.schema_ = cores[0].schema;
+  for (const Core& core : cores) rows.size_ += core.in.size();
   if (!query.order_by.empty()) {
-    SILK_ASSIGN_OR_RETURN(order, SortRows(query.order_by, cores));
+    SILK_ASSIGN_OR_RETURN(rows.order_, SortRows(query.order_by, cores));
   }
-  return BuildResult(cores, query.order_by.empty() ? nullptr : &order);
+  rows.cores_ = std::move(cores);
+  return rows;
 }
 
 Result<QueryExecutor::Core> QueryExecutor::ExecuteCore(
@@ -1215,7 +1240,9 @@ Result<QueryExecutor::Input> QueryExecutor::EvalTableRef(
                               ExecuteCore(derived.query().cores[0]));
         return std::move(core).TakeAsDerived(derived.alias());
       }
-      SILK_ASSIGN_OR_RETURN(Relation rel, Execute(derived.query()));
+      SILK_ASSIGN_OR_RETURN(Rows rows, Execute(derived.query()));
+      Relation rel = Materialize(std::move(rows));
+      SILK_RETURN_IF_ERROR(CheckDeadline());
       rel.schema = rel.schema.WithQualifier(derived.alias());
       return Input::Own(std::move(rel));
     }
@@ -1651,37 +1678,152 @@ Result<std::vector<uint32_t>> QueryExecutor::SortRows(
   return order;
 }
 
-Result<Relation> QueryExecutor::BuildResult(
-    std::vector<Core>& cores, const std::vector<uint32_t>* order) {
+// ---------------------------------------------------------------------------
+// Rows: the handed-over result (DESIGN.md §10 "Handing over results")
+// ---------------------------------------------------------------------------
+
+Rows::Rows() = default;
+Rows::Rows(Rows&&) noexcept = default;
+Rows& Rows::operator=(Rows&&) noexcept = default;
+Rows::~Rows() = default;
+
+Rows::Rows(Relation relation)
+    : schema_(std::move(relation.schema)),
+      size_(relation.rows.size()),
+      tuples_(std::move(relation.rows)) {}
+
+template <typename Fn>
+void Rows::ForEachRow(Fn&& fn) {
+  if (order_.empty()) {
+    for (size_t k = 0; k < cores_.size(); ++k) {
+      for (size_t i = 0; i < cores_[k].in.size(); ++i) fn(k, i);
+    }
+    return;
+  }
+  for (size_t g : order_) {
+    size_t k = 0;
+    while (g >= cores_[k].in.size()) g -= cores_[k++].in.size();
+    fn(k, g);
+  }
+}
+
+Relation Rows::ToRelation() && {
+  if (cores_.empty()) return Relation{std::move(schema_), std::move(tuples_)};
   Relation out;
-  out.schema = cores[0].schema;
-  const size_t width = out.schema.size();
-  size_t n = 0;
-  for (const Core& core : cores) n += core.in.size();
-  out.rows.reserve(n);
-  // Each result row is built exactly once, in final order.
-  auto emit = [&](Core& core, size_t i) {
+  const size_t width = schema_.size();
+  out.rows.reserve(size_);
+  ForEachRow([&](size_t k, size_t i) {
     Tuple row;
     row.mutable_values().reserve(width);
-    for (size_t j = 0; j < width; ++j) row.Append(core.ItemValue(i, j));
+    for (size_t j = 0; j < width; ++j) row.Append(cores_[k].ItemValue(i, j));
     out.rows.push_back(std::move(row));
-    return Tick();
+  });
+  out.schema = std::move(schema_);
+  return out;
+}
+
+void Rows::AppendWire(std::string* out) {
+  WireWriter writer(out);
+  if (cores_.empty()) {
+    size_t estimate = 0;
+    for (const Tuple& t : tuples_) estimate += t.ByteSize() + 8;
+    writer.Expect(estimate);
+    for (const Tuple& t : tuples_) SerializeTuple(t, &writer);
+    return;
+  }
+  using Input = QueryExecutor::Input;
+  // Where each output field of a core reads its cells, resolved once: a
+  // base-table column by id (numeric or string), a held column (an owned
+  // relation's or a constant column) by id, a constant item, or a
+  // computed item.
+  struct Field {
+    enum class Kind { kNumeric, kString, kHeld, kConstant, kComputed } kind;
+    const ColumnVector* column = nullptr;  // kNumeric, kString
+    const Input::Column* col = nullptr;    // kHeld
+    const uint32_t* ids = nullptr;         // kNumeric, kString, kHeld
+    const Value* constant = nullptr;       // kConstant
+    size_t item = 0;                       // kComputed
   };
-  if (order == nullptr) {
-    for (Core& core : cores) {
-      for (size_t i = 0; i < core.in.size(); ++i) {
-        SILK_RETURN_IF_ERROR(emit(core, i));
+  std::vector<std::vector<Field>> fields(cores_.size());
+  size_t estimate = 0;
+  for (size_t k = 0; k < cores_.size(); ++k) {
+    const Core& core = cores_[k];
+    size_t row_bytes = 4;
+    for (size_t j = 0; j < core.items.size(); ++j) {
+      const Core::Item& item = core.items[j];
+      Field field{Field::Kind::kComputed};
+      field.item = j;
+      size_t bytes = 9;  // a tag and an 8-byte payload
+      if (item.kind == Core::Item::Kind::kConstant) {
+        field.kind = Field::Kind::kConstant;
+        field.constant = &core.constants[item.index];
+      } else if (item.kind == Core::Item::Kind::kColumn) {
+        const Input::Column& col = core.in.cols[item.index];
+        field.ids = core.in.ids[col.source].data();
+        field.column = core.in.TableColumn(col);
+        field.col = &col;
+        if (field.column == nullptr) {
+          field.kind = Field::Kind::kHeld;
+        } else if (field.column->type() != DataType::kString) {
+          field.kind = Field::Kind::kNumeric;
+        } else {
+          field.kind = Field::Kind::kString;
+          const size_t cells = std::max<size_t>(field.column->size(), 1);
+          bytes = 1 + field.column->ByteSize() / cells;
+        }
+      }
+      row_bytes += bytes;
+      fields[k].push_back(field);
+    }
+    estimate += row_bytes * core.in.size();
+  }
+  writer.Expect(estimate);
+
+  const auto width = static_cast<uint32_t>(schema_.size());
+  ForEachRow([&](size_t k, size_t i) {
+    Core& core = cores_[k];
+    writer.Row(width);
+    for (const Field& f : fields[k]) {
+      switch (f.kind) {
+        case Field::Kind::kNumeric: {
+          const uint32_t id = f.ids[i];
+          if (id == Input::kNullRow || f.column->IsNull(id)) {
+            writer.Null();
+          } else if (f.column->CellIsInt64(id)) {
+            writer.Int64(f.column->Int64At(id));
+          } else {
+            writer.Double(f.column->DoubleAt(id));
+          }
+          break;
+        }
+        case Field::Kind::kString: {
+          const uint32_t id = f.ids[i];
+          if (id == Input::kNullRow || f.column->IsNull(id)) {
+            writer.Null();
+          } else {
+            writer.String(f.column->StringAt(id));
+          }
+          break;
+        }
+        case Field::Kind::kHeld:
+          writer.Field(core.in.Held(*f.col, f.ids[i]));
+          break;
+        case Field::Kind::kConstant:
+          writer.Field(*f.constant);
+          break;
+        case Field::Kind::kComputed:
+          writer.Field(core.ItemValue(i, f.item));
+          break;
       }
     }
-  } else {
-    for (size_t g : *order) {
-      size_t k = 0;
-      while (g >= cores[k].in.size()) g -= cores[k++].in.size();
-      SILK_RETURN_IF_ERROR(emit(cores[k], g));
-    }
-  }
-  stats_.cells_materialized += n * width;
-  return out;
+  });
+}
+
+Result<Rows> SqlExecutor::ExecuteRows(std::string_view sql, double timeout_ms,
+                                      CancelToken* cancel) {
+  SILK_ASSIGN_OR_RETURN(Relation relation,
+                        ExecuteSqlCancellable(sql, timeout_ms, cancel));
+  return Rows(std::move(relation));
 }
 
 Result<std::vector<std::pair<std::string, uint64_t>>>

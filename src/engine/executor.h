@@ -12,8 +12,10 @@
 //
 // Intermediates are row-id batches over borrowed base tables; a derived
 // table that is one SELECT core without ORDER BY is inlined into its
-// parent's batch, any other is an owned result. A result cell is built
-// once, in final order.
+// parent's batch, any other is an owned result. The result is handed over
+// as Rows, the batch itself: binding serializes it straight from the
+// typed columns, and only a caller that asks for a Relation gets result
+// cells built, once, in final order.
 #ifndef SILKROUTE_ENGINE_EXECUTOR_H_
 #define SILKROUTE_ENGINE_EXECUTOR_H_
 
@@ -35,6 +37,7 @@
 namespace silkroute::engine {
 
 class BoundExpr;
+class Rows;
 
 /// A materialized intermediate or final relation.
 struct Relation {
@@ -53,8 +56,9 @@ struct ExecStats {
   uint64_t rows_scanned = 0;      // base-table rows read
   uint64_t rows_joined = 0;       // rows emitted by join operators
   uint64_t rows_sorted = 0;       // rows passed through ORDER BY
-  uint64_t cells_materialized = 0;  // Values built into results (derived
-                                    // tables that materialize included)
+  uint64_t cells_materialized = 0;  // Values built into Relations: a
+                                    // result asked for as one, and derived
+                                    // tables that materialize
   uint64_t nested_loop_joins = 0; // fallback joins taken (should be rare)
   uint64_t hash_joins = 0;
   uint64_t keys_encoded = 0;      // keys built (join/sort/distinct)
@@ -64,12 +68,12 @@ struct ExecStats {
                                   // whose codec segments had to be compared
 };
 
-/// Abstract connection to the target RDBMS: one ExecuteSql call per
-/// component query. The middle-ware's fault-tolerance stack is built from
-/// implementations of this interface — QueryExecutor / DatabaseExecutor at
-/// the bottom, FaultInjectingExecutor (fault_injection.h) simulating an
-/// unreliable wire, ResilientExecutor (resilient_executor.h) adding retries
-/// on top.
+/// Abstract connection to the target RDBMS: one call per component query,
+/// ExecuteRows on the publish path. The middle-ware's fault-tolerance
+/// stack is built from implementations of this interface — QueryExecutor /
+/// DatabaseExecutor at the bottom, FaultInjectingExecutor
+/// (fault_injection.h) simulating an unreliable wire, ResilientExecutor
+/// (resilient_executor.h) adding retries on top.
 class SqlExecutor {
  public:
   virtual ~SqlExecutor() = default;
@@ -106,6 +110,14 @@ class SqlExecutor {
     return ExecuteSqlWithDeadline(sql, timeout_ms);
   }
 
+  /// ExecuteSqlCancellable, handing the result over as Rows for the bind
+  /// step to serialize (DESIGN.md §10 "Handing over results"). The default
+  /// wraps ExecuteSqlCancellable's Relation; an executor over a local
+  /// engine overrides it to hand over the engine's batch, building no
+  /// result cell.
+  virtual Result<Rows> ExecuteRows(std::string_view sql, double timeout_ms,
+                                   CancelToken* cancel);
+
   /// Load/health hint for routers above: false means the executor knows a
   /// call would fail fast right now (e.g. every replica of a replica set
   /// is ejected), so the caller may skip it without charging the failure
@@ -133,13 +145,19 @@ class QueryExecutor : public SqlExecutor {
  public:
   explicit QueryExecutor(const Database* db) : db_(db) {}
 
-  /// Executes a parsed query.
-  Result<Relation> Execute(const sql::Query& query);
+  /// Executes a parsed query. The Rows borrow the database's tables, not
+  /// the query or this executor.
+  Result<Rows> Execute(const sql::Query& query);
 
   /// Parses and executes SQL text (the middle-ware entry point). The
   /// deadline is re-armed on every call: the timeout caps one query, not
   /// the lifetime of the executor.
   Result<Relation> ExecuteSql(std::string_view sql) override;
+
+  /// ExecuteSql under `timeout_ms`, handing over the batch: no result cell
+  /// is built. The cancel token is ignored, as by every local call.
+  Result<Rows> ExecuteRows(std::string_view sql, double timeout_ms,
+                           CancelToken* cancel) override;
 
   void set_timeout_ms(double timeout_ms) override { timeout_ms_ = timeout_ms; }
 
@@ -147,10 +165,18 @@ class QueryExecutor : public SqlExecutor {
   void ResetStats() { stats_ = ExecStats(); }
 
  private:
+  friend class Rows;
   // Defined in executor.cc (DESIGN.md §10).
   struct Input;    // a row-id batch: the only intermediate
   class RowExprs;  // expressions evaluated over batch rows
   struct Core;     // one SELECT core, joined but not yet projected
+
+  /// Parses and executes `sql` with a freshly armed deadline.
+  Result<Rows> ParseAndExecute(std::string_view sql);
+  /// Annotates the current span, if any, with this query's counters.
+  void AnnotateSpan(size_t result_rows) const;
+  /// Builds `rows` as a Relation, counting its cells.
+  Relation Materialize(Rows rows);
 
   /// Joins and filters the core's FROM list, resolves its select items,
   /// and applies DISTINCT. No result cell is built yet.
@@ -185,9 +211,6 @@ class QueryExecutor : public SqlExecutor {
   /// core), ties kept in that numbering's order.
   Result<std::vector<uint32_t>> SortRows(
       const std::vector<sql::OrderItem>& order_by, std::vector<Core>& cores);
-  /// Builds the result: every row of `cores`, in `order` when there is one.
-  Result<Relation> BuildResult(std::vector<Core>& cores,
-                               const std::vector<uint32_t>* order);
 
   Status CheckDeadline() const;
   /// Counts one unit of row work and checks the deadline every 256.
@@ -201,6 +224,48 @@ class QueryExecutor : public SqlExecutor {
   std::chrono::steady_clock::time_point deadline_{};
   bool has_deadline_ = false;
   uint64_t ticks_ = 0;
+};
+
+/// A query result as the engine holds it (DESIGN.md §10 "Handing over
+/// results"): each SELECT core's row-id batch, the ORDER BY permutation
+/// over them, and per select item its batch column, its constant or its
+/// computed expression, all owned. Base tables are borrowed, under the
+/// rule a running query already observes: a Rows must be bound or turned
+/// into a Relation before the next write to a table it reads. Move-only;
+/// one thread at a time.
+class Rows {
+ public:
+  Rows();
+  /// Hands over a Relation as it is: its tuples, in order.
+  explicit Rows(Relation relation);
+  Rows(Rows&&) noexcept;
+  Rows& operator=(Rows&&) noexcept;
+  ~Rows();
+
+  const RelSchema& schema() const { return schema_; }
+  size_t size() const { return size_; }
+
+  /// The bind: appends every row, in result order, in the wire format
+  /// (engine/tuple_stream.h), each field written straight from its typed
+  /// column, or from its Value for a held, constant or computed cell.
+  void AppendWire(std::string* out);
+
+  /// Builds every row as a Tuple, in result order.
+  Relation ToRelation() &&;
+
+ private:
+  friend class QueryExecutor;
+  using Core = QueryExecutor::Core;
+
+  /// Calls fn(k, i) for every row (row i of core k), in result order.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn);
+
+  RelSchema schema_;
+  std::vector<Core> cores_;      // empty: a handed-over Relation's tuples_
+  std::vector<uint32_t> order_;  // numbered core by core; empty: unordered
+  size_t size_ = 0;
+  std::vector<Tuple> tuples_;
 };
 
 /// SqlExecutor over a local Database: a fresh QueryExecutor per call, so
@@ -218,20 +283,17 @@ class DatabaseExecutor : public SqlExecutor {
 
   Result<Relation> ExecuteSqlWithDeadline(std::string_view sql,
                                           double timeout_ms) override {
-    QueryExecutor executor(db_);
-    if (timeout_ms > 0) executor.set_timeout_ms(timeout_ms);
-    auto result = executor.ExecuteSql(sql);
-    const ExecStats& s = executor.stats();
-    if (keys_encoded_counter_ != nullptr) {
-      keys_encoded_counter_->Add(s.keys_encoded);
-      key_bytes_counter_->Add(s.bytes_encoded);
-      cells_counter_->Add(s.cells_materialized);
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_ = s;
-    }
-    return result;
+    return Run<Relation>(
+        timeout_ms,
+        [&](QueryExecutor& executor) { return executor.ExecuteSql(sql); });
+  }
+
+  /// The local publish path: the engine's batch, with no result cell built.
+  Result<Rows> ExecuteRows(std::string_view sql, double timeout_ms,
+                           CancelToken* cancel) override {
+    return Run<Rows>(timeout_ms, [&](QueryExecutor& executor) {
+      return executor.ExecuteRows(sql, timeout_ms, cancel);
+    });
   }
 
   void set_timeout_ms(double timeout_ms) override { timeout_ms_ = timeout_ms; }
@@ -260,6 +322,26 @@ class DatabaseExecutor : public SqlExecutor {
   }
 
  private:
+  /// Runs `call` on a fresh QueryExecutor under `timeout_ms`, then records
+  /// its stats.
+  template <typename R, typename Call>
+  Result<R> Run(double timeout_ms, const Call& call) {
+    QueryExecutor executor(db_);
+    if (timeout_ms > 0) executor.set_timeout_ms(timeout_ms);
+    Result<R> result = call(executor);
+    const ExecStats& s = executor.stats();
+    if (keys_encoded_counter_ != nullptr) {
+      keys_encoded_counter_->Add(s.keys_encoded);
+      key_bytes_counter_->Add(s.bytes_encoded);
+      cells_counter_->Add(s.cells_materialized);
+    }
+    {
+      std::lock_guard<std::mutex> lock(stats_mu_);
+      stats_ = s;
+    }
+    return result;
+  }
+
   const Database* db_;
   double timeout_ms_ = 0;
   // Wired before publishing starts (set_metrics_registry is not safe to

@@ -81,16 +81,6 @@ void EncodeValueDescending(const Value& v, std::string* out) {
   }
 }
 
-bool EncodeJoinKey(const Tuple& row, const std::vector<size_t>& cols,
-                   std::string* out) {
-  for (size_t c : cols) {
-    const Value& v = row.values()[c];
-    if (v.is_null()) return false;
-    EncodeValue(v, out);
-  }
-  return true;
-}
-
 void EncodeRowKey(const Tuple& row, std::string* out) {
   for (const Value& v : row.values()) EncodeValue(v, out);
 }

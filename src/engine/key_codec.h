@@ -147,13 +147,6 @@ inline NumericSegment DoubleSegment(double v) {
 /// keys always falls inside the differing segment.
 void EncodeValueDescending(const Value& v, std::string* out);
 
-/// Encodes `row[cols[0]], row[cols[1]], ...` as a join key. Returns false
-/// without touching `out` beyond partial writes if any key column is SQL
-/// NULL — equality joins never match NULLs (SqlEquals semantics), so such
-/// rows are skipped rather than encoded.
-bool EncodeJoinKey(const Tuple& row, const std::vector<size_t>& cols,
-                   std::string* out);
-
 /// Encodes every column of `row` (NULLs allowed). Two whole-row encodings
 /// are byte-equal iff the rows compare equal under Tuple::Compare — the
 /// DISTINCT identity, where NULL == NULL.

@@ -56,6 +56,23 @@ double ResilientExecutor::DeadlineRemainingMs() const {
 }
 
 Result<Relation> ResilientExecutor::ExecuteSql(std::string_view sql) {
+  return Retry<Relation>(sql, [&](double timeout_ms) {
+    return inner_->ExecuteSqlWithDeadline(sql, timeout_ms);
+  });
+}
+
+Result<Rows> ResilientExecutor::ExecuteRows(std::string_view sql,
+                                            double timeout_ms,
+                                            CancelToken* cancel) {
+  options_.query_deadline_ms = timeout_ms;
+  return Retry<Rows>(sql, [&](double attempt_timeout_ms) {
+    return inner_->ExecuteRows(sql, attempt_timeout_ms, cancel);
+  });
+}
+
+template <typename R, typename Attempt>
+Result<R> ResilientExecutor::Retry(std::string_view sql,
+                                   const Attempt& attempt_call) {
   report_.queries.emplace_back();
   // The report may reallocate inside nested calls; index, don't hold a ref.
   size_t slot = report_.queries.size() - 1;
@@ -89,9 +106,9 @@ Result<Relation> ResilientExecutor::ExecuteSql(std::string_view sql) {
         obs::Tracer::Child(options_.tracer, obs::CurrentSpan(), "attempt");
     attempt_span.AnnotateCount("attempt", static_cast<uint64_t>(attempt));
     Timer attempt_timer;
-    Result<Relation> result = [&] {
+    Result<R> result = [&] {
       obs::ScopedCurrentSpan scope(&attempt_span);
-      return inner_->ExecuteSqlWithDeadline(sql, timeout_ms);
+      return attempt_call(timeout_ms);
     }();
     if (attempt_us_ != nullptr) {
       attempts_total_->Add();

@@ -145,6 +145,11 @@ class ResilientExecutor : public SqlExecutor {
     return ExecuteSql(sql);
   }
 
+  /// The same retry loop over the inner executor's ExecuteRows, each
+  /// attempt passed `cancel`: how the publisher runs a component query.
+  Result<Rows> ExecuteRows(std::string_view sql, double timeout_ms,
+                           CancelToken* cancel) override;
+
   void set_timeout_ms(double timeout_ms) override {
     options_.query_deadline_ms = timeout_ms;
   }
@@ -168,6 +173,9 @@ class ResilientExecutor : public SqlExecutor {
   }
 
  private:
+  /// The retry loop: `attempt(timeout_ms)` runs one attempt.
+  template <typename R, typename Attempt>
+  Result<R> Retry(std::string_view sql, const Attempt& attempt);
   void Sleep(double ms);
   /// Consumes one retry from the shared or local budget.
   bool ConsumeRetry();

@@ -6,25 +6,6 @@ namespace silkroute::engine {
 
 namespace {
 
-enum : uint8_t {
-  kTagNull = 0,
-  kTagInt64 = 1,
-  kTagDouble = 2,
-  kTagString = 3,
-};
-
-void PutU32(uint32_t v, std::string* out) {
-  char buf[4];
-  std::memcpy(buf, &v, 4);
-  out->append(buf, 4);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  char buf[8];
-  std::memcpy(buf, &v, 8);
-  out->append(buf, 8);
-}
-
 bool GetU32(std::string_view buf, size_t* off, uint32_t* v) {
   if (*off + 4 > buf.size()) return false;
   std::memcpy(v, buf.data() + *off, 4);
@@ -42,26 +23,13 @@ bool GetU64(std::string_view buf, size_t* off, uint64_t* v) {
 }  // namespace
 
 void SerializeTuple(const Tuple& tuple, std::string* out) {
-  PutU32(static_cast<uint32_t>(tuple.size()), out);
-  for (const Value& v : tuple.values()) {
-    if (v.is_null()) {
-      out->push_back(static_cast<char>(kTagNull));
-    } else if (v.is_int64()) {
-      out->push_back(static_cast<char>(kTagInt64));
-      PutU64(static_cast<uint64_t>(v.AsInt64()), out);
-    } else if (v.is_double()) {
-      out->push_back(static_cast<char>(kTagDouble));
-      double d = v.AsDouble();
-      uint64_t bits;
-      std::memcpy(&bits, &d, 8);
-      PutU64(bits, out);
-    } else {
-      out->push_back(static_cast<char>(kTagString));
-      const std::string& s = v.AsString();
-      PutU32(static_cast<uint32_t>(s.size()), out);
-      out->append(s);
-    }
-  }
+  WireWriter writer(out);
+  SerializeTuple(tuple, &writer);
+}
+
+void SerializeTuple(const Tuple& tuple, WireWriter* out) {
+  out->Row(static_cast<uint32_t>(tuple.size()));
+  for (const Value& v : tuple.values()) out->Field(v);
 }
 
 namespace {
@@ -94,10 +62,10 @@ Status ParseRow(std::string_view buffer, size_t* offset, OnCount&& on_count,
     uint8_t tag = static_cast<uint8_t>(buffer[*offset]);
     ++*offset;
     switch (tag) {
-      case kTagNull:
+      case WireWriter::kNull:
         field.kind = WireField::Kind::kNull;
         break;
-      case kTagInt64: {
+      case WireWriter::kInt64: {
         uint64_t bits;
         if (!GetU64(buffer, offset, &bits)) {
           return Status::InvalidArgument("truncated int64 field");
@@ -106,7 +74,7 @@ Status ParseRow(std::string_view buffer, size_t* offset, OnCount&& on_count,
         field.i = static_cast<int64_t>(bits);
         break;
       }
-      case kTagDouble: {
+      case WireWriter::kDouble: {
         uint64_t bits;
         if (!GetU64(buffer, offset, &bits)) {
           return Status::InvalidArgument("truncated double field");
@@ -115,7 +83,7 @@ Status ParseRow(std::string_view buffer, size_t* offset, OnCount&& on_count,
         std::memcpy(&field.d, &bits, 8);
         break;
       }
-      case kTagString: {
+      case WireWriter::kString: {
         uint32_t len;
         if (!GetU32(buffer, offset, &len)) {
           return Status::InvalidArgument("truncated string length");
@@ -167,14 +135,12 @@ Result<Tuple> DeserializeTuple(std::string_view buffer, size_t* offset) {
 }
 
 TupleStream::TupleStream(Relation relation)
-    : schema_(std::move(relation.schema)), num_tuples_(relation.rows.size()) {
-  // Server-side binding: serialize everything up front. Reserve using an
-  // estimate to avoid repeated growth.
+    : TupleStream(Rows(std::move(relation))) {}
+
+TupleStream::TupleStream(Rows rows)
+    : schema_(rows.schema()), num_tuples_(rows.size()) {
   auto buffer = std::make_shared<std::string>();
-  size_t estimate = 0;
-  for (const auto& r : relation.rows) estimate += r.ByteSize() + 8;
-  buffer->reserve(estimate);
-  for (const auto& r : relation.rows) SerializeTuple(r, buffer.get());
+  rows.AppendWire(buffer.get());
   end_ = buffer->size();
   buffer_ = std::move(buffer);
 }

@@ -8,7 +8,9 @@
 #ifndef SILKROUTE_ENGINE_TUPLE_STREAM_H_
 #define SILKROUTE_ENGINE_TUPLE_STREAM_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,16 +35,97 @@ struct WireField {
   std::string_view s;  // kString
 };
 
+/// The wire format's one encoder. A row is its u32 field count, then per
+/// field a one-byte tag and its payload: nothing for NULL, the 8 payload
+/// bytes of an int64 or a double (bit-exact, -0.0 and an int64 in a DOUBLE
+/// column included), a u32 length and the bytes of a string. Integers are
+/// host byte order. SerializeTuple and Rows::AppendWire both write through
+/// it. It appends to `out` through a raw cursor, growing the string a chunk
+/// at a time (its capacity geometrically), and trims it to the bytes
+/// written when it goes out of scope.
+class WireWriter {
+ public:
+  enum Tag : uint8_t { kNull = 0, kInt64 = 1, kDouble = 2, kString = 3 };
+
+  explicit WireWriter(std::string* out) : out_(out), len_(out->size()) {}
+  ~WireWriter() { out_->resize(len_); }
+  WireWriter(const WireWriter&) = delete;
+  WireWriter& operator=(const WireWriter&) = delete;
+
+  /// Reserves capacity for about `bytes` more.
+  void Expect(size_t bytes) { out_->reserve(len_ + bytes); }
+
+  void Row(uint32_t fields) {
+    std::memcpy(Room(4), &fields, 4);
+    len_ += 4;
+  }
+  void Null() {
+    *Room(1) = static_cast<char>(kNull);
+    ++len_;
+  }
+  void Int64(int64_t v) { Word(kInt64, &v); }
+  void Double(double v) { Word(kDouble, &v); }
+  void String(std::string_view s) {
+    char* p = Room(5 + s.size());
+    p[0] = static_cast<char>(kString);
+    const auto len = static_cast<uint32_t>(s.size());
+    std::memcpy(p + 1, &len, 4);
+    std::memcpy(p + 5, s.data(), s.size());
+    len_ += 5 + s.size();
+  }
+  void Field(const Value& v) {
+    if (v.is_null()) {
+      Null();
+    } else if (v.is_int64()) {
+      Int64(v.AsInt64());
+    } else if (v.is_double()) {
+      Double(v.AsDouble());
+    } else {
+      String(v.AsString());
+    }
+  }
+
+ private:
+  /// A tag and 8 payload bytes.
+  void Word(Tag tag, const void* payload) {
+    char* p = Room(9);
+    p[0] = static_cast<char>(tag);
+    std::memcpy(p + 1, payload, 8);
+    len_ += 9;
+  }
+  /// The cursor, with room for `bytes` behind it.
+  char* Room(size_t bytes) {
+    if (out_->size() - len_ < bytes) {
+      const size_t size = len_ + std::max(bytes, kChunk);
+      if (size > out_->capacity()) {
+        out_->reserve(std::max(size, 2 * out_->capacity()));
+      }
+      out_->resize(size);
+    }
+    return out_->data() + len_;
+  }
+
+  static constexpr size_t kChunk = 4096;
+
+  std::string* out_;
+  size_t len_;  // bytes written; out_'s size beyond it is scratch
+};
+
 /// Serializes one tuple to the wire format, appending to `out`.
 void SerializeTuple(const Tuple& tuple, std::string* out);
+void SerializeTuple(const Tuple& tuple, WireWriter* out);
 
 /// Deserializes one tuple starting at `*offset`; advances `*offset`.
 Result<Tuple> DeserializeTuple(std::string_view buffer, size_t* offset);
 
 class TupleStream {
  public:
-  /// Takes a materialized result and runs the server-side binding
-  /// (serialization) immediately — the stream then owns only wire bytes.
+  /// Takes a result and runs the server-side binding (serialization)
+  /// immediately — the stream then owns only wire bytes. The engine's
+  /// batch binds straight from its typed columns (Rows::AppendWire): the
+  /// same bytes as binding rows.ToRelation(), with no Value built for a
+  /// base-table cell.
+  explicit TupleStream(Rows rows);
   explicit TupleStream(Relation relation);
 
   /// Adopts already-bound wire bytes shared with a cache entry

@@ -247,7 +247,7 @@ bool EngineServer::ServeRequest(Socket* socket, const Frame& request) {
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    Result<engine::Relation> result = Status::Internal("request not run");
+    Result<engine::Rows> result = Status::Internal("request not run");
   };
   auto slot = std::make_shared<Slot>();
   auto queue_span = std::make_shared<obs::SpanHandle>(
@@ -265,7 +265,7 @@ bool EngineServer::ServeRequest(Socket* socket, const Frame& request) {
     obs::SpanHandle execute_span =
         obs::Tracer::Child(tracer_ptr, server_ptr, "phase:execute");
     auto execute_start = std::chrono::steady_clock::now();
-    Result<engine::Relation> result = [&]() -> Result<engine::Relation> {
+    Result<engine::Rows> result = [&]() -> Result<engine::Rows> {
       if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
         return Status::Timeout("deadline expired in server queue");
       }
@@ -278,8 +278,8 @@ bool EngineServer::ServeRequest(Socket* socket, const Frame& request) {
           return Status::Timeout("deadline expired in server queue");
         }
       }
-      return executor_.ExecuteSqlWithDeadline(sql,
-                                              has_deadline ? remaining_ms : 0);
+      return executor_.ExecuteRows(sql, has_deadline ? remaining_ms : 0,
+                                   nullptr);
     }();
     execute_span.AnnotateMs(
         "ms", std::chrono::duration<double, std::milli>(
@@ -298,7 +298,7 @@ bool EngineServer::ServeRequest(Socket* socket, const Frame& request) {
   if (!submitted) {
     return send_error(Status::Unavailable("server is shutting down"));
   }
-  Result<engine::Relation> result = [&] {
+  Result<engine::Rows> result = [&] {
     std::unique_lock<std::mutex> lock(slot->mu);
     slot->cv.wait(lock, [&] { return slot->done; });
     return std::move(slot->result);
@@ -318,9 +318,9 @@ bool EngineServer::ServeRequest(Socket* socket, const Frame& request) {
       obs::Tracer::Child(&tracer, &server_span, "phase:serialize");
   auto serialize_start = std::chrono::steady_clock::now();
   std::string bytes;
-  SerializeRelation(*result, &bytes);
+  SerializeRows(*result, &bytes);
   EndPayload end;
-  end.rows = result->rows.size();
+  end.rows = result->size();
   end.relation_bytes = bytes.size();
   size_t offset = 0;
   do {
@@ -357,7 +357,7 @@ bool EngineServer::ServeRequest(Socket* socket, const Frame& request) {
   if (traced) {
     // Finish the server root, then ship the whole recorded subtree back in
     // a v2 kEnd so the client can stitch it under its attempt span.
-    server_span.Annotate("rows", std::to_string(result->rows.size()));
+    server_span.Annotate("rows", std::to_string(result->size()));
     server_span.End();
     std::vector<WireSpan> wire_spans;
     for (const obs::Span& span : trace_sink.spans()) {

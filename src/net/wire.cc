@@ -464,21 +464,35 @@ Result<TracedEnd> DecodeTracedEndPayload(std::string_view payload) {
   return traced;
 }
 
-void SerializeRelation(const engine::Relation& relation, std::string* out) {
-  PutU32(static_cast<uint32_t>(relation.schema.size()), out);
-  for (const auto& column : relation.schema.columns()) {
+namespace {
+
+/// The relation codec's header: the schema, then the row count.
+void PutRelationHeader(const engine::RelSchema& schema, size_t rows,
+                       std::string* out) {
+  PutU32(static_cast<uint32_t>(schema.size()), out);
+  for (const auto& column : schema.columns()) {
     PutU32(static_cast<uint32_t>(column.qualifier.size()), out);
     out->append(column.qualifier);
     PutU32(static_cast<uint32_t>(column.name.size()), out);
     out->append(column.name);
   }
-  PutU64(relation.rows.size(), out);
+  PutU64(rows, out);
+}
+
+}  // namespace
+
+void SerializeRows(engine::Rows& rows, std::string* out) {
+  PutRelationHeader(rows.schema(), rows.size(), out);
+  rows.AppendWire(out);
+}
+
+void SerializeRelation(const engine::Relation& relation, std::string* out) {
+  PutRelationHeader(relation.schema, relation.rows.size(), out);
+  engine::WireWriter writer(out);
   size_t estimate = 0;
   for (const auto& row : relation.rows) estimate += row.ByteSize() + 8;
-  out->reserve(out->size() + estimate);
-  for (const auto& row : relation.rows) {
-    engine::SerializeTuple(row, out);
-  }
+  writer.Expect(estimate);
+  for (const auto& row : relation.rows) engine::SerializeTuple(row, &writer);
 }
 
 Result<engine::Relation> DeserializeRelation(std::string_view bytes) {

@@ -224,13 +224,19 @@ Result<TracedEnd> DecodeTracedEndPayload(std::string_view payload);
 
 // --- Relation codec --------------------------------------------------------
 // Schema (column qualifiers/names) followed by row count and the rows in
-// TupleStream's serialization format. The rows are bound twice on the
-// remote path: the server serializes them here, the client's
-// DeserializeRelation materializes them as Tuples, and the publisher's
-// bind step (ComponentStep::ExecuteAndBind) serializes those Tuples again
-// into its TupleStream. DESIGN.md §10 records this double bind.
+// TupleStream's serialization format. The engine server writes its result
+// straight from the engine's batch (SerializeRows), the same bytes as
+// SerializeRelation over that result. The rows are still bound twice on
+// the remote client path: DeserializeRelation materializes them as Tuples,
+// and the publisher's bind step (ComponentStep::ExecuteAndBind) serializes
+// those Tuples again into its TupleStream. DESIGN.md §10 records this
+// double bind; the local path binds once.
 
 void SerializeRelation(const engine::Relation& relation, std::string* out);
+
+/// SerializeRelation's layout, written from the engine's batch
+/// (engine::Rows::AppendWire) with no Tuple built.
+void SerializeRows(engine::Rows& rows, std::string* out);
 
 /// Strict whole-buffer decode: trailing bytes after the last row, any
 /// truncation, or hostile counts are kInvalidArgument.

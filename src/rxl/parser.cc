@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdlib>
 
+#include "common/nesting.h"
+
 namespace silkroute::rxl {
 
 namespace {
@@ -230,6 +232,8 @@ class Parser {
       }
       if (c == '{') {
         ++pos_;
+        NestingLevel level(&depth_);
+        SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, pos_));
         Content content;
         content.kind = Content::Kind::kBlock;
         auto block = std::make_unique<Block>();
@@ -314,6 +318,8 @@ class Parser {
 
   Result<std::unique_ptr<Element>> ParseElement() {
     if (Peek() != '<') return Err("expected '<'");
+    NestingLevel level(&depth_);
+    SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, pos_));
     ++pos_;
     auto element = std::make_unique<Element>();
     SILK_ASSIGN_OR_RETURN(element->tag, ParseIdentifier());
@@ -358,6 +364,7 @@ class Parser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // nesting levels held (NestingLevel)
 };
 
 }  // namespace

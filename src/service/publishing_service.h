@@ -58,7 +58,7 @@ struct ServiceOptions {
   /// Deadline applied to requests that do not carry one (0 = none).
   double default_deadline_ms = 0;
   /// Shared connection to the RDBMS for all workers (borrowed); must be
-  /// thread-safe through ExecuteSqlWithDeadline (DatabaseExecutor and
+  /// thread-safe through ExecuteRows (DatabaseExecutor and
   /// FaultInjectingExecutor are). null = the service's own
   /// DatabaseExecutor over `db`.
   engine::SqlExecutor* executor = nullptr;

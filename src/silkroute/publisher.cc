@@ -247,9 +247,11 @@ Result<std::unique_ptr<engine::TupleStream>> ComponentStep::ExecuteAndBind(
   obs::SpanHandle query_span =
       obs::Tracer::Child(options_.tracer, item->span.get(), "phase:query");
   Timer query_timer;
+  // The engine's result is handed over as Rows (DESIGN.md §10), so the
+  // bind below is the only pass that writes its cells.
   auto result = [&] {
     obs::ScopedCurrentSpan scope(&query_span);
-    return resilient.ExecuteSql(sql);
+    return resilient.ExecuteRows(sql, options_.query_timeout_ms, nullptr);
   }();
   double query_elapsed = query_timer.ElapsedMillis();
   const engine::QueryExecution& executed = resilient.report().queries.back();

@@ -318,7 +318,7 @@ struct PendingComponent {
 class ComponentStep {
  public:
   /// `connection` runs the component queries (borrowed; it must be
-  /// thread-safe through ExecuteSqlWithDeadline when workers share the
+  /// thread-safe through ExecuteRows when workers share the
   /// step). `cancel` and the deadline bound every query's retries.
   ComponentStep(const ViewTree& tree, const SqlGenerator& gen,
                 const PublishOptions& options, engine::SqlExecutor* connection,

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "common/nesting.h"
 #include "sql/lexer.h"
 
 namespace silkroute::sql {
@@ -105,6 +106,8 @@ class Parser {
   Status ParseQueryTerm(Query* out) {
     if (Peek().IsSymbol("(") && LooksLikeQuery(1)) {
       ++pos_;  // consume '('
+      NestingLevel level(&depth_);
+      SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, Peek().offset));
       SILK_ASSIGN_OR_RETURN(QueryPtr inner, ParseQueryBody());
       SILK_RETURN_IF_ERROR(ExpectSymbol(")"));
       if (!inner->order_by.empty()) {
@@ -182,6 +185,8 @@ class Parser {
 
   Result<TableRefPtr> ParsePrimaryTableRef() {
     if (Peek().IsSymbol("(")) {
+      NestingLevel level(&depth_);
+      SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, Peek().offset));
       if (LooksLikeQuery(1)) {
         ++pos_;
         SILK_ASSIGN_OR_RETURN(QueryPtr q, ParseQueryBody());
@@ -247,6 +252,8 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (Match("not")) {
+      NestingLevel level(&depth_);
+      SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, Peek().offset));
       SILK_ASSIGN_OR_RETURN(ExprPtr e, ParseNot());
       return ExprPtr(std::make_unique<NotExpr>(std::move(e)));
     }
@@ -348,12 +355,16 @@ class Parser {
       case TokenType::kSymbol:
         if (t.text == "(") {
           ++pos_;
+          NestingLevel level(&depth_);
+          SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, Peek().offset));
           SILK_ASSIGN_OR_RETURN(ExprPtr e, ParseExpr());
           SILK_RETURN_IF_ERROR(ExpectSymbol(")"));
           return e;
         }
         if (t.text == "-") {
           ++pos_;
+          NestingLevel level(&depth_);
+          SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, Peek().offset));
           SILK_ASSIGN_OR_RETURN(ExprPtr e, ParsePrimary());
           return ExprPtr(std::make_unique<BinaryExpr>(
               BinaryOp::kSub, IntLit(0), std::move(e)));
@@ -367,6 +378,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // nesting levels held (NestingLevel)
 };
 
 }  // namespace

@@ -2,12 +2,19 @@
 #ifndef SILKROUTE_SQL_PARSER_H_
 #define SILKROUTE_SQL_PARSER_H_
 
+#include <cstddef>
 #include <string_view>
 
 #include "common/result.h"
 #include "sql/ast.h"
 
 namespace silkroute::sql {
+
+/// The nesting budget: a parenthesized expression, a unary operator (NOT,
+/// unary minus), a derived table, a parenthesized join or a parenthesized
+/// UNION operand each holds one level while it parses. Deeper input is
+/// kInvalidArgument, so hostile text cannot exhaust the stack.
+inline constexpr size_t kMaxNestingDepth = 256;
 
 /// Parses a complete query (SELECT ... [UNION ALL ...] [ORDER BY ...]).
 /// Fails if trailing tokens remain.

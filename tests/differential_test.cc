@@ -22,12 +22,17 @@
 //    bitwise);
 //  - with DISTINCT, equal sets under Tuple::Compare;
 //  - when every ORDER BY key is projected, the engine's rows are also
-//    non-decreasing in the ASC/DESC keys.
+//    non-decreasing in the ASC/DESC keys;
+//  - the bind: the engine's result bound straight from its batch
+//    (TupleStream(Rows)) is byte-identical to SerializeTuple over the same
+//    query's Relation, NULLs, -0.0 and the DOUBLE column's int64 cells
+//    included.
 // Failures print the seed and the SQL, so a reproduction is one copy-paste
 // away. SILK_DIFF_QUERIES overrides the query count for soak runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -40,6 +45,7 @@
 #include <vector>
 
 #include "engine/executor.h"
+#include "engine/tuple_stream.h"
 #include "relational/database.h"
 #include "relational/schema.h"
 #include "relational/value.h"
@@ -915,6 +921,57 @@ std::string Disagreement(const QuerySpec& q, const Reference& ref,
   return "";
 }
 
+/// The bind check: the engine's result bound straight from its batch
+/// (TupleStream(Rows)) must be byte-identical to SerializeTuple over the
+/// same query's Relation. Returns the first disagreement, or "".
+std::string BindDisagreement(engine::Rows rows, const Relation& relation) {
+  std::string expected;
+  for (const Tuple& t : relation.rows) SerializeTuple(t, &expected);
+  const TupleStream stream(std::move(rows));
+  if (stream.num_tuples() != relation.rows.size() ||
+      stream.schema().size() != relation.schema.size()) {
+    return "bound " + std::to_string(stream.num_tuples()) + " row(s) of " +
+           std::to_string(stream.schema().size()) + " column(s), expected " +
+           std::to_string(relation.rows.size()) + " of " +
+           std::to_string(relation.schema.size());
+  }
+  const std::string& bound = *stream.shared_wire();
+  if (bound == expected) return "";
+  const size_t at = static_cast<size_t>(
+      std::mismatch(bound.begin(), bound.end(), expected.begin(),
+                    expected.end())
+          .first -
+      bound.begin());
+  return "bound bytes differ from SerializeTuple's at byte " +
+         std::to_string(at) + " (" + std::to_string(bound.size()) + " vs " +
+         std::to_string(expected.size()) + " bytes)";
+}
+
+/// Which representation edge cases a result carries, so the test can
+/// insist that the bind check keeps seeing them.
+struct CellShapes {
+  bool null = false;
+  bool negative_zero = false;
+  bool mixed_column = false;  // int64 and double cells in one column
+};
+
+CellShapes CountCellShapes(const Relation& relation) {
+  CellShapes out;
+  for (size_t c = 0; c < relation.schema.size(); ++c) {
+    bool ints = false, doubles = false;
+    for (const Tuple& t : relation.rows) {
+      const Value& v = t.values()[c];
+      out.null |= v.is_null();
+      ints |= v.is_int64();
+      doubles |= v.is_double();
+      out.negative_zero |=
+          v.is_double() && v.AsDouble() == 0.0 && std::signbit(v.AsDouble());
+    }
+    out.mixed_column |= ints && doubles;
+  }
+  return out;
+}
+
 /// The derived-table shapes one query exercises: the engine inlines a
 /// single-core derived table into its parent's batch and materializes the
 /// rest, and the test insists that the generator keeps reaching both.
@@ -983,6 +1040,7 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
       literal_key = 0, derived_union = 0, derived_order = 0,
       derived_computed = 0;
   int word_matches = 0, verified = 0;
+  int bound_nulls = 0, bound_negative_zeros = 0, bound_mixed_columns = 0;
   for (int i = 0; i < num_queries; ++i) {
     const uint32_t seed = kBaseSeed + static_cast<uint32_t>(i);
     Rng rng(seed);
@@ -1001,6 +1059,17 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     const Reference ref = RunReference(gen.data, q);
     const std::string diff = Disagreement(q, ref, engine);
     ASSERT_EQ(diff, "") << "seed=" << seed << "\nsql: " << sql;
+    QueryExecutor batch_executor(&gen.db);
+    Result<engine::Rows> rows = batch_executor.ExecuteRows(sql, 0, nullptr);
+    ASSERT_EQ(rows.ok(), engine.ok()) << "seed=" << seed << "\nsql: " << sql;
+    if (rows.ok()) {
+      ASSERT_EQ(BindDisagreement(std::move(rows).value(), *engine), "")
+          << "seed=" << seed << "\nsql: " << sql;
+      const CellShapes cells = CountCellShapes(*engine);
+      bound_nulls += cells.null;
+      bound_negative_zeros += cells.negative_zero;
+      bound_mixed_columns += cells.mixed_column;
+    }
     ++executed;
     refused += ref.ok ? 0 : 1;
     ordered += q.order_by.empty() ? 0 : 1;
@@ -1038,6 +1107,10 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
       derived_union, derived_order, derived_computed);
   std::printf("join matches: words only %d, verified candidates %d\n",
               word_matches, verified);
+  std::printf(
+      "bound results with: NULL %d, -0.0 %d, int64 and double in one column "
+      "%d\n",
+      bound_nulls, bound_negative_zeros, bound_mixed_columns);
   EXPECT_EQ(executed, num_queries);
   // The generator must keep exercising both outcomes, ORDER BY, and every
   // shape it knows.
@@ -1059,6 +1132,9 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     EXPECT_GT(derived_computed, num_queries / 100);
     EXPECT_GT(word_matches, num_queries / 100);
     EXPECT_GT(verified, num_queries / 100);
+    EXPECT_GT(bound_nulls, num_queries / 100);
+    EXPECT_GT(bound_negative_zeros, num_queries / 100);
+    EXPECT_GT(bound_mixed_columns, num_queries / 100);
   }
 }
 

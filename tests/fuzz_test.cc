@@ -9,6 +9,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -111,6 +112,85 @@ TEST(FuzzTest, SubviewPathParserNeverCrashes) {
   FuzzParser(106,
              [](const std::string& s) { (void)core::ParseSubviewPath(s); },
              "/supplier[nation='FRANCE'][x=42]/part/order[orderkey=7]");
+}
+
+// --- Nesting budgets --------------------------------------------------------
+// Both recursive-descent parsers charge one level per nested construct and
+// refuse input past kMaxNestingDepth with kInvalidArgument. Every nested
+// shape below parses at 100 levels and at exactly the budget, and is
+// refused one level past it and at 10^3..10^5 levels, which overflowed the
+// stack before the budget existed.
+
+std::string Repeat(std::string_view unit, size_t n) {
+  std::string out;
+  out.reserve(unit.size() * n);
+  for (size_t i = 0; i < n; ++i) out.append(unit);
+  return out;
+}
+
+/// SQL nesting `depth` levels of each construct that charges the budget.
+std::vector<std::pair<std::string, std::string>> NestedSql(size_t depth) {
+  std::string derived = Repeat("(select a from ", depth) + "T";
+  for (size_t i = 0; i < depth; ++i) derived += ") d" + std::to_string(i);
+  return {
+      {"parentheses", "select a from T where " + Repeat("(", depth) +
+                          "a = 1" + Repeat(")", depth)},
+      {"not", "select a from T where " + Repeat("not ", depth) + "a = 1"},
+      {"unary minus", "select " + Repeat("- ", depth) + "1 as x from T"},
+      {"derived tables", "select a from " + derived},
+      {"join parentheses",
+       "select a from " + Repeat("(", depth) + "T" + Repeat(")", depth)},
+      {"union operands",
+       Repeat("(", depth) + "select a from T" + Repeat(")", depth)},
+  };
+}
+
+/// RXL nesting `depth` elements, or `depth` blocks.
+std::vector<std::pair<std::string, std::string>> NestedRxl(size_t depth) {
+  return {
+      {"elements", "from T $t construct " + Repeat("<a>", depth) + "$t.v" +
+                       Repeat("</a>", depth)},
+      {"blocks", "from T $t construct " +
+                     Repeat("{ from T $t construct ", depth) + "$t.v" +
+                     Repeat(" }", depth)},
+  };
+}
+
+template <typename Nested, typename Parse>
+void ExpectNestingBudget(Nested nested, size_t budget, Parse parse) {
+  for (size_t depth : {size_t{100}, budget}) {
+    for (const auto& [shape, text] : nested(depth)) {
+      const Status status = parse(text);
+      EXPECT_TRUE(status.ok()) << shape << " at depth " << depth << ": "
+                               << status;
+    }
+  }
+  for (size_t depth :
+       {budget + 1, size_t{1000}, size_t{10000}, size_t{100000}}) {
+    for (const auto& [shape, text] : nested(depth)) {
+      const Status status = parse(text);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << shape << " at depth " << depth << ": " << status;
+      EXPECT_NE(status.message().find(
+                    "exceeds the limit of " + std::to_string(budget)),
+                std::string::npos)
+          << status;
+    }
+  }
+}
+
+TEST(FuzzTest, SqlParserRefusesNestingPastItsBudget) {
+  ExpectNestingBudget(NestedSql, sql::kMaxNestingDepth,
+                      [](const std::string& s) {
+                        return sql::ParseQuery(s).status();
+                      });
+}
+
+TEST(FuzzTest, RxlParserRefusesNestingPastItsBudget) {
+  ExpectNestingBudget(NestedRxl, rxl::kMaxNestingDepth,
+                      [](const std::string& s) {
+                        return rxl::ParseRxl(s).status();
+                      });
 }
 
 // --- Binary decoders (the wire protocol's hostile-input surface) ----------

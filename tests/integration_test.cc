@@ -9,6 +9,8 @@
 #include <tuple>
 
 #include "engine/executor.h"
+#include "engine/tuple_stream.h"
+#include "obs/metrics.h"
 #include "silkroute/partition.h"
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
@@ -129,17 +131,17 @@ bool Materializes(const sql::Query& query) {
   return false;
 }
 
-/// Rows x width of `query`'s result, executed on its own, plus the cells
-/// of every derived table inside it that materializes. An inlined derived
-/// table builds no cell; the derived tables nested in it still count.
-/// `materialized` counts the derived tables that materialize.
 uint64_t ResultCells(const Database& db, const sql::Query& query,
-                     int* materialized) {
-  engine::QueryExecutor exec(&db);
-  auto result = exec.Execute(query);
-  EXPECT_TRUE(result.ok()) << result.status();
-  if (!result.ok()) return 0;
-  uint64_t cells = result->rows.size() * result->schema.size();
+                     int* materialized);
+
+/// The cells of every derived table inside `query` that materializes: its
+/// result's cells plus, recursively, those of the derived tables inside
+/// it. An inlined derived table builds no cell; the derived tables nested
+/// in it still count. `materialized` counts the derived tables that
+/// materialize.
+uint64_t DerivedCells(const Database& db, const sql::Query& query,
+                      int* materialized) {
+  uint64_t cells = 0;
   std::function<void(const sql::Query&)> visit_from;
   std::function<void(const sql::TableRef&)> visit =
       [&](const sql::TableRef& ref) {
@@ -167,11 +169,26 @@ uint64_t ResultCells(const Database& db, const sql::Query& query,
   return cells;
 }
 
-// The executor builds each result cell exactly once: its
-// cells_materialized counter equals rows x width of the result it returns
-// plus the results of the derived tables that materialize. A derived table
-// inlined into its parent's batch builds none, so the outer-join plans'
-// derived tables cost no cell — no intermediate copies.
+/// Rows x width of `query`'s result, executed on its own, plus
+/// DerivedCells.
+uint64_t ResultCells(const Database& db, const sql::Query& query,
+                     int* materialized) {
+  engine::QueryExecutor exec(&db);
+  auto result = exec.Execute(query);
+  EXPECT_TRUE(result.ok()) << result.status();
+  if (!result.ok()) return 0;
+  return result->size() * result->schema().size() +
+         DerivedCells(db, query, materialized);
+}
+
+// The executor builds each result cell at most once, and on the local
+// publish path not at all. Asked for a Relation (ExecuteSql), its
+// cells_materialized counter equals rows x width of the result plus the
+// results of the derived tables that materialize. Handed over as Rows and
+// bound (ExecuteRows + TupleStream, what ComponentStep::ExecuteAndBind
+// runs), only the derived tables' cells are built. A derived table inlined
+// into its parent's batch builds none, so Query 1's reduced plans build no
+// cell at all.
 TEST(PublisherTest, Query1BuildsEachResultCellOnce) {
   auto tree = env()->publisher().BuildViewTree(Query1Rxl());
   ASSERT_TRUE(tree.ok()) << tree.status();
@@ -198,21 +215,65 @@ TEST(PublisherTest, Query1BuildsEachResultCellOnce) {
       "order by ck) as C on D.k = C.nk order by D.k, D.s");
   int with_derived = 0, materialized = 0;
   for (const std::string& sql : sqls) {
+    auto query = sql::ParseQuery(sql);
+    ASSERT_TRUE(query.ok()) << query.status();
+    int unused = 0;
+    const uint64_t derived = DerivedCells(env()->db(), **query, &unused);
+
     engine::QueryExecutor exec(&env()->db());
     auto result = exec.ExecuteSql(sql);
     ASSERT_TRUE(result.ok()) << result.status() << "\n" << sql;
-    auto query = sql::ParseQuery(sql);
-    ASSERT_TRUE(query.ok()) << query.status();
     const uint64_t expected =
         ResultCells(env()->db(), **query, &materialized);
-    EXPECT_GT(expected, 0u) << sql;
+    EXPECT_GT(expected, derived) << sql;
     EXPECT_EQ(exec.stats().cells_materialized, expected) << sql;
+
+    engine::QueryExecutor local(&env()->db());
+    auto rows = local.ExecuteRows(sql, 0, nullptr);
+    ASSERT_TRUE(rows.ok()) << rows.status() << "\n" << sql;
+    const engine::TupleStream bound(std::move(rows).value());
+    EXPECT_EQ(bound.num_tuples(), result->rows.size()) << sql;
+    EXPECT_EQ(local.stats().cells_materialized, derived) << sql;
     with_derived += sql.find("from (select") != std::string::npos;
   }
   EXPECT_GT(with_derived, 1);
   // Besides the two above, the unreduced outer-join plans' `C` derived
   // tables materialize: each is a UNION ALL of a class's children.
   EXPECT_GT(materialized, 2);
+
+  // A publish counts the same through the engine's metrics: nothing for
+  // the reduced unified and greedy plans, only the `C` tables without
+  // reduction.
+  for (PlanStrategy strategy :
+       {PlanStrategy::kUnified, PlanStrategy::kGreedy}) {
+    for (bool reduce : {true, false}) {
+      obs::MetricsRegistry registry;
+      PublishOptions opt;
+      opt.strategy = strategy;
+      opt.reduce = reduce;
+      opt.metrics_registry = &registry;
+      std::ostringstream out;
+      auto published = env()->publisher().Publish(Query1Rxl(), opt, &out);
+      ASSERT_TRUE(published.ok()) << published.status();
+      uint64_t expected = 0;
+      for (const std::string& sql : published->metrics.sql) {
+        auto query = sql::ParseQuery(sql);
+        ASSERT_TRUE(query.ok()) << query.status();
+        int unused = 0;
+        expected += DerivedCells(env()->db(), **query, &unused);
+      }
+      if (reduce) {
+        EXPECT_EQ(expected, 0u);
+      } else if (strategy == PlanStrategy::kUnified) {
+        EXPECT_GT(expected, 0u);
+      }
+      EXPECT_EQ(
+          registry.counter("silkroute_engine_cells_materialized_total")
+              ->value(),
+          expected)
+          << "reduce=" << reduce;
+    }
+  }
 }
 
 TEST(PublisherTest, Query1DocumentValidatesAgainstPaperDtd) {

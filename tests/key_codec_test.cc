@@ -180,6 +180,20 @@ TEST(KeyCodecTest, GiantCrossTypeExactTiesEncodeIdentically) {
   EXPECT_FALSE(NumericFitsWord(Value::Double(1e300)));
 }
 
+/// Join-key equality, stated over a Tuple: `row[cols[0]], row[cols[1]],
+/// ...` encoded segment by segment, or false if any key column is SQL NULL
+/// (equality joins never match NULLs). The executor's word index computes
+/// the same equality without building the bytes (DESIGN.md §10).
+bool EncodeJoinKey(const Tuple& row, const std::vector<size_t>& cols,
+                   std::string* out) {
+  for (size_t c : cols) {
+    const Value& v = row.values()[c];
+    if (v.is_null()) return false;
+    EncodeValue(v, out);
+  }
+  return true;
+}
+
 TEST(KeyCodecTest, JoinKeyEqualityMatchesSqlEquals) {
   const std::vector<Value> vals = Corpus();
   const std::vector<size_t> cols = {0};

@@ -1,5 +1,6 @@
 // Networked federation tests: EngineServer <-> RemoteSqlExecutor
-// equivalence over real loopback sockets, deadline propagation through the
+// equivalence over real loopback sockets, a deep-SQL frame refused without
+// taking the server down, deadline propagation through the
 // frame header, cancellation of blocked reads, 1-vs-8 service concurrency
 // determinism through a socket pair, the seeded FlakyProxy chaos loop
 // (torn frames, truncated/oversized lengths, resets, stalls, refusals),
@@ -126,6 +127,24 @@ TEST_F(NetFixture, ServerReportsSqlErrorsAsCleanStatus) {
   // The carried code passes through verbatim — not disguised as a
   // transport failure.
   EXPECT_NE(result.status().code(), StatusCode::kUnavailable);
+}
+
+TEST_F(NetFixture, DeepSqlGetsAnErrorFrameAndTheServerStaysUp) {
+  // 10,000 nested parentheses (about 20 KB of text) overflowed a parser
+  // thread's stack before the SQL nesting budget; the frame now gets the
+  // parser's error back, and the same server keeps answering.
+  RemoteSqlExecutor remote(RemoteOpts(server_->port()));
+  const std::string deep = "select suppkey from Supplier where " +
+                           std::string(10000, '(') + "suppkey = 1" +
+                           std::string(10000, ')');
+  auto refused = remote.ExecuteSql(deep);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status();
+  auto answered =
+      remote.ExecuteSql("select suppkey from Supplier where suppkey = 1");
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(answered->rows.size(), 1u);
 }
 
 TEST_F(NetFixture, DeadlinePropagatesThroughFrameHeader) {

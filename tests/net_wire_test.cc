@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "net/wire.h"
+#include "relational/database.h"
 
 namespace silkroute::net {
 namespace {
@@ -452,6 +453,47 @@ TEST(NetWireTest, RowColumnCountMismatchRejected) {
   SerializeRelation(relation, &bytes);
   EXPECT_EQ(DeserializeRelation(bytes).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(NetWireTest, ServerRowsSerializeAsTheirRelation) {
+  // The engine server writes its result straight from the engine's batch
+  // (SerializeRows): the frame bytes must be SerializeRelation's over the
+  // same result, for base-table, padded, constant, computed, ordered and
+  // UNION ALL cells alike, and for a Relation handed over as Rows.
+  Database db;
+  ASSERT_TRUE(db.CreateTable(TableSchema("T", {{"k", DataType::kInt64, true},
+                                               {"d", DataType::kDouble, true},
+                                               {"s", DataType::kString, true}}))
+                  .ok());
+  Table* table = *db.GetTable("T");
+  ASSERT_TRUE(table->Insert(Tuple{Value::Int64(1), Value::Double(-0.0),
+                                  Value::String("a")})
+                  .ok());
+  ASSERT_TRUE(table->Insert(Tuple{Value::Int64(2), Value::Int64(7),
+                                  Value::Null()})
+                  .ok());
+  ASSERT_TRUE(
+      table->Insert(Tuple{Value::Null(), Value::Double(2.5), Value::String("")})
+          .ok());
+  for (const char* sql :
+       {"select * from T",
+        "select a.k, b.d, 1 as one, a.k + 1 as next, b.s from T a left "
+        "outer join T b on a.k = b.k and b.d > 0 order by next desc",
+        "select k, s from T union all select k, 'x' as s from T where k = 1"}) {
+    engine::QueryExecutor rows_executor(&db);
+    auto rows = rows_executor.ExecuteRows(sql, 0, nullptr);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    engine::QueryExecutor relation_executor(&db);
+    auto relation = relation_executor.ExecuteSql(sql);
+    ASSERT_TRUE(relation.ok()) << relation.status();
+    std::string expected, served, handed_over;
+    SerializeRelation(*relation, &expected);
+    SerializeRows(*rows, &served);
+    EXPECT_EQ(served, expected) << sql;
+    engine::Rows wrapped(*relation);
+    SerializeRows(wrapped, &handed_over);
+    EXPECT_EQ(handed_over, expected) << sql;
+  }
 }
 
 }  // namespace

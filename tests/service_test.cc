@@ -764,10 +764,10 @@ TEST(StrategyParityTest, CasesReachTheirIntendedOutcome) {
 class LaneRecordingExecutor : public engine::DatabaseExecutor {
  public:
   using DatabaseExecutor::DatabaseExecutor;
-  Result<engine::Relation> ExecuteSqlWithDeadline(std::string_view sql,
-                                                  double timeout_ms) override {
+  Result<engine::Rows> ExecuteRows(std::string_view sql, double timeout_ms,
+                                   CancelToken* cancel) override {
     busy.push_back(BusyLanes());
-    return DatabaseExecutor::ExecuteSqlWithDeadline(sql, timeout_ms);
+    return DatabaseExecutor::ExecuteRows(sql, timeout_ms, cancel);
   }
   std::vector<size_t> busy;
 };

@@ -23,6 +23,11 @@ anchor row is not: one row speeding up (or jittering — fast rows swing
 regressions in every other row of its file. Only slower is flagged;
 getting faster is never an error.
 
+A google-benchmark row run with --benchmark_repetitions is compared on
+its median aggregate (the `<name>_median` row); without repetitions, on
+its single run. The median of three repetitions is a better estimator of
+a row's time than any one run, not a wider band.
+
 Deterministic counters (rows, wire_bytes, streams, ...) must stay within
 the tolerance band of the baseline absolutely: the workloads are seeded,
 so a drifting counter means the engine changed behavior, not the machine.
@@ -100,13 +105,18 @@ def load_rows(path):
         raise ReportError(f"{path}: expected a JSON object at top level")
     names, values, times = [], {}, {}
     if "benchmarks" in doc:  # google-benchmark schema
+        medians = {}
         for row in doc["benchmarks"]:
             if row.get("run_type") == "aggregate":
+                if row.get("aggregate_name") == "median":
+                    medians[row["run_name"]] = float(row["real_time"])
                 continue
             name = row["name"]
-            names.append(name)
+            if name not in values:
+                names.append(name)
             values[name] = {}
             times[name] = float(row["real_time"])
+        times.update((n, t) for n, t in medians.items() if n in values)
     else:  # BenchReport schema
         for row in doc.get("rows", []):
             name = row["name"]

@@ -1,7 +1,8 @@
 // E4 — Fig. 15: Configuration B (large database, exhaustive search
 // infeasible in the paper's setting): run the plan family produced by the
 // greedy algorithm (with view-tree reduction) for Queries 1 and 2 and
-// compare against the unified outer-union and fully partitioned plans.
+// compare against the unified (outer-union, and reduced outer-join) and
+// fully partitioned plans.
 //
 // Paper (100 MB): outer-union ~4.7-5x slower than the best generated plan
 // on query time, fully partitioned ~2.4-2.6x slower; on total time
@@ -60,11 +61,14 @@ int RunQuery(Publisher& publisher, std::string_view rxl, const char* name,
   ou.collect_sql = false;
   const uint64_t unified = (uint64_t{1} << tree->num_edges()) - 1;
   PlanMetrics outer_union = bench::MeasurePlan(publisher, *tree, unified, ou);
+  PlanMetrics outer_join = bench::MeasurePlan(publisher, *tree, unified, opt);
   PlanMetrics fully_part = bench::MeasurePlan(publisher, *tree, 0, opt);
 
   std::printf("baselines:\n");
   std::printf("  unified outer-union : %10.1f ms query, %10.1f ms total\n",
               outer_union.query_ms, outer_union.total_ms());
+  std::printf("  unified outer-join  : %10.1f ms query, %10.1f ms total\n",
+              outer_join.query_ms, outer_join.total_ms());
   std::printf("  fully partitioned   : %10.1f ms query, %10.1f ms total\n",
               fully_part.query_ms, fully_part.total_ms());
   std::printf("ratios vs best generated plan "
@@ -73,11 +77,14 @@ int RunQuery(Publisher& publisher, std::string_view rxl, const char* name,
               outer_union.query_ms / best_query);
   std::printf("  outer-union / best total : %5.2fx\n",
               outer_union.total_ms() / best_total);
+  std::printf("  outer-join / best total  : %5.2fx\n",
+              outer_join.total_ms() / best_total);
   std::printf("  fully-part / best query  : %5.2fx\n",
               fully_part.query_ms / best_query);
   std::printf("  fully-part / best total  : %5.2fx\n",
               fully_part.total_ms() / best_total);
   report->AddPlan(std::string(name) + "/unified_outer_union", outer_union);
+  report->AddPlan(std::string(name) + "/unified_outer_join", outer_join);
   report->AddPlan(std::string(name) + "/fully_partitioned", fully_part);
   report->Add(std::string(name) + "/summary",
               {{"generated_plans", static_cast<double>(masks.size())},

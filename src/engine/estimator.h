@@ -7,8 +7,18 @@
 // The model is System-R-lite:
 //   - base-table cardinality and per-column distinct counts come from
 //     DatabaseStats;
-//   - equijoin selectivity is 1/max(V(a), V(b)); literal equality 1/V;
-//     everything else 1/3;
+//   - the equi-join conjuncts between two FROM items (or join sides) are
+//     priced as one group: if one side's equated columns cover a key of
+//     that side, each row of the other side matches at most one of its
+//     rows, so the group's selectivity is 1/rows of that side (or 1/V of
+//     the other side's columns, where a filter left fewer rows); otherwise
+//     it is the product of 1/max(V(a), V(b)) over the conjuncts;
+//   - keys are the catalog's primary keys, carried through projection,
+//     joins and derived tables (a multi-core UNION has none);
+//   - a literal select item is a constant column: equality with the same
+//     literal has selectivity 1, with another literal or NULL 0, and its
+//     distinct count is 1 (a UNION column filled with k literals has k);
+//     other literal equality is 1/V; everything else 1/3;
 //   - cost = sum of input scan costs + hash build/probe work + output rows,
 //     plus n*log2(n)*width/64 for ORDER BY;
 //   - UNION ALL adds rows and costs;
@@ -74,17 +84,34 @@ class CostEstimator : public CostOracle {
     double width = 0;
     RelSchema schema;
     std::vector<Provenance> prov;
+    /// Per column: the literals of the select items that fill it, if every
+    /// core fills it with one (one literal: a constant column); else empty.
+    /// Points into the estimated query's AST.
+    std::vector<std::vector<const Value*>> literals;
+    /// Column sets the relation is unique on.
+    std::vector<std::vector<size_t>> keys;
   };
 
   Result<EstRel> EstimateQueryRel(const sql::Query& query);
   Result<EstRel> EstimateCore(const sql::SelectCore& core);
   Result<EstRel> EstimateTableRef(const sql::TableRef& ref);
 
+  /// Joins `sides` (FROM items, or the two sides of a JOIN) under the
+  /// conjuncts of `pred` (null: a cross product). A left outer join keeps
+  /// every row of sides[0].
+  EstRel Join(std::vector<EstRel> sides, const sql::Expr* pred,
+              bool left_outer) const;
+
   /// Selectivity of a predicate over `rel` (provenance-aware).
   double Selectivity(const sql::Expr& pred, const EstRel& rel) const;
 
-  double DistinctOf(const EstRel& rel, const sql::ColumnRefExpr& ref) const;
-  double WidthOf(const EstRel& rel, const sql::ColumnRefExpr& ref) const;
+  /// The literals `expr` takes over `rel`: itself, if it is one; empty if
+  /// it is not a literal column.
+  std::vector<const Value*> LiteralsOf(const sql::Expr& expr,
+                                       const EstRel& rel) const;
+  double DistinctOf(const EstRel& rel, const sql::Expr& expr) const;
+  double DistinctAt(const EstRel& rel, size_t column) const;
+  double WidthOf(const EstRel& rel, size_t column) const;
 
   const Catalog* catalog_;
   const DatabaseStats* stats_;

@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "engine/estimator.h"
+#include "engine/executor.h"
 #include "engine/stats.h"
+#include "rxl/parser.h"
+#include "silkroute/greedy.h"
+#include "silkroute/partition.h"
+#include "silkroute/queries.h"
+#include "silkroute/sqlgen.h"
+#include "silkroute/view_tree.h"
 #include "tpch/generator.h"
 
 namespace silkroute::engine {
@@ -159,6 +169,95 @@ TEST_F(StatsEstimatorTest, DisjunctiveOnSelectivityIsSumOfBranches) {
       "select * from Supplier s left outer join Nation n "
       "on (s.nationkey = n.nationkey) or (s.suppkey = n.nationkey)");
   EXPECT_GE(two.rows, one.rows);
+}
+
+TEST_F(StatsEstimatorTest, CompositeKeyJoinEstimatesChildCardinality) {
+  // (partkey, suppkey) is PartSupp's key: every LineItem row meets one
+  // PartSupp row, not 1/V(partkey) * 1/V(suppkey) of them.
+  QueryEstimate e = Estimate(
+      "select * from PartSupp ps, LineItem l "
+      "where ps.partkey = l.partkey and ps.suppkey = l.suppkey");
+  double lineitems = stats_->RowCount("LineItem");
+  EXPECT_GT(e.rows, lineitems * 0.9);
+  EXPECT_LT(e.rows, lineitems * 1.1);
+}
+
+TEST_F(StatsEstimatorTest, ConstantColumnEqualityIsAllOrNothing) {
+  const std::string labeled =
+      "select D.k from (select 4 as L, s.suppkey as k from Supplier s) as D";
+  QueryEstimate all = Estimate(labeled);
+  QueryEstimate same = Estimate(labeled + " where D.L = 4");
+  QueryEstimate other = Estimate(labeled + " where D.L = 5");
+  EXPECT_DOUBLE_EQ(same.rows, all.rows);  // selectivity 1
+  EXPECT_DOUBLE_EQ(other.rows, 1.0);      // selectivity 0, floored at a row
+  // A constant column has one distinct value.
+  QueryEstimate distinct = Estimate(
+      "select distinct D.L from (select 4 as L from Supplier s) as D");
+  EXPECT_DOUBLE_EQ(distinct.rows, 1.0);
+}
+
+TEST_F(StatsEstimatorTest, KeyedParentOuterJoinChildEstimatesChildRows) {
+  // The parent is unique on the join column, so each child row meets one
+  // parent row and the outer join returns about one row per child.
+  QueryEstimate e = Estimate(
+      "select * from (select 1 as L1, s.suppkey as k from Supplier s) as P "
+      "left outer join (select 1 as L1, 4 as L2, ps.suppkey as k, "
+      "ps.partkey as pk from PartSupp ps) as C "
+      "on C.L2 = 4 and P.k = C.k");
+  double partsupps = stats_->RowCount("PartSupp");
+  EXPECT_GT(e.rows, partsupps * 0.9);
+  EXPECT_LT(e.rows, partsupps * 1.1);
+}
+
+TEST_F(StatsEstimatorTest, KeysSurviveDerivedTablesButNotUnion) {
+  // Through a derived table the parent stays unique on k ...
+  QueryEstimate keyed = Estimate(
+      "select * from (select s.suppkey as k from Supplier s) as P, "
+      "PartSupp ps where P.k = ps.suppkey");
+  EXPECT_DOUBLE_EQ(keyed.rows, stats_->RowCount("PartSupp"));
+  // ... but a two-core UNION may repeat k, so the join falls back to the
+  // per-column distinct counts.
+  QueryEstimate unioned = Estimate(
+      "select * from ((select s.suppkey as k from Supplier s) union all "
+      "(select s.suppkey as k from Supplier s)) as P, "
+      "PartSupp ps where P.k = ps.suppkey");
+  EXPECT_DOUBLE_EQ(unioned.rows, 2 * stats_->RowCount("PartSupp"));
+}
+
+TEST_F(StatsEstimatorTest, QueryComponentsEstimatedWithinTwoxOfTheirRows) {
+  // The oracle genPlan reads: every component of the unified, greedy and
+  // fully partitioned plans of Query 1 and Query 2 (reduced, outer-join
+  // style) is estimated within 2x of the rows it returns.
+  QueryExecutor executor(db_);
+  for (std::string_view rxl : {core::Query1Rxl(), core::Query2Rxl()}) {
+    auto view = rxl::ParseRxl(rxl);
+    ASSERT_TRUE(view.ok()) << view.status();
+    auto tree = core::ViewTree::Build(*view, db_->catalog());
+    ASSERT_TRUE(tree.ok()) << tree.status();
+    CostEstimator oracle(&db_->catalog(), stats_);
+    auto plan = core::GeneratePlanGreedy(*tree, &oracle, core::GreedyParams{});
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    std::vector<uint64_t> masks = plan->PlanMasks();
+    masks.push_back(core::Partition::Unified(*tree).mask());
+    masks.push_back(core::Partition::FullyPartitioned(*tree).mask());
+    core::SqlGenerator gen(&*tree, core::SqlGenStyle::kOuterJoin,
+                           /*reduce=*/true);
+    for (uint64_t mask : masks) {
+      auto partition = core::Partition::FromMask(*tree, mask);
+      ASSERT_TRUE(partition.ok()) << partition.status();
+      auto specs = gen.GeneratePlan(*partition);
+      ASSERT_TRUE(specs.ok()) << specs.status();
+      for (const auto& spec : *specs) {
+        QueryEstimate e = Estimate(spec.sql);
+        auto rows = executor.ExecuteRows(spec.sql, 0, nullptr);
+        ASSERT_TRUE(rows.ok()) << rows.status();
+        double actual = std::max<double>(rows->size(), 1.0);
+        EXPECT_LE(std::max(e.rows / actual, actual / e.rows), 2.0)
+            << "mask " << mask << ": estimated " << e.rows << ", returned "
+            << actual << "\n" << spec.sql;
+      }
+    }
+  }
 }
 
 TEST_F(StatsEstimatorTest, UnknownTableIsError) {

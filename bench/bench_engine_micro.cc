@@ -1,6 +1,7 @@
 // E8 — google-benchmark micro suite for the relational substrate: the
 // operator throughputs that the cost model abstracts (scan+filter, hash
-// join on integer and string keys, disjunctive outer join, sort, wire
+// join on integer and string keys, disjunctive outer join, sort (out of
+// order, and Query 1's order component arriving in order), wire
 // serialization, end-to-end plan execution, the engine layer of one
 // Query 1 plan alone and with its bind), plus the client-side merge/tag
 // layer on bound streams (Query 1's greedy plan, and its fully
@@ -12,7 +13,9 @@
 #include <memory>
 #include <sstream>
 #include <streambuf>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "engine/executor.h"
@@ -114,6 +117,35 @@ void BM_SortWideRelation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SortWideRelation);
+
+void BM_OrderByInOrder(benchmark::State& state) {
+  // Query 1's order component in the fully partitioned plan: a five-way
+  // join whose seven non-literal ORDER BY keys arrive in key order, so
+  // the sort is one pass over the keys' words. Handed over as Rows.
+  static Publisher* publisher = new Publisher(SharedDb());
+  static ViewTree* tree =
+      new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
+  SqlGenerator gen(tree, SqlGenStyle::kOuterJoin, /*reduce=*/true);
+  const std::vector<StreamSpec> specs =
+      gen.GeneratePlan(Partition::FullyPartitioned(*tree)).value();
+  std::string sql;
+  for (const StreamSpec& spec : specs) {
+    if (spec.sql.find("Orders o") != std::string::npos) {
+      sql = spec.sql;
+      break;
+    }
+  }
+  for (auto _ : state) {
+    engine::QueryExecutor exec(SharedDb());
+    auto rows = exec.ExecuteRows(sql, 0, nullptr);
+    if (!rows.ok()) {
+      state.SkipWithError(rows.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+}
+BENCHMARK(BM_OrderByInOrder);
 
 void BM_WireSerialization(benchmark::State& state) {
   engine::QueryExecutor exec(SharedDb());

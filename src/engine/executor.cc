@@ -362,6 +362,36 @@ struct KeyCell {
   }
 };
 
+/// An ascending sort-key cell as one word (DESIGN.md §10), `cell` null for
+/// NULL: NULL is 0 and a numeric is its codec image, so unsigned word order
+/// is the codec's byte order. False for a cell no word carries: a string,
+/// a numeric whose segment has a tiebreaker (magnitude at or above 2^53),
+/// and the one NaN pattern whose image is 0, NULL's word.
+bool SortWord(const KeyCell* cell, uint64_t* word) {
+  if (cell == nullptr) {
+    *word = 0;
+    return true;
+  }
+  *word = cell->num.image;
+  return cell->Exact() && *word != 0;
+}
+bool SortWord(const Value& v, uint64_t* word) {
+  if (v.is_null()) return SortWord(nullptr, word);
+  const KeyCell cell = KeyCell::Of(v);
+  return SortWord(&cell, word);
+}
+
+/// Whether rows 0..n-1 are already in order: no row sorts before the one
+/// ahead of it under `less(a, b)`. Equal keys are in order, as the sort's
+/// input-order tiebreak would leave them.
+template <typename Less>
+bool InOrder(size_t n, const Less& less) {
+  for (size_t g = 1; g < n; ++g) {
+    if (less(g, g - 1)) return false;
+  }
+  return true;
+}
+
 /// Flat open-addressing hash index over join keys of `width` words (one
 /// KeyCell word per key column). Each distinct word tuple owns one chain
 /// of row ids threaded through `next_` in insertion order, so a probe
@@ -709,6 +739,31 @@ struct QueryExecutor::Input {
     return true;
   }
 
+  /// Column c's sort words (SortWord), XORed with `flip`: row i's at
+  /// out[i * stride]. False at the first cell no word carries.
+  bool SortWords(size_t c, uint64_t flip, uint64_t* out,
+                 size_t stride) const {
+    const Column& col = cols[c];
+    const std::vector<uint32_t>& id = ids[col.source];
+    const ColumnVector* column = TableColumn(col);
+    for (size_t i = 0; i < rows; ++i, out += stride) {
+      const uint32_t r = id[i];
+      KeyCell cell;
+      bool null = r == kNullRow;
+      if (!null && column != nullptr) {
+        null = column->IsNull(r);
+        if (!null) cell = KeyCell::Of(*column, r);
+      } else if (!null) {
+        const Value& v = Held(col, r);
+        null = v.is_null();
+        if (!null) cell = KeyCell::Of(v);
+      }
+      if (!SortWord(null ? nullptr : &cell, out)) return false;
+      *out ^= flip;
+    }
+    return true;
+  }
+
   /// Appends the sort-key encoding of cell (i, c).
   void EncodeCell(size_t i, size_t c, bool descending,
                   std::string* out) const {
@@ -877,6 +932,7 @@ void QueryExecutor::AnnotateSpan(size_t result_rows) const {
   obs::AnnotateCurrent("keys_encoded", std::to_string(stats_.keys_encoded));
   obs::AnnotateCurrent("bytes_encoded", std::to_string(stats_.bytes_encoded));
   obs::AnnotateCurrent("keys_verified", std::to_string(stats_.keys_verified));
+  obs::AnnotateCurrent("sorts_in_order", std::to_string(stats_.sorts_in_order));
   obs::AnnotateCurrent("result_rows", std::to_string(result_rows));
 }
 
@@ -1479,19 +1535,19 @@ Result<std::vector<uint32_t>> QueryExecutor::SortRows(
   // Resolve every key per core: against the output schema first, whose
   // column j is each core's item j; a single core without DISTINCT may
   // also sort on its input columns.
-  struct KeyCell {
+  struct KeySource {
     int col = -1;                       // a batch column, or
     const Value* constant = nullptr;    // a constant, or
     std::function<Value(size_t)> eval;  // a value computed per row
   };
   const RelSchema& out_schema = cores[0].schema;
-  std::vector<std::vector<KeyCell>> keys(cores.size());
+  std::vector<std::vector<KeySource>> keys(cores.size());
   std::vector<std::unique_ptr<RowExprs>> computed;  // the evals' bindings
   for (size_t k = 0; k < cores.size(); ++k) {
     Core& core = cores[k];
     const bool input_keys = cores.size() == 1 && !core.distinct;
     for (const auto& o : order_by) {
-      KeyCell cell;
+      KeySource cell;
       bool found = false;
       if (o.expr->kind() == Expr::Kind::kColumnRef) {
         const auto& c = static_cast<const sql::ColumnRefExpr&>(*o.expr);
@@ -1549,94 +1605,116 @@ Result<std::vector<uint32_t>> QueryExecutor::SortRows(
   for (size_t j = 0; j < order_by.size(); ++j) {
     if (cores.size() > 1 || keys[0][j].constant == nullptr) used.push_back(j);
   }
-  auto value_of = [&](size_t k, const KeyCell& cell, size_t i) {
+  auto value_of = [&](size_t k, const KeySource& cell, size_t i) {
     if (cell.col >= 0) {
       return cores[k].in.Cell(i, static_cast<size_t>(cell.col));
     }
     return cell.constant != nullptr ? *cell.constant : cell.eval(i);
   };
 
-  std::vector<uint32_t> order(n);
-  // Fast path: at most two keys, all columns or constants holding only
-  // non-null numerics (the shape the view composer's skolem-key ORDER BYs
-  // take). Each key packs into one machine word whose unsigned order
-  // equals the encoded-segment order, so the sort runs over flat PODs and
-  // never builds a byte buffer.
-  bool numeric = used.size() <= 2;
-  for (size_t k = 0; k < cores.size() && numeric; ++k) {
-    for (size_t j : used) {
-      const KeyCell& cell = keys[k][j];
-      if (cell.eval) numeric = false;
-      for (size_t i = 0; i < cores[k].in.size() && numeric; ++i) {
-        const Value v = value_of(k, cell, i);
-        // Tiebreaker-carrying magnitudes (>= 2^53) must take the byte
-        // path: the word alone would order them differently.
-        if (!(v.is_int64() || v.is_double()) || !NumericFitsWord(v)) {
-          numeric = false;
-        }
+  stats_.rows_sorted += n;
+  stats_.keys_encoded += n;
+
+  // The keys as words (DESIGN.md §10), read column by column straight from
+  // the batch: row g's words at [g * width, +width), DESC ones
+  // complemented, so unsigned word order is the codec's byte order.
+  const size_t width = used.size();
+  std::vector<uint64_t> words(n * width);
+  bool on_words = true;
+  for (size_t w = 0; w < width && on_words; ++w) {
+    const size_t j = used[w];
+    const uint64_t flip = order_by[j].ascending ? 0 : ~uint64_t{0};
+    for (size_t k = 0; k < cores.size() && on_words; ++k) {
+      const KeySource& key = keys[k][j];
+      const Input& in = cores[k].in;
+      uint64_t* out = words.data() + first[k] * width + w;
+      if (key.col >= 0) {
+        on_words = in.SortWords(static_cast<size_t>(key.col), flip, out, width);
+      } else if (key.constant != nullptr) {
+        uint64_t word = 0;
+        on_words = SortWord(*key.constant, &word);
+        for (size_t i = 0; i < in.size(); ++i, out += width) *out = word ^ flip;
+      } else {
+        on_words = false;  // a computed key
       }
     }
   }
-  if (numeric) {
+  if (on_words) {
+    stats_.bytes_encoded += n * 8 * width;
+    const uint64_t* base = words.data();
+    const auto less = [base, width](size_t a, size_t b) {
+      return std::lexicographical_compare(base + a * width,
+                                          base + (a + 1) * width,
+                                          base + b * width,
+                                          base + (b + 1) * width);
+    };
+    if (InOrder(n, less)) {
+      ++stats_.sorts_in_order;
+      return std::vector<uint32_t>{};
+    }
+    SILK_RETURN_IF_ERROR(CheckDeadline());
+    // Records inline the first two words, so most comparisons never touch
+    // the word array; a third word on is read only on a two-word tie.
     struct WordRec {
       uint64_t k0;
       uint64_t k1;
       uint32_t idx;
     };
     std::vector<WordRec> recs(n);
-    for (size_t k = 0; k < cores.size(); ++k) {
-      for (size_t i = 0; i < cores[k].in.size(); ++i) {
-        uint64_t words[2] = {0, 0};
-        for (size_t w = 0; w < used.size(); ++w) {
-          const size_t j = used[w];
-          const uint64_t bits = OrderedNumericBits(value_of(k, keys[k][j], i));
-          words[w] = order_by[j].ascending ? bits : ~bits;
-        }
-        const size_t g = first[k] + i;
-        recs[g] = {words[0], words[1], static_cast<uint32_t>(g)};
-      }
+    for (size_t g = 0; g < n; ++g) {
+      const uint64_t* row = base + g * width;
+      recs[g] = {row[0], width > 1 ? row[1] : 0, static_cast<uint32_t>(g)};
     }
-    stats_.keys_encoded += n;
-    stats_.bytes_encoded += n * 8 * used.size();
-    SILK_RETURN_IF_ERROR(CheckDeadline());
     std::sort(recs.begin(), recs.end(),
-              [](const WordRec& a, const WordRec& b) {
+              [base, width](const WordRec& a, const WordRec& b) {
                 if (a.k0 != b.k0) return a.k0 < b.k0;
                 if (a.k1 != b.k1) return a.k1 < b.k1;
-                return a.idx < b.idx;  // stable order on full ties
+                for (size_t w = 2; w < width; ++w) {
+                  const uint64_t x = base[a.idx * width + w];
+                  const uint64_t y = base[b.idx * width + w];
+                  if (x != y) return x < y;
+                }
+                return a.idx < b.idx;  // equal keys keep input order
               });
+    std::vector<uint32_t> order(n);
     for (size_t g = 0; g < n; ++g) order[g] = recs[g].idx;
-    stats_.rows_sorted += n;
     return order;
   }
+  words = {};
 
-  // Encode one packed sort key per row (key_codec.h): ascending segments
-  // use the order-preserving encoding directly, descending segments are
-  // byte-complemented, so the whole composite key sorts by memcmp — no
-  // variant dispatch in the comparator. Keys are packed back-to-back in
-  // one flat buffer; `ends[g]` marks where row g's key stops.
+  // A string, a magnitude at or above 2^53 or a computed key: one packed
+  // codec key per row (key_codec.h), DESC segments byte-complemented, so
+  // the composite key sorts by memcmp. Keys are packed back-to-back in one
+  // flat buffer; `ends[g]` marks where row g's key stops.
+  ++stats_.sorts_on_bytes;
   std::string buf;
   std::vector<size_t> ends(n + 1, 0);
-  buf.reserve(n * 9 * used.size());  // a numeric segment is 9 bytes
+  buf.reserve(n * 9 * width);  // a numeric segment is 9 bytes
   for (size_t k = 0; k < cores.size(); ++k) {
     const Input& in = cores[k].in;
     for (size_t i = 0; i < in.size(); ++i) {
       for (size_t j : used) {
-        const KeyCell& cell = keys[k][j];
+        const KeySource& key = keys[k][j];
         const bool descending = !order_by[j].ascending;
-        if (cell.col >= 0) {
-          in.EncodeCell(i, static_cast<size_t>(cell.col), descending, &buf);
+        if (key.col >= 0) {
+          in.EncodeCell(i, static_cast<size_t>(key.col), descending, &buf);
         } else {
-          EncodeOrdered(value_of(k, cell, i), descending, &buf);
+          EncodeOrdered(value_of(k, key, i), descending, &buf);
         }
       }
       ends[first[k] + i + 1] = buf.size();
     }
   }
-  stats_.keys_encoded += n;
   stats_.bytes_encoded += buf.size();
-  SILK_RETURN_IF_ERROR(CheckDeadline());
   const char* base = buf.data();
+  const auto key_of = [base, &ends](size_t g) {
+    return std::string_view(base + ends[g], ends[g + 1] - ends[g]);
+  };
+  if (InOrder(n, [&](size_t a, size_t b) { return key_of(a) < key_of(b); })) {
+    ++stats_.sorts_in_order;
+    return std::vector<uint32_t>{};
+  }
+  SILK_RETURN_IF_ERROR(CheckDeadline());
   // Sort flat records instead of a bare permutation: each record inlines
   // the first eight key bytes (big-endian, zero-padded) so the vast
   // majority of comparisons resolve on one integer compare without
@@ -1673,8 +1751,8 @@ Result<std::vector<uint32_t>> QueryExecutor::SortRows(
               // same result stable_sort gave, without its merge buffer.
               return a.idx < b.idx;
             });
+  std::vector<uint32_t> order(n);
   for (size_t g = 0; g < n; ++g) order[g] = recs[g].idx;
-  stats_.rows_sorted += n;
   return order;
 }
 

@@ -63,9 +63,14 @@ struct ExecStats {
   uint64_t hash_joins = 0;
   uint64_t keys_encoded = 0;      // keys built (join/sort/distinct)
   uint64_t bytes_encoded = 0;     // bytes of key encoding produced (a join
-                                  // key counts 8 per word)
+                                  // or sort key counts 8 per word)
   uint64_t keys_verified = 0;     // join candidates whose words matched but
                                   // whose codec segments had to be compared
+  uint64_t sorts_in_order = 0;    // ORDER BYs whose input was already in
+                                  // key order, so no comparison sort ran
+  uint64_t sorts_on_bytes = 0;    // ORDER BYs keyed on codec bytes (a string,
+                                  // a magnitude >= 2^53 or a computed key),
+                                  // not words
 };
 
 /// Abstract connection to the target RDBMS: one call per component query,
@@ -208,7 +213,8 @@ class QueryExecutor : public SqlExecutor {
   /// Keeps the rows of `in` on which every filter is true.
   Status FilterRows(const std::vector<const sql::Expr*>& filters, Input* in);
   /// The ORDER BY permutation of the rows of `cores` (numbered core by
-  /// core), ties kept in that numbering's order.
+  /// core), ties kept in that numbering's order; empty when the rows are
+  /// already in order.
   Result<std::vector<uint32_t>> SortRows(
       const std::vector<sql::OrderItem>& order_by, std::vector<Core>& cores);
 
@@ -263,7 +269,9 @@ class Rows {
 
   RelSchema schema_;
   std::vector<Core> cores_;      // empty: a handed-over Relation's tuples_
-  std::vector<uint32_t> order_;  // numbered core by core; empty: unordered
+  std::vector<uint32_t> order_;  // numbered core by core; empty: the
+                                 // cores' own order (no ORDER BY, or
+                                 // rows already in key order)
   size_t size_ = 0;
   std::vector<Tuple> tuples_;
 };

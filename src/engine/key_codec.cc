@@ -85,18 +85,6 @@ void EncodeRowKey(const Tuple& row, std::string* out) {
   for (const Value& v : row.values()) EncodeValue(v, out);
 }
 
-namespace {
-
-NumericSegment SegmentOf(const Value& v) {
-  return v.is_int64() ? Int64Segment(v.AsInt64()) : DoubleSegment(v.AsDouble());
-}
-
-}  // namespace
-
-uint64_t OrderedNumericBits(const Value& v) { return SegmentOf(v).image; }
-
-bool NumericFitsWord(const Value& v) { return !SegmentOf(v).has_tie; }
-
 void EncodeColumnValue(const ColumnVector& column, size_t row,
                        std::string* out) {
   if (column.IsNull(row)) {

@@ -63,7 +63,8 @@ void EncodeDouble(double v, std::string* out);
 void EncodeString(std::string_view v, std::string* out);
 
 /// A numeric value's segment as machine words: `image` is the 8 bytes after
-/// the 0x01 tag (OrderedNumericBits), and `tie` the int64 tiebreaker the
+/// the 0x01 tag as a host integer (unsigned order is numeric order), and
+/// `tie` the int64 tiebreaker the
 /// segment appends when `has_tie` (image magnitude >= 2^53; 0 otherwise).
 /// Two numeric segments are byte-equal iff their images and ties are
 /// equal; `has_tie` is a function of the image.
@@ -164,20 +165,6 @@ void EncodeColumnValue(const ColumnVector& column, size_t row,
 /// EncodeValueDescending on the materialized Value.
 void EncodeColumnValueDescending(const ColumnVector& column, size_t row,
                                  std::string* out);
-
-/// The 8-byte payload a non-null numeric Value contributes to its encoded
-/// segment, as a host integer: unsigned comparison of two payloads equals
-/// numeric order. Lets all-numeric sort keys pack into machine words and
-/// skip the byte buffer entirely. Precondition: v.is_int64() or
-/// v.is_double().
-uint64_t OrderedNumericBits(const Value& v);
-
-/// True when OrderedNumericBits alone is order-exact for `v` among
-/// numerics — i.e. the encoded segment carries no tiebreaker. False at
-/// image magnitudes >= 2^53; word-packed sort keys must fall back to the
-/// byte path there so the two paths order giant keys identically.
-/// Precondition: v.is_int64() or v.is_double().
-bool NumericFitsWord(const Value& v);
 
 /// Bump-pointer arena giving encoded keys stable, contiguous storage for
 /// the duration of one query operator. Interned keys are returned as

@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "common/string_util.h"
+#include "sql/parser.h"
 
 namespace silkroute::sql {
 
@@ -32,6 +33,11 @@ Result<std::vector<Token>> Tokenize(std::string_view input) {
     if (c == '-' && i + 1 < n && input[i + 1] == '-') {
       while (i < n && input[i] != '\n') ++i;
       continue;
+    }
+    if (tokens.size() == kMaxTokens) {
+      return Status::InvalidArgument(
+          "SQL text exceeds the limit of " + std::to_string(kMaxTokens) +
+          " tokens at offset " + std::to_string(i));
     }
     size_t start = i;
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {

@@ -34,7 +34,9 @@ struct Token {
   }
 };
 
-/// Tokenizes `input`; the final token is always kEnd.
+/// Tokenizes `input`; the final token is always kEnd. Input of more than
+/// kMaxTokens tokens (sql/parser.h) is kInvalidArgument, refused before
+/// the vector grows past them.
 Result<std::vector<Token>> Tokenize(std::string_view input);
 
 /// True if `word` (lowercased) is a reserved SQL keyword of this dialect.

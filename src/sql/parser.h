@@ -26,6 +26,15 @@ inline constexpr size_t kMaxNestingDepth = 256;
 /// parsed tree stay within the stack.
 inline constexpr size_t kMaxTreeHeight = 1024;
 
+/// The token budget of one SQL text (DDL included), checked while it is
+/// lexed: 1,024 tokens per level of kMaxTreeHeight, 2^20 in all. Text far
+/// past the other budgets (10^5 nested derived tables, 10^5 `or a = 1`
+/// terms) still reaches the parser and gets its error, while the token
+/// vector stays near 50 MB (48 bytes a token) whatever the text's length;
+/// the largest component genPlan writes for Query 1 or Query 2 is about
+/// 2,000 tokens. Longer text is kInvalidArgument.
+inline constexpr size_t kMaxTokens = 1024 * kMaxTreeHeight;
+
 /// Parses a complete query (SELECT ... [UNION ALL ...] [ORDER BY ...]).
 /// Fails if trailing tokens remain.
 Result<QueryPtr> ParseQuery(std::string_view sql);

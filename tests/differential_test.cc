@@ -6,13 +6,15 @@
 // which the engine inlines, or carrying UNION ALL, ORDER BY or a computed
 // item, which it materializes — UNION ALL, literal select items,
 // single-source filters, DISTINCT, ORDER BY over up to four mixed-type
-// keys; join keys over small integers, strings, and the DOUBLE column's
-// mixed and tiebreaker-regime numerics). Every query exists twice: as SQL text for the engine, and as a
-// structured description that a deliberately naive nested-loop evaluator
-// in this file runs over the harness's own copy of the generated tuples —
-// never the engine's tables, parser, planner, or key codec. The reference
-// needs nothing but Value::Compare (WHERE under three-valued logic, ORDER
-// BY) and Tuple::Compare (DISTINCT).
+// keys on tables stored in random, key, reversed or nearly key order;
+// join keys over small integers, strings, and the DOUBLE column's mixed
+// and tiebreaker-regime numerics). Every query exists twice: as SQL text
+// for the engine, and as a structured description that a deliberately
+// naive nested-loop evaluator in this file runs over the harness's own
+// copy of the generated tuples — never the engine's tables, parser,
+// planner, or key codec. The reference needs nothing but Value::Compare
+// (WHERE under three-valued logic, ORDER BY) and Tuple::Compare
+// (DISTINCT).
 //
 // Agreement rules:
 //  - status: both succeed, or both fail (e.g. DISTINCT or UNION with an
@@ -22,7 +24,8 @@
 //    bitwise);
 //  - with DISTINCT, equal sets under Tuple::Compare;
 //  - when every ORDER BY key is projected, the engine's rows are also
-//    non-decreasing in the ASC/DESC keys;
+//    non-decreasing in the ASC/DESC keys, and they are the same query's
+//    unordered rows stably sorted: equal keys keep their input order;
 //  - the bind: the engine's result bound straight from its batch
 //    (TupleStream(Rows)) is byte-identical to SerializeTuple over the same
 //    query's Relation, NULLs, -0.0 and the DOUBLE column's int64 cells
@@ -118,17 +121,33 @@ void BuildDatabaseInto(Rng& rng, GenDb* gen) {
     Table* table = *gen->db.GetTable(name);
     std::vector<Tuple> copy;
     for (size_t r = 0; r < rows; ++r) {
-      Tuple row{
+      copy.push_back(Tuple{
           Chance(rng, 15) ? Value::Null()
                           : Value::Int64(static_cast<int64_t>(rng() % 10)),
           Chance(rng, 15) ? Value::Null()
                           : Value::Int64(static_cast<int64_t>(rng() % 10)),
           Chance(rng, 30) ? Value::Null() : RandomDoubleColValue(rng),
           Chance(rng, 20) ? Value::Null() : RandomStringColValue(rng),
-      };
-      ASSERT_TRUE(table->Insert(row).ok());
-      copy.push_back(std::move(row));
+      });
     }
+    // Scans emit rows in storage order, so a table stored in key order
+    // (as TPC-H's are) hands ORDER BY input that is in order, reversed or
+    // nearly in order (two adjacent pairs swapped).
+    const uint32_t layout = rng() % 100;
+    if (layout >= 60) {
+      std::stable_sort(copy.begin(), copy.end(),
+                       [](const Tuple& a, const Tuple& b) {
+                         return a.Compare(b) < 0;
+                       });
+    }
+    if (layout >= 75 && layout < 85) std::reverse(copy.begin(), copy.end());
+    if (layout >= 85) {
+      for (int swaps = 0; swaps < 2; ++swaps) {
+        const size_t r = Pick(rng, rows - 1);
+        std::swap(copy[r], copy[r + 1]);
+      }
+    }
+    for (const Tuple& row : copy) ASSERT_TRUE(table->Insert(row).ok());
     gen->data.push_back(std::move(copy));
   }
 }
@@ -300,10 +319,12 @@ struct CoreSpec {
 };
 
 /// An ORDER BY key: a literal select item of the first core by its alias,
-/// or a qualified column in that core's scope.
+/// or a qualified column in that core's scope, or the computed `<key
+/// column> + 0`, which orders as the column does.
 struct OrderKey {
   int item = -1;  // >= 0: literal item, named by alias
   ColRef col{0, 0};
+  bool plus_zero = false;
   bool ascending = true;
 };
 
@@ -324,7 +345,7 @@ struct QuerySpec {
       sql += (i > 0 ? ", " : " ORDER BY ") +
              (k.item >= 0 ? first().select[static_cast<size_t>(k.item)].alias
                           : first().Column(k.col)) +
-             (k.ascending ? "" : " DESC");
+             (k.plus_zero ? " + 0" : "") + (k.ascending ? "" : " DESC");
     }
     return sql;
   }
@@ -534,7 +555,8 @@ std::shared_ptr<CoreSpec> GenerateDerived(Rng& rng, size_t num_tables,
 ///    plan's shape) or comma-joined, or one beside a base table,
 ///  - UNION ALL of two comma cores,
 /// plus literal select items, single-source filters, DISTINCT (single
-/// core), and 1-4 ORDER BY keys (three or more take the byte-key path).
+/// core), and 1-4 ORDER BY keys (numerics and NULLs sort as words; a
+/// string, a magnitude past 2^53 or a computed key, on codec bytes).
 QuerySpec GenerateQuery(Rng& rng, size_t num_tables) {
   QuerySpec q;
   const uint32_t shape = rng() % 100;
@@ -605,6 +627,10 @@ QuerySpec GenerateQuery(Rng& rng, size_t num_tables) {
       } else {
         key.col = RandomCol(rng, first);
       }
+      // Over a UNION the key would be evaluated on the other core's item
+      // in the same position, which may hold strings.
+      key.plus_zero = !is_union && key.item < 0 && first.IsKey(key.col) &&
+                      Chance(rng, 20);
       q.order_by.push_back(key);
     }
   }
@@ -827,6 +853,60 @@ std::string RowToString(const Tuple& t) {
   return out + ")";
 }
 
+/// The output column of every ORDER BY key, or false when a key is not
+/// projected.
+bool ProjectedKeys(const QuerySpec& q, std::vector<size_t>* key_cols) {
+  const std::vector<Item>& select = q.first().select;
+  for (const OrderKey& k : q.order_by) {
+    if (k.item >= 0) {
+      key_cols->push_back(static_cast<size_t>(k.item));
+      continue;
+    }
+    const auto it =
+        std::find_if(select.begin(), select.end(), [&](const Item& item) {
+          return !item.literal && SameCol(item.col, k.col);
+        });
+    if (it == select.end()) return false;
+    key_cols->push_back(static_cast<size_t>(it - select.begin()));
+  }
+  return true;
+}
+
+/// The tie check, when every ORDER BY key is projected: the ordered result
+/// is the same query's unordered result (which the multiset check above
+/// holds to the reference), stably sorted under Value::Compare, so rows
+/// with equal keys (3 and 3.0, -0.0 and 0.0, two NULLs) keep the order
+/// the cores produced them in. Returns the first disagreement, or "".
+std::string TieDisagreement(const QuerySpec& q, const Relation& ordered,
+                            const Database& db) {
+  std::vector<size_t> key_cols;
+  if (q.order_by.empty() || !ProjectedKeys(q, &key_cols)) return "";
+  QuerySpec unordered = q;
+  unordered.order_by.clear();
+  QueryExecutor executor(&db);
+  Result<Relation> plain = executor.ExecuteSql(unordered.Sql());
+  if (!plain.ok()) return "unordered query fails: " + plain.status().ToString();
+  std::vector<Tuple> expected = plain->rows;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](const Tuple& a, const Tuple& b) {
+                     for (size_t j = 0; j < key_cols.size(); ++j) {
+                       const int c = a[key_cols[j]].Compare(b[key_cols[j]]);
+                       if (c == 0) continue;
+                       return q.order_by[j].ascending ? c < 0 : c > 0;
+                     }
+                     return false;
+                   });
+  if (expected.size() != ordered.rows.size()) return "row counts differ";
+  for (size_t i = 0; i < expected.size(); ++i) {
+    if (ExactKey(expected[i]) != ExactKey(ordered.rows[i])) {
+      return "row " + std::to_string(i) + " is " +
+             RowToString(ordered.rows[i]) + ", a stable sort of the "
+             "unordered result puts " + RowToString(expected[i]) + " there";
+    }
+  }
+  return "";
+}
+
 /// Compares the engine's rows against the reference's under the rules in
 /// the file comment; returns the first disagreement, or "".
 std::string Disagreement(const QuerySpec& q, const Reference& ref,
@@ -891,19 +971,7 @@ std::string Disagreement(const QuerySpec& q, const Reference& ref,
 
   // Sortedness, when every ORDER BY key is projected.
   std::vector<size_t> key_cols;
-  const std::vector<Item>& select = q.first().select;
-  for (const OrderKey& k : q.order_by) {
-    if (k.item >= 0) {
-      key_cols.push_back(static_cast<size_t>(k.item));
-      continue;
-    }
-    const auto it =
-        std::find_if(select.begin(), select.end(), [&](const Item& item) {
-          return !item.literal && SameCol(item.col, k.col);
-        });
-    if (it == select.end()) return "";
-    key_cols.push_back(static_cast<size_t>(it - select.begin()));
-  }
+  if (!ProjectedKeys(q, &key_cols)) return "";
   const std::vector<Tuple>& rows = engine->rows;
   for (size_t i = 1; i < rows.size(); ++i) {
     for (size_t j = 0; j < key_cols.size(); ++j) {
@@ -1040,6 +1108,7 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
       literal_key = 0, derived_union = 0, derived_order = 0,
       derived_computed = 0;
   int word_matches = 0, verified = 0;
+  int sorts_in_order = 0, word_sorts = 0, byte_sorts = 0, computed_keys = 0;
   int bound_nulls = 0, bound_negative_zeros = 0, bound_mixed_columns = 0;
   for (int i = 0; i < num_queries; ++i) {
     const uint32_t seed = kBaseSeed + static_cast<uint32_t>(i);
@@ -1059,6 +1128,10 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     const Reference ref = RunReference(gen.data, q);
     const std::string diff = Disagreement(q, ref, engine);
     ASSERT_EQ(diff, "") << "seed=" << seed << "\nsql: " << sql;
+    if (engine.ok()) {
+      ASSERT_EQ(TieDisagreement(q, *engine, gen.db), "")
+          << "seed=" << seed << "\nsql: " << sql;
+    }
     QueryExecutor batch_executor(&gen.db);
     Result<engine::Rows> rows = batch_executor.ExecuteRows(sql, 0, nullptr);
     ASSERT_EQ(rows.ok(), engine.ok()) << "seed=" << seed << "\nsql: " << sql;
@@ -1079,6 +1152,8 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     literals += std::any_of(first.select.begin(), first.select.end(),
                             [](const Item& item) { return item.literal; });
     long_keys += q.order_by.size() >= 3 ? 1 : 0;
+    computed_keys += std::any_of(q.order_by.begin(), q.order_by.end(),
+                                 [](const OrderKey& k) { return k.plus_zero; });
     one_sided_on += std::any_of(first.on.begin(), first.on.end(),
                                 [](const Pred& p) {
                                   return p.kind != Pred::Kind::kColEq;
@@ -1098,6 +1173,14 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     verified += stats.keys_verified > 0;
     word_matches += stats.keys_verified == 0 && stats.hash_joins > 0 &&
                     engine.ok() && !engine->rows.empty();
+    // The ORDER BY path of a query with at least two rows to order (and
+    // no ORDER BY of its own in a derived table).
+    if (!q.order_by.empty() && !shapes.order_by && engine.ok() &&
+        engine->rows.size() >= 2) {
+      sorts_in_order += stats.sorts_in_order > 0;
+      word_sorts += stats.sorts_in_order == 0 && stats.sorts_on_bytes == 0;
+      byte_sorts += stats.sorts_in_order == 0 && stats.sorts_on_bytes > 0;
+    }
   }
   std::printf(
       "derived shapes: padded literal %d, own outer join %d, nested %d, "
@@ -1107,6 +1190,9 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
       derived_union, derived_order, derived_computed);
   std::printf("join matches: words only %d, verified candidates %d\n",
               word_matches, verified);
+  std::printf(
+      "ORDER BY: in order %d, word sort %d, byte sort %d, computed key %d\n",
+      sorts_in_order, word_sorts, byte_sorts, computed_keys);
   std::printf(
       "bound results with: NULL %d, -0.0 %d, int64 and double in one column "
       "%d\n",
@@ -1132,6 +1218,10 @@ TEST(DifferentialTest, EngineMatchesNestedLoopReference) {
     EXPECT_GT(derived_computed, num_queries / 100);
     EXPECT_GT(word_matches, num_queries / 100);
     EXPECT_GT(verified, num_queries / 100);
+    EXPECT_GT(sorts_in_order, num_queries / 100);
+    EXPECT_GT(word_sorts, num_queries / 100);
+    EXPECT_GT(byte_sorts, num_queries / 100);
+    EXPECT_GT(computed_keys, num_queries / 100);
     EXPECT_GT(bound_nulls, num_queries / 100);
     EXPECT_GT(bound_negative_zeros, num_queries / 100);
     EXPECT_GT(bound_mixed_columns, num_queries / 100);

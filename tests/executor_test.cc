@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -552,6 +553,234 @@ TEST_F(JoinEqualityTest, WordTiesAreSettledByTheCodecSegment) {
   EXPECT_EQ(Run("select a.id, b.id from J a, J b where a.id = b.id"),
             (std::vector<Pair>{{0, 0}, {1, 1}}));
   EXPECT_EQ(stats_.keys_verified, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ORDER BY: the in-order check, the word sort and the byte sort
+// ---------------------------------------------------------------------------
+
+/// K(id, a INT64, d DOUBLE, s STRING), all but id nullable, whose rows a
+/// test loads in the order it wants ORDER BY to meet them: a scan hands
+/// them over in that order. The reference is the loaded rows stably sorted
+/// under Value::Compare, so equal keys keep their load order; the test
+/// compares ids, so 3 and 3.0 (or -0.0 and 0.0) are told apart.
+class OrderByTest : public ::testing::Test {
+ protected:
+  struct Key {
+    size_t col;  // 1 = a, 2 = d, 3 = s
+    bool ascending;
+  };
+
+  void Load(const std::vector<Tuple>& rows) {
+    ASSERT_TRUE(db_.CreateTable(TableSchema("K",
+                                            {{"id", DataType::kInt64, false},
+                                             {"a", DataType::kInt64, true},
+                                             {"d", DataType::kDouble, true},
+                                             {"s", DataType::kString, true}}))
+                    .ok());
+    int64_t id = 0;
+    for (const Tuple& row : rows) {
+      Tuple full{Value::Int64(id++)};
+      for (const Value& v : row.values()) full.Append(v);
+      ASSERT_TRUE(db_.Insert("K", full).ok());
+      rows_.push_back(std::move(full));
+    }
+  }
+
+  std::vector<int64_t> Expected(const std::vector<Key>& keys) const {
+    std::vector<Tuple> rows = rows_;
+    std::stable_sort(rows.begin(), rows.end(),
+                     [&](const Tuple& x, const Tuple& y) {
+                       for (const Key& k : keys) {
+                         const int c = x[k.col].Compare(y[k.col]);
+                         if (c != 0) return k.ascending ? c < 0 : c > 0;
+                       }
+                       return false;
+                     });
+    return Ids(rows);
+  }
+
+  /// The ids `sql` returns, its counters in stats_.
+  std::vector<int64_t> Run(const std::string& sql) {
+    QueryExecutor exec(&db_);
+    auto result = exec.ExecuteSql(sql);
+    EXPECT_TRUE(result.ok()) << sql << "\n" << result.status();
+    stats_ = exec.stats();
+    return result.ok() ? Ids(result->rows) : std::vector<int64_t>{};
+  }
+
+  /// Runs `select * from K order by <keys>` and checks it against the
+  /// reference; `in_order` and `bytes` are the path it must take.
+  void ExpectSorted(const std::vector<Key>& keys, bool in_order, bool bytes) {
+    static const char* const kNames[] = {"id", "a", "d", "s"};
+    std::string sql = "select * from K order by ";
+    for (size_t i = 0; i < keys.size(); ++i) {
+      sql += std::string(i > 0 ? ", " : "") + kNames[keys[i].col] +
+             (keys[i].ascending ? "" : " desc");
+    }
+    EXPECT_EQ(Run(sql), Expected(keys)) << sql;
+    EXPECT_EQ(stats_.sorts_in_order, in_order ? 1u : 0u) << sql;
+    EXPECT_EQ(stats_.sorts_on_bytes, bytes ? 1u : 0u) << sql;
+    EXPECT_EQ(stats_.rows_sorted, rows_.size()) << sql;
+    EXPECT_EQ(stats_.keys_encoded, rows_.size()) << sql;
+  }
+
+  static std::vector<int64_t> Ids(const std::vector<Tuple>& rows) {
+    std::vector<int64_t> ids;
+    for (const Tuple& row : rows) ids.push_back(row[0].AsInt64());
+    return ids;
+  }
+
+  Database db_;
+  std::vector<Tuple> rows_;
+  ExecStats stats_;
+};
+
+constexpr int64_t kBig = int64_t{1} << 53;  // past it a word is not exact
+
+Tuple Row(Value a, Value d = Value::Null(), Value s = Value::Null()) {
+  return Tuple{std::move(a), std::move(d), std::move(s)};
+}
+
+/// 40 rows whose (a, d) pairs ascend, ties on a included, in layout
+/// `layout`: 0 as they are, 1 reversed, 2 with rows 30 and 31 (equal on a)
+/// swapped.
+std::vector<Tuple> PairsInLayout(int layout) {
+  std::vector<Tuple> rows;
+  for (int64_t i = 0; i < 40; ++i) {
+    rows.push_back(Row(Value::Int64(i / 3), Value::Double(0.5 * (i % 3))));
+  }
+  if (layout == 1) std::reverse(rows.begin(), rows.end());
+  if (layout == 2) std::swap(rows[30], rows[31]);
+  return rows;
+}
+
+TEST_F(OrderByTest, InputAlreadyInOrderRunsNoSort) {
+  Load(PairsInLayout(0));
+  ExpectSorted({{1, true}, {2, true}}, true, false);
+  ExpectSorted({{1, true}}, true, false);
+  // Three words: the third is read from the word array on two-word ties.
+  ExpectSorted({{1, true}, {1, false}, {2, true}}, true, false);
+  ExpectSorted({{1, false}, {2, false}}, false, false);
+  ExpectSorted({{1, false}, {1, true}, {2, false}}, false, false);
+}
+
+TEST_F(OrderByTest, ReversedInputIsSorted) {
+  Load(PairsInLayout(1));
+  ExpectSorted({{1, true}, {2, true}}, false, false);
+  ExpectSorted({{1, true}}, false, false);
+  ExpectSorted({{1, true}, {1, false}, {2, true}}, false, false);
+  ExpectSorted({{1, false}, {2, false}}, true, false);
+}
+
+TEST_F(OrderByTest, NearlyInOrderInputIsSorted) {
+  Load(PairsInLayout(2));
+  ExpectSorted({{1, true}, {2, true}}, false, false);
+  ExpectSorted({{1, true}}, true, false);  // the swapped rows tie on a
+  ExpectSorted({{1, true}, {1, false}, {2, true}}, false, false);
+  ExpectSorted({{1, false}, {2, false}}, false, false);
+}
+
+TEST_F(OrderByTest, NullKeysSortFirstAscendingAndLastDescending) {
+  Load({Row(Value::Int64(2)), Row(Value::Null()), Row(Value::Int64(-1)),
+        Row(Value::Null(), Value::Double(1.5)), Row(Value::Int64(0))});
+  ExpectSorted({{1, true}}, false, false);
+  ExpectSorted({{1, false}}, false, false);
+  ExpectSorted({{1, true}, {2, false}}, false, false);
+  ExpectSorted({{2, true}, {1, true}}, false, false);
+  EXPECT_EQ(Run("select * from K order by a").front(), 1);  // a NULL first
+  EXPECT_EQ(Run("select * from K order by a desc").back(), 3);
+}
+
+TEST_F(OrderByTest, CrossTypeTiesKeepInputOrder) {
+  // 3 and 3.0 tie, as do -0.0, 0.0 and 0: input order decides, on input
+  // that is already in order and on input that needs the sort.
+  Load({Row(Value::Int64(1), Value::Double(-0.0)),
+        Row(Value::Int64(1), Value::Double(0.0)),
+        Row(Value::Int64(1), Value::Int64(0)),
+        Row(Value::Int64(1), Value::Double(3.0)),
+        Row(Value::Int64(1), Value::Int64(3)),
+        Row(Value::Int64(0), Value::Int64(0)),
+        Row(Value::Int64(0), Value::Double(-0.0)),
+        Row(Value::Int64(0), Value::Int64(3)),
+        Row(Value::Int64(0), Value::Double(3.0))});
+  ExpectSorted({{2, true}}, false, false);
+  ExpectSorted({{2, false}}, false, false);
+  ExpectSorted({{1, false}, {2, true}}, true, false);
+  ExpectSorted({{1, true}, {2, true}}, false, false);
+  EXPECT_EQ(Run("select * from K where a = 1 order by d"),
+            (std::vector<int64_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(stats_.sorts_in_order, 1u);
+}
+
+TEST_F(OrderByTest, GiantAndStringKeysTakeTheByteSort) {
+  // 2^53 + 1 and 2^53 share a word (the image 2^53), so the words alone
+  // would keep them in input order: the byte sort's tiebreaker puts 2^53
+  // first. A string key, and a double past 2^53, take the byte sort too.
+  Load({Row(Value::Int64(kBig + 1), Value::Double(1e300), Value::String("b")),
+        Row(Value::Int64(kBig), Value::Double(-1e300), Value::String("")),
+        Row(Value::Int64(-kBig), Value::Int64(kBig + 2), Value::Null()),
+        Row(Value::Null(), Value::Double(static_cast<double>(kBig)),
+            Value::String("a")),
+        Row(Value::Int64(7), Value::Double(2.5), Value::String("a"))});
+  ExpectSorted({{1, true}}, false, true);
+  ExpectSorted({{1, false}}, false, true);
+  ExpectSorted({{2, true}}, false, true);
+  ExpectSorted({{3, true}, {1, true}}, false, true);
+  ExpectSorted({{3, false}, {2, false}}, false, true);
+  EXPECT_EQ(Run("select * from K where a < 9 order by s"),
+            (std::vector<int64_t>{2, 4}));  // a NULL string, then "a"
+  EXPECT_EQ(stats_.sorts_in_order, 1u);
+  EXPECT_EQ(stats_.sorts_on_bytes, 1u);
+}
+
+TEST_F(OrderByTest, NoNumericWordCollidesWithNull) {
+  // The all-ones NaN's image is 0, NULL's word: such a key takes the byte
+  // sort, where NULL's tag sorts below every numeric.
+  uint64_t bits = ~uint64_t{0};
+  double nan = 0;
+  std::memcpy(&nan, &bits, sizeof(nan));
+  Load({Row(Value::Int64(1), Value::Double(nan)), Row(Value::Int64(2)),
+        Row(Value::Int64(3), Value::Double(nan))});
+  EXPECT_EQ(Run("select * from K order by d"),
+            (std::vector<int64_t>{1, 0, 2}));
+  EXPECT_EQ(stats_.sorts_on_bytes, 1u);
+  EXPECT_EQ(Run("select * from K order by d desc"),
+            (std::vector<int64_t>{0, 2, 1}));
+}
+
+TEST_F(OrderByTest, UnionAllAndComputedKeys) {
+  Load({Row(Value::Int64(5)), Row(Value::Int64(1)), Row(Value::Null()),
+        Row(Value::Int64(9)), Row(Value::Int64(1))});
+  // Rows are numbered core by core: in order only across both cores.
+  EXPECT_EQ(Run("(select id, a from K where a >= 5) union all "
+                "(select id, a from K where a < 5) order by a"),
+            (std::vector<int64_t>{1, 4, 0, 3}));
+  EXPECT_EQ(stats_.sorts_in_order, 0u);
+  EXPECT_EQ(stats_.sorts_on_bytes, 0u);
+  EXPECT_EQ(Run("(select id, a from K where a < 5) union all "
+                "(select id, a from K where a >= 5) order by a"),
+            (std::vector<int64_t>{1, 4, 0, 3}));
+  EXPECT_EQ(stats_.sorts_in_order, 1u);
+  // Each core's literal is a key of its own rows, as the outer-union
+  // plans' `L1` is: the literal orders the cores, then a within each.
+  EXPECT_EQ(Run("(select id, 2 as L, a from K where a >= 5) union all "
+                "(select id, 1 as L, a from K where a < 5 or a is null) "
+                "order by L, a desc"),
+            (std::vector<int64_t>{1, 4, 2, 3, 0}));
+  EXPECT_EQ(stats_.sorts_in_order, 0u);
+  EXPECT_EQ(stats_.sorts_on_bytes, 0u);
+  EXPECT_EQ(Run("(select id, 1 as L, a from K where a < 5) union all "
+                "(select id, 2 as L, a from K where a >= 5) order by L"),
+            (std::vector<int64_t>{1, 4, 0, 3}));
+  EXPECT_EQ(stats_.sorts_in_order, 1u);
+  // A computed key takes the byte sort, in either direction.
+  ExpectSorted({{1, true}}, false, false);
+  EXPECT_EQ(Run("select * from K order by a + 0"), Expected({{1, true}}));
+  EXPECT_EQ(stats_.sorts_on_bytes, 1u);
+  EXPECT_EQ(Run("select * from K order by a + 0 desc"),
+            Expected({{1, false}}));
+  EXPECT_EQ(stats_.sorts_on_bytes, 1u);
 }
 
 TEST(ExecutorTimeoutTest, CrossProductStopsAtTheDeadline) {

@@ -3,6 +3,8 @@
 // later trips an internal invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -22,6 +24,7 @@
 #include "silkroute/queries.h"
 #include "silkroute/sqlgen.h"
 #include "silkroute/subview.h"
+#include "sql/lexer.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 #include "xml/dtd.h"
@@ -282,9 +285,45 @@ TEST(FuzzTest, SqlParserAddsHeightAcrossDerivedTables) {
   }
 }
 
-TEST(FuzzTest, TreeHeightAdmitsGeneratedSql) {
+// --- Token budget ------------------------------------------------------------
+// The lexer stores every token before the parser applies a budget, so it
+// refuses text past kMaxTokens itself: before it, a query frame near
+// kMaxFramePayload of one-character tokens made the engine server build
+// a token vector of about 1.5 GB.
+
+TEST(FuzzTest, SqlLexerRefusesTextPastItsTokenBudget) {
+  auto words = [](size_t n) {
+    std::string out;
+    for (size_t i = 0; i < n; ++i) out.append("a ");
+    return out;
+  };
+  auto at_budget = sql::Tokenize(words(sql::kMaxTokens));
+  ASSERT_TRUE(at_budget.ok()) << at_budget.status();
+  EXPECT_EQ(at_budget->size(), sql::kMaxTokens + 1);  // and kEnd
+  const Status past = sql::Tokenize(words(sql::kMaxTokens + 1)).status();
+  EXPECT_EQ(past.code(), StatusCode::kInvalidArgument) << past;
+  EXPECT_NE(past.message().find("limit of " + std::to_string(sql::kMaxTokens) +
+                                " tokens"),
+            std::string::npos)
+      << past;
+  // Text that no other budget refuses: a flat select list of 1.2 * 10^6
+  // tokens. And an `or` chain of 10^6 operands, which the height budget
+  // refuses too, but only after its 2 * 10^6 tokens used to be stored.
+  std::string wide = "select a";
+  for (size_t i = 1; i < 600000; ++i) wide.append(", a");
+  wide.append(" from T");
+  for (const std::string& text : {wide, ChainedSql(1000000).front().second}) {
+    const Status status = sql::ParseQuery(text).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+    EXPECT_NE(status.message().find("tokens"), std::string::npos) << status;
+  }
+}
+
+TEST(FuzzTest, ParserBudgetsAdmitGeneratedSql) {
   // Every component genPlan can choose for Query 1 and Query 2, in both
-  // SQL styles, parses: the height budget only refuses hostile input.
+  // SQL styles, parses, and stays far below the token budget: the budgets
+  // only refuse hostile input.
+  size_t most_tokens = 0;
   auto db = core::testutil::MakeTinyTpch(0.001);
   for (std::string_view rxl : {core::Query1Rxl(), core::Query2Rxl()}) {
     core::ViewTree tree = core::testutil::MustBuildTree(rxl, db->catalog());
@@ -301,11 +340,15 @@ TEST(FuzzTest, TreeHeightAdmitsGeneratedSql) {
           for (const auto& spec : *specs) {
             auto parsed = sql::ParseQuery(spec.sql);
             ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << spec.sql;
+            most_tokens =
+                std::max(most_tokens, sql::Tokenize(spec.sql)->size());
           }
         }
       }
     }
   }
+  std::printf("largest generated component: %zu tokens\n", most_tokens);
+  EXPECT_LT(most_tokens * 32, sql::kMaxTokens);
 }
 
 // --- Binary decoders (the wire protocol's hostile-input surface) ----------

@@ -11,6 +11,7 @@
 #include "engine/executor.h"
 #include "engine/tuple_stream.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "silkroute/partition.h"
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
@@ -272,6 +273,45 @@ TEST(PublisherTest, Query1BuildsEachResultCellOnce) {
               ->value(),
           expected)
           << "reduce=" << reduce;
+    }
+  }
+}
+
+// Sec. 3.3 sorts every component query on its Skolem keys. genPlan lists
+// them root first, TPC-H tables are stored in key order, scans keep that
+// order and hash joins emit probe order, then ascending build row: so each
+// of Query 1's ORDER BYs meets its rows already in order, and the engine
+// runs no sort (DESIGN.md §10). A join or SQL-generation change that
+// breaks the order fails here rather than slowing publishes down.
+TEST(PublisherTest, Query1OrderBysMeetTheirRowsInOrder) {
+  for (PlanStrategy strategy :
+       {PlanStrategy::kUnified, PlanStrategy::kGreedy,
+        PlanStrategy::kFullyPartitioned}) {
+    obs::CollectingSink sink;
+    obs::Tracer tracer(&sink);
+    PublishOptions opt;
+    opt.strategy = strategy;
+    opt.reduce = true;
+    opt.tracer = &tracer;
+    std::ostringstream out;
+    auto published = env()->publisher().Publish(Query1Rxl(), opt, &out);
+    ASSERT_TRUE(published.ok()) << published.status();
+    size_t attempts = 0;
+    for (const obs::Span& span : sink.spans()) {
+      if (span.name != "attempt") continue;
+      ++attempts;
+      std::string in_order, rows;
+      for (const obs::Annotation& a : span.annotations) {
+        if (a.key == "sorts_in_order") in_order = a.value;
+        if (a.key == "result_rows") rows = a.value;
+      }
+      EXPECT_EQ(in_order, "1") << "strategy " << static_cast<int>(strategy)
+                               << ", a component of " << rows << " rows";
+    }
+    ASSERT_GT(attempts, 0u);
+    ASSERT_EQ(attempts, published->metrics.sql.size());
+    for (const std::string& sql : published->metrics.sql) {
+      EXPECT_NE(sql.find("order by"), std::string::npos) << sql;
     }
   }
 }

@@ -29,6 +29,11 @@ std::string Enc(const Value& v) {
   return out;
 }
 
+/// A numeric's segment as words, which join and sort keys are read as.
+NumericSegment Segment(const Value& v) {
+  return v.is_int64() ? Int64Segment(v.AsInt64()) : DoubleSegment(v.AsDouble());
+}
+
 std::string EncDesc(const Value& v) {
   std::string out;
   EncodeValueDescending(v, &out);
@@ -171,13 +176,13 @@ TEST(KeyCodecTest, GiantCrossTypeExactTiesEncodeIdentically) {
   EXPECT_GT(ByteCompare(Enc(Value::Double(9007199254742016.0)),
                         Enc(Value::Int64(kExact))),
             0);
-  // NumericFitsWord flags exactly the tiebreaker-carrying magnitudes, so
-  // the word-packed sort fast path excludes them.
-  EXPECT_TRUE(NumericFitsWord(Value::Int64(kExact - 1)));
-  EXPECT_FALSE(NumericFitsWord(Value::Int64(kExact)));
-  EXPECT_FALSE(NumericFitsWord(Value::Int64(-kExact)));
-  EXPECT_TRUE(NumericFitsWord(Value::Double(1e15)));
-  EXPECT_FALSE(NumericFitsWord(Value::Double(1e300)));
+  // has_tie flags exactly the tiebreaker-carrying magnitudes, so sort and
+  // join words (one image each) leave them to the codec bytes.
+  EXPECT_FALSE(Segment(Value::Int64(kExact - 1)).has_tie);
+  EXPECT_TRUE(Segment(Value::Int64(kExact)).has_tie);
+  EXPECT_TRUE(Segment(Value::Int64(-kExact)).has_tie);
+  EXPECT_FALSE(Segment(Value::Double(1e15)).has_tie);
+  EXPECT_TRUE(Segment(Value::Double(1e300)).has_tie);
 }
 
 /// Join-key equality, stated over a Tuple: `row[cols[0]], row[cols[1]],
@@ -258,14 +263,14 @@ TEST(KeyCodecTest, CompositeKeysOrderLikeTupleCompare) {
   }
 }
 
-TEST(KeyCodecTest, OrderedNumericBitsMatchesCompare) {
+TEST(KeyCodecTest, NumericImageMatchesCompare) {
   const std::vector<Value> vals = Corpus();
   for (const Value& a : vals) {
     if (a.is_null() || (!a.is_int64() && !a.is_double())) continue;
-    const uint64_t ba = OrderedNumericBits(a);
+    const uint64_t ba = Segment(a).image;
     for (const Value& b : vals) {
       if (b.is_null() || (!b.is_int64() && !b.is_double())) continue;
-      const uint64_t bb = OrderedNumericBits(b);
+      const uint64_t bb = Segment(b).image;
       const int want = Sign(a.Compare(b));
       EXPECT_EQ((ba < bb) ? -1 : (ba > bb ? 1 : 0), want);
       // Complemented bits reverse the order (DESC sort keys).

@@ -164,6 +164,23 @@ TEST_F(NetFixture, LongOrChainGetsAnErrorFrameAndTheServerStaysUp) {
   EXPECT_EQ(answered->rows.size(), 1u);
 }
 
+TEST_F(NetFixture, TokenFloodGetsAnErrorFrameAndTheServerStaysUp) {
+  // 4M one-character tokens (8 MB, far below kMaxFramePayload): the lexer
+  // used to store all of them, 48 bytes each, before any budget applied;
+  // it now refuses the text past sql::kMaxTokens.
+  RemoteSqlExecutor remote(RemoteOpts(server_->port()));
+  std::string flood = "select";
+  for (int i = 0; i < (1 << 22); ++i) flood += " a";
+  auto refused = remote.ExecuteSql(flood);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status();
+  auto answered =
+      remote.ExecuteSql("select suppkey from Supplier where suppkey = 1");
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(answered->rows.size(), 1u);
+}
+
 TEST_F(NetFixture, NestedJoinChainsGetAnErrorFrameAndTheServerStaysUp) {
   // 255 derived tables nested one in another, each the left end of a
   // 1,000-JOIN chain (about 6 MB): every chain alone fits the height

@@ -285,10 +285,12 @@ class DiscardBuf : public std::streambuf {
 
 /// The tag layer alone: `specs` are executed and bound once, then every
 /// iteration rewinds the streams and re-runs the merge into a discarding
-/// sink. Reports how many root-instance ranges the tagger cut.
+/// sink, cut into `ranges` root-instance ranges (0: as the row count and
+/// the idle lanes allow). Reports how many ranges the tagger cut.
 void TagBoundStreams(benchmark::State& state, Database* db,
                      const ViewTree* tree,
-                     const std::vector<StreamSpec>& specs) {
+                     const std::vector<StreamSpec>& specs,
+                     size_t ranges_wanted = 0) {
   std::vector<std::unique_ptr<engine::TupleStream>> streams;
   for (const StreamSpec& spec : specs) {
     engine::QueryExecutor exec(db);
@@ -305,7 +307,10 @@ void TagBoundStreams(benchmark::State& state, Database* db,
       inputs.push_back({&specs[i], streams[i].get()});
     }
     xml::XmlWriter writer(&sink);
-    Tagger tagger(tree, &writer, Tagger::Options{"suppliers"});
+    Tagger::Options options;
+    options.document_element = "suppliers";
+    options.ranges = ranges_wanted;
+    Tagger tagger(tree, &writer, options);
     Status tagged = tagger.Run(std::move(inputs));
     if (tagged.ok()) tagged = writer.Finish();
     if (!tagged.ok()) {
@@ -331,18 +336,29 @@ void BM_TagQuery1(benchmark::State& state) {
 }
 BENCHMARK(BM_TagQuery1);
 
-void BM_TagQuery1ConfigA(benchmark::State& state) {
-  // Query 1's fully partitioned streams at Config A (TPC-H scale 0.025):
-  // the whole view, large enough to tag in one range per core.
+/// Query 1's fully partitioned streams at Config A (TPC-H scale 0.025):
+/// the whole view, large enough to tag in one range per core.
+void TagQuery1ConfigA(benchmark::State& state, size_t ranges_wanted) {
   static Database* db = bench::MakeDatabase(0.025).release();
   static ViewTree* tree = new ViewTree(
       Publisher(db).BuildViewTree(Query1Rxl()).value());
   SqlGenerator gen(tree, SqlGenStyle::kOuterJoin, /*reduce=*/false);
   TagBoundStreams(state, db, tree,
-                  gen.GeneratePlan(Partition::FullyPartitioned(*tree))
-                      .value());
+                  gen.GeneratePlan(Partition::FullyPartitioned(*tree)).value(),
+                  ranges_wanted);
+}
+
+void BM_TagQuery1ConfigA(benchmark::State& state) {
+  TagQuery1ConfigA(state, /*ranges_wanted=*/0);
 }
 BENCHMARK(BM_TagQuery1ConfigA);
+
+/// The same streams in one range on the calling thread: the merge's own
+/// CPU time, which the threaded row above spreads over its helpers.
+void BM_TagQuery1ConfigAOneRange(benchmark::State& state) {
+  TagQuery1ConfigA(state, /*ranges_wanted=*/1);
+}
+BENCHMARK(BM_TagQuery1ConfigAOneRange);
 
 }  // namespace
 

@@ -362,18 +362,16 @@ struct KeyCell {
   }
 };
 
-/// An ascending sort-key cell as one word (DESIGN.md §10), `cell` null for
-/// NULL: NULL is 0 and a numeric is its codec image, so unsigned word order
-/// is the codec's byte order. False for a cell no word carries: a string,
-/// a numeric whose segment has a tiebreaker (magnitude at or above 2^53),
+/// An ascending sort-key cell as one word (NumericKeyWord, DESIGN.md §10),
+/// `cell` null for NULL. False for a cell no word carries: a string, a
+/// numeric whose segment has a tiebreaker (magnitude at or above 2^53),
 /// and the one NaN pattern whose image is 0, NULL's word.
 bool SortWord(const KeyCell* cell, uint64_t* word) {
   if (cell == nullptr) {
     *word = 0;
     return true;
   }
-  *word = cell->num.image;
-  return cell->Exact() && *word != 0;
+  return !cell->is_string && NumericKeyWord(cell->num, word);
 }
 bool SortWord(const Value& v, uint64_t* word) {
   if (v.is_null()) return SortWord(nullptr, word);
@@ -837,6 +835,11 @@ class QueryExecutor::RowExprs {
   bool Test(const Input& left, size_t l, const Input& right, uint32_t r) {
     return AllTrue(Load(left, l, right, r));
   }
+  /// The first failed expression's status (BoundExpr::status).
+  Status status() const {
+    for (const auto& e : exprs_) SILK_RETURN_IF_ERROR(e->status());
+    return Status::OK();
+  }
 
  private:
   std::vector<BoundExprPtr> exprs_;
@@ -996,6 +999,21 @@ Result<Rows> QueryExecutor::Execute(const sql::Query& query) {
   if (!query.order_by.empty()) {
     SILK_ASSIGN_OR_RETURN(rows.order_, SortRows(query.order_by, cores));
   }
+  // Computed items are evaluated again when the rows are bound, which
+  // cannot fail: evaluate them once here, so that arithmetic on a
+  // non-numeric value is this query's error.
+  for (Core& core : cores) {
+    if (core.exprs.empty()) continue;
+    for (size_t i = 0; i < core.in.size(); ++i) {
+      SILK_RETURN_IF_ERROR(Tick());
+      for (size_t j = 0; j < core.items.size(); ++j) {
+        if (core.items[j].kind == Core::Item::Kind::kExpr) {
+          (void)core.ItemValue(i, j);
+        }
+      }
+    }
+    SILK_RETURN_IF_ERROR(core.exprs.status());
+  }
   rows.cores_ = std::move(cores);
   return rows;
 }
@@ -1028,6 +1046,7 @@ Result<QueryExecutor::Core> QueryExecutor::ExecuteCore(
       core.items.push_back(
           {Core::Item::Kind::kConstant, core.constants.size()});
       core.constants.push_back(bound->Eval(Tuple()));
+      SILK_RETURN_IF_ERROR(bound->status());
     } else {
       core.items.push_back({Core::Item::Kind::kExpr, core.exprs.size()});
       SILK_RETURN_IF_ERROR(core.exprs.Add(e, in_schema));
@@ -1241,6 +1260,7 @@ Status QueryExecutor::FilterRows(const std::vector<const Expr*>& filters,
     SILK_RETURN_IF_ERROR(Tick());
     if (preds.Test(*in, i)) keep.push_back(static_cast<uint32_t>(i));
   }
+  SILK_RETURN_IF_ERROR(preds.status());
   in->Keep(keep);
   return Status::OK();
 }
@@ -1401,6 +1421,8 @@ Result<QueryExecutor::Input> QueryExecutor::HashJoin(
       rrows.push_back(Input::kNullRow);
     }
   }
+  SILK_RETURN_IF_ERROR(gate.status());
+  SILK_RETURN_IF_ERROR(pair_preds.status());
   stats_.rows_joined += lrows.size();
   return Input::Join(left, right, lrows, rrows);
 }
@@ -1490,6 +1512,10 @@ Result<QueryExecutor::Input> QueryExecutor::DisjunctiveHashJoin(
       rrows.push_back(r);
     }
   }
+  for (const Disjunct& plan : plans) {
+    SILK_RETURN_IF_ERROR(plan.left_filters.status());
+    SILK_RETURN_IF_ERROR(plan.right_filters.status());
+  }
   stats_.rows_joined += lrows.size();
   return Input::Join(left, right, lrows, rrows);
 }
@@ -1518,6 +1544,7 @@ Result<QueryExecutor::Input> QueryExecutor::NestedLoopJoin(
       rrows.push_back(Input::kNullRow);
     }
   }
+  SILK_RETURN_IF_ERROR(pred.status());
   stats_.rows_joined += lrows.size();
   return Input::Join(left, right, lrows, rrows);
 }
@@ -1705,6 +1732,7 @@ Result<std::vector<uint32_t>> QueryExecutor::SortRows(
       ends[first[k] + i + 1] = buf.size();
     }
   }
+  for (const auto& e : computed) SILK_RETURN_IF_ERROR(e->status());
   stats_.bytes_encoded += buf.size();
   const char* base = buf.data();
   const auto key_of = [base, &ends](size_t g) {

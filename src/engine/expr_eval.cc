@@ -59,18 +59,26 @@ class BinaryBound final : public BoundExpr {
         Value l = left_->Eval(row);
         Value r = right_->Eval(row);
         if (l.is_null() || r.is_null()) return Value::Null();
+        if (l.is_string() || r.is_string()) {
+          non_numeric_ = true;
+          return Value::Null();
+        }
         if (l.is_int64() && r.is_int64() && op_ != BinaryOp::kDiv) {
-          int64_t a = l.AsInt64(), b = r.AsInt64();
+          const int64_t a = l.AsInt64(), b = r.AsInt64();
+          int64_t exact = 0;
+          bool overflow = false;
           switch (op_) {
             case BinaryOp::kAdd:
-              return Value::Int64(a + b);
+              overflow = __builtin_add_overflow(a, b, &exact);
+              break;
             case BinaryOp::kSub:
-              return Value::Int64(a - b);
-            case BinaryOp::kMul:
-              return Value::Int64(a * b);
+              overflow = __builtin_sub_overflow(a, b, &exact);
+              break;
             default:
+              overflow = __builtin_mul_overflow(a, b, &exact);
               break;
           }
+          if (!overflow) return Value::Int64(exact);
         }
         double a = l.AsNumeric(), b = r.AsNumeric();
         switch (op_) {
@@ -88,6 +96,16 @@ class BinaryBound final : public BoundExpr {
       }
     }
     return Value::Null();
+  }
+
+  Status status() const override {
+    if (non_numeric_) {
+      return Status::InvalidArgument(
+          std::string("arithmetic on a non-numeric value: '") +
+          sql::BinaryOpToSql(op_) + "' needs numbers");
+    }
+    SILK_RETURN_IF_ERROR(left_->status());
+    return right_->status();
   }
 
   Tribool Test(const Tuple& row) const override {
@@ -145,6 +163,7 @@ class BinaryBound final : public BoundExpr {
   BinaryOp op_;
   BoundExprPtr left_;
   BoundExprPtr right_;
+  mutable bool non_numeric_ = false;  // see status()
 };
 
 class NotBound final : public BoundExpr {
@@ -163,6 +182,8 @@ class NotBound final : public BoundExpr {
     return t == Tribool::kTrue ? Tribool::kFalse : Tribool::kTrue;
   }
 
+  Status status() const override { return operand_->status(); }
+
  private:
   BoundExprPtr operand_;
 };
@@ -180,6 +201,8 @@ class IsNullBound final : public BoundExpr {
     bool is_null = operand_->Eval(row).is_null();
     return FromBool(negated_ ? !is_null : is_null);
   }
+
+  Status status() const override { return operand_->status(); }
 
  private:
   BoundExprPtr operand_;

@@ -5,6 +5,8 @@
 //
 // NULL semantics: comparisons involving NULL are "unknown", which predicates
 // treat as false (SQL's WHERE semantics); arithmetic with NULL yields NULL;
+// arithmetic on a string yields NULL and marks the expression failed (see
+// status()); int64 + - * that would overflow yields the double result;
 // IS NULL / IS NOT NULL observe NULLs directly; NOT(unknown) is false at the
 // predicate boundary (conservative, sufficient for this dialect).
 #ifndef SILKROUTE_ENGINE_EXPR_EVAL_H_
@@ -32,6 +34,10 @@ class BoundExpr {
 
   /// Predicate evaluation with three-valued logic.
   virtual Tribool Test(const Tuple& row) const;
+
+  /// kInvalidArgument once any evaluation so far met arithmetic on a
+  /// non-numeric value; the caller that evaluated rows checks it.
+  virtual Status status() const { return Status::OK(); }
 };
 
 using BoundExprPtr = std::unique_ptr<BoundExpr>;

@@ -61,6 +61,14 @@ void EncodeDouble(double d, std::string* out) {
   AppendNumber(DoubleSegment(d), out);
 }
 
+void AppendKeyWord(uint64_t word, std::string* out) {
+  if (word == 0) {
+    out->push_back(kTagNull);
+  } else {
+    AppendNumber(NumericSegment{word, 0, false}, out);
+  }
+}
+
 void EncodeValue(const Value& v, std::string* out) {
   if (v.is_null()) {
     out->push_back(kTagNull);

@@ -141,6 +141,21 @@ inline NumericSegment DoubleSegment(double v) {
   return seg;
 }
 
+/// A key cell as one word, for the sort and the tagger (DESIGN.md §10):
+/// NULL is 0 and a numeric is its segment's image, so unsigned word order
+/// is the codec's byte order. False for a numeric no word carries: one
+/// whose segment has a tiebreaker (magnitude at or above 2^53), or the one
+/// NaN whose image is 0, NULL's word. A string has no word either.
+inline bool NumericKeyWord(const NumericSegment& seg, uint64_t* word) {
+  *word = seg.image;
+  return !seg.has_tie && seg.image != 0;
+}
+
+/// Appends the segment a key word stands for: the NULL segment for 0, else
+/// the numeric segment of that image. Byte-identical to EncodeValue on any
+/// value whose word it is.
+void AppendKeyWord(uint64_t word, std::string* out);
+
 /// Like EncodeValue but with every emitted byte complemented, so memcmp
 /// order is reversed (ORDER BY ... DESC segments). Safe to mix ascending
 /// and descending segments in one composite key: segments are

@@ -633,6 +633,7 @@ Result<PublishResult> Publisher::Run(const PublishOptions& options,
   tag_span.AnnotateMs("ms", metrics.tag_ms);
   tag_span.AnnotateCount("ranges", tagger.stats().ranges);
   tag_span.AnnotateCount("threads", tagger.stats().threads);
+  tag_span.AnnotateCount("byte_key_ranges", tagger.stats().byte_key_ranges);
   tag_span.End();
   metrics.xml_bytes = writer.bytes_written();
   metrics.xml_flushes = writer.flushes();

@@ -21,6 +21,24 @@ void EncodeField(const WireField& f, std::string* out) {
   engine::EncodeValue(Value::Null(), out);
 }
 
+/// A key cell's word (engine::NumericKeyWord; NULL is 0, so 3 meets 3.0
+/// and -0.0 meets 0.0). False for a cell no word carries: a string, a
+/// magnitude at or above 2^53, and the NaN whose image is 0.
+bool FieldWord(const WireField& f, uint64_t* word) {
+  switch (f.kind) {
+    case WireField::Kind::kNull:
+      *word = 0;
+      return true;
+    case WireField::Kind::kInt64:
+      return engine::NumericKeyWord(engine::Int64Segment(f.i), word);
+    case WireField::Kind::kDouble:
+      return engine::NumericKeyWord(engine::DoubleSegment(f.d), word);
+    case WireField::Kind::kString:
+      break;
+  }
+  return false;
+}
+
 /// Runs fn(i) for every i < n, fn(0) on the calling thread first, the rest
 /// in index order on it and up to `threads - 1` new threads, all joined
 /// before it returns. One index starts no thread.
@@ -54,6 +72,8 @@ struct Tagger::Source {
   std::vector<size_t> null_cols;
   std::vector<int> key_cols;            // per key position: column or -1
   std::vector<std::string> key_consts;  // encoding where key_cols is -1
+  std::vector<uint64_t> key_words;      // word where key_cols is -1
+  bool const_words = true;              // every constant has a word
   std::vector<int> value_cols;          // per kValue item: column or -1
 
   bool Present(const std::vector<WireField>& row) const {
@@ -64,6 +84,21 @@ struct Tagger::Source {
     }
     for (size_t col : null_cols) {
       if (row[col].kind != WireField::Kind::kNull) return false;
+    }
+    return true;
+  }
+
+  /// Writes the word of every key position read from `row` to out[p].
+  /// False at the first cell no word carries.
+  bool KeyWords(const std::vector<WireField>& row, uint64_t* out) const {
+    if (!const_words) return false;
+    for (size_t p = 0; p < key_cols.size(); ++p) {
+      const int col = key_cols[p];
+      if (col < 0) {
+        out[p] = key_words[p];
+      } else if (!FieldWord(row[static_cast<size_t>(col)], &out[p])) {
+        return false;
+      }
     }
     return true;
   }
@@ -145,6 +180,18 @@ class alignas(64) Tagger::Range {
     return streams_[slot.first].slots[slot.second].key;
   }
 
+  // Key order, equality and position equality, on words or on bytes.
+  int Compare(const Key& a, const Key& b) const;
+  bool Same(const Key& a, const Key& b) const {
+    return on_bytes_ ? a.bytes == b.bytes : a.words == b.words;
+  }
+  bool SamePosition(const Key& a, const Key& b, size_t p) const {
+    return on_bytes_ ? a.Position(p) == b.Position(p)
+                     : a.words[p] == b.words[p];
+  }
+  /// Moves the range onto codec bytes for good, rewriting every live key.
+  void SwitchToBytes();
+
   Status Refill(uint32_t stream_index);
   Status EmitInstance(int node_id, const Key& key,
                       const std::vector<WireField>* values);
@@ -162,6 +209,7 @@ class alignas(64) Tagger::Range {
   // Entries past depth_ keep their buffers for reuse.
   std::vector<OpenElement> stack_;
   size_t depth_ = 0;
+  bool on_bytes_ = false;  // keys are codec bytes, not words
 };
 
 Tagger::Tagger(const ViewTree* tree, xml::XmlWriter* writer, Options options)
@@ -221,15 +269,23 @@ Status Tagger::Range::Refill(uint32_t stream_index) {
       Captured& slot = s.slots[s.cursor];
       if (!s.staged_valid) {
         if (!source.Present(s.row)) continue;
-        s.staged.bytes.clear();
-        s.staged.bounds.assign(1, 0);
-        source.EncodeKey(s.row, t_->num_positions_, &s.staged.bytes,
-                         &s.staged.bounds);
+        if (!on_bytes_) {
+          s.staged.words.resize(t_->num_positions_);
+          if (!source.KeyWords(s.row, s.staged.words.data())) {
+            SwitchToBytes();
+          }
+        }
+        if (on_bytes_) {
+          s.staged.bytes.clear();
+          s.staged.bounds.assign(1, 0);
+          source.EncodeKey(s.row, t_->num_positions_, &s.staged.bytes,
+                           &s.staged.bounds);
+        }
         s.staged_valid = true;
       }
       // Fused instances must pass through equal-key repeats: each rule's
       // row contributes values that merge into the one element.
-      if (!source.spec->fused && slot.key.bytes == s.staged.bytes) {
+      if (!source.spec->fused && Same(slot.key, s.staged)) {
         ++stats_.duplicates_skipped;
         s.staged_valid = false;
         continue;
@@ -253,11 +309,44 @@ Status Tagger::Range::Refill(uint32_t stream_index) {
   }
 }
 
-/// Heap order: key bytes, then stream index, then slot index — the first
+int Tagger::Range::Compare(const Key& a, const Key& b) const {
+  if (on_bytes_) return a.bytes.compare(b.bytes);
+  for (size_t p = 0; p < a.words.size(); ++p) {
+    if (a.words[p] != b.words[p]) return a.words[p] < b.words[p] ? -1 : 1;
+  }
+  return 0;
+}
+
+/// Every key in the range is word-keyed until a cell no word carries
+/// arrives; from then on the range runs on the codec bytes. A word maps to
+/// exactly its codec segment, so the heap, the duplicate checks and the
+/// open stack keep their order and identities across the switch. The
+/// staged key of the stream that met the cell is not live: it is encoded
+/// next.
+void Tagger::Range::SwitchToBytes() {
+  auto to_bytes = [](Key* key) {
+    key->bytes.clear();
+    key->bounds.assign(1, 0);
+    for (uint64_t word : key->words) {
+      engine::AppendKeyWord(word, &key->bytes);
+      key->bounds.push_back(static_cast<uint32_t>(key->bytes.size()));
+    }
+    key->words.clear();
+  };
+  on_bytes_ = true;
+  stats_.byte_key_ranges = 1;
+  for (StreamState& s : streams_) {
+    for (Captured& slot : s.slots) to_bytes(&slot.key);
+    if (s.staged_valid) to_bytes(&s.staged);
+  }
+  for (size_t d = 0; d < depth_; ++d) to_bytes(&stack_[d].key);
+}
+
+/// Heap order: key, then stream index, then slot index — the first
 /// stream, and within it the first InstanceSpec, wins a key tie.
 bool Tagger::Range::SlotAfter::operator()(const Slot& a,
                                           const Slot& b) const {
-  const int c = range->KeyOf(a).bytes.compare(range->KeyOf(b).bytes);
+  const int c = range->Compare(range->KeyOf(a), range->KeyOf(b));
   return c != 0 ? c > 0 : a > b;
 }
 
@@ -332,7 +421,7 @@ Status Tagger::Range::EmitInstance(int node_id, const Key& key,
     const auto& positions =
         t_->nodes_[static_cast<size_t>(chain[keep])].id_positions;
     if (!std::all_of(positions.begin(), positions.end(), [&](size_t p) {
-          return open.key.Position(p) == key.Position(p);
+          return SamePosition(open.key, key, p);
         })) {
       break;
     }
@@ -523,10 +612,13 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
       // vars the stream carries; every other position is NULL.
       source.key_cols.assign(num_positions_, -1);
       source.key_consts.assign(num_positions_, null_key);
+      source.key_words.assign(num_positions_, 0);
       for (size_t j = 0; j < spec.path_labels.size(); ++j) {
-        std::string& label = source.key_consts[label_position_[j]];
-        label.clear();
-        engine::EncodeInt64(spec.path_labels[j], &label);
+        const size_t p = label_position_[j];
+        source.key_consts[p].clear();
+        engine::EncodeInt64(spec.path_labels[j], &source.key_consts[p]);
+        source.const_words &= engine::NumericKeyWord(
+            engine::Int64Segment(spec.path_labels[j]), &source.key_words[p]);
       }
       for (const auto& v : spec.key_vars) {
         auto pos = var_position_.find(v);
@@ -620,6 +712,7 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
       stats_.rows_consumed += s.rows_consumed;
       stats_.duplicates_skipped += s.duplicates_skipped;
       stats_.forced_ancestor_opens += s.forced_ancestor_opens;
+      stats_.byte_key_ranges += s.byte_key_ranges;
       stats_.max_open_depth =
           std::max(stats_.max_open_depth, s.max_open_depth);
       stats_.peak_buffered_tuples =

@@ -11,9 +11,12 @@
 // streams by the global interleaved key (L1, identity vars of level 1,
 // L2, ...). Duplicate instances (same full key) are emitted once.
 //
-// Keys are codec-encoded once and ordered by byte compare in a k-way heap
-// (DESIGN.md §10); rows are read in place from the wire and per-row state
-// reuses its storage, so merge/tag allocates nothing per row once warm.
+// Keys are read once per instance, one 64-bit word per key position, and
+// ordered by word compare in a k-way heap; a range that meets a key cell no
+// word carries (a string, a magnitude at or above 2^53) moves onto the
+// codec bytes (DESIGN.md §10). Rows are read in place from the wire and
+// per-row state reuses its storage, so merge/tag allocates nothing per row
+// once warm.
 //
 // Range-parallel tagging (DESIGN.md §10): the global key starts with the
 // root level's label and identity variables, so the document is the
@@ -64,6 +67,9 @@ struct TaggerStats {
   size_t threads = 0;
   /// Most XML bytes that ranges held in detached writers at once.
   size_t peak_buffered_xml_bytes = 0;
+  /// Ranges that met a key cell no word carries and finished on codec
+  /// bytes (0 for Query 1: its keys are integers).
+  size_t byte_key_ranges = 0;
 };
 
 class Tagger {
@@ -106,9 +112,12 @@ class Tagger {
   struct Source;  // an InstanceSpec resolved against its stream's columns
   class Range;    // one range's merge state
 
-  /// An encoded global key: the concatenated codec segments of all key
-  /// positions, whose byte order is their lexicographic Value order.
+  /// A global key. While its range is on words, one word per key position
+  /// (NULL 0, a numeric its codec image), whose lexicographic unsigned
+  /// order is the lexicographic Value order; once the range is on bytes,
+  /// the concatenated codec segments of all key positions, in byte order.
   struct Key {
+    std::vector<uint64_t> words;
     std::string bytes;
     std::vector<uint32_t> bounds;  // position p is [bounds[p], bounds[p+1])
     std::string_view Position(size_t p) const {

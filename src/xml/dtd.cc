@@ -4,6 +4,7 @@
 #include <cctype>
 #include <set>
 
+#include "common/nesting.h"
 #include "common/string_util.h"
 
 namespace silkroute::xml {
@@ -385,6 +386,8 @@ class DtdParser {
     SkipSpace();
     ContentParticle p;
     if (Lookahead("(")) {
+      NestingLevel level(&depth_);
+      SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, pos_));
       ++pos_;
       std::vector<ContentParticle> parts;
       SILK_ASSIGN_OR_RETURN(ContentParticle first, ParseParticle());
@@ -427,6 +430,7 @@ class DtdParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // content-particle groups open while parsing
 };
 
 }  // namespace

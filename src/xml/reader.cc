@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "common/nesting.h"
 #include "common/string_util.h"
 #include "xml/escape.h"
 
@@ -98,6 +99,8 @@ class Reader {
     if (pos_ >= input_.size() || input_[pos_] != '<') {
       return Err("expected '<'");
     }
+    NestingLevel level(&depth_);
+    SILK_RETURN_IF_ERROR(level.Check(kMaxNestingDepth, pos_));
     ++pos_;
     auto node = std::make_unique<XmlNode>();
     SILK_ASSIGN_OR_RETURN(node->name, ParseName());
@@ -175,6 +178,7 @@ class Reader {
 
   std::string_view input_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // elements open while parsing
 };
 
 }  // namespace

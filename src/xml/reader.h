@@ -30,6 +30,12 @@ struct XmlNode {
   size_t NumChildren() const { return children.size(); }
 };
 
+/// The nesting budget of ParseXml and ParseDtd (xml/dtd.h): each element,
+/// and each parenthesized content-particle group, holds one level while it
+/// parses. Deeper input is kInvalidArgument, so hostile text cannot exhaust
+/// the stack.
+inline constexpr size_t kMaxNestingDepth = 256;
+
 /// Parses a document; returns its root element.
 Result<std::unique_ptr<XmlNode>> ParseXml(std::string_view input);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <tuple>
@@ -314,6 +315,57 @@ TEST_F(ExecutorTest, SelfJoinWithDistinctAliases) {
   ASSERT_EQ(r.rows.size(), 1u);  // (1, 3) share nationkey 10
   EXPECT_EQ(r.rows[0][0].AsInt64(), 1);
   EXPECT_EQ(r.rows[0][1].AsInt64(), 3);
+}
+
+TEST_F(ExecutorTest, ArithmeticOnAStringIsAnError) {
+  // Every place an expression is evaluated: a computed item, a constant
+  // item, a WHERE filter, a hash join's residual, a nested-loop join and a
+  // computed ORDER BY key over a UNION whose second core is a string.
+  for (const char* sql :
+       {"select s.name + 0 as x from Supplier s",
+        "select 'a' * 2 as x from Supplier s",
+        "select s.suppkey from Supplier s where s.name - 1 > 0",
+        "select s.suppkey from Supplier s, Part p "
+        "where s.suppkey = p.suppkey and s.name + p.partkey > 0",
+        "select s.suppkey from Supplier s left outer join Part p "
+        "on s.name * p.partkey = 1",
+        "select s.suppkey as k from Supplier s union all "
+        "select p.pname as k from Part p order by k + 0"}) {
+    const Status status = RunError(sql);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << sql << ": " << status;
+    EXPECT_NE(status.message().find("non-numeric"), std::string::npos)
+        << status;
+  }
+  // The batch hand-over evaluates computed items only when it is bound,
+  // so the query itself must already refuse them.
+  QueryExecutor exec(&db_);
+  auto rows = exec.ExecuteRows("select s.name + 0 as x from Supplier s", 0,
+                               nullptr);
+  EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
+  // Numbers and NULLs are unaffected.
+  Relation r = Run(
+      "select s.suppkey * 2 + 0.5 as x, null + 1 as y from Supplier s "
+      "order by x");
+  ASSERT_EQ(r.rows.size(), 3u);
+  EXPECT_EQ(r.rows[0][0], Value::Double(2.5));
+  EXPECT_TRUE(r.rows[0][1].is_null());
+}
+
+TEST_F(ExecutorTest, Int64OverflowYieldsTheDoubleResult) {
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  Insert("Supplier",
+         {Value::Int64(max), Value::String("big"), Value::Int64(10)});
+  Relation r = Run(
+      "select s.suppkey + 1 as a, s.suppkey * 2 as b, 0 - s.suppkey - 2 as c, "
+      "s.suppkey - 1 as d from Supplier s where s.suppkey > 3");
+  ASSERT_EQ(r.rows.size(), 1u);
+  const double big = static_cast<double>(max);
+  EXPECT_EQ(r.rows[0][0], Value::Double(big + 1));
+  EXPECT_EQ(r.rows[0][1], Value::Double(big * 2));
+  EXPECT_EQ(r.rows[0][2], Value::Double(-big - 2));
+  ASSERT_TRUE(r.rows[0][3].is_int64());  // no overflow: exact
+  EXPECT_EQ(r.rows[0][3].AsInt64(), max - 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -192,6 +192,31 @@ TEST(FuzzTest, SqlParserRefusesNestingPastItsBudget) {
                       });
 }
 
+/// XML nesting `depth` elements; a DTD nesting `depth` particle groups.
+std::vector<std::pair<std::string, std::string>> NestedXml(size_t depth) {
+  return {{"elements", Repeat("<a>", depth) + "x" + Repeat("</a>", depth)}};
+}
+std::vector<std::pair<std::string, std::string>> NestedDtd(size_t depth) {
+  return {{"groups", "<!ELEMENT a " + Repeat("(", depth) + "b" +
+                         Repeat(")", depth) + ">"},
+          {"choice groups", "<!ELEMENT a " + Repeat("(c | ", depth) + "b" +
+                                Repeat(")*", depth) + ">"}};
+}
+
+TEST(FuzzTest, XmlReaderRefusesNestingPastItsBudget) {
+  ExpectNestingBudget(NestedXml, xml::kMaxNestingDepth,
+                      [](const std::string& s) {
+                        return xml::ParseXml(s).status();
+                      });
+}
+
+TEST(FuzzTest, DtdParserRefusesNestingPastItsBudget) {
+  ExpectNestingBudget(NestedDtd, xml::kMaxNestingDepth,
+                      [](const std::string& s) {
+                        return xml::ParseDtd(s).status();
+                      });
+}
+
 TEST(FuzzTest, RxlParserRefusesNestingPastItsBudget) {
   ExpectNestingBudget(NestedRxl, rxl::kMaxNestingDepth,
                       [](const std::string& s) {

@@ -16,6 +16,7 @@
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
 #include "silkroute/sqlgen.h"
+#include "silkroute/tagger.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
 #include "xml/dtd.h"
@@ -312,6 +313,69 @@ TEST(PublisherTest, Query1OrderBysMeetTheirRowsInOrder) {
     ASSERT_EQ(attempts, published->metrics.sql.size());
     for (const std::string& sql : published->metrics.sql) {
       EXPECT_NE(sql.find("order by"), std::string::npos) << sql;
+    }
+  }
+}
+
+// Query 1's Skolem keys are integers, so the tagger merges every plan on
+// key words: no range of the unified, greedy or partitioned plan moves onto
+// the codec bytes, whether the document is one range or four.
+TEST(PublisherTest, Query1TagsOnKeyWords) {
+  for (PlanStrategy strategy :
+       {PlanStrategy::kUnified, PlanStrategy::kGreedy,
+        PlanStrategy::kFullyPartitioned}) {
+    SCOPED_TRACE(testing::Message() << "strategy "
+                                    << static_cast<int>(strategy));
+    obs::CollectingSink sink;
+    obs::Tracer tracer(&sink);
+    PublishOptions opt;
+    opt.strategy = strategy;
+    opt.document_element = "suppliers";
+    opt.tracer = &tracer;
+    std::ostringstream out;
+    auto published = env()->publisher().Publish(Query1Rxl(), opt, &out);
+    ASSERT_TRUE(published.ok()) << published.status();
+    EXPECT_EQ(published->metrics.tagger.byte_key_ranges, 0u);
+    size_t tag_spans = 0;
+    for (const obs::Span& span : sink.spans()) {
+      if (span.name != "phase:tag") continue;
+      ++tag_spans;
+      for (const obs::Annotation& a : span.annotations) {
+        if (a.key == "byte_key_ranges") {
+          EXPECT_EQ(a.value, "0");
+        }
+      }
+    }
+    EXPECT_EQ(tag_spans, 1u);
+
+    opt.tracer = nullptr;
+    auto plan = env()->publisher().Prepare(Query1Rxl(), opt);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    std::vector<std::unique_ptr<engine::TupleStream>> streams;
+    for (const StreamSpec& spec : (*plan)->specs) {
+      engine::QueryExecutor exec(&env()->db());
+      auto rows = exec.ExecuteSql(spec.sql);
+      ASSERT_TRUE(rows.ok()) << rows.status();
+      streams.push_back(
+          std::make_unique<engine::TupleStream>(std::move(rows).value()));
+    }
+    for (size_t ranges : {size_t{1}, size_t{4}}) {
+      std::vector<Tagger::StreamInput> inputs;
+      for (size_t i = 0; i < streams.size(); ++i) {
+        streams[i]->Rewind();
+        inputs.push_back({&(*plan)->specs[i], streams[i].get()});
+      }
+      std::ostringstream tagged;
+      xml::XmlWriter writer(&tagged);
+      Tagger::Options options;
+      options.document_element = "suppliers";
+      options.ranges = ranges;
+      Tagger tagger((*plan)->tree.get(), &writer, options);
+      ASSERT_TRUE(tagger.Run(std::move(inputs)).ok());
+      ASSERT_TRUE(writer.Finish().ok());
+      EXPECT_EQ(tagger.stats().ranges, ranges);
+      EXPECT_EQ(tagger.stats().byte_key_ranges, 0u);
+      EXPECT_TRUE(tagged.str() == out.str()) << ranges << " ranges";
     }
   }
 }

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -326,6 +328,34 @@ CorpusTable MakeCorpusTable() {
     EXPECT_TRUE(corpus.table->Insert(corpus.rows.back()).ok());
   }
   return corpus;
+}
+
+TEST(KeyCodecTest, KeyWordsStandForTheirSegments) {
+  // NULL and every numeric below 2^53 in magnitude have a word, and the
+  // word's segment is the value's own encoding.
+  size_t words = 0;
+  for (const Value& v : Corpus()) {
+    if (v.is_string()) continue;
+    uint64_t word = 1;
+    const bool has = v.is_null() || NumericKeyWord(Segment(v), &word);
+    if (v.is_null()) word = 0;
+    const double magnitude = v.is_null() ? 0 : std::fabs(v.AsNumeric());
+    EXPECT_EQ(has, magnitude < 9007199254740992.0) << v.ToString();
+    if (!has) continue;
+    ++words;
+    std::string from_word, from_value;
+    AppendKeyWord(word, &from_word);
+    EncodeValue(v, &from_value);
+    EXPECT_EQ(from_word, from_value) << v.ToString();
+  }
+  EXPECT_GT(words, 10u);
+  // The NaN whose image is 0, NULL's word, has none.
+  const uint64_t bits = ~uint64_t{0};
+  double nan;
+  std::memcpy(&nan, &bits, sizeof(nan));
+  uint64_t word = 1;
+  EXPECT_FALSE(NumericKeyWord(DoubleSegment(nan), &word));
+  EXPECT_EQ(word, 0u);
 }
 
 TEST(KeyCodecTest, ColumnEncodingIsByteIdenticalToValueEncoding) {

@@ -181,6 +181,19 @@ TEST_F(NetFixture, TokenFloodGetsAnErrorFrameAndTheServerStaysUp) {
   EXPECT_EQ(answered->rows.size(), 1u);
 }
 
+TEST_F(NetFixture, ArithmeticOnAStringGetsAnErrorFrameAndTheServerStaysUp) {
+  // Arithmetic on a string used to abort the process inside the engine.
+  RemoteSqlExecutor remote(RemoteOpts(server_->port()));
+  auto refused = remote.ExecuteSql("select name + 0 as x from Supplier");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status();
+  auto answered =
+      remote.ExecuteSql("select suppkey from Supplier where suppkey = 1");
+  ASSERT_TRUE(answered.ok()) << answered.status();
+  EXPECT_EQ(answered->rows.size(), 1u);
+}
+
 TEST_F(NetFixture, NestedJoinChainsGetAnErrorFrameAndTheServerStaysUp) {
   // 255 derived tables nested one in another, each the left end of a
   // 1,000-JOIN chain (about 6 MB): every chain alone fits the height

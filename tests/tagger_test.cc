@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -15,6 +17,7 @@
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
 #include "silkroute/subview.h"
+#include "sql/ddl.h"
 #include "tests/test_util.h"
 #include "xml/reader.h"
 
@@ -377,6 +380,7 @@ TEST_F(TaggerMergeTest, IntAndDoubleIdentityAreOneInstance) {
   EXPECT_EQ(Tag({ints.get(), doubles.get()}, &stats),
             std::vector<std::string>{"int"});
   EXPECT_EQ(stats.instances_emitted, 1u);
+  EXPECT_EQ(stats.byte_key_ranges, 0u);  // 3 and 3.0 share one word
   // A different numeric value is a different instance, in numeric order.
   auto halves = Stream({{Value::Double(2.5), "half"}});
   ints->Rewind();
@@ -401,7 +405,39 @@ TEST_F(TaggerMergeTest, StringKeysOrderAsValueCompare) {
   });
   std::vector<std::string> expected;
   for (size_t i : order) expected.push_back("k" + std::to_string(i));
-  EXPECT_EQ(Tag(streams, nullptr), expected);
+  TaggerStats stats;
+  EXPECT_EQ(Tag(streams, &stats), expected);
+  EXPECT_EQ(stats.byte_key_ranges, 1u);  // no word carries a string
+}
+
+TEST_F(TaggerMergeTest, NegativeZeroMeetsZero) {
+  auto negative = Stream({{Value::Double(-0.0), "negative"}});
+  auto ints = Stream({{Value::Int64(0), "int"}});
+  auto doubles = Stream({{Value::Double(0.0), "double"}});
+  TaggerStats stats;
+  EXPECT_EQ(Tag({negative.get(), ints.get(), doubles.get()}, &stats),
+            std::vector<std::string>{"negative"});
+  EXPECT_EQ(stats.instances_emitted, 1u);
+  EXPECT_EQ(stats.duplicates_skipped, 2u);
+  EXPECT_EQ(stats.byte_key_ranges, 0u);
+}
+
+TEST_F(TaggerMergeTest, NullKeySortsBelowNumerics) {
+  auto one = Stream({{Value::Int64(1), "one"}});
+  auto lowest = Stream({{Value::Double(-1e15), "lowest"}});
+  auto null = Stream({{Value::Null(), "null"}});
+  TaggerStats stats;
+  EXPECT_EQ(Tag({one.get(), lowest.get(), null.get()}, &stats),
+            (std::vector<std::string>{"null", "lowest", "one"}));
+  EXPECT_EQ(stats.byte_key_ranges, 0u);
+  // On the codec bytes too: a string key moves the range off words.
+  auto text = Stream({{Value::String("a"), "text"}});
+  one->Rewind();
+  lowest->Rewind();
+  null->Rewind();
+  EXPECT_EQ(Tag({text.get(), one.get(), lowest.get(), null.get()}, &stats),
+            (std::vector<std::string>{"null", "lowest", "one", "text"}));
+  EXPECT_EQ(stats.byte_key_ranges, 1u);
 }
 
 TEST_F(TaggerMergeTest, EmptyStreams) {
@@ -418,6 +454,151 @@ TEST_F(TaggerMergeTest, EmptyStreams) {
   EXPECT_EQ(Tag({empty.get(), some.get()}, &stats),
             (std::vector<std::string>{"x", "y"}));
   EXPECT_EQ(stats.rows_consumed, 2u);
+}
+
+/// A parent/child view over two hand-made tables, P(pk, name) and
+/// C(ck, pk, name), both plans of its lattice. A child key no word carries
+/// arrives mid-range: by then a parent and a child element are open and
+/// instances wait in their slots (in both streams of the partitioned plan),
+/// so the range must move every live key onto the codec bytes without
+/// changing the document.
+class ByteKeySwitchTest : public ::testing::Test {
+ protected:
+  struct Child {
+    Value key;
+    int64_t parent;
+    std::string name;
+  };
+  /// Each <p>'s text and its <c> texts, in document order.
+  using Document = std::vector<std::pair<std::string, std::vector<std::string>>>;
+
+  /// Publishes P = {(1, p1), (2, p2)} and `children`, keyed by a column
+  /// of `key_type`, through the plan of `mask` in one range; returns the
+  /// document and the tagger's stats.
+  static Document Publish(const std::vector<Child>& children,
+                          const std::string& key_type, uint64_t mask,
+                          TaggerStats* stats) {
+    Database db;
+    EXPECT_TRUE(sql::ExecuteDdl("CREATE TABLE P (pk BIGINT PRIMARY KEY, "
+                                "name VARCHAR(10))",
+                                &db)
+                    .ok());
+    EXPECT_TRUE(sql::ExecuteDdl("CREATE TABLE C (ck " + key_type +
+                                    " PRIMARY KEY, pk BIGINT, name "
+                                    "VARCHAR(10))",
+                                &db)
+                    .ok());
+    Table* parents = db.GetTable("P").value();
+    Table* kids = db.GetTable("C").value();
+    for (int64_t pk : {1, 2}) {
+      EXPECT_TRUE(parents
+                      ->Insert(Tuple{Value::Int64(pk),
+                                     Value::String("p" + std::to_string(pk))})
+                      .ok());
+    }
+    for (const Child& child : children) {
+      Status inserted = kids->Insert(
+          Tuple{child.key, Value::Int64(child.parent), Value::String(child.name)});
+      EXPECT_TRUE(inserted.ok()) << inserted;
+    }
+    ViewTree tree = MustBuildTree(
+        "from P $p construct <p>$p.name { from C $c where $c.pk = $p.pk "
+        "construct <c>$c.name</c> }</p>",
+        db.catalog());
+    auto plan = Partition::FromMask(tree, mask);
+    EXPECT_TRUE(plan.ok());
+    SqlGenerator gen(&tree, SqlGenStyle::kOuterJoin, false);
+    std::vector<StreamSpec> specs = gen.GeneratePlan(*plan).value();
+    std::vector<std::unique_ptr<engine::TupleStream>> streams;
+    std::vector<Tagger::StreamInput> inputs;
+    for (const StreamSpec& spec : specs) {
+      engine::QueryExecutor exec(&db);
+      auto rel = exec.ExecuteSql(spec.sql);
+      EXPECT_TRUE(rel.ok()) << spec.sql << "\n" << rel.status();
+      streams.push_back(
+          std::make_unique<engine::TupleStream>(std::move(rel).value()));
+      inputs.push_back({&spec, streams.back().get()});
+    }
+    std::ostringstream out;
+    xml::XmlWriter writer(&out);
+    Tagger::Options options;
+    options.document_element = "ps";
+    options.ranges = 1;
+    Tagger tagger(&tree, &writer, options);
+    Status tagged = tagger.Run(std::move(inputs));
+    EXPECT_TRUE(tagged.ok()) << tagged;
+    EXPECT_TRUE(writer.Finish().ok());
+    *stats = tagger.stats();
+    Document document;
+    auto doc = xml::ParseXml(out.str());
+    EXPECT_TRUE(doc.ok()) << out.str();
+    if (!doc.ok()) return document;
+    for (const auto* p : (*doc)->Children("p")) {
+      document.push_back({p->text, {}});
+      for (const auto* c : p->Children("c")) {
+        document.back().second.push_back(c->text);
+      }
+    }
+    return document;
+  }
+
+  /// Publishes `children` through both plans and expects `expected` from
+  /// each, with `byte_key_ranges` ranges on the codec bytes.
+  static void Expect(const std::vector<Child>& children,
+                     const Document& expected, size_t byte_key_ranges,
+                     const std::string& key_type = "DOUBLE") {
+    for (uint64_t mask : {uint64_t{0}, uint64_t{1}}) {
+      SCOPED_TRACE(testing::Message() << "mask " << mask);
+      TaggerStats stats;
+      EXPECT_EQ(Publish(children, key_type, mask, &stats), expected);
+      EXPECT_EQ(stats.byte_key_ranges, byte_key_ranges);
+      EXPECT_EQ(stats.forced_ancestor_opens, 0u);
+      EXPECT_EQ(stats.instances_emitted, 2 + children.size());
+    }
+  }
+};
+
+TEST_F(ByteKeySwitchTest, WordKeysStayOnWords) {
+  Expect({{Value::Int64(10), 1, "a"},
+          {Value::Double(10.5), 1, "b"},
+          {Value::Int64(11), 1, "c"},
+          {Value::Int64(12), 2, "d"}},
+         {{"p1", {"a", "b", "c"}}, {"p2", {"d"}}}, 0);
+}
+
+TEST_F(ByteKeySwitchTest, LargeIntegerKeyMidRange) {
+  // 2^53 + 1 has no exact double image: its codec segment carries a
+  // tiebreaker, so the range moves onto bytes when it reads that row.
+  const int64_t big = (int64_t{1} << 53) + 1;
+  Expect({{Value::Int64(10), 1, "a"},
+          {Value::Int64(11), 1, "b"},
+          {Value::Int64(big), 1, "c"},
+          {Value::Int64(big + 1), 1, "d"},
+          {Value::Int64(12), 2, "e"}},
+         {{"p1", {"a", "b", "c", "d"}}, {"p2", {"e"}}}, 1);
+}
+
+TEST_F(ByteKeySwitchTest, ZeroImageNanMidRange) {
+  // The NaN whose codec image is 0, NULL's word: it sorts below every
+  // other numeric, and only the codec bytes tell it from NULL.
+  const uint64_t bits = ~uint64_t{0};
+  double nan;
+  std::memcpy(&nan, &bits, sizeof(nan));
+  ASSERT_TRUE(std::isnan(nan));
+  Expect({{Value::Int64(10), 1, "a"},
+          {Value::Int64(11), 1, "b"},
+          {Value::Int64(12), 2, "d"},
+          {Value::Double(nan), 2, "c"}},
+         {{"p1", {"a", "b"}}, {"p2", {"c", "d"}}}, 1);
+}
+
+TEST_F(ByteKeySwitchTest, StringKeyMidRange) {
+  // p1 has no child, so p1 is open and p2 waits in its slot when the
+  // first string key arrives.
+  Expect({{Value::String("k2"), 2, "b"},
+          {Value::String("k1"), 2, "a"},
+          {Value::String(std::string("k1\0", 3)), 2, "c"}},
+         {{"p1", {}}, {"p2", {"a", "c", "b"}}}, 1, "VARCHAR(10)");
 }
 
 /// Config A (TPC-H scale 0.025): the whole Query 1 view is large enough

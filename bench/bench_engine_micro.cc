@@ -165,7 +165,6 @@ void BM_PublishOptimalPlan(benchmark::State& state) {
   static ViewTree* tree =
       new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
   PublishOptions opt;
-  opt.collect_sql = false;
   for (auto _ : state) {
     std::ostringstream sink;
     auto m = publisher->ExecutePlan(*tree, 0x1E8, opt, &sink);
@@ -179,7 +178,6 @@ void BM_PublishUnifiedPlan(benchmark::State& state) {
   static ViewTree* tree =
       new ViewTree(publisher->BuildViewTree(Query1Rxl()).value());
   PublishOptions opt;
-  opt.collect_sql = false;
   for (auto _ : state) {
     std::ostringstream sink;
     auto m = publisher->ExecutePlan(*tree, 0x1FF, opt, &sink);
@@ -260,7 +258,6 @@ void BM_PublishNationSubview(benchmark::State& state) {
   static Publisher* publisher = new Publisher(SharedDb());
   const std::string rxl = NationSubviewRxl();
   PublishOptions opt;
-  opt.collect_sql = false;
   opt.document_element = "fragment";
   std::ostringstream warm;
   if (!publisher->Publish(rxl, opt, &warm).ok()) {

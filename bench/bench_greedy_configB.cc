@@ -41,7 +41,6 @@ int RunQuery(Publisher& publisher, std::string_view rxl, const char* name,
 
   PublishOptions opt;
   opt.reduce = true;
-  opt.collect_sql = false;
   std::printf("%10s %8s %12s %12s\n", "mask", "streams", "query ms",
               "total ms");
   double best_query = 0, best_total = 0;
@@ -58,7 +57,6 @@ int RunQuery(Publisher& publisher, std::string_view rxl, const char* name,
   PublishOptions ou;
   ou.style = SqlGenStyle::kOuterUnion;
   ou.reduce = false;
-  ou.collect_sql = false;
   const uint64_t unified = (uint64_t{1} << tree->num_edges()) - 1;
   PlanMetrics outer_union = bench::MeasurePlan(publisher, *tree, unified, ou);
   PlanMetrics outer_join = bench::MeasurePlan(publisher, *tree, unified, opt);

@@ -40,7 +40,6 @@ struct Timed {
 std::vector<Timed> TimeInterleaved(Publisher& publisher, const ViewTree& tree,
                                    const std::vector<uint64_t>& masks) {
   PublishOptions opt;
-  opt.collect_sql = false;
   opt.query_timeout_ms = bench::EnvScale("SILK_TIMEOUT_MS", 60000);
   std::vector<std::vector<double>> samples(masks.size());
   for (int round = 0; round < kRounds; ++round) {

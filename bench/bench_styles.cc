@@ -49,7 +49,6 @@ int main() {
         PublishOptions opt;
         opt.style = style;
         opt.reduce = reduce;
-        opt.collect_sql = false;
         PlanMetrics m = bench::MeasurePlan(publisher, *tree, c.mask, opt);
         std::printf("%-10s %-12s %-8s %9zu %9.1f %11zu %10.1f %10.1f\n",
                     c.plan, SqlGenStyleToString(style),

@@ -63,7 +63,6 @@ int main() {
     ou.strategy = PlanStrategy::kUnified;
     ou.style = SqlGenStyle::kOuterUnion;
     ou.reduce = false;
-    ou.collect_sql = false;
     ou.document_element = "result";
     std::ostringstream sink1;
     auto mu = publisher.Publish(rxl_text, ou, &sink1);
@@ -73,7 +72,6 @@ int main() {
     }
 
     PublishOptions greedy;
-    greedy.collect_sql = false;
     greedy.document_element = "result";
     std::ostringstream sink2;
     auto mg = publisher.Publish(rxl_text, greedy, &sink2);

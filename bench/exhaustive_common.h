@@ -60,7 +60,6 @@ inline SweepResult SweepAllPlans(core::Publisher& publisher,
   core::PublishOptions opt;
   opt.style = style;
   opt.reduce = reduce;
-  opt.collect_sql = false;
   // The paper capped each sub-query at five minutes; 101 of Query 1's
   // non-reduced plans timed out. The cap here is scaled to our
   // milliseconds-range times.
@@ -130,7 +129,6 @@ inline int RunExhaustive(std::string_view rxl, const char* figure,
   core::PublishOptions ou;
   ou.style = core::SqlGenStyle::kOuterUnion;
   ou.reduce = false;
-  ou.collect_sql = false;
   core::PlanMetrics outer_union =
       MeasurePlan(publisher, *tree, unified, ou);
 

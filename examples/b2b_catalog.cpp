@@ -84,7 +84,6 @@ int main(int argc, char** argv) {
     PublishOptions options;
     options.strategy = strategy;
     options.document_element = "catalog";
-    options.collect_sql = false;
     std::ostringstream out;
     auto result = publisher.Publish(kView, options, &out);
     if (!result.ok()) {

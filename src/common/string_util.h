@@ -34,10 +34,9 @@ std::string StringPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
 /// Canonical form of a SQL text: whitespace runs collapse to one space,
-/// leading/trailing whitespace dropped. This is the shared keying function
-/// for both the workload profile (obs/profile.h) and the component-result
-/// cache (engine/result_cache.h) — one definition, so measurements and
-/// cache entries for the same query can never key apart on formatting.
+/// leading/trailing whitespace dropped. The component-result cache
+/// (engine/result_cache.h) keys fragments on it, so the same query never
+/// keys apart on formatting.
 std::string NormalizeSql(std::string_view sql);
 
 }  // namespace silkroute

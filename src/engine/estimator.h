@@ -50,9 +50,7 @@ struct QueryEstimate {
 };
 
 /// The planner-facing oracle abstraction: anything that can price a SQL
-/// text. The synthetic CostEstimator below is the paper's oracle; the
-/// MeasuredCostOracle (measured_oracle.h) overlays observed workload costs
-/// on top of a synthetic base so genPlan re-runs price plans by reality.
+/// text. The CostEstimator below, the paper's oracle, implements it.
 class CostOracle {
  public:
   virtual ~CostOracle() = default;

@@ -363,8 +363,6 @@ void PublishingService::RunRequest(ServiceRequest request,
     opts.tracer = options_.tracer;
     opts.parent_span = &request_span;
     opts.metrics_registry = options_.metrics_registry;
-    opts.profile = options_.profile;
-    opts.plan_oracle = options_.plan_oracle;
     opts.result_cache = options_.result_cache;
     std::ostringstream out;
     auto result = publisher_.Publish(request.rxl, opts, &out);

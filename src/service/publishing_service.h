@@ -76,14 +76,6 @@ struct ServiceOptions {
   /// Unified metrics registry: admission, breaker, pool, and request
   /// series are live-mirrored into it.
   obs::MetricsRegistry* metrics_registry = nullptr;
-  /// Observed-cost workload profile (borrowed): pool workers record each
-  /// component's query/bind timings into it, the tag phase is apportioned
-  /// by row share, and a MeasuredCostOracle built over it feeds measured
-  /// costs back into greedy planning (DESIGN.md §14).
-  obs::WorkloadProfile* profile = nullptr;
-  /// Overrides the synthetic estimator for greedy planning on every
-  /// request (e.g. a MeasuredCostOracle). Borrowed; null = synthetic.
-  engine::CostOracle* plan_oracle = nullptr;
 };
 
 struct ServiceRequest {

@@ -56,9 +56,9 @@ struct GreedyPlan {
   std::string ToString(const ViewTree& tree) const;
 };
 
-/// Runs genPlan against any cost oracle — the synthetic CostEstimator or a
-/// MeasuredCostOracle overlay. Distinct oracle requests are memoized by SQL
-/// text and reported in GreedyPlan::oracle_requests.
+/// Runs genPlan against a cost oracle (the publisher passes its
+/// CostEstimator). Distinct oracle requests are memoized by SQL text and
+/// reported in GreedyPlan::oracle_requests.
 Result<GreedyPlan> GeneratePlanGreedy(const ViewTree& tree,
                                       engine::CostOracle* oracle,
                                       const GreedyParams& params);

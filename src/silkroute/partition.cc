@@ -36,10 +36,7 @@ class DisjointSet {
 
 Result<Partition> Partition::FromMask(const ViewTree& tree, uint64_t mask) {
   const auto edges = tree.Edges();
-  if (edges.size() > 63) {
-    return Status::OutOfRange("view tree has more than 63 edges");
-  }
-  if (edges.size() < 64 && mask >= (uint64_t{1} << edges.size())) {
+  if (mask >= (uint64_t{1} << edges.size())) {
     return Status::OutOfRange("edge mask out of range");
   }
   Partition p;
@@ -73,16 +70,11 @@ Result<Partition> Partition::FromMask(const ViewTree& tree, uint64_t mask) {
 }
 
 Partition Partition::Unified(const ViewTree& tree) {
-  uint64_t mask = tree.num_edges() >= 64
-                      ? ~uint64_t{0}
-                      : (uint64_t{1} << tree.num_edges()) - 1;
-  auto result = FromMask(tree, mask);
-  return std::move(result).value();
+  return FromMask(tree, NumPlans(tree) - 1).value();
 }
 
 Partition Partition::FullyPartitioned(const ViewTree& tree) {
-  auto result = FromMask(tree, 0);
-  return std::move(result).value();
+  return FromMask(tree, 0).value();
 }
 
 std::string Partition::ToString() const {
@@ -97,10 +89,7 @@ std::string Partition::ToString() const {
   return Join(parts, " | ");
 }
 
-Result<uint64_t> NumPlans(const ViewTree& tree) {
-  if (tree.num_edges() > 63) {
-    return Status::OutOfRange("view tree has more than 63 edges");
-  }
+uint64_t NumPlans(const ViewTree& tree) {
   return uint64_t{1} << tree.num_edges();
 }
 

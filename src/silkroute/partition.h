@@ -53,8 +53,9 @@ class Partition {
   std::vector<Component> components_;
 };
 
-/// Number of plans (2^|E|) for a view tree; fails if |E| > 63.
-Result<uint64_t> NumPlans(const ViewTree& tree);
+/// Number of plans (2^|E|) for a view tree; ViewTree::Build caps |E| at
+/// ViewTree::kMaxEdges, so the count fits.
+uint64_t NumPlans(const ViewTree& tree);
 
 /// An execution class: one or more view-tree nodes collapsed by reduction
 /// ('1'-labeled kept edges), evaluated as a single relational sub-select.

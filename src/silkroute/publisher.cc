@@ -98,11 +98,8 @@ Result<std::shared_ptr<const PreparedPlan>> Publisher::PrepareLocked(
       GreedyParams params = options.greedy;
       params.style = options.style;
       params.reduce = options.reduce;
-      engine::CostOracle* oracle = options.plan_oracle != nullptr
-                                       ? options.plan_oracle
-                                       : &estimator_;
       SILK_ASSIGN_OR_RETURN(greedy_plan,
-                            GeneratePlanGreedy(*tree, oracle, params));
+                            GeneratePlanGreedy(*tree, &estimator_, params));
       mask = greedy_plan.FullMask();
       break;
     }
@@ -140,8 +137,6 @@ Result<std::shared_ptr<const PreparedPlan>> Publisher::PrepareCached(
     std::string_view rxl_text, const PublishOptions& options, bool* hit) {
   // For the publisher's lifetime a plan is a pure function of its key: the
   // statistics were collected at construction and the catalog only grows.
-  // A caller's oracle is not (a measured one drifts as it records).
-  if (options.plan_oracle != nullptr) return Prepare(rxl_text, options);
   PlanKey key(rxl_text, options);
   if (std::shared_ptr<const PreparedPlan> stored = FindPlan(key)) {
     *hit = true;
@@ -215,6 +210,7 @@ PendingComponent ComponentStep::Pending(StreamSpec spec, size_t origin,
     }
     item.span->Annotate("nodes", std::move(nodes));
     item.span->Annotate("tables", Join(item.outcome.tables, ","));
+    item.span->Annotate("sql", NormalizeSql(spec.sql));
   }
   item.spec = std::move(spec);
   item.origin = origin;
@@ -260,7 +256,7 @@ Result<std::unique_ptr<engine::TupleStream>> ComponentStep::ExecuteAndBind(
   {
     std::lock_guard<std::mutex> lock(mu_);
     report_.queries.push_back(executed);
-    if (options_.collect_sql) sql_.push_back(sql);
+    sql_.push_back(sql);
   }
   if (!result.ok()) {
     query_span.Annotate("status", StatusCodeToString(result.status().code()));
@@ -286,11 +282,6 @@ Result<std::unique_ptr<engine::TupleStream>> ComponentStep::ExecuteAndBind(
     entry.bytes = stream->shared_wire();
     entry.num_tuples = stream->num_tuples();
     options_.result_cache->Insert(item->spec.cache_key, std::move(entry));
-  }
-  if (options_.profile != nullptr) {
-    options_.profile->RecordQuery(sql, query_elapsed, stream->num_tuples(),
-                                  stream->wire_bytes());
-    options_.profile->RecordBind(sql, bind_elapsed);
   }
   std::lock_guard<std::mutex> lock(mu_);
   query_ms_ += query_elapsed;
@@ -663,23 +654,6 @@ Result<PublishResult> Publisher::Run(const PublishOptions& options,
       // incremental-maintenance splice path.
       metrics.cache_splices = metrics.cache_hits;
       cache->RecordSplices(metrics.cache_splices);
-    }
-  }
-
-  // Tag runs once per plan over the merged streams; apportion its cost to
-  // the component queries by row share so the profile prices each SQL text
-  // with the downstream tagging work its rows cause.
-  if (options.profile != nullptr && !done.empty()) {
-    size_t total_rows = 0;
-    for (const auto& component : done) {
-      total_rows += component.stream->num_tuples();
-    }
-    for (const auto& component : done) {
-      double share =
-          total_rows > 0 ? static_cast<double>(component.stream->num_tuples()) /
-                               static_cast<double>(total_rows)
-                         : 1.0 / static_cast<double>(done.size());
-      options.profile->RecordTag(component.spec.sql, metrics.tag_ms * share);
     }
   }
 

@@ -37,7 +37,6 @@
 #include "engine/result_cache.h"
 #include "engine/stats.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "relational/database.h"
 #include "rxl/ast.h"
@@ -79,11 +78,6 @@ struct PublishOptions {
   /// treated as a permanent source failure (degradation in non-strict
   /// mode, `timed_out` reporting once no smaller query can be cut).
   double query_timeout_ms = 0;
-  /// Keep the SQL texts sent to the executor in the result (for logging /
-  /// EXPLAIN), degraded replacement queries included, in the order they
-  /// are sent. Fragment-cache hits and breaker fast-fails send nothing and
-  /// are not listed.
-  bool collect_sql = true;
 
   // --- Fault tolerance (see DESIGN.md "Fault tolerance") ----------------
   /// Fail-fast mode: the first component query that fails permanently (or
@@ -125,18 +119,6 @@ struct PublishOptions {
   obs::SpanHandle* parent_span = nullptr;
   /// Registry for phase latency histograms and row/byte counters.
   obs::MetricsRegistry* metrics_registry = nullptr;
-  /// Observed-cost workload profile (borrowed). Execution strategies record
-  /// per-component query/bind timings into it keyed by normalized SQL text,
-  /// and the tag phase is apportioned across components by row share —
-  /// the measurement half of the self-tuning planner (DESIGN.md §14).
-  obs::WorkloadProfile* profile = nullptr;
-  /// Overrides the publisher's synthetic estimator for greedy planning —
-  /// typically an engine::MeasuredCostOracle overlaying a loaded profile.
-  /// Null = the built-in CostEstimator. Planning is serialized internally,
-  /// so the oracle needs no thread-safety of its own. A plan made with an
-  /// oracle is never stored in the publisher's prepared-plan cache: a
-  /// measured oracle's answers drift as its profile records.
-  engine::CostOracle* plan_oracle = nullptr;
 };
 
 /// Per-component execution outcome (one entry per component query actually
@@ -183,6 +165,9 @@ struct PlanMetrics {
   /// the writer's buffer size; 0 means the document fit in one flush).
   size_t xml_flushes = 0;
   TaggerStats tagger;
+  /// The SQL texts sent to the executor, degraded replacement queries
+  /// included, in the order they are sent. Fragment-cache hits and breaker
+  /// fast-fails send nothing and are not listed.
   std::vector<std::string> sql;
 
   // --- Fault-tolerance outcome ------------------------------------------
@@ -309,7 +294,7 @@ struct PendingComponent {
 /// *when* each pending item runs; what running one means lives here:
 ///  - LookupFragment: the fragment-cache fast path;
 ///  - ExecuteAndBind: one query through a ResilientExecutor, its query and
-///    bind phases, the cache fill, and the workload-profile record;
+///    bind phases and the cache fill;
 ///  - Accept / Fail: the outcome — a stream, or the degrade policy (fatal,
 ///    timed out, skip the node, or split into two follow-ups);
 ///  - Finish: writes PlanMetrics once.
@@ -326,8 +311,8 @@ class ComponentStep {
                 std::chrono::steady_clock::time_point deadline = {});
 
   /// Makes the pending item for `spec`, starting its component span under
-  /// `parent` (annotated with the covered nodes and the tables the
-  /// component introduces).
+  /// `parent` (annotated with the covered nodes, the tables the component
+  /// introduces and its NormalizeSql text).
   PendingComponent Pending(StreamSpec spec, size_t origin,
                            obs::SpanHandle* parent) const;
 
@@ -416,7 +401,7 @@ class Publisher {
   Result<ViewTree> BuildViewTree(std::string_view rxl_text) const;
 
   /// Parses the view, builds its tree, chooses the plan (strategy,
-  /// explicit_mask, greedy, plan_oracle), cuts it to a permissible one
+  /// explicit_mask, greedy), cuts it to a permissible one
   /// (source) and generates its SQL (style, reduce, distinct_selects).
   /// Always plans, one call at a time; Publish is the memoized caller.
   Result<std::shared_ptr<const PreparedPlan>> Prepare(
@@ -424,7 +409,7 @@ class Publisher {
 
   /// Full pipeline: RXL text -> XML on `out`. The prepared plan is looked
   /// up by the view text and the plan-shaping options first; a miss
-  /// prepares and stores it (unless options.plan_oracle is set).
+  /// prepares and stores it.
   Result<PublishResult> Publish(std::string_view rxl_text,
                                 const PublishOptions& options,
                                 std::ostream* out);

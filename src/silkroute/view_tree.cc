@@ -164,6 +164,12 @@ class ViewTreeBuilder {
         queue.push_back({child.get(), id, std::move(child_sfi)});
       }
     }
+    if (tree.num_edges() > ViewTree::kMaxEdges) {
+      return Status::OutOfRange(
+          "view tree has " + std::to_string(tree.num_edges()) +
+          " edges; at most " + std::to_string(ViewTree::kMaxEdges) +
+          " are supported");
+    }
 
     // Duplicate explicit Skolem functions under the SAME parent were fused
     // during the walk; duplicates across different parents would require a

@@ -157,6 +157,10 @@ struct ViewTreeNode {
 
 class ViewTree {
  public:
+  /// The most edges a view tree may have: a plan is a 64-bit edge mask
+  /// (Partition), and 2^|E| plans must fit in one.
+  static constexpr size_t kMaxEdges = 63;
+
   /// Builds the view tree for an RXL view over the given catalog: merges
   /// templates, assigns Skolem functions/indices and variable indices,
   /// derives datalog rules, and labels edges from the catalog's key and
@@ -164,7 +168,7 @@ class ViewTree {
   ///
   /// Restrictions (documented in DESIGN.md): the root block must construct
   /// exactly one element; explicit Skolem merging requires identical scope
-  /// queries.
+  /// queries; a tree of more than kMaxEdges edges is kOutOfRange.
   static Result<ViewTree> Build(const rxl::RxlQuery& query,
                                 const Catalog& catalog);
 

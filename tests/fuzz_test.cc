@@ -21,9 +21,11 @@
 #include "relational/database.h"
 #include "rxl/parser.h"
 #include "silkroute/partition.h"
+#include "silkroute/publisher.h"
 #include "silkroute/queries.h"
 #include "silkroute/sqlgen.h"
 #include "silkroute/subview.h"
+#include "sql/ddl.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "tests/test_util.h"
@@ -374,6 +376,65 @@ TEST(FuzzTest, ParserBudgetsAdmitGeneratedSql) {
   }
   std::printf("largest generated component: %zu tokens\n", most_tokens);
   EXPECT_LT(most_tokens * 32, sql::kMaxTokens);
+}
+
+// --- View-tree size --------------------------------------------------------
+// A plan is a 64-bit edge mask, so ViewTree::Build refuses trees of more
+// than ViewTree::kMaxEdges edges. Before that check, a unified plan of such
+// a view aborted the process while the other strategies failed cleanly.
+
+/// A root element over `n` sibling blocks, or over `n` nested blocks; each
+/// block binds its own variable over T.
+std::vector<std::pair<std::string, std::string>> WideAndDeepRxl(size_t n) {
+  std::string flat = "from T $r construct <doc>";
+  std::string deep = "from T $r construct <doc>";
+  for (size_t i = 0; i < n; ++i) {
+    const std::string var = "$t" + std::to_string(i);
+    const std::string tag = "a" + std::to_string(i);
+    flat += " { from T " + var + " construct <" + tag + ">" + var + ".v</" +
+            tag + "> }";
+    deep += " { from T " + var + " construct <" + tag + ">" + var + ".v";
+  }
+  for (size_t i = n; i-- > 0;) deep += "</a" + std::to_string(i) + "> }";
+  flat += "</doc>";
+  deep += "</doc>";
+  return {{"flat", flat}, {"deep", deep}};
+}
+
+TEST(FuzzTest, ViewTreesPastTheEdgeLimitFailCleanly) {
+  Database db;
+  ASSERT_TRUE(
+      sql::ExecuteDdl("CREATE TABLE T (k INT PRIMARY KEY, v TEXT);", &db).ok());
+  core::Publisher publisher(&db);
+  for (const auto& [shape, rxl] : WideAndDeepRxl(core::ViewTree::kMaxEdges)) {
+    auto tree = publisher.BuildViewTree(rxl);
+    ASSERT_TRUE(tree.ok()) << shape << ": " << tree.status();
+    EXPECT_EQ(tree->num_edges(), core::ViewTree::kMaxEdges) << shape;
+  }
+  for (size_t n : {size_t{64}, size_t{65}}) {
+    for (const auto& [shape, rxl] : WideAndDeepRxl(n)) {
+      const Status built = publisher.BuildViewTree(rxl).status();
+      EXPECT_EQ(built.code(), StatusCode::kOutOfRange) << shape << " " << n;
+      EXPECT_NE(built.message().find("at most 63"), std::string::npos)
+          << built;
+      for (auto strategy :
+           {core::PlanStrategy::kGreedy, core::PlanStrategy::kUnified,
+            core::PlanStrategy::kFullyPartitioned,
+            core::PlanStrategy::kExplicitMask}) {
+        for (auto style : {core::SqlGenStyle::kOuterJoin,
+                           core::SqlGenStyle::kOuterUnion}) {
+          core::PublishOptions options;
+          options.strategy = strategy;
+          options.style = style;
+          std::ostringstream out;
+          const Status status = publisher.Publish(rxl, options, &out).status();
+          EXPECT_EQ(status.code(), StatusCode::kOutOfRange)
+              << shape << " " << n << ": " << status;
+          EXPECT_TRUE(out.str().empty());
+        }
+      }
+    }
+  }
 }
 
 // --- Binary decoders (the wire protocol's hostile-input surface) ----------

@@ -86,7 +86,6 @@ TEST(GoldenXmlTest, DemoLatticeIsByteIdentical) {
 
   PublishOptions options;
   options.document_element = "league";
-  options.collect_sql = false;
   std::string reference;
   for (uint64_t mask = 0; mask <= full; ++mask) {
     std::ostringstream out;
@@ -109,7 +108,6 @@ TEST(GoldenXmlTest, Query1MatchesGolden) {
   auto tree = publisher.BuildViewTree(Query1Rxl());
   ASSERT_TRUE(tree.ok()) << tree.status();
   PublishOptions options;
-  options.collect_sql = false;
   std::ostringstream out;
   auto metrics = publisher.ExecutePlan(*tree, 0x1E8, options, &out);
   ASSERT_TRUE(metrics.ok()) << metrics.status();
@@ -130,8 +128,6 @@ TEST(GoldenXmlTest, Query1LatticeSerialAndConcurrentAreByteIdentical) {
                                  0x0AA & full, 0x013 & full};
 
   PublishOptions base;
-  base.collect_sql = false;
-
   // Serial reference from the unified (all-edges) plan.
   std::string reference;
   {

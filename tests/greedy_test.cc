@@ -2,14 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-#include <sstream>
 #include <string>
 
 #include "engine/estimator.h"
-#include "engine/measured_oracle.h"
 #include "engine/stats.h"
-#include "obs/profile.h"
 #include "rxl/parser.h"
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
@@ -156,127 +152,6 @@ TEST_F(GreedyTest, ToStringRendersEdges) {
   std::string s = plan.ToString(*tree_);
   EXPECT_NE(s.find("mandatory"), std::string::npos);
   EXPECT_NE(s.find("S1.4.2-S1.4.2.1"), std::string::npos);
-}
-
-/// CostOracle shim that records the normalized text of every SQL the
-/// greedy search probes, so a test can "run the workload" the plan implies.
-class CapturingOracle : public engine::CostOracle {
- public:
-  explicit CapturingOracle(engine::CostOracle* inner) : inner_(inner) {}
-  Result<engine::QueryEstimate> EstimateSql(std::string_view sql) override {
-    seen.insert(obs::NormalizeSql(sql));
-    return inner_->EstimateSql(sql);
-  }
-  std::set<std::string> seen;
-
- private:
-  engine::CostOracle* const inner_;
-};
-
-TEST_F(GreedyTest, ObservedProfileOverlayChangesThePlan) {
-  // Synthetic baseline: the estimator's plan, which leaves some edges
-  // split or optional (DefaultsPlanFamilyForQuery1).
-  GreedyPlan synthetic_plan = Run(GreedyParams{});
-  ASSERT_LT(synthetic_plan.mandatory_edges.size(), tree_->num_edges());
-
-  // An observed workload the synthetic model disagrees with: every
-  // component query costs a flat 100 ms regardless of shape (per-query
-  // overhead dominates — common when the RDBMS round-trip is the cost).
-  // Then merging any two queries saves a whole round-trip: relative cost
-  // ~ a*(C - 2C) = -1e7, far below t1 = -3e5, so the measured overlay
-  // must promote every edge to mandatory. The profile reaches the merged
-  // candidates by fixpoint: re-plan, record every SQL the search probed
-  // at the observed cost, repeat until no new text appears.
-  obs::WorkloadProfile profile;
-  engine::CostEstimator synthetic(&db_->catalog(), stats_);
-  std::set<std::string> known;
-  GreedyPlan measured_plan;
-  uint64_t final_overlay_hits = 0;
-  for (int round = 0; round < 16; ++round) {
-    engine::MeasuredCostOracle overlay(&synthetic, &profile);
-    CapturingOracle capture(&overlay);
-    auto plan = GeneratePlanGreedy(*tree_, &capture, GreedyParams{});
-    ASSERT_TRUE(plan.ok()) << plan.status();
-    measured_plan = std::move(plan).value();
-    final_overlay_hits = overlay.overlay_hits();
-    size_t before = known.size();
-    for (const auto& sql : capture.seen) {
-      if (known.insert(sql).second) profile.RecordQuery(sql, 100.0, 1, 1);
-    }
-    if (known.size() == before) break;  // fixpoint: profile covers the search
-  }
-  EXPECT_GT(final_overlay_hits, 0u);
-  EXPECT_EQ(measured_plan.mandatory_edges.size(), tree_->num_edges());
-  EXPECT_TRUE(measured_plan.optional_edges.empty());
-  // The chosen plan demonstrably changed: one fully-unified query set
-  // instead of the synthetic family.
-  EXPECT_NE(measured_plan.PlanMasks(), synthetic_plan.PlanMasks());
-
-  // Different plan, same document: the mask only re-partitions the view
-  // into SQL components, so both plans' XML must match byte for byte.
-  Publisher publisher(db_);
-  PublishOptions options;
-  std::ostringstream synthetic_xml;
-  std::ostringstream measured_xml;
-  auto a = publisher.ExecutePlan(*tree_, synthetic_plan.PlanMasks().front(),
-                                 options, &synthetic_xml);
-  ASSERT_TRUE(a.ok()) << a.status();
-  auto b = publisher.ExecutePlan(*tree_, measured_plan.FullMask(), options,
-                                 &measured_xml);
-  ASSERT_TRUE(b.ok()) << b.status();
-  EXPECT_EQ(synthetic_xml.str(), measured_xml.str());
-  EXPECT_FALSE(synthetic_xml.str().empty());
-}
-
-TEST_F(GreedyTest, PlanOracleBypassesThePreparedPlanCache) {
-  // The overlay loop above, through one Publisher that first stored the
-  // synthetic plan of the same text: every overlay publish must plan
-  // afresh (a measured oracle drifts as its profile records), and the
-  // stored synthetic plan must survive the overlay publishes untouched.
-  Publisher publisher(db_);
-  PublishOptions options;
-  options.document_element = "suppliers";
-  std::ostringstream synthetic_xml;
-  auto synthetic = publisher.Publish(Query1Rxl(), options, &synthetic_xml);
-  ASSERT_TRUE(synthetic.ok()) << synthetic.status();
-  GreedyPlan expected = Run(GreedyParams{});
-  ASSERT_EQ(synthetic->greedy_plan.mandatory_edges, expected.mandatory_edges);
-  ASSERT_EQ(synthetic->greedy_plan.optional_edges, expected.optional_edges);
-  ASSERT_LT(expected.mandatory_edges.size(), tree_->num_edges());
-
-  obs::WorkloadProfile profile;
-  std::set<std::string> known;
-  GreedyPlan measured_plan;
-  for (int round = 0; round < 16; ++round) {
-    engine::MeasuredCostOracle overlay(publisher.estimator(), &profile);
-    CapturingOracle capture(&overlay);
-    PublishOptions overlaid = options;
-    overlaid.plan_oracle = &capture;
-    std::ostringstream xml;
-    auto result = publisher.Publish(Query1Rxl(), overlaid, &xml);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_FALSE(result->metrics.plan_cached) << "round " << round;
-    EXPECT_EQ(xml.str(), synthetic_xml.str());
-    measured_plan = result->greedy_plan;
-    size_t before = known.size();
-    for (const auto& sql : capture.seen) {
-      if (known.insert(sql).second) profile.RecordQuery(sql, 100.0, 1, 1);
-    }
-    if (known.size() == before) break;
-  }
-  EXPECT_EQ(measured_plan.mandatory_edges.size(), tree_->num_edges());
-  EXPECT_TRUE(measured_plan.optional_edges.empty());
-  EXPECT_EQ(publisher.prepared_plans(), 1u);
-
-  std::ostringstream again_xml;
-  auto again = publisher.Publish(Query1Rxl(), options, &again_xml);
-  ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_TRUE(again->metrics.plan_cached);
-  EXPECT_EQ(again->greedy_plan.mandatory_edges,
-            synthetic->greedy_plan.mandatory_edges);
-  EXPECT_EQ(again->greedy_plan.optional_edges,
-            synthetic->greedy_plan.optional_edges);
-  EXPECT_EQ(again_xml.str(), synthetic_xml.str());
 }
 
 TEST_F(GreedyTest, NodeSetMemoKeepsPlansAndRequestCounts) {

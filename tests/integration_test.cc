@@ -445,9 +445,7 @@ TEST(PublisherTest, FragmentQueryMatchesFig4) {
   ASSERT_TRUE(tree.ok()) << tree.status();
   EXPECT_EQ(tree->num_nodes(), 3u);  // supplier, nation, part
   EXPECT_EQ(tree->num_edges(), 2u);  // Fig. 5: 4 possible plans
-  auto plans = NumPlans(*tree);
-  ASSERT_TRUE(plans.ok());
-  EXPECT_EQ(*plans, 4u);
+  EXPECT_EQ(NumPlans(*tree), 4u);
 }
 
 TEST(PublisherTest, FragmentAllFourPlansAgree) {

@@ -17,11 +17,9 @@
 #include <vector>
 
 #include "engine/fault_injection.h"
-#include "engine/measured_oracle.h"
 #include "engine/result_cache.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "service/publishing_service.h"
 #include "silkroute/publisher.h"
@@ -202,7 +200,6 @@ TEST(TracedPublishTest, SerialPlanSpanTreeReproducesPhaseTotals) {
   Tracer tracer(&sink);
   MetricsRegistry registry;
   core::PublishOptions options;
-  options.collect_sql = false;
   options.document_element = "suppliers";
   options.tracer = &tracer;
   options.metrics_registry = &registry;
@@ -533,17 +530,12 @@ TEST(ExportTest, PrometheusTextMatchesGoldenFile) {
       ->Add(2);
   registry.gauge("silkroute_pool_queue_depth")->Set(3);
   // The scrape-endpoint dimension (DESIGN.md §14): the EngineServer's
-  // plain-named counters/gauge, plus the workload profile's live mirrors —
-  // written through a real WorkloadProfile so the mirror path is the one
-  // under test, not a hand-set imitation.
+  // plain-named counters/gauge.
   registry.counter("silkroute_server_requests_total")->Add(7);
   registry.counter("silkroute_server_errors_total")->Add(1);
   registry.counter("silkroute_server_frames_in_total")->Add(9);
   registry.counter("silkroute_server_frames_out_total")->Add(21);
   registry.gauge("silkroute_server_connections")->Set(2);
-  WorkloadProfile profile(0.3, &registry);
-  profile.RecordQuery("select s from Supplier", 4.0, 2, 64);
-  profile.RecordBind("select s from Supplier", 1.0);
   // The result-cache dimension (DESIGN.md §15): hit/miss/eviction/splice
   // counters and residency gauges, written through a real ResultCache so
   // the mirror path is the one under test. One insert, one hit, one miss,
@@ -629,196 +621,6 @@ TEST(MetricsTest, LabelValuesEscapeHostileCharacters) {
   EXPECT_EQ(EscapeLabelValue("a\r\nb"), "a\\n\\nb");
   EXPECT_EQ(LabeledName("silkroute_test_total", {{"path", "a\\b\"c\nd"}}),
             "silkroute_test_total{path=\"a\\\\b\\\"c\\nd\"}");
-}
-
-// ---------------------------------------------------------------------------
-// Observed-cost workload profile (DESIGN.md §14).
-
-TEST(ProfileTest, NormalizeSqlCollapsesWhitespace) {
-  EXPECT_EQ(NormalizeSql("  select  a\n from\t b  "), "select a from b");
-  EXPECT_EQ(NormalizeSql("select a from b"),
-            NormalizeSql("select a\n  from b"));
-  EXPECT_EQ(NormalizeSql(""), "");
-  EXPECT_EQ(NormalizeSql(" \t\n "), "");
-}
-
-TEST(ProfileTest, RecordAndLookupTrackEwmaTotalsAndHistogram) {
-  WorkloadProfile profile(0.5);
-  profile.RecordQuery("select 1", 100.0, 10, 1000);
-  auto p = profile.Lookup("  select    1 ");  // formatting must not split keys
-  ASSERT_TRUE(p.has_value());
-  EXPECT_DOUBLE_EQ(p->query.ewma_ms, 100.0);  // first sample seeds the EWMA
-  EXPECT_DOUBLE_EQ(p->rows_ewma, 10.0);
-  EXPECT_DOUBLE_EQ(p->wire_bytes_ewma, 1000.0);
-
-  profile.RecordQuery("select 1", 200.0, 20, 2000);
-  p = profile.Lookup("select 1");
-  ASSERT_TRUE(p.has_value());
-  EXPECT_DOUBLE_EQ(p->query.ewma_ms, 150.0);  // 0.5*200 + 0.5*100
-  EXPECT_DOUBLE_EQ(p->query.total_ms, 300.0);
-  EXPECT_EQ(p->query.count, 2u);
-  EXPECT_DOUBLE_EQ(p->rows_ewma, 15.0);
-
-  profile.RecordBind("select 1", 10.0);
-  profile.RecordTag("select 1", 5.0);
-  p = profile.Lookup("select 1");
-  ASSERT_TRUE(p.has_value());
-  EXPECT_DOUBLE_EQ(p->bind.ewma_ms, 10.0);
-  EXPECT_DOUBLE_EQ(p->tag.ewma_ms, 5.0);
-
-  uint64_t samples = 0;
-  for (uint64_t bucket : p->query.hist) samples += bucket;
-  EXPECT_EQ(samples, 2u);
-  EXPECT_EQ(profile.size(), 1u);
-  EXPECT_EQ(profile.records(), 4u);
-  EXPECT_FALSE(profile.Lookup("select 2").has_value());
-}
-
-TEST(ProfileTest, JsonRoundTripPreservesEverything) {
-  WorkloadProfile profile(0.3);
-  profile.RecordQuery("select a from \"weird\\table\"", 12.5, 7, 321);
-  profile.RecordQuery("select a from \"weird\\table\"", 14.5, 9, 345);
-  profile.RecordBind("select a from \"weird\\table\"", 1.25);
-  profile.RecordQuery("select b from t2", 0.0, 0, 0);
-
-  WorkloadProfile loaded(0.3);
-  ASSERT_TRUE(loaded.FromJson(profile.ToJson()).ok());
-  EXPECT_EQ(loaded.size(), profile.size());
-  EXPECT_EQ(loaded.records(), profile.records());
-  auto original = profile.Lookup("select a from \"weird\\table\"");
-  auto copy = loaded.Lookup("select a from \"weird\\table\"");
-  ASSERT_TRUE(original.has_value());
-  ASSERT_TRUE(copy.has_value());
-  EXPECT_DOUBLE_EQ(copy->query.ewma_ms, original->query.ewma_ms);
-  EXPECT_DOUBLE_EQ(copy->query.total_ms, original->query.total_ms);
-  EXPECT_EQ(copy->query.count, original->query.count);
-  EXPECT_EQ(copy->query.hist, original->query.hist);
-  EXPECT_DOUBLE_EQ(copy->bind.ewma_ms, original->bind.ewma_ms);
-  EXPECT_DOUBLE_EQ(copy->rows_ewma, original->rows_ewma);
-  EXPECT_DOUBLE_EQ(copy->wire_bytes_ewma, original->wire_bytes_ewma);
-  // And the round-trip is a fixpoint: serialize-load-serialize is stable.
-  EXPECT_EQ(loaded.ToJson(), profile.ToJson());
-}
-
-TEST(ProfileTest, MalformedJsonRejectedWithoutClobbering) {
-  WorkloadProfile profile;
-  profile.RecordQuery("select 1", 5.0, 1, 1);
-  const std::string cases[] = {
-      "",
-      "not json",
-      "[1,2,3]",
-      "{\"version\":99,\"records\":0,\"components\":[]}",
-      "{\"records\":0,\"components\":[]}",
-      "{\"version\":1,\"records\":0}",
-      "{\"version\":1,\"records\":-3,\"components\":[]}",
-      "{\"version\":1,\"records\":0,\"components\":[42]}",
-      "{\"version\":1,\"records\":0,\"components\":[{\"sql\":7}]}",
-      "{\"version\":1,\"records\":0,\"components\":[]}trailing",
-  };
-  for (const std::string& bad : cases) {
-    Status status = profile.FromJson(bad);
-    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << bad;
-    // A rejected load never half-applies: the old contents survive.
-    EXPECT_EQ(profile.size(), 1u) << bad;
-    EXPECT_TRUE(profile.Lookup("select 1").has_value()) << bad;
-  }
-}
-
-TEST(ProfileTest, SaveLoadRoundTripAndMissingFile) {
-  WorkloadProfile profile;
-  profile.RecordQuery("select 1", 5.0, 2, 64);
-  const std::string path = "obs_test_profile_tmp.json";
-  ASSERT_TRUE(profile.Save(path).ok());
-  WorkloadProfile loaded;
-  ASSERT_TRUE(loaded.Load(path).ok());
-  EXPECT_EQ(loaded.ToJson(), profile.ToJson());
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.Load("no_such_profile.json").code(),
-            StatusCode::kNotFound);
-}
-
-TEST(ProfileTest, RegistryMirrorsRecordsAndKeys) {
-  MetricsRegistry registry;
-  WorkloadProfile profile(0.3, &registry);
-  profile.RecordQuery("select 1", 5.0, 1, 1);
-  profile.RecordQuery("select 2", 5.0, 1, 1);
-  profile.RecordBind("select 1", 1.0);
-  MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(snapshot.counters.at("silkroute_profile_records_total"), 3u);
-  EXPECT_EQ(snapshot.gauges.at("silkroute_profile_keys"), 2);
-}
-
-// ---------------------------------------------------------------------------
-// MeasuredCostOracle: the overlay that feeds observation back to genPlan.
-
-/// Fixed-answer synthetic oracle for overlay tests.
-class FixedOracle : public engine::CostOracle {
- public:
-  Result<engine::QueryEstimate> EstimateSql(std::string_view) override {
-    ++calls;
-    engine::QueryEstimate est;
-    est.rows = 1000;
-    est.cost = 42;
-    est.width_bytes = 8;
-    return est;
-  }
-  int calls = 0;
-};
-
-TEST(MeasuredOracleTest, PassesThroughOnMissAndNullProfile) {
-  FixedOracle synthetic;
-  engine::MeasuredCostOracle null_profile(&synthetic, nullptr);
-  auto est = null_profile.EstimateSql("select 1");
-  ASSERT_TRUE(est.ok());
-  EXPECT_DOUBLE_EQ(est->cost, 42.0);
-  EXPECT_EQ(null_profile.overlay_hits(), 0u);
-
-  WorkloadProfile profile;
-  engine::MeasuredCostOracle empty(&synthetic, &profile);
-  est = empty.EstimateSql("select 1");
-  ASSERT_TRUE(est.ok());
-  EXPECT_DOUBLE_EQ(est->cost, 42.0);
-  EXPECT_DOUBLE_EQ(est->rows, 1000.0);
-  EXPECT_EQ(empty.overlay_hits(), 0u);
-}
-
-TEST(MeasuredOracleTest, OverlayPricesByMeasurementInSyntheticUnits) {
-  FixedOracle synthetic;
-  WorkloadProfile profile;
-  profile.RecordQuery("select 1", 100.0, 50, 500);
-  profile.RecordBind("select 1", 20.0);
-  profile.RecordTag("select 1", 5.0);
-  engine::MeasuredCostOracle oracle(&synthetic, &profile);
-  auto est = oracle.EstimateSql("select  1");  // normalized lookup
-  ASSERT_TRUE(est.ok());
-  // cost = (query + bind + tag) ms * 1000 units/ms; cardinality and
-  // data_size() come from observation, not the synthetic model.
-  EXPECT_DOUBLE_EQ(est->cost, 125000.0);
-  EXPECT_DOUBLE_EQ(est->rows, 50.0);
-  EXPECT_DOUBLE_EQ(est->data_size(), 500.0);
-  EXPECT_EQ(oracle.overlay_hits(), 1u);
-  // The synthetic oracle is still consulted (request accounting stays
-  // comparable with unprofiled runs).
-  EXPECT_EQ(synthetic.calls, 1);
-}
-
-TEST(MeasuredOracleTest, MinSamplesGatesTheOverlay) {
-  FixedOracle synthetic;
-  WorkloadProfile profile;
-  profile.RecordQuery("select 1", 100.0, 50, 500);
-  engine::MeasuredCostOracle::Options options;
-  options.min_samples = 2;
-  engine::MeasuredCostOracle oracle(&synthetic, &profile, options);
-  auto est = oracle.EstimateSql("select 1");
-  ASSERT_TRUE(est.ok());
-  EXPECT_DOUBLE_EQ(est->cost, 42.0);  // one sample: synthetic stands
-  EXPECT_EQ(oracle.overlay_hits(), 0u);
-
-  profile.RecordQuery("select 1", 100.0, 50, 500);
-  est = oracle.EstimateSql("select 1");
-  ASSERT_TRUE(est.ok());
-  EXPECT_DOUBLE_EQ(est->cost, 100000.0);
-  EXPECT_EQ(oracle.overlay_hits(), 1u);
 }
 
 TEST(ExportTest, StatsTableListsEverySeries) {

@@ -32,9 +32,7 @@ Database* PartitionTest::db_ = nullptr;
 ViewTree* PartitionTest::tree_ = nullptr;
 
 TEST_F(PartitionTest, NumPlansIsTwoToTheEdges) {
-  auto n = NumPlans(*tree_);
-  ASSERT_TRUE(n.ok());
-  EXPECT_EQ(*n, 512u);  // paper Sec. 2: 2^9 plans
+  EXPECT_EQ(NumPlans(*tree_), 512u);  // paper Sec. 2: 2^9 plans
 }
 
 TEST_F(PartitionTest, FullyPartitionedHasOneStreamPerNode) {

@@ -241,7 +241,6 @@ TEST_P(RandomViewTest, AllPlansProduceIdenticalXml) {
         PublishOptions opt;
         opt.style = style;
         opt.reduce = reduce;
-        opt.collect_sql = false;
         opt.document_element = "doc";
         std::ostringstream out;
         auto metrics = publisher_->ExecutePlan(*tree, mask, opt, &out);

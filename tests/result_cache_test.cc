@@ -8,9 +8,8 @@
 //    insert path (validated and unchecked) must keep the primary-key set,
 //    secondary indexes, and the version counter in lockstep, because any
 //    drift would silently serve stale cached documents;
-//  - NormalizeSql pinning: the shared keying function used by both the
-//    workload profile and the cache (a changed normalization would orphan
-//    every profile entry and cache key in the wild);
+//  - NormalizeSql pinning: the cache's keying function (a changed
+//    normalization would orphan every cache key in the wild);
 //  - concurrent readers + writers over one cache (the TSan target);
 //  - end to end: cache-on publishes byte-identical to cache-off at
 //    concurrency 1 and 8, the unchanged-view republish served from the
@@ -28,7 +27,6 @@
 
 #include "common/string_util.h"
 #include "engine/result_cache.h"
-#include "obs/profile.h"
 #include "relational/database.h"
 #include "service/publishing_service.h"
 #include "silkroute/publisher.h"
@@ -196,20 +194,21 @@ TEST(TableVersionTest, EveryInsertPathMaintainsVersionAndKeys) {
 }
 
 // ---------------------------------------------------------------------------
-// NormalizeSql: the shared keying function
+// NormalizeSql: the cache's keying function
 // ---------------------------------------------------------------------------
 
-TEST(NormalizeSqlTest, PinsTheSharedKeyingNormalization) {
-  // Both the workload profile and the result cache key on this exact
-  // output; changing it silently orphans saved profiles and cached
-  // entries, so the behaviour is pinned.
+TEST(NormalizeSqlTest, PinsTheKeyingNormalization) {
+  // The result cache keys fragments on this exact output; changing it
+  // silently orphans cached entries, so the behaviour is pinned.
   EXPECT_EQ(NormalizeSql("SELECT a FROM T"), "SELECT a FROM T");
   EXPECT_EQ(NormalizeSql("  SELECT   a,\n\tb\nFROM  T  "),
             "SELECT a, b FROM T");
+  EXPECT_EQ(NormalizeSql("  select  a\n from\t b  "), "select a from b");
+  EXPECT_EQ(NormalizeSql("select a from b"),
+            NormalizeSql("select a\n  from b"));
   EXPECT_EQ(NormalizeSql("\n\t "), "");
+  EXPECT_EQ(NormalizeSql(" \t\n "), "");
   EXPECT_EQ(NormalizeSql(""), "");
-  // The obs:: alias is the same function, not a divergent copy.
-  EXPECT_EQ(obs::NormalizeSql("a   b"), NormalizeSql("a   b"));
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "common/timer.h"
 #include "engine/fault_injection.h"
 #include "engine/resilient_executor.h"
+#include "engine/result_cache.h"
 #include "silkroute/partition.h"
 #include "silkroute/publisher.h"
 #include "silkroute/queries.h"
@@ -223,16 +224,28 @@ TEST(RobustnessTest, DistinctSelectsProduceSameDocument) {
   EXPECT_EQ(a, b);
 }
 
-TEST(RobustnessTest, CollectSqlOffOmitsStatements) {
+TEST(RobustnessTest, MetricsListOnlyTheStatementsSent) {
+  // One SQL text per executed component; a publish served from the cache
+  // sends nothing and lists nothing.
   auto db = MakeTinyTpch(0.001);
   Publisher publisher(db.get());
+  engine::ResultCache cache(engine::ResultCache::Options{});
   PublishOptions options;
-  options.collect_sql = false;
   options.document_element = "suppliers";
-  std::ostringstream out;
-  auto result = publisher.Publish(Query1Rxl(), options, &out);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->metrics.sql.empty());
+  options.result_cache = &cache;
+  std::ostringstream cold_out;
+  auto cold = publisher.Publish(Query1Rxl(), options, &cold_out);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  ASSERT_EQ(cold->metrics.sql.size(), cold->metrics.num_streams);
+  for (const std::string& sql : cold->metrics.sql) {
+    EXPECT_EQ(sql.rfind("select", 0), 0u) << sql;
+  }
+  std::ostringstream warm_out;
+  auto warm = publisher.Publish(Query1Rxl(), options, &warm_out);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  EXPECT_TRUE(warm->metrics.served_from_doc_cache);
+  EXPECT_TRUE(warm->metrics.sql.empty());
+  EXPECT_EQ(warm_out.str(), cold_out.str());
 }
 
 TEST(RobustnessTest, NumericValuesRenderCanonically) {

@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "net/flaky_proxy.h"
+#include "tests/support/flaky_proxy.h"
 #include "net/frame_io.h"
 #include "net/prom_server.h"
 #include "net/remote_executor.h"

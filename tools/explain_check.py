@@ -5,9 +5,9 @@ Usage: explain_check.py CLI SCHEMA VIEW WORKDIR
 
 For each strategy (greedy, unified, partitioned, outer-union) the CLI runs
 twice with the same flags: once with --explain, and once publishing with
---profile-out. The profile records the SQL text of every component query
-the publish executed (PlanMetrics::sql), whitespace-normalized. The SQL
-that --explain prints must be exactly those texts, one per component.
+--trace. Every `component` span of the trace carries its component's SQL
+text, whitespace-normalized, in an `sql` annotation. The SQL that --explain
+prints must be exactly those texts, one per component, in component order.
 Exit status: 0 when every strategy agrees, 1 otherwise.
 """
 import json
@@ -39,13 +39,21 @@ def explained_sql(cli, schema, view, strategy):
 
 
 def published_sql(cli, schema, view, strategy, workdir):
-    profile = os.path.join(workdir, "explain_check_%s.json" % strategy)
+    trace = os.path.join(workdir, "explain_check_%s.jsonl" % strategy)
     subprocess.run(
         [cli, "--schema", schema, "--view", view, "--strategy", strategy,
-         "--root", "doc", "--output", os.devnull, "--profile-out", profile],
+         "--root", "doc", "--output", os.devnull, "--trace", trace],
         check=True)
-    with open(profile) as f:
-        return [c["sql"] for c in json.load(f)["components"]]
+    components = []
+    with open(trace) as f:
+        for line in f:
+            span = json.loads(line)
+            if span["name"] == "component":
+                components.append(span)
+    # Span ids are hierarchical ("1.2", "1.3", ...) and numbered in start
+    # order, so sorting them numerically restores component order.
+    components.sort(key=lambda s: [int(part) for part in s["id"].split(".")])
+    return [dict(s["annotations"]).get("sql") for s in components]
 
 
 def main():
@@ -57,8 +65,7 @@ def main():
     for strategy in STRATEGIES:
         explained = explained_sql(cli, schema, view, strategy)
         published = published_sql(cli, schema, view, strategy, workdir)
-        # The profile is keyed by SQL text, so compare in sorted order.
-        if not explained or sorted(explained) != sorted(published):
+        if not explained or explained != published:
             print("explain_check: %s: --explain printed %d quer(ies), the "
                   "publish ran %d, or their texts differ:\n  explain: %s\n"
                   "  publish: %s" % (strategy, len(explained), len(published),

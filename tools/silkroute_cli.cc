@@ -41,14 +41,6 @@
 //   --scrape HOST:PORT fetch a running engine server's metrics snapshot
 //                      via a kStats wire frame, print it, and exit
 //
-// Observed-cost workload profile (DESIGN.md §14):
-//   --profile-out FILE record per-component query/bind/tag costs while
-//                      publishing and save them as JSON to FILE
-//   --profile-in FILE  load a recorded profile and overlay its observed
-//                      costs on the planner's synthetic estimates, so
-//                      genPlan prices component merges by measurement
-//                      (also honored by --explain)
-//
 // Networked federation (DESIGN.md §12):
 //   --serve PORT       run as an engine server: load schema+data, answer
 //                      wire-protocol SQL requests until SIGINT/SIGTERM
@@ -73,7 +65,6 @@
 #include <thread>
 
 #include "common/timer.h"
-#include "engine/measured_oracle.h"
 #include "engine/result_cache.h"
 #include "net/prom_server.h"
 #include "net/remote_executor.h"
@@ -81,7 +72,6 @@
 #include "net/server.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "relational/csv.h"
 #include "service/federated_executor.h"
@@ -121,8 +111,6 @@ struct Args {
   int prom_port = -1;       // >=0: live HTTP scrape endpoint on this port
   std::string prom_port_file;  // write the bound scrape port here
   std::string scrape;       // host:port — print a server's stats and exit
-  std::string profile_out;  // save the observed-cost workload profile here
-  std::string profile_in;   // overlay this profile on the planner's costs
   int serve = -1;           // >=0: run as an engine server on this port
   std::string port_file;    // with --serve: write the bound port here
   std::string connect;      // host:port of a remote engine server
@@ -143,7 +131,6 @@ int Usage(const char* argv0) {
                "[--cache-mb N] [--cache-stats] "
                "[--prom-port port [--prom-port-file file]] "
                "[--scrape host:port] "
-               "[--profile-out file] [--profile-in file] "
                "[--serve port [--port-file file]] [--connect host:port"
                "[,host:port...] [--federate table,...|all]]\n";
   return 2;
@@ -230,12 +217,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--scrape") {
       args.scrape = next() ? argv[i] : "";
       if (args.scrape.find(':') == std::string::npos) return Usage(argv[0]);
-    } else if (flag == "--profile-out") {
-      args.profile_out = next() ? argv[i] : "";
-      if (args.profile_out.empty()) return Usage(argv[0]);
-    } else if (flag == "--profile-in") {
-      args.profile_in = next() ? argv[i] : "";
-      if (args.profile_in.empty()) return Usage(argv[0]);
     } else if (flag == "--serve") {
       args.serve = next() ? std::atoi(argv[i]) : -1;
       if (args.serve < 0 || args.serve > 65535) return Usage(argv[0]);
@@ -464,30 +445,8 @@ int main(int argc, char** argv) {
               << " byte(s) resident\n";
   };
 
-  // Observed-cost overlay: a loaded profile prices plan candidates by what
-  // this workload actually cost, falling back to the synthetic estimator
-  // for SQL the profile has never seen (DESIGN.md §14).
-  std::unique_ptr<obs::WorkloadProfile> profile;
-  std::unique_ptr<engine::MeasuredCostOracle> measured_oracle;
-  if (!args.profile_in.empty() || !args.profile_out.empty()) {
-    profile = std::make_unique<obs::WorkloadProfile>(/*alpha=*/0.3,
-                                                     registry_ptr);
-    if (!args.profile_in.empty()) {
-      auto loaded = profile->Load(args.profile_in);
-      if (!loaded.ok()) {
-        std::cerr << "error: " << loaded << "\n";
-        return 1;
-      }
-      std::cerr << "profile: " << profile->size() << " component(s) from "
-                << args.profile_in << "\n";
-      measured_oracle = std::make_unique<engine::MeasuredCostOracle>(
-          publisher.estimator(), profile.get());
-    }
-  }
-
   if (args.explain) {
     // The prepared plan a publish with the same flags runs.
-    options.plan_oracle = measured_oracle.get();
     auto plan = publisher.Prepare(rxl, options);
     CLI_CHECK(plan);
     const ViewTree& tree = *(*plan)->tree;
@@ -540,20 +499,6 @@ int main(int argc, char** argv) {
     }
     std::cerr << "prometheus scrape on port " << prom_server->port() << "\n";
   }
-
-  // Persist the observed-cost profile (if any) once the run is done.
-  auto export_profile = [&]() -> bool {
-    if (profile == nullptr || args.profile_out.empty()) return true;
-    auto saved = profile->Save(args.profile_out);
-    if (!saved.ok()) {
-      std::cerr << "error: " << saved << "\n";
-      return false;
-    }
-    std::cerr << "profile: " << profile->size() << " component(s), "
-              << profile->records() << " record(s) -> " << args.profile_out
-              << "\n";
-    return true;
-  };
 
   // Federation: component SQL goes to one remote engine server — or a
   // replica set of them when --connect lists several endpoints —
@@ -631,8 +576,6 @@ int main(int argc, char** argv) {
     service_options.executor = executor;  // null = built-in local engine
     service_options.tracer = tracer_ptr;
     service_options.metrics_registry = registry_ptr;
-    service_options.profile = profile.get();
-    service_options.plan_oracle = measured_oracle.get();
     service_options.result_cache = result_cache.get();
     service::PublishingService service(&db, service_options);
     std::vector<service::ServiceRequest> batch(
@@ -672,7 +615,6 @@ int main(int argc, char** argv) {
     }
     report_cache();
     if (!export_observability()) return 1;
-    if (!export_profile()) return 1;
     if (prom_server != nullptr) prom_server->Shutdown();
     return failures == 0 ? 0 : 1;
   }
@@ -680,8 +622,6 @@ int main(int argc, char** argv) {
   options.executor = executor;  // null = built-in local engine
   options.tracer = tracer_ptr;
   options.metrics_registry = registry_ptr;
-  options.profile = profile.get();
-  options.plan_oracle = measured_oracle.get();
   options.result_cache = result_cache.get();
   auto result = publisher.Publish(rxl, options, out);
   CLI_CHECK(result);
@@ -691,7 +631,6 @@ int main(int argc, char** argv) {
             << result->metrics.total_ms() << " ms\n";
   report_cache();
   if (!export_observability()) return 1;
-  if (!export_profile()) return 1;
   if (prom_server != nullptr) prom_server->Shutdown();
   return 0;
 }

@@ -811,8 +811,16 @@ class QueryExecutor::RowExprs {
     return scratch_;
   }
   const Tuple& Load(const Input& in, size_t i) {
-    return LoadWith([&](size_t c) { return in.Cell(i, c); });
+    return Load(in, i, &scratch_);
   }
+  /// Load into the caller's `row` (a Scratch()), leaving this object
+  /// untouched: concurrent binds of one batch each bring their own.
+  const Tuple& Load(const Input& in, size_t i, Tuple* row) const {
+    for (size_t c : read_) (*row)[c] = in.Cell(i, c);
+    return *row;
+  }
+  /// A row as wide as the scratch row, for Load's third argument.
+  Tuple Scratch() const { return Tuple(scratch_.size()); }
   /// Left row l beside right row r (kNullRow: the right NULL row).
   const Tuple& Load(const Input& left, size_t l, const Input& right,
                     uint32_t r) {
@@ -867,11 +875,20 @@ struct QueryExecutor::Core {
   /// Output cell (i, j).
   Value ItemValue(size_t i, size_t j) {
     const Item& item = items[j];
+    if (item.kind == Item::Kind::kExpr) {
+      return exprs.Eval(item.index, exprs.Load(in, i));
+    }
+    return ItemValue(i, j, nullptr);
+  }
+  /// Output cell (i, j), a computed one evaluated on `scratch` (an
+  /// exprs.Scratch()); safe to call concurrently.
+  Value ItemValue(size_t i, size_t j, Tuple* scratch) const {
+    const Item& item = items[j];
     switch (item.kind) {
       case Item::Kind::kColumn:
         return in.Cell(i, item.index);
       case Item::Kind::kExpr:
-        return exprs.Eval(item.index, exprs.Load(in, i));
+        return exprs.Eval(item.index, exprs.Load(in, i, scratch));
       case Item::Kind::kConstant:
         break;
     }
@@ -1799,17 +1816,22 @@ Rows::Rows(Relation relation)
       tuples_(std::move(relation.rows)) {}
 
 template <typename Fn>
-void Rows::ForEachRow(Fn&& fn) {
+void Rows::ForEachRow(size_t begin, size_t end, Fn&& fn) const {
   if (order_.empty()) {
-    for (size_t k = 0; k < cores_.size(); ++k) {
-      for (size_t i = 0; i < cores_[k].in.size(); ++i) fn(k, i);
+    // Core k holds rows [first, first + its size).
+    size_t k = 0;
+    size_t first = 0;
+    for (size_t r = begin; r < end; ++r) {
+      while (r - first >= cores_[k].in.size()) first += cores_[k++].in.size();
+      fn(r, k, r - first);
     }
     return;
   }
-  for (size_t g : order_) {
+  for (size_t r = begin; r < end; ++r) {
+    size_t g = order_[r];
     size_t k = 0;
     while (g >= cores_[k].in.size()) g -= cores_[k++].in.size();
-    fn(k, g);
+    fn(r, k, g);
   }
 }
 
@@ -1818,7 +1840,7 @@ Relation Rows::ToRelation() && {
   Relation out;
   const size_t width = schema_.size();
   out.rows.reserve(size_);
-  ForEachRow([&](size_t k, size_t i) {
+  ForEachRow(0, size_, [&](size_t, size_t k, size_t i) {
     Tuple row;
     row.mutable_values().reserve(width);
     for (size_t j = 0; j < width; ++j) row.Append(cores_[k].ItemValue(i, j));
@@ -1828,13 +1850,40 @@ Relation Rows::ToRelation() && {
   return out;
 }
 
-void Rows::AppendWire(std::string* out) {
+size_t Rows::HeldBytes() const {
+  size_t total = order_.capacity() * sizeof(uint32_t);
+  for (const Tuple& t : tuples_) total += t.ByteSize();
+  std::vector<const Relation*> owned;  // each counted once
+  for (const Core& core : cores_) {
+    for (const auto& ids : core.in.ids) total += ids.capacity() * 4;
+    for (const auto& source : core.in.sources) {
+      const Relation* rel = source.rel.get();
+      if (rel != nullptr &&
+          std::find(owned.begin(), owned.end(), rel) == owned.end()) {
+        owned.push_back(rel);
+        total += rel->ByteSize();
+      }
+    }
+  }
+  return total;
+}
+
+void Rows::AppendWire(size_t begin, size_t end, std::string* out,
+                      std::vector<uint64_t>* index) const {
   WireWriter writer(out);
+  auto mark = [&](size_t r) {
+    if (index != nullptr && (r - begin) % kIndexStride == 0) {
+      index->push_back(writer.size());
+    }
+  };
   if (cores_.empty()) {
     size_t estimate = 0;
-    for (const Tuple& t : tuples_) estimate += t.ByteSize() + 8;
+    for (size_t r = begin; r < end; ++r) estimate += tuples_[r].ByteSize() + 8;
     writer.Expect(estimate);
-    for (const Tuple& t : tuples_) SerializeTuple(t, &writer);
+    for (size_t r = begin; r < end; ++r) {
+      mark(r);
+      SerializeTuple(tuples_[r], &writer);
+    }
     return;
   }
   using Input = QueryExecutor::Input;
@@ -1851,9 +1900,13 @@ void Rows::AppendWire(std::string* out) {
     size_t item = 0;                       // kComputed
   };
   std::vector<std::vector<Field>> fields(cores_.size());
+  // This call's rows for the computed items, so that concurrent calls on
+  // one batch share no state.
+  std::vector<Tuple> scratch(cores_.size());
   size_t estimate = 0;
   for (size_t k = 0; k < cores_.size(); ++k) {
     const Core& core = cores_[k];
+    if (!core.exprs.empty()) scratch[k] = core.exprs.Scratch();
     size_t row_bytes = 4;
     for (size_t j = 0; j < core.items.size(); ++j) {
       const Core::Item& item = core.items[j];
@@ -1883,11 +1936,13 @@ void Rows::AppendWire(std::string* out) {
     }
     estimate += row_bytes * core.in.size();
   }
-  writer.Expect(estimate);
+  // The rows' share of the whole result's estimate.
+  if (size_ > 0) writer.Expect(estimate / size_ * (end - begin));
 
   const auto width = static_cast<uint32_t>(schema_.size());
-  ForEachRow([&](size_t k, size_t i) {
-    Core& core = cores_[k];
+  ForEachRow(begin, end, [&](size_t r, size_t k, size_t i) {
+    const Core& core = cores_[k];
+    mark(r);
     writer.Row(width);
     for (const Field& f : fields[k]) {
       switch (f.kind) {
@@ -1918,7 +1973,7 @@ void Rows::AppendWire(std::string* out) {
           writer.Field(*f.constant);
           break;
         case Field::Kind::kComputed:
-          writer.Field(core.ItemValue(i, f.item));
+          writer.Field(core.ItemValue(i, f.item, &scratch[k]));
           break;
       }
     }

@@ -236,11 +236,16 @@ class QueryExecutor : public SqlExecutor {
 /// results"): each SELECT core's row-id batch, the ORDER BY permutation
 /// over them, and per select item its batch column, its constant or its
 /// computed expression, all owned. Base tables are borrowed, under the
-/// rule a running query already observes: a Rows must be bound or turned
-/// into a Relation before the next write to a table it reads. Move-only;
-/// one thread at a time.
+/// rule a running query already observes: no write may land on a table a
+/// Rows reads while the Rows lives (the publisher keeps a component's Rows
+/// until the tag ends). Move-only. The const calls are safe to make from
+/// several threads at once.
 class Rows {
  public:
+  /// Rows between two entries of a bound result's row index: AppendWire
+  /// records the offset of every kIndexStride-th row.
+  static constexpr size_t kIndexStride = 64;
+
   Rows();
   /// Hands over a Relation as it is: its tuples, in order.
   explicit Rows(Relation relation);
@@ -251,10 +256,18 @@ class Rows {
   const RelSchema& schema() const { return schema_; }
   size_t size() const { return size_; }
 
-  /// The bind: appends every row, in result order, in the wire format
-  /// (engine/tuple_stream.h), each field written straight from its typed
-  /// column, or from its Value for a held, constant or computed cell.
-  void AppendWire(std::string* out);
+  /// The bind: appends rows [begin, end), in result order, in the wire
+  /// format (engine/tuple_stream.h), each field written straight from its
+  /// typed column, or from its Value for a held, constant or computed
+  /// cell. With `index`, also appends the offset in `*out` of rows begin,
+  /// begin + kIndexStride, ... Computed items are evaluated on this call's
+  /// own scratch row, so concurrent calls on one Rows are race-free.
+  void AppendWire(size_t begin, size_t end, std::string* out,
+                  std::vector<uint64_t>* index = nullptr) const;
+
+  /// Bytes this result holds beyond the base tables it borrows: row ids,
+  /// the ORDER BY permutation, owned relations and handed-over tuples.
+  size_t HeldBytes() const;
 
   /// Builds every row as a Tuple, in result order.
   Relation ToRelation() &&;
@@ -263,9 +276,10 @@ class Rows {
   friend class QueryExecutor;
   using Core = QueryExecutor::Core;
 
-  /// Calls fn(k, i) for every row (row i of core k), in result order.
+  /// Calls fn(r, k, i) for every row r in [begin, end) of the result
+  /// order; it is row i of core k.
   template <typename Fn>
-  void ForEachRow(Fn&& fn);
+  void ForEachRow(size_t begin, size_t end, Fn&& fn) const;
 
   RelSchema schema_;
   std::vector<Core> cores_;      // empty: a handed-over Relation's tuples_

@@ -36,6 +36,7 @@ std::string PackKey(char space, std::string_view text,
 
 size_t CacheEntry::ByteSize() const {
   size_t total = bytes != nullptr ? bytes->size() : 0;
+  if (row_index != nullptr) total += row_index->size() * sizeof(uint64_t);
   for (const auto& col : schema.columns()) {
     total += col.qualifier.size() + col.name.size() + 8;
   }

@@ -66,13 +66,16 @@ namespace silkroute::engine {
 using TableVersionVector = std::vector<std::pair<std::string, uint64_t>>;
 
 /// One immutable cached payload. Fragment entries use schema / bytes /
-/// num_tuples; document entries use bytes (the XML) plus the counters the
+/// row_index / num_tuples; document entries use bytes (the XML) plus the counters the
 /// publisher needs to rebuild PlanMetrics on a hit (rows, wire_bytes, ...,
 /// packed as name/value pairs so the engine layer stays ignorant of the
 /// publisher's metric struct).
 struct CacheEntry {
   RelSchema schema;
   std::shared_ptr<const std::string> bytes;
+  /// The row index recorded as `bytes` were bound (TupleStream), so that a
+  /// hit can be cut into tagger ranges; null for a document.
+  std::shared_ptr<const std::vector<uint64_t>> row_index;
   size_t num_tuples = 0;
   std::vector<std::pair<std::string, uint64_t>> counters;
 

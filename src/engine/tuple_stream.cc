@@ -1,5 +1,7 @@
 #include "engine/tuple_stream.h"
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 
 namespace silkroute::engine {
@@ -134,81 +136,228 @@ Result<Tuple> DeserializeTuple(std::string_view buffer, size_t* offset) {
   return tuple;
 }
 
-TupleStream::TupleStream(Relation relation)
-    : TupleStream(Rows(std::move(relation))) {}
+namespace {
 
-TupleStream::TupleStream(Rows rows)
-    : schema_(rows.schema()), num_tuples_(rows.size()) {
-  auto buffer = std::make_shared<std::string>();
-  rows.AppendWire(buffer.get());
-  end_ = buffer->size();
-  buffer_ = std::move(buffer);
-}
-
-TupleStream TupleStream::Slice(size_t begin, size_t end,
-                               size_t num_tuples) const {
-  TupleStream slice(schema_, buffer_, num_tuples);
-  slice.begin_ = slice.offset_ = begin;
-  slice.end_ = end;
-  return slice;
-}
-
-Result<std::vector<size_t>> TupleStream::RowOffsets() const {
-  const std::string_view bytes = std::string_view(*buffer_).substr(0, end_);
-  std::vector<size_t> offsets;
-  offsets.reserve(num_tuples_ - rows_read_ + 1);
-  size_t offset = offset_;
-  while (offset < end_) {
-    offsets.push_back(offset);
-    SILK_RETURN_IF_ERROR(ParseRow(
-        bytes, &offset, [](uint32_t) {}, [](const WireField&) {}));
-  }
-  if (rows_read_ + offsets.size() != num_tuples_) {
-    return Status::InvalidArgument(
-        "tuple stream ended after " +
-        std::to_string(rows_read_ + offsets.size()) + " of " +
-        std::to_string(num_tuples_) + " row(s)");
-  }
-  offsets.push_back(end_);
-  return offsets;
-}
-
-Status TupleStream::FieldsAt(size_t* offset,
-                             std::vector<WireField>* fields) const {
+/// Decodes the row at `*offset` in place, checking its arity.
+Status ReadRow(std::string_view bytes, size_t* offset, const RelSchema& schema,
+               std::vector<WireField>* fields) {
   fields->clear();
   SILK_RETURN_IF_ERROR(ParseRow(
-      std::string_view(*buffer_).substr(0, end_), offset,
-      [&](uint32_t n) { fields->reserve(n); },
+      bytes, offset, [&](uint32_t n) { fields->reserve(n); },
       [&](const WireField& f) { fields->push_back(f); }));
-  if (fields->size() != schema_.size()) {
+  if (fields->size() != schema.size()) {
     return Status::InvalidArgument(
         "tuple has " + std::to_string(fields->size()) + " field(s), schema " +
-        std::to_string(schema_.size()));
+        std::to_string(schema.size()));
   }
   return Status::OK();
 }
 
+/// Rows the first window of a stream binds; later windows take as many
+/// rows as fit kWindowBytes at the first window's bytes per row. The sizes
+/// depend only on the rows, so a rewound stream binds the same windows.
+constexpr size_t kFirstWindowRows = 64;
+
+}  // namespace
+
+struct TupleStream::Batch {
+  explicit Batch(Rows r) : rows(std::move(r)) {}
+  const Rows rows;
+  // Totals over every stream reading the batch; a rewound stream's second
+  // pass adds windows and time, not bytes.
+  std::atomic<size_t> bound_bytes{0};
+  std::atomic<size_t> windows{0};
+  std::atomic<int64_t> bind_ns{0};
+};
+
+TupleStream::TupleStream(std::shared_ptr<Batch> batch)
+    : schema_(batch->rows.schema()),
+      num_tuples_(batch->rows.size()),
+      batch_(std::move(batch)) {}
+
+TupleStream::TupleStream(Rows rows)
+    : TupleStream(std::make_shared<Batch>(std::move(rows))) {
+  Bind();
+}
+
+TupleStream::TupleStream(Relation relation)
+    : TupleStream(Rows(std::move(relation))) {}
+
+TupleStream TupleStream::Windowed(Rows rows) {
+  return TupleStream(std::make_shared<Batch>(std::move(rows)));
+}
+
+TupleStream::TupleStream(RelSchema schema,
+                         std::shared_ptr<const std::string> wire,
+                         size_t num_tuples,
+                         std::shared_ptr<const std::vector<uint64_t>> index)
+    : schema_(std::move(schema)),
+      num_tuples_(num_tuples),
+      buffer_(std::move(wire)),
+      index_(std::move(index)),
+      end_(buffer_->size()) {}
+
+void TupleStream::Bind() {
+  if (batch_ == nullptr) return;
+  auto buffer = std::make_shared<std::string>();
+  auto index = std::make_shared<std::vector<uint64_t>>();
+  batch_->rows.AppendWire(first_row_, first_row_ + num_tuples_, buffer.get(),
+                          index.get());
+  buffer_ = std::move(buffer);
+  index_ = std::move(index);
+  batch_.reset();
+  window_ = std::string();
+  first_row_ = begin_ = 0;
+  end_ = buffer_->size();
+  // The bytes were just written, so the seek cannot fail.
+  Result<size_t> at = Seek(rows_read_);
+  offset_ = at.ok() ? *at : end_;
+}
+
+std::string_view TupleStream::bytes() const {
+  if (batch_ != nullptr) return window_;
+  return std::string_view(*buffer_).substr(0, end_);
+}
+
+size_t TupleStream::wire_bytes() const {
+  if (batch_ != nullptr) {
+    return batch_->bound_bytes.load(std::memory_order_relaxed);
+  }
+  return end_ - begin_;
+}
+
+size_t TupleStream::windows() const {
+  return batch_ != nullptr ? batch_->windows.load(std::memory_order_relaxed)
+                           : 0;
+}
+
+double TupleStream::bind_ms() const {
+  if (batch_ == nullptr) return 0;
+  return static_cast<double>(batch_->bind_ns.load(std::memory_order_relaxed)) /
+         1e6;
+}
+
+void TupleStream::Rewind() {
+  rows_read_ = 0;
+  if (batch_ == nullptr) {
+    offset_ = begin_;
+    return;
+  }
+  window_.clear();
+  offset_ = 0;
+  next_bind_ = first_row_;
+}
+
+Result<bool> TupleStream::Advance() {
+  const size_t end_row = first_row_ + num_tuples_;
+  if (batch_ != nullptr && offset_ >= window_.size() && next_bind_ < end_row) {
+    const size_t rows =
+        window_rows_ > 0 && next_bind_ > first_row_ ? window_rows_
+                                                    : kFirstWindowRows;
+    const size_t begin = next_bind_;
+    next_bind_ = std::min(end_row, begin + rows);
+    const auto start = std::chrono::steady_clock::now();
+    window_.clear();
+    batch_->rows.AppendWire(begin, next_bind_, &window_);
+    batch_->bind_ns.fetch_add(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count(),
+        std::memory_order_relaxed);
+    batch_->windows.fetch_add(1, std::memory_order_relaxed);
+    offset_ = 0;
+    if (window_rows_ == 0) {
+      window_rows_ = std::max<size_t>(
+          1, kWindowBytes * (next_bind_ - begin) /
+                 std::max<size_t>(window_.size(), 1));
+    }
+    if (begin >= bound_upto_) {
+      batch_->bound_bytes.fetch_add(window_.size(), std::memory_order_relaxed);
+      bound_upto_ = next_bind_;
+    }
+  }
+  if (offset_ < bytes().size()) return true;
+  if (rows_read_ != num_tuples_) {
+    return Status::InvalidArgument(
+        "tuple stream ended after " + std::to_string(rows_read_) + " of " +
+        std::to_string(num_tuples_) + " row(s)");
+  }
+  return false;
+}
+
 std::optional<Tuple> TupleStream::Next() {
-  if (offset_ >= end_) return std::nullopt;
-  auto t = DeserializeTuple(std::string_view(*buffer_).substr(0, end_),
-                            &offset_);
+  Result<bool> ready = Advance();
+  if (!ready.ok() || !*ready) return std::nullopt;
+  auto t = DeserializeTuple(bytes(), &offset_);
   if (!t.ok()) return std::nullopt;  // corrupt stream treated as EOS
   ++rows_read_;
   return std::move(t).value();
 }
 
 Result<bool> TupleStream::NextFields(std::vector<WireField>* fields) {
-  if (offset_ >= end_) {
-    if (rows_read_ != num_tuples_) {
-      return Status::InvalidArgument(
-          "tuple stream ended after " + std::to_string(rows_read_) +
-          " of " + std::to_string(num_tuples_) + " row(s)");
-    }
-    return false;
-  }
-  SILK_RETURN_IF_ERROR(FieldsAt(&offset_, fields));
+  SILK_ASSIGN_OR_RETURN(bool ready, Advance());
+  if (!ready) return false;
+  SILK_RETURN_IF_ERROR(ReadRow(bytes(), &offset_, schema_, fields));
   ++rows_read_;
   return true;
+}
+
+Result<size_t> TupleStream::Seek(size_t row) const {
+  if (row == 0) return begin_;
+  if (row == num_tuples_) return end_;
+  const size_t at = first_row_ + row;
+  const size_t entry = at / Rows::kIndexStride;
+  if (index_ == nullptr || entry >= index_->size() ||
+      (*index_)[entry] > end_) {
+    return Status::InvalidArgument("no row index entry for row " +
+                                   std::to_string(at));
+  }
+  size_t offset = (*index_)[entry];
+  const std::string_view wire = bytes();
+  for (size_t skip = at % Rows::kIndexStride; skip > 0; --skip) {
+    SILK_RETURN_IF_ERROR(ParseRow(
+        wire, &offset, [](uint32_t) {}, [](const WireField&) {}));
+  }
+  return offset;
+}
+
+Result<TupleStream> TupleStream::Slice(size_t begin, size_t end) const {
+  if (begin > end || end > num_tuples_) {
+    return Status::InvalidArgument("slice [" + std::to_string(begin) + ", " +
+                                   std::to_string(end) + ") of " +
+                                   std::to_string(num_tuples_) + " row(s)");
+  }
+  TupleStream slice = *this;
+  slice.first_row_ = first_row_ + begin;
+  slice.num_tuples_ = end - begin;
+  slice.rows_read_ = 0;
+  if (batch_ != nullptr) {
+    slice.window_ = std::string();
+    slice.offset_ = 0;
+    slice.next_bind_ = slice.bound_upto_ = slice.first_row_;
+    slice.window_rows_ = 0;
+    return slice;
+  }
+  SILK_ASSIGN_OR_RETURN(slice.begin_, Seek(begin));
+  SILK_ASSIGN_OR_RETURN(slice.end_, Seek(end));
+  slice.offset_ = slice.begin_;
+  return slice;
+}
+
+Status TupleStream::Probe(size_t row, std::vector<WireField>* fields,
+                          std::string* scratch) const {
+  if (row >= num_tuples_) {
+    return Status::InvalidArgument("probe of row " + std::to_string(row) +
+                                   " of " + std::to_string(num_tuples_));
+  }
+  size_t offset = 0;
+  if (batch_ != nullptr) {
+    scratch->clear();
+    batch_->rows.AppendWire(first_row_ + row, first_row_ + row + 1, scratch);
+    return ReadRow(*scratch, &offset, schema_, fields);
+  }
+  SILK_ASSIGN_OR_RETURN(offset, Seek(row));
+  return ReadRow(bytes(), &offset, schema_, fields);
 }
 
 }  // namespace silkroute::engine

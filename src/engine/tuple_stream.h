@@ -54,6 +54,8 @@ class WireWriter {
 
   /// Reserves capacity for about `bytes` more.
   void Expect(size_t bytes) { out_->reserve(len_ + bytes); }
+  /// Bytes of *out written so far, what it held before included.
+  size_t size() const { return len_; }
 
   void Row(uint32_t fields) {
     std::memcpy(Room(4), &fields, 4);
@@ -118,42 +120,67 @@ void SerializeTuple(const Tuple& tuple, WireWriter* out);
 /// Deserializes one tuple starting at `*offset`; advances `*offset`.
 Result<Tuple> DeserializeTuple(std::string_view buffer, size_t* offset);
 
+/// The middle-ware's cursor over one component's result. It reads one of
+/// two sources (DESIGN.md §10 "Handing over results"):
+///  - a shared batch (engine::Rows), bound window by window as it is read:
+///    each window is about kWindowBytes of rows, bound into a buffer the
+///    stream reuses, so a stream holds one window of wire bytes, not the
+///    whole result;
+///  - shared wire bytes, bound whole, with a sparse row index (the offset
+///    of every Rows::kIndexStride-th row) recorded as they were bound.
+/// Either way a row is serialized once and decoded once. Slice cuts both
+/// by row index without reading the rows in between, and Probe reads one
+/// row without moving the cursor: what the range-parallel tagger cuts
+/// with. Streams over one batch may be read on different threads.
 class TupleStream {
  public:
-  /// Takes a result and runs the server-side binding (serialization)
-  /// immediately — the stream then owns only wire bytes. The engine's
-  /// batch binds straight from its typed columns (Rows::AppendWire): the
-  /// same bytes as binding rows.ToRelation(), with no Value built for a
-  /// base-table cell.
+  /// About how many wire bytes one window binds.
+  static constexpr size_t kWindowBytes = size_t{64} << 10;
+
+  /// Takes a result and runs the server-side binding (serialization) of
+  /// every row now; the stream then owns only wire bytes and their row
+  /// index. The engine's batch binds straight from its typed columns
+  /// (Rows::AppendWire): the same bytes as binding rows.ToRelation(), with
+  /// no Value built for a base-table cell.
   explicit TupleStream(Rows rows);
   explicit TupleStream(Relation relation);
+
+  /// Keeps `rows` and binds them in windows as they are read.
+  static TupleStream Windowed(Rows rows);
 
   /// Adopts already-bound wire bytes shared with a cache entry
   /// (engine/result_cache.h): a cache hit constructs its stream without
   /// re-executing *or* re-serializing, and without copying the buffer —
-  /// the shared_ptr keeps the bytes alive past eviction.
+  /// the shared_ptr keeps the bytes alive past eviction. `index` is the
+  /// row index recorded when they were bound; without one the stream can
+  /// only be sliced whole.
   TupleStream(RelSchema schema, std::shared_ptr<const std::string> wire,
-              size_t num_tuples)
-      : schema_(std::move(schema)),
-        buffer_(std::move(wire)),
-        end_(buffer_->size()),
-        num_tuples_(num_tuples) {}
+              size_t num_tuples,
+              std::shared_ptr<const std::vector<uint64_t>> index = nullptr);
 
-  /// A zero-copy stream over the `num_tuples` rows in bytes [begin, end) of
-  /// this stream's wire buffer; `begin` and `end` are row boundaries from
-  /// RowOffsets. The slice shares the buffer and reads as its own stream.
-  TupleStream Slice(size_t begin, size_t end, size_t num_tuples) const;
+  /// Binds every row of the stream whole now, unless it already is: a
+  /// windowed stream becomes a wire stream with a row index (shareable
+  /// with a cache entry) and lets go of its batch. The cursor stays on
+  /// the same row; rows already read are bound again.
+  void Bind();
 
-  /// The byte offsets of the unread rows, followed by the end offset: what
-  /// Slice cuts at. Checks the row framing only (field counts against the
-  /// schema are checked as rows are read); a stream shorter than
-  /// num_tuples() is an error, as in NextFields.
-  Result<std::vector<size_t>> RowOffsets() const;
+  /// A stream over rows [begin, end) of this one, read independently: a
+  /// windowed stream's slice shares the batch and binds its own windows,
+  /// a wire stream's shares the bytes. A wire stream without a row index
+  /// can only be sliced whole; a corrupt index is an error.
+  Result<TupleStream> Slice(size_t begin, size_t end) const;
 
-  /// Decodes the row starting at byte `*offset` (a RowOffsets entry) in
-  /// place, as NextFields does, and advances `*offset` past it; the
-  /// stream's own cursor does not move.
-  Status FieldsAt(size_t* offset, std::vector<WireField>* fields) const;
+  /// Decodes row `row` of the stream into `*fields` without moving the
+  /// cursor. A windowed stream binds the row alone into `*scratch`, which
+  /// string fields then point into; a wire stream's point into its bytes.
+  Status Probe(size_t row, std::vector<WireField>* fields,
+               std::string* scratch) const;
+
+  /// False for a wire stream without a row index: Slice and Probe reach
+  /// only its first row.
+  bool seekable() const {
+    return batch_ != nullptr || index_ != nullptr || num_tuples_ == 0;
+  }
 
   const RelSchema& schema() const { return schema_; }
 
@@ -165,32 +192,75 @@ class TupleStream {
   /// Allocation-free client-side fetch: decodes the next row's fields in
   /// place into `*fields` (reusing its storage) and returns true, or
   /// returns false at end of stream. A corrupt row, or an end of stream
-  /// reached after fewer rows than num_tuples(), is an error.
+  /// reached after fewer rows than num_tuples(), is an error. String
+  /// fields point into the stream's bytes: for a windowed stream, into its
+  /// current window, valid until the window is spent (window_spent()).
   Result<bool> NextFields(std::vector<WireField>* fields);
 
-  /// Rewinds to the first tuple.
-  void Rewind() {
-    offset_ = begin_;
-    rows_read_ = 0;
+  /// True when the next fetch binds a new window into the reused buffer:
+  /// string fields read from the current window die with that fetch.
+  bool window_spent() const {
+    return batch_ != nullptr && offset_ >= window_.size() &&
+           next_bind_ < first_row_ + num_tuples_;
   }
 
-  size_t wire_bytes() const { return end_ - begin_; }
+  /// Rewinds to the first tuple.
+  void Rewind();
+
+  /// A wire stream's bytes. For a windowed stream, the bytes that every
+  /// stream over its batch bound on its first pass (a rewound stream's
+  /// next pass adds nothing): once one tag has read each row once, through
+  /// the stream or through its slices, the bytes a whole bind produces.
+  size_t wire_bytes() const;
   size_t num_tuples() const { return num_tuples_; }
 
+  /// For a windowed stream, the windows that every stream over its batch
+  /// bound so far, and the time that took; 0 for a wire stream.
+  size_t windows() const;
+  double bind_ms() const;
+
   /// The bound wire buffer, shareable with a cache entry at no copy (the
-  /// whole buffer, also for a slice).
+  /// whole buffer, also for a slice); null for a windowed stream.
   const std::shared_ptr<const std::string>& shared_wire() const {
     return buffer_;
   }
+  /// The bound buffer's row index, shared likewise.
+  const std::shared_ptr<const std::vector<uint64_t>>& row_index() const {
+    return index_;
+  }
 
  private:
+  struct Batch;  // the shared Rows and the bytes bound from them
+
+  explicit TupleStream(std::shared_ptr<Batch> batch);
+
+  /// The bytes rows are read from: the window, or the wire buffer.
+  std::string_view bytes() const;
+  /// Makes the next row readable at offset_, binding a window if the
+  /// current one is spent. False at the end of the stream.
+  Result<bool> Advance();
+  /// The offset in *buffer_ of row `row` of this stream.
+  Result<size_t> Seek(size_t row) const;
+
   RelSchema schema_;
-  std::shared_ptr<const std::string> buffer_;
-  size_t begin_ = 0;  // this stream's bytes of *buffer_: [begin_, end_)
-  size_t end_ = 0;
-  size_t offset_ = 0;
-  size_t rows_read_ = 0;
+  size_t first_row_ = 0;  // this stream's rows: [first_row_, +num_tuples_)
+                          // of the batch or of the wire buffer
   size_t num_tuples_ = 0;
+  size_t rows_read_ = 0;
+  size_t offset_ = 0;  // the next row's offset in bytes()
+
+  // Wire source: this stream's bytes are [begin_, end_) of *buffer_.
+  std::shared_ptr<const std::string> buffer_;
+  std::shared_ptr<const std::vector<uint64_t>> index_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+
+  // Batch source: window_ holds rows [.., next_bind_) of the batch.
+  std::shared_ptr<Batch> batch_;
+  std::string window_;
+  size_t next_bind_ = 0;
+  size_t window_rows_ = 0;  // rows per window after the first; 0: unset
+  size_t bound_upto_ = 0;   // rows below it are counted in wire_bytes()
 };
 
 }  // namespace silkroute::engine

@@ -481,9 +481,9 @@ void PutRelationHeader(const engine::RelSchema& schema, size_t rows,
 
 }  // namespace
 
-void SerializeRows(engine::Rows& rows, std::string* out) {
+void SerializeRows(const engine::Rows& rows, std::string* out) {
   PutRelationHeader(rows.schema(), rows.size(), out);
-  rows.AppendWire(out);
+  rows.AppendWire(0, rows.size(), out);
 }
 
 void SerializeRelation(const engine::Relation& relation, std::string* out) {

@@ -236,7 +236,7 @@ void SerializeRelation(const engine::Relation& relation, std::string* out);
 
 /// SerializeRelation's layout, written from the engine's batch
 /// (engine::Rows::AppendWire) with no Tuple built.
-void SerializeRows(engine::Rows& rows, std::string* out);
+void SerializeRows(const engine::Rows& rows, std::string* out);
 
 /// Strict whole-buffer decode: trailing bytes after the last row, any
 /// truncation, or hostile counts are kInvalidArgument.

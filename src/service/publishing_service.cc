@@ -97,8 +97,10 @@ Result<std::vector<ComponentStream>> PublishingService::PooledExecution::Run(
   // trickling it through a saturated pool.
   SILK_RETURN_IF_ERROR(service_->admission_.AdmitQueries(specs.size()));
 
+  // Every component binds whole: Keep reserves its bytes.
   core::ComponentStep step(tree, gen, options, service_->executor_,
-                           &service_->cancel_, has_deadline_, deadline_);
+                           &service_->cancel_, has_deadline_, deadline_,
+                           /*bind_whole=*/true);
   step_ = &step;
   {
     std::lock_guard<std::mutex> lock(mu_);

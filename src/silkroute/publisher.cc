@@ -173,11 +173,13 @@ ComponentStep::ComponentStep(const ViewTree& tree, const SqlGenerator& gen,
                              const PublishOptions& options,
                              engine::SqlExecutor* connection,
                              CancelToken* cancel, bool has_deadline,
-                             std::chrono::steady_clock::time_point deadline)
+                             std::chrono::steady_clock::time_point deadline,
+                             bool bind_whole)
     : tree_(tree),
       gen_(gen),
       options_(options),
       connection_(connection),
+      bind_whole_(bind_whole),
       budget_(options.strict ? 0 : options.retry.retry_budget),
       retry_(options.retry) {
   // Strict mode runs single-attempt with no budget, preserving the
@@ -230,8 +232,8 @@ std::unique_ptr<engine::TupleStream> ComponentStep::LookupFragment(
   }
   if (!entry) return nullptr;
   if (item.span != nullptr) item.span->Annotate("cache", "hit");
-  return std::make_unique<engine::TupleStream>(entry->schema, entry->bytes,
-                                               entry->num_tuples);
+  return std::make_unique<engine::TupleStream>(
+      entry->schema, entry->bytes, entry->num_tuples, entry->row_index);
 }
 
 Result<std::unique_ptr<engine::TupleStream>> ComponentStep::ExecuteAndBind(
@@ -269,6 +271,19 @@ Result<std::unique_ptr<engine::TupleStream>> ComponentStep::ExecuteAndBind(
 
   obs::SpanHandle bind_span =
       obs::Tracer::Child(options_.tracer, item->span.get(), "phase:bind");
+  const bool admit =
+      options_.result_cache != nullptr && !item->spec.cache_key.empty();
+  if (!admit && !bind_whole_) {
+    // The batch binds in windows as the tagger reads; the publisher ends
+    // the span with their time after the tag.
+    if (bind_span.recording()) {
+      item->bind_span = std::make_shared<obs::SpanHandle>(std::move(bind_span));
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    query_ms_ += query_elapsed;
+    return std::make_unique<engine::TupleStream>(
+        engine::TupleStream::Windowed(std::move(result).value()));
+  }
   Timer bind_timer;
   auto stream =
       std::make_unique<engine::TupleStream>(std::move(result).value());
@@ -276,10 +291,11 @@ Result<std::unique_ptr<engine::TupleStream>> ComponentStep::ExecuteAndBind(
   bind_span.AnnotateMs("ms", bind_elapsed);
   bind_span.End();
 
-  if (options_.result_cache != nullptr && !item->spec.cache_key.empty()) {
+  if (admit) {
     engine::CacheEntry entry;
     entry.schema = stream->schema();
     entry.bytes = stream->shared_wire();
+    entry.row_index = stream->row_index();
     entry.num_tuples = stream->num_tuples();
     options_.result_cache->Insert(item->spec.cache_key, std::move(entry));
   }
@@ -296,9 +312,9 @@ void ComponentStep::Accept(PendingComponent item,
   }
   std::lock_guard<std::mutex> lock(mu_);
   row_count_ += stream->num_tuples();
-  wire_bytes_ += stream->wire_bytes();
   components_.push_back(std::move(item.outcome));
-  done_.push_back(ComponentStream{std::move(item.spec), std::move(stream)});
+  done_.push_back(ComponentStream{std::move(item.spec), std::move(stream),
+                                  std::move(item.bind_span)});
 }
 
 std::vector<PendingComponent> ComponentStep::Fail(PendingComponent item,
@@ -334,7 +350,7 @@ std::vector<PendingComponent> ComponentStep::Fail(PendingComponent item,
                            item.spec.covered_nodes.end());
       done_.push_back(ComponentStream{
           std::move(item.spec),
-          std::make_unique<engine::TupleStream>(engine::Relation{})});
+          std::make_unique<engine::TupleStream>(engine::Relation{}), nullptr});
     } else if (fatal_.ok()) {
       fatal_ = status;
     }
@@ -396,9 +412,9 @@ Result<std::vector<ComponentStream>> ComponentStep::Finish(
   metrics->cache_hits = cache_hits_;
   metrics->cache_misses = cache_misses_;
   metrics->rows = row_count_;
-  metrics->wire_bytes = wire_bytes_;
   // Under a pooled strategy query/bind time is summed across workers:
   // aggregate server time, which can exceed the plan's wall-clock time.
+  // Windowed streams add their bind time and wire bytes after the tag.
   metrics->query_ms = query_ms_;
   metrics->bind_ms = bind_ms_;
   if (!fatal_.ok()) return fatal_;
@@ -625,10 +641,25 @@ Result<PublishResult> Publisher::Run(const PublishOptions& options,
   tag_span.AnnotateCount("ranges", tagger.stats().ranges);
   tag_span.AnnotateCount("threads", tagger.stats().threads);
   tag_span.AnnotateCount("byte_key_ranges", tagger.stats().byte_key_ranges);
+  tag_span.AnnotateCount("windows", tagger.stats().windows);
+  tag_span.AnnotateMs("bind_ms", tagger.stats().bind_ms);
+  tag_span.AnnotateMs("cut_ms", tagger.stats().cut_ms);
   tag_span.End();
   metrics.xml_bytes = writer.bytes_written();
   metrics.xml_flushes = writer.flushes();
   metrics.tagger = tagger.stats();
+  // The windows bound inside the tag: each component's time, summed over
+  // the ranges, on its phase:bind span and in bind_ms; and every
+  // component's bytes, now that all are bound.
+  for (const ComponentStream& component : done) {
+    const double window_ms = component.stream->bind_ms();
+    metrics.bind_ms += window_ms;
+    metrics.wire_bytes += component.stream->wire_bytes();
+    if (component.bind_span != nullptr) {
+      component.bind_span->AnnotateMs("ms", window_ms);
+      component.bind_span->End();
+    }
+  }
 
   if (cache_live) {
     std::string xml = std::move(capture).str();

@@ -155,9 +155,17 @@ struct PlanMetrics {
   /// and no document was produced.
   bool timed_out = false;
   double query_ms = 0;  // SQL execution at the "server"
-  double bind_ms = 0;   // server-side tuple binding (wire serialization)
-  double tag_ms = 0;    // client-side decode + merge + tag
-  double total_ms() const { return query_ms + bind_ms + tag_ms; }
+  /// Server-side tuple binding (wire serialization): the whole binds of
+  /// the components that bind before the tag, plus tagger.bind_ms, the
+  /// windows bound inside the tag, summed over its ranges.
+  double bind_ms = 0;
+  double tag_ms = 0;  // client-side decode + merge + tag, windows included
+  /// The paper's total time. tag_ms's wall clock already covers the
+  /// windows bound inside the tag, so only the whole binds are added:
+  /// every row's bind counts once.
+  double total_ms() const {
+    return query_ms + (bind_ms - tagger.bind_ms) + tag_ms;
+  }
   size_t rows = 0;
   size_t wire_bytes = 0;
   size_t xml_bytes = 0;
@@ -212,6 +220,9 @@ struct PlanMetrics {
 struct ComponentStream {
   StreamSpec spec;
   std::unique_ptr<engine::TupleStream> stream;
+  /// A windowed stream's phase:bind span, ended after the tag with the
+  /// time its windows took (null when tracing is off or bound whole).
+  std::shared_ptr<obs::SpanHandle> bind_span;
 };
 
 /// Strategy that executes the component queries of one plan and returns
@@ -287,6 +298,9 @@ struct PendingComponent {
   /// queries produced by degradation nest under the failed component's
   /// span after this item is gone.
   std::shared_ptr<obs::SpanHandle> span;
+  /// ExecuteAndBind's phase:bind span when it binds in windows, handed on
+  /// to the ComponentStream.
+  std::shared_ptr<obs::SpanHandle> bind_span;
 };
 
 /// The per-component step every PlanExecution strategy runs, and the
@@ -294,7 +308,10 @@ struct PendingComponent {
 /// *when* each pending item runs; what running one means lives here:
 ///  - LookupFragment: the fragment-cache fast path;
 ///  - ExecuteAndBind: one query through a ResilientExecutor, its query and
-///    bind phases and the cache fill;
+///    bind phases and the cache fill. A component binds whole when its
+///    bytes are needed at once (cache admission, or a step made with
+///    `bind_whole` for a caller that reserves them); otherwise its stream
+///    keeps the engine's batch and binds in windows as the tagger reads;
 ///  - Accept / Fail: the outcome — a stream, or the degrade policy (fatal,
 ///    timed out, skip the node, or split into two follow-ups);
 ///  - Finish: writes PlanMetrics once.
@@ -305,10 +322,12 @@ class ComponentStep {
   /// `connection` runs the component queries (borrowed; it must be
   /// thread-safe through ExecuteRows when workers share the
   /// step). `cancel` and the deadline bound every query's retries.
+  /// `bind_whole` binds every executed component whole.
   ComponentStep(const ViewTree& tree, const SqlGenerator& gen,
                 const PublishOptions& options, engine::SqlExecutor* connection,
                 CancelToken* cancel = nullptr, bool has_deadline = false,
-                std::chrono::steady_clock::time_point deadline = {});
+                std::chrono::steady_clock::time_point deadline = {},
+                bool bind_whole = false);
 
   /// Makes the pending item for `spec`, starting its component span under
   /// `parent` (annotated with the covered nodes, the tables the component
@@ -322,8 +341,9 @@ class ComponentStep {
       const PendingComponent& item);
 
   /// Runs the item's query (retries under the plan's budget; strict mode
-  /// makes one attempt) and binds the result into a stream, recording the
-  /// query in the ledger. The error is the query's final status.
+  /// makes one attempt) and binds the result into a stream, whole or in
+  /// windows, recording the query in the ledger. The error is the query's
+  /// final status.
   Result<std::unique_ptr<engine::TupleStream>> ExecuteAndBind(
       PendingComponent* item);
 
@@ -358,6 +378,7 @@ class ComponentStep {
   const SqlGenerator& gen_;
   const PublishOptions& options_;
   engine::SqlExecutor* const connection_;
+  const bool bind_whole_;
   /// The plan-wide retry allowance every query's executor draws from.
   engine::RetryBudget budget_;
   engine::RetryOptions retry_;
@@ -372,7 +393,6 @@ class ComponentStep {
   size_t cache_hits_ = 0;
   size_t cache_misses_ = 0;
   size_t row_count_ = 0;
-  size_t wire_bytes_ = 0;
   double query_ms_ = 0;
   double bind_ms_ = 0;
   Status fatal_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -39,19 +40,13 @@ bool FieldWord(const WireField& f, uint64_t* word) {
   return false;
 }
 
-/// Runs fn(i) for every i < n, fn(0) on the calling thread first, the rest
-/// in index order on it and up to `threads - 1` new threads, all joined
-/// before it returns. One index starts no thread.
+/// Runs fn(i) for every i < n: fn(0) on the calling thread, each other
+/// index on a thread of its own, all joined before it returns.
 template <typename Fn>
-void RunConcurrently(size_t n, size_t threads, const Fn& fn) {
-  std::atomic<size_t> next{1};
-  auto drain = [&] {
-    for (size_t i = next++; i < n; i = next++) fn(i);
-  };
+void RunConcurrently(size_t n, const Fn& fn) {
   std::vector<std::jthread> pool;  // joins on every exit path
-  for (size_t t = 1; t < std::min(threads, n); ++t) pool.emplace_back(drain);
+  for (size_t i = 1; i < n; ++i) pool.emplace_back([&fn, i] { fn(i); });
   if (n > 0) fn(0);
-  drain();
 }
 
 Status WriteValue(const WireField& v, xml::XmlWriter* writer) {
@@ -147,7 +142,11 @@ class alignas(64) Tagger::Range {
   struct Captured {
     Key key;  // last captured key (duplicate suppression); empty if none
     bool pending = false;  // `key` and `values` wait to be merged
-    std::vector<WireField> values;  // views into the wire buffer
+    // Views into the stream's bytes, or into `owned` once the stream's
+    // window moved on while the slot waited (OwnPendingValues).
+    std::vector<WireField> values;
+    std::string owned;
+    bool values_owned = false;
   };
 
   struct StreamState {
@@ -193,6 +192,9 @@ class alignas(64) Tagger::Range {
   void SwitchToBytes();
 
   Status Refill(uint32_t stream_index);
+  /// Copies the strings of the stream's pending slots into the slots, so
+  /// that binding its next window cannot pull them from under the merge.
+  static void OwnPendingValues(StreamState* s);
   Status EmitInstance(int node_id, const Key& key,
                       const std::vector<WireField>* values);
   Status EmitRowContent(const ViewTreeNode& node,
@@ -258,6 +260,7 @@ Status Tagger::Range::Refill(uint32_t stream_index) {
   while (true) {
     if (s.cursor == sources.size()) {
       if (s.rows_done) return Status::OK();
+      if (s.live > 0 && s.stream->window_spent()) OwnPendingValues(&s);
       SILK_ASSIGN_OR_RETURN(bool fetched, s.stream->NextFields(&s.row));
       s.rows_done = !fetched;
       if (s.rows_done) return Status::OK();
@@ -296,6 +299,7 @@ Status Tagger::Range::Refill(uint32_t stream_index) {
       std::swap(slot.key, s.staged);
       s.staged_valid = false;
       slot.pending = true;
+      slot.values_owned = false;
       slot.values.clear();
       for (int col : source.value_cols) {
         slot.values.push_back(col >= 0 ? s.row[static_cast<size_t>(col)]
@@ -306,6 +310,28 @@ Status Tagger::Range::Refill(uint32_t stream_index) {
       stats_.peak_buffered_tuples =
           std::max(stats_.peak_buffered_tuples, ++s.live);
     }
+  }
+}
+
+/// A window is replaced at most once per window per stream, and a stream
+/// has at most one pending slot per InstanceSpec, so this copies little.
+/// A slot already copied keeps its copy.
+void Tagger::Range::OwnPendingValues(StreamState* s) {
+  for (Captured& slot : s->slots) {
+    if (!slot.pending || slot.values_owned) continue;
+    size_t bytes = 0;
+    for (const WireField& v : slot.values) {
+      if (v.kind == WireField::Kind::kString) bytes += v.s.size();
+    }
+    slot.owned.clear();
+    slot.owned.reserve(bytes);  // no reallocation below: the views hold
+    for (WireField& v : slot.values) {
+      if (v.kind != WireField::Kind::kString) continue;
+      const size_t at = slot.owned.size();
+      slot.owned += v.s;
+      v.s = std::string_view(slot.owned).substr(at, v.s.size());
+    }
+    slot.values_owned = true;
   }
 }
 
@@ -487,22 +513,26 @@ Status Tagger::Range::Run(const std::vector<std::vector<Source>>& sources,
 Result<size_t> Tagger::Cut(
     const std::vector<StreamInput>& inputs,
     const std::vector<std::vector<Source>>& sources, size_t wanted,
-    size_t threads,
     std::vector<std::vector<engine::TupleStream>>* slices) const {
-  // Streams by descending size: order[0] is the largest.
-  std::vector<size_t> order(inputs.size());
-  for (size_t i = 0; i < inputs.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return inputs[a].stream->num_tuples() > inputs[b].stream->num_tuples();
-  });
+  // The largest stream sets the split keys.
+  size_t largest = 0;
+  for (size_t i = 1; i < inputs.size(); ++i) {
+    if (inputs[i].stream->num_tuples() >
+        inputs[largest].stream->num_tuples()) {
+      largest = i;
+    }
+  }
 
   // A row's root key is the encoding of key positions [0, root_positions_).
   // Every instance of a row shares it, so every source of a stream must
   // read it from the same columns (or constants), and an identity
-  // variable must come from a column.
+  // variable must come from a column. A stream must reach its rows by
+  // index.
   for (size_t i = 0; i < inputs.size(); ++i) {
     if (inputs[i].stream->num_tuples() == 0) continue;
-    if (sources[i].empty()) return size_t{1};
+    if (sources[i].empty() || !inputs[i].stream->seekable()) {
+      return size_t{1};
+    }
     const Source& first = sources[i].front();
     for (size_t p = 0; p < root_positions_; ++p) {
       if (p > 0 && first.key_cols[p] < 0) return size_t{1};
@@ -516,25 +546,12 @@ Result<size_t> Tagger::Cut(
     }
   }
 
-  // Find every stream's row boundaries, largest streams first, one
-  // stream per thread at a time.
-  std::vector<std::vector<size_t>> offsets(inputs.size());
-  std::vector<Status> framed(inputs.size());
-  RunConcurrently(inputs.size(), threads, [&](size_t k) {
-    auto found = inputs[order[k]].stream->RowOffsets();
-    if (found.ok()) {
-      offsets[order[k]] = std::move(found).value();
-    } else {
-      framed[order[k]] = found.status();
-    }
-  });
-  for (const Status& status : framed) SILK_RETURN_IF_ERROR(status);
-
   std::vector<WireField> row;
-  std::string key;  // root_key's result
-  auto root_key = [&](size_t stream, size_t offset) {
+  std::string scratch;  // a probed row's bytes
+  std::string key;      // root_key's result
+  auto root_key = [&](size_t stream, size_t r) {
     key.clear();
-    Status read = inputs[stream].stream->FieldsAt(&offset, &row);
+    Status read = inputs[stream].stream->Probe(r, &row, &scratch);
     if (read.ok()) {
       sources[stream].front().EncodeKey(row, root_positions_, &key, nullptr);
     }
@@ -543,14 +560,12 @@ Result<size_t> Tagger::Cut(
 
   // Split keys at row quantiles of the largest stream, strictly increasing
   // and past its first row, so no range starts empty there.
-  const std::vector<size_t>& largest = offsets[order[0]];
-  const size_t largest_rows = largest.size() - 1;
+  const size_t largest_rows = inputs[largest].stream->num_tuples();
   std::vector<std::string> splits;
-  SILK_RETURN_IF_ERROR(root_key(order[0], largest[0]));
+  SILK_RETURN_IF_ERROR(root_key(largest, 0));
   std::string previous = key;
   for (size_t r = 1; r < wanted; ++r) {
-    SILK_RETURN_IF_ERROR(
-        root_key(order[0], largest[r * largest_rows / wanted]));
+    SILK_RETURN_IF_ERROR(root_key(largest, r * largest_rows / wanted));
     if (key > previous) splits.push_back(previous = key);
   }
   if (splits.empty()) return size_t{1};
@@ -559,7 +574,7 @@ Result<size_t> Tagger::Cut(
   const size_t ranges = splits.size() + 1;
   slices->assign(ranges, {});
   for (size_t i = 0; i < inputs.size(); ++i) {
-    const size_t rows = offsets[i].size() - 1;
+    const size_t rows = inputs[i].stream->num_tuples();
     size_t begin = 0;
     for (size_t r = 0; r < ranges; ++r) {
       size_t end = rows;
@@ -568,7 +583,7 @@ Result<size_t> Tagger::Cut(
         size_t lo = begin;
         while (lo < end) {
           const size_t mid = lo + (end - lo) / 2;
-          SILK_RETURN_IF_ERROR(root_key(i, offsets[i][mid]));
+          SILK_RETURN_IF_ERROR(root_key(i, mid));
           if (key < splits[r]) {
             lo = mid + 1;
           } else {
@@ -576,8 +591,9 @@ Result<size_t> Tagger::Cut(
           }
         }
       }
-      (*slices)[r].push_back(inputs[i].stream->Slice(
-          offsets[i][begin], offsets[i][end], end - begin));
+      SILK_ASSIGN_OR_RETURN(engine::TupleStream slice,
+                            inputs[i].stream->Slice(begin, end));
+      (*slices)[r].push_back(std::move(slice));
       begin = end;
     }
   }
@@ -643,6 +659,17 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
   }
   size_t wanted = options_.ranges > 0 ? options_.ranges
                                       : total_rows / kMinRowsPerRange;
+  // Windows the streams' batches bound before this Run; the rest are ours.
+  auto bound = [&](size_t* windows, double* ms) {
+    for (const StreamInput& input : inputs) {
+      *windows += input.stream->windows();
+      *ms += input.stream->bind_ms();
+    }
+  };
+  size_t windows_before = 0;
+  double bind_ms_before = 0;
+  bound(&windows_before, &bind_ms_before);
+  double cut_ms = 0;
   std::optional<LaneLoan> helpers;
   size_t threads = 1;
   size_t num_ranges = 1;
@@ -659,8 +686,11 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
       wanted = threads == 1 ? 1 : threads * waves;
     }
     if (wanted > 1) {
-      SILK_ASSIGN_OR_RETURN(num_ranges,
-                            Cut(inputs, sources, wanted, threads, &slices));
+      const auto start = std::chrono::steady_clock::now();
+      SILK_ASSIGN_OR_RETURN(num_ranges, Cut(inputs, sources, wanted, &slices));
+      cut_ms = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
     }
     if (num_ranges == 1) helpers.reset();  // nothing to share: give back
   }
@@ -683,6 +713,7 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
   stats_ = TaggerStats{};
   stats_.ranges = num_ranges;
   stats_.threads = threads;
+  stats_.cut_ms = cut_ms;
   std::vector<std::unique_ptr<Range>> wave(threads);
   std::vector<std::vector<engine::TupleStream*>> streams(threads);
   std::vector<Status> status(threads);
@@ -697,7 +728,7 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
                                              : &slices[first + k][i]);
       }
     }
-    RunConcurrently(n, n, [&](size_t k) {
+    RunConcurrently(n, [&](size_t k) {
       status[k] = wave[k]->Run(sources, streams[k]);
     });
     size_t buffered = 0;
@@ -718,6 +749,10 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
       stats_.peak_buffered_tuples =
           std::max(stats_.peak_buffered_tuples, s.peak_buffered_tuples);
       wave[k].reset();  // frees its appended XML before the next wave
+      // ... and its slices' windows.
+      if (num_ranges > 1) {
+        std::vector<engine::TupleStream>().swap(slices[first + k]);
+      }
     }
     stats_.peak_buffered_xml_bytes =
         std::max(stats_.peak_buffered_xml_bytes, buffered);
@@ -726,6 +761,9 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
   if (!options_.document_element.empty()) {
     SILK_RETURN_IF_ERROR(writer_->EndElement());
   }
+  bound(&stats_.windows, &stats_.bind_ms);
+  stats_.windows -= windows_before;
+  stats_.bind_ms -= bind_ms_before;
   return Status::OK();
 }
 

@@ -16,13 +16,17 @@
 // word carries (a string, a magnitude at or above 2^53) moves onto the
 // codec bytes (DESIGN.md §10). Rows are read in place from the wire and
 // per-row state reuses its storage, so merge/tag allocates nothing per row
-// once warm.
+// once warm. A windowed stream binds its rows as the merge reads them; a
+// captured instance waiting in its slot copies its strings out before the
+// stream's window is replaced.
 //
 // Range-parallel tagging (DESIGN.md §10): the global key starts with the
 // root level's label and identity variables, so the document is the
 // in-order concatenation of independent root-instance ranges. Run cuts
-// every stream at the same root-key boundaries into zero-copy slices and
-// runs the same merge loop once per range, on as many threads as there
+// every stream at the same root-key boundaries, binary-searching rows by
+// index, into slices that share the stream's batch or bytes (each range
+// binds its own windows), and runs the same merge loop once per range, on
+// as many threads as there
 // are idle core lanes (common/lanes.h, at most kMaxLanes), in waves of
 // one range per thread: a wave's first range writes straight into the
 // caller's writer, its others into detached writers appended in order
@@ -70,6 +74,12 @@ struct TaggerStats {
   /// Ranges that met a key cell no word carries and finished on codec
   /// bytes (0 for Query 1: its keys are integers).
   size_t byte_key_ranges = 0;
+  /// Windows the ranges bound from windowed streams (engine::TupleStream),
+  /// and their bind time summed over the ranges: part of Run's time.
+  size_t windows = 0;
+  double bind_ms = 0;
+  /// Time spent cutting the streams into ranges.
+  double cut_ms = 0;
 };
 
 class Tagger {
@@ -134,12 +144,12 @@ class Tagger {
   };
 
   /// Cuts every stream into the same (at most `wanted`) root-key ranges,
-  /// framing the streams on `threads` threads; `*slices` gets one slice
-  /// per stream per range. Returns the number of ranges; at 1 `*slices`
-  /// stays empty.
+  /// binary-searching each stream's rows by index for the split keys;
+  /// `*slices` gets one slice per stream per range. Returns the number of
+  /// ranges; at 1 `*slices` stays empty.
   Result<size_t> Cut(const std::vector<StreamInput>& inputs,
                      const std::vector<std::vector<Source>>& sources,
-                     size_t wanted, size_t threads,
+                     size_t wanted,
                      std::vector<std::vector<engine::TupleStream>>* slices)
       const;
 

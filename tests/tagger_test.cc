@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <thread>
 #include <tuple>
 
 #include "common/lanes.h"
@@ -215,21 +216,27 @@ TEST_F(TaggerTest, CorruptOrShortWireStreamIsAnError) {
   BindPlan(0x1E8, SqlGenStyle::kOuterJoin, true, &specs, &streams);
   const std::string& wire = *streams[0]->shared_wire();
   ASSERT_GT(streams[0]->num_tuples(), 1u);
-  for (size_t cut : {wire.size() / 2, wire.size() - 1}) {
-    engine::TupleStream shortened(
-        streams[0]->schema(),
-        std::make_shared<const std::string>(wire.substr(0, cut)),
-        streams[0]->num_tuples());
-    std::vector<Tagger::StreamInput> inputs{{&specs[0], &shortened}};
-    for (size_t i = 1; i < specs.size(); ++i) {
-      streams[i]->Rewind();
-      inputs.push_back({&specs[i], streams[i].get()});
+  // With the bytes' row index kept, a cut into ranges probes it too.
+  for (size_t ranges : {1, 4}) {
+    for (size_t cut : {wire.size() / 2, wire.size() - 1}) {
+      engine::TupleStream shortened(
+          streams[0]->schema(),
+          std::make_shared<const std::string>(wire.substr(0, cut)),
+          streams[0]->num_tuples(), streams[0]->row_index());
+      std::vector<Tagger::StreamInput> inputs{{&specs[0], &shortened}};
+      for (size_t i = 1; i < specs.size(); ++i) {
+        streams[i]->Rewind();
+        inputs.push_back({&specs[i], streams[i].get()});
+      }
+      std::ostringstream out;
+      xml::XmlWriter writer(&out);
+      Tagger::Options options{"suppliers"};
+      options.ranges = ranges;
+      Tagger tagger(tree_, &writer, options);
+      Status s = tagger.Run(std::move(inputs));
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+          << ranges << " range(s), cut " << cut << ": " << s;
     }
-    std::ostringstream out;
-    xml::XmlWriter writer(&out);
-    Tagger tagger(tree_, &writer, Tagger::Options{"suppliers"});
-    Status s = tagger.Run(std::move(inputs));
-    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << cut << ": " << s;
   }
 }
 
@@ -623,7 +630,10 @@ class RangedTaggerTest : public ::testing::Test {
     std::vector<std::unique_ptr<engine::TupleStream>> streams;
   };
 
-  static Bound Bind(uint64_t mask, SqlGenStyle style, bool reduce) {
+  /// One plan's streams: whole-bound ones, or windowed ones that bind
+  /// from the engine's batch as they are read.
+  static Bound Bind(uint64_t mask, SqlGenStyle style, bool reduce,
+                    bool windowed = false) {
     Bound bound;
     auto plan = Partition::FromMask(*tree_, mask);
     EXPECT_TRUE(plan.ok());
@@ -632,23 +642,32 @@ class RangedTaggerTest : public ::testing::Test {
     EXPECT_TRUE(generated.ok()) << generated.status();
     bound.specs = std::move(generated).value();
     // The 16 plans of the byte-identity matrix send 25 distinct queries:
-    // each runs once, and every plan reads its result through its own
-    // zero-copy view of the one wire buffer.
-    if (results_ == nullptr) results_ = new std::map<std::string, Stream>;
+    // each runs once per binding, and every plan reads its result through
+    // its own view of the one wire buffer or the one batch.
+    if (results_ == nullptr) results_ = new std::map<std::string, Results>;
     for (const auto& spec : bound.specs) {
       auto [it, fresh] = results_->try_emplace(spec.sql);
       if (fresh) {
-        engine::QueryExecutor exec(db_);
-        auto rel = exec.ExecuteSql(spec.sql);
-        EXPECT_TRUE(rel.ok()) << spec.sql << "\n" << rel.status();
-        it->second = std::make_unique<engine::TupleStream>(
-            std::move(rel).value());
+        it->second.whole =
+            std::make_unique<engine::TupleStream>(Execute(spec.sql));
+        it->second.windowed = std::make_unique<engine::TupleStream>(
+            engine::TupleStream::Windowed(Execute(spec.sql)));
       }
-      const engine::TupleStream& result = *it->second;
-      bound.streams.push_back(std::make_unique<engine::TupleStream>(
-          result.Slice(0, result.wire_bytes(), result.num_tuples())));
+      const engine::TupleStream& result =
+          windowed ? *it->second.windowed : *it->second.whole;
+      auto view = result.Slice(0, result.num_tuples());
+      EXPECT_TRUE(view.ok()) << view.status();
+      bound.streams.push_back(
+          std::make_unique<engine::TupleStream>(std::move(view).value()));
     }
     return bound;
+  }
+
+  static engine::Rows Execute(const std::string& sql) {
+    engine::QueryExecutor exec(db_);
+    auto rows = exec.ExecuteRows(sql, 0, nullptr);
+    EXPECT_TRUE(rows.ok()) << sql << "\n" << rows.status();
+    return rows.ok() ? std::move(rows).value() : engine::Rows();
   }
 
   struct Tagged {
@@ -696,15 +715,19 @@ class RangedTaggerTest : public ::testing::Test {
   }
 
   using Stream = std::unique_ptr<engine::TupleStream>;
+  struct Results {
+    Stream whole;
+    Stream windowed;
+  };
   static Database* db_;
   static ViewTree* tree_;
-  static std::map<std::string, Stream>* results_;  // by SQL text
+  static std::map<std::string, Results>* results_;  // by SQL text
 };
 
 Database* RangedTaggerTest::db_ = nullptr;
 ViewTree* RangedTaggerTest::tree_ = nullptr;
-std::map<std::string, RangedTaggerTest::Stream>* RangedTaggerTest::results_ =
-    nullptr;
+std::map<std::string, RangedTaggerTest::Results>*
+    RangedTaggerTest::results_ = nullptr;
 
 TEST_F(RangedTaggerTest, RangesMatchOneRangeByteForByte) {
   // Every plan publishes the same bytes, so one one-range document per
@@ -774,6 +797,115 @@ TEST_F(RangedTaggerTest, RangesMatchOneRangeByteForByte) {
       }
     }
   }
+}
+
+TEST_F(RangedTaggerTest, WindowedStreamsMatchWholeBinds) {
+  // Streams that bind from the batch in windows as each range reads them
+  // tag the same bytes, with the same counters, as whole-bound streams,
+  // at any range count. Their windows are counted; a whole bind has none.
+  const SqlGenStyle kStyles[] = {SqlGenStyle::kOuterJoin,
+                                 SqlGenStyle::kOuterUnion};
+  for (uint64_t mask : {uint64_t{0}, uint64_t{0x35}, uint64_t{0x1E8},
+                        uint64_t{0x1FF}}) {
+    for (SqlGenStyle style : kStyles) {
+      for (bool reduce : {false, true}) {
+        Bound whole = Bind(mask, style, reduce);
+        Bound windowed = Bind(mask, style, reduce, /*windowed=*/true);
+        for (bool pretty : {false, true}) {
+          for (size_t ranges : {1, 4, 16}) {
+            SCOPED_TRACE(testing::Message()
+                         << "mask " << mask << " style "
+                         << SqlGenStyleToString(style) << " reduce "
+                         << reduce << " pretty " << pretty << " ranges "
+                         << ranges);
+            const Mode mode{pretty, true};
+            Tagged want = Tag(whole, Ranges(ranges, "suppliers"), mode);
+            Tagged got = Tag(windowed, Ranges(ranges, "suppliers"), mode);
+            ASSERT_TRUE(want.status.ok()) << want.status;
+            ASSERT_TRUE(got.status.ok()) << got.status;
+            EXPECT_TRUE(got.xml == want.xml);
+            EXPECT_EQ(got.stats.ranges, want.stats.ranges);
+            EXPECT_EQ(got.stats.instances_emitted,
+                      want.stats.instances_emitted);
+            EXPECT_EQ(got.stats.rows_consumed, want.stats.rows_consumed);
+            EXPECT_EQ(got.stats.duplicates_skipped,
+                      want.stats.duplicates_skipped);
+            EXPECT_EQ(got.stats.forced_ancestor_opens,
+                      want.stats.forced_ancestor_opens);
+            EXPECT_EQ(got.stats.max_open_depth, want.stats.max_open_depth);
+            EXPECT_EQ(got.stats.peak_buffered_tuples,
+                      want.stats.peak_buffered_tuples);
+            EXPECT_EQ(want.stats.windows, 0u);
+            EXPECT_GE(got.stats.windows, got.stats.ranges);
+          }
+        }
+      }
+    }
+  }
+
+  // One tag of fresh batches binds every row once: the same wire bytes as
+  // the whole binds, whatever the cut.
+  Bound whole = Bind(0, SqlGenStyle::kOuterJoin, true);
+  Bound fresh;
+  fresh.specs = whole.specs;
+  for (const StreamSpec& spec : fresh.specs) {
+    fresh.streams.push_back(std::make_unique<engine::TupleStream>(
+        engine::TupleStream::Windowed(Execute(spec.sql))));
+  }
+  Tagged tagged = Tag(fresh, Ranges(4, "suppliers"));
+  ASSERT_TRUE(tagged.status.ok()) << tagged.status;
+  EXPECT_EQ(tagged.stats.ranges, 4u);
+  EXPECT_GT(tagged.stats.bind_ms, 0.0);
+  EXPECT_GT(tagged.stats.cut_ms, 0.0);
+  for (size_t i = 0; i < whole.streams.size(); ++i) {
+    EXPECT_EQ(fresh.streams[i]->wire_bytes(), whole.streams[i]->wire_bytes())
+        << fresh.specs[i].sql;
+  }
+}
+
+TEST_F(RangedTaggerTest, TwoThreadsBindHalvesOfOneBatch) {
+  // Slices of one batch bind concurrently, a computed select item
+  // included (each bind evaluates it on its own scratch row).
+  const std::string sql =
+      "select o.orderkey, o.price * 2 + o.custkey as x, o.status, o.date "
+      "from Orders o order by o.orderkey";
+  engine::TupleStream whole(Execute(sql));
+  engine::TupleStream windowed = engine::TupleStream::Windowed(Execute(sql));
+  const size_t rows = windowed.num_tuples();
+  ASSERT_GT(rows, 1000u);
+  auto first = windowed.Slice(0, rows / 2);
+  auto second = windowed.Slice(rows / 2, rows);
+  ASSERT_TRUE(first.ok() && second.ok());
+  // Each half re-encodes the fields it decoded.
+  auto read = [](engine::TupleStream* stream, std::string* out) {
+    engine::WireWriter writer(out);
+    std::vector<engine::WireField> fields;
+    while (true) {
+      Result<bool> got = stream->NextFields(&fields);
+      EXPECT_TRUE(got.ok()) << got.status();
+      if (!got.ok() || !*got) break;
+      writer.Row(static_cast<uint32_t>(fields.size()));
+      for (const engine::WireField& f : fields) {
+        if (f.kind == engine::WireField::Kind::kInt64) {
+          writer.Int64(f.i);
+        } else if (f.kind == engine::WireField::Kind::kDouble) {
+          writer.Double(f.d);
+        } else if (f.kind == engine::WireField::Kind::kString) {
+          writer.String(f.s);
+        } else {
+          writer.Null();
+        }
+      }
+    }
+  };
+  std::string a, b;
+  {
+    std::jthread other([&] { read(&*second, &b); });
+    read(&*first, &a);
+  }
+  EXPECT_TRUE(a + b == *whole.shared_wire());
+  EXPECT_EQ(windowed.wire_bytes(), whole.wire_bytes());
+  EXPECT_GT(windowed.windows(), 4u);  // several windows per thread
 }
 
 TEST_F(RangedTaggerTest, AutomaticRangeCountFollowsRowsAndIdleLanes) {
@@ -850,8 +982,8 @@ TEST_F(RangedTaggerTest, WavesBoundTheBufferedXml) {
 
 TEST_F(RangedTaggerTest, CorruptRowInALaterRangeFailsTheRun) {
   // The largest stream's last row lies in the last range and is never
-  // probed while cutting: a wrong arity there fails only that range's
-  // merge. A bad field tag there fails the cut's framing scan instead.
+  // probed while cutting: rows are cut by their recorded index, so a wrong
+  // arity or a bad field tag there fails only that range's merge.
   Bound bound = Bind(0, SqlGenStyle::kOuterJoin, false);
   size_t largest = 0;
   for (size_t i = 0; i < bound.streams.size(); ++i) {
@@ -861,10 +993,11 @@ TEST_F(RangedTaggerTest, CorruptRowInALaterRangeFailsTheRun) {
     }
   }
   engine::TupleStream& victim = *bound.streams[largest];
-  auto offsets = victim.RowOffsets();
-  ASSERT_TRUE(offsets.ok()) << offsets.status();
   const std::string& wire = *victim.shared_wire();
-  const size_t last = (*offsets)[offsets->size() - 2];
+  const size_t rows = victim.num_tuples();
+  auto tail = victim.Slice(rows - 1, rows);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  const size_t last = wire.size() - tail->wire_bytes();
 
   std::string wrong_arity = wire.substr(0, last);
   size_t at = last;
@@ -876,26 +1009,68 @@ TEST_F(RangedTaggerTest, CorruptRowInALaterRangeFailsTheRun) {
   std::string bad_tag = wire;
   bad_tag[last + 4] = static_cast<char>(0x7f);  // the first field's tag
 
+  // The same bytes as a fragment-cache hit of the fully partitioned plan:
+  // the publish fails too, and no document is admitted.
+  Publisher publisher(db_);
+  PublishOptions options;
+  options.strategy = PlanStrategy::kFullyPartitioned;
+  options.reduce = false;
+  options.document_element = "suppliers";
+  auto plan = publisher.Prepare(Query1Rxl(), options);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  size_t component = 0;
+  while (component < (*plan)->specs.size() &&
+         (*plan)->specs[component].sql != bound.specs[largest].sql) {
+    ++component;
+  }
+  ASSERT_LT(component, (*plan)->specs.size());
+  engine::TableVersionVector versions;
+  for (const std::string& table : (*plan)->specs[component].tables) {
+    auto t = db_->GetTable(table);
+    ASSERT_TRUE(t.ok()) << table;
+    versions.emplace_back(table, (*t)->version());
+  }
+  const std::string key = engine::ResultCache::FragmentKey(
+      (*plan)->normalized_sql[component], versions);
+
   const std::pair<std::string*, const char*> kCases[] = {
       {&wrong_arity, "field(s), schema"}, {&bad_tag, "bad field tag"}};
   for (const auto& [corrupt, message] : kCases) {
+    SCOPED_TRACE(message);
+    auto bytes = std::make_shared<const std::string>(*corrupt);
     Bound broken;
     broken.specs = bound.specs;
     for (size_t i = 0; i < bound.streams.size(); ++i) {
+      auto view = bound.streams[i]->Slice(0, bound.streams[i]->num_tuples());
+      ASSERT_TRUE(view.ok()) << view.status();
       broken.streams.push_back(std::make_unique<engine::TupleStream>(
-          i == largest
-              ? engine::TupleStream(
-                    victim.schema(),
-                    std::make_shared<const std::string>(*corrupt),
-                    victim.num_tuples())
-              : bound.streams[i]->Slice(0, bound.streams[i]->wire_bytes(),
-                                        bound.streams[i]->num_tuples())));
+          i == largest ? engine::TupleStream(victim.schema(), bytes, rows,
+                                             victim.row_index())
+                       : std::move(view).value()));
     }
     Tagged tagged = Tag(broken, Ranges(4, "suppliers"));
+    EXPECT_EQ(tagged.stats.ranges, 4u);  // the cut itself succeeded
     EXPECT_EQ(tagged.status.code(), StatusCode::kInvalidArgument)
         << tagged.status;
     EXPECT_NE(tagged.status.message().find(message), std::string::npos)
         << tagged.status;
+
+    engine::ResultCache cache(engine::ResultCache::Options{});
+    engine::CacheEntry entry;
+    entry.schema = victim.schema();
+    entry.bytes = bytes;
+    entry.row_index = victim.row_index();
+    entry.num_tuples = rows;
+    cache.Insert(key, std::move(entry));
+    options.result_cache = &cache;
+    std::ostringstream out;
+    auto published = publisher.Publish(Query1Rxl(), options, &out);
+    EXPECT_EQ(published.status().code(), StatusCode::kInvalidArgument)
+        << published.status();
+    EXPECT_EQ(cache.stats().hits, 1u);
+    // The other components' fresh fragments and the corrupt one: no
+    // document entry.
+    EXPECT_EQ(cache.stats().entries, (*plan)->specs.size());
   }
 }
 

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "engine/tuple_stream.h"
+#include "relational/database.h"
 
 namespace silkroute::engine {
 namespace {
@@ -212,64 +217,217 @@ TEST(TupleStreamTest, NextFieldsRejectsShortOrCorruptStreams) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(TupleStreamTest, SlicesShareTheWireAndReadOnlyTheirRows) {
-  TupleStream full(MakeRelation({
-      Tuple{Value::Int64(1), Value::String("a")},
-      Tuple{Value::Int64(2), Value::String("bb")},
-      Tuple{Value::Int64(3), Value::Null()},
-  }));
-  auto offsets = full.RowOffsets();
-  ASSERT_TRUE(offsets.ok()) << offsets.status();
-  ASSERT_EQ(offsets->size(), 4u);  // three rows and the end
-  EXPECT_EQ(offsets->front(), 0u);
-  EXPECT_EQ(offsets->back(), full.wire_bytes());
-
-  size_t at = (*offsets)[1];
-  std::vector<WireField> fields;
-  ASSERT_TRUE(full.FieldsAt(&at, &fields).ok());
-  EXPECT_EQ(fields[1].s, "bb");
-  EXPECT_EQ(at, (*offsets)[2]);
-
-  TupleStream tail = full.Slice((*offsets)[1], (*offsets)[3], 2);
-  EXPECT_EQ(tail.shared_wire(), full.shared_wire());  // no copy
-  EXPECT_EQ(tail.wire_bytes(), (*offsets)[3] - (*offsets)[1]);
-  auto tail_offsets = tail.RowOffsets();
-  ASSERT_TRUE(tail_offsets.ok());
-  EXPECT_EQ(*tail_offsets, std::vector<size_t>(offsets->begin() + 1,
-                                               offsets->end()));
-  ASSERT_TRUE(tail.NextFields(&fields).value());
-  EXPECT_EQ(fields[0].i, 2);
-  ASSERT_TRUE(tail.NextFields(&fields).value());
-  EXPECT_EQ(fields[0].i, 3);
-  EXPECT_FALSE(tail.NextFields(&fields).value());
-  tail.Rewind();
-  ASSERT_TRUE(tail.NextFields(&fields).value());
-  EXPECT_EQ(fields[0].i, 2);
-
-  // A slice promising more rows than its bytes hold is short.
-  TupleStream head = full.Slice(0, (*offsets)[1], 2);
-  EXPECT_EQ(head.RowOffsets().status().code(), StatusCode::kInvalidArgument);
-  ASSERT_TRUE(head.NextFields(&fields).value());
-  EXPECT_EQ(head.NextFields(&fields).status().code(),
-            StatusCode::kInvalidArgument);
+/// Reads `stream` on to its end and re-encodes every row it decoded: the
+/// bytes a reader saw, field by field.
+std::string ReadAll(TupleStream* stream) {
+  std::string out;
+  {
+    WireWriter writer(&out);
+    std::vector<WireField> fields;
+    while (true) {
+      Result<bool> got = stream->NextFields(&fields);
+      EXPECT_TRUE(got.ok()) << got.status();
+      if (!got.ok() || !*got) break;
+      writer.Row(static_cast<uint32_t>(fields.size()));
+      for (const WireField& f : fields) {
+        switch (f.kind) {
+          case WireField::Kind::kNull:
+            writer.Null();
+            break;
+          case WireField::Kind::kInt64:
+            writer.Int64(f.i);
+            break;
+          case WireField::Kind::kDouble:
+            writer.Double(f.d);
+            break;
+          case WireField::Kind::kString:
+            writer.String(f.s);
+            break;
+        }
+      }
+    }
+  }
+  return out;
 }
 
-TEST(TupleStreamTest, RowOffsetsRejectsBrokenFraming) {
-  TupleStream full(MakeRelation({
-      Tuple{Value::Int64(1), Value::String("a")},
-      Tuple{Value::Int64(2), Value::String("b")},
-  }));
-  const std::string& wire = *full.shared_wire();
-  TupleStream cut(full.schema(),
-                  std::make_shared<const std::string>(
-                      wire.substr(0, wire.size() - 1)),
-                  2);
-  EXPECT_EQ(cut.RowOffsets().status().code(), StatusCode::kInvalidArgument);
-  TupleStream short_stream(
-      full.schema(),
-      std::make_shared<const std::string>(wire.substr(0, wire.size() / 2)),
-      2);
-  EXPECT_EQ(short_stream.RowOffsets().status().code(),
+/// A batch with every cell shape the wire format tells apart: NULLs, -0.0
+/// and int64 cells in a DOUBLE column, a computed item, and strings from
+/// empty to longer than a window, so that windows end between rows of
+/// very different widths and one row is wider than a window.
+class WindowedStreamTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kRows = 3000;
+  static constexpr int64_t kWideRow = 1500;
+
+  void SetUp() override {
+    TableSchema t("T", {{"k", DataType::kInt64, false},
+                        {"d", DataType::kDouble, true},
+                        {"s", DataType::kString, true}});
+    ASSERT_TRUE(db_.CreateTable(t).ok());
+    for (int64_t k = 0; k < kRows; ++k) {
+      Value d = k % 7 == 0   ? Value::Null()
+                : k % 5 == 0 ? Value::Double(-0.0)
+                : k % 3 == 0 ? Value::Int64(k)
+                             : Value::Double(static_cast<double>(k) * 0.5);
+      const size_t len = k == kWideRow ? TupleStream::kWindowBytes + 100
+                                       : static_cast<size_t>(k * 37 % 400);
+      Value s = k % 11 == 0 ? Value::Null()
+                            : Value::String(std::string(
+                                  len, static_cast<char>('a' + k % 26)));
+      ASSERT_TRUE(db_.Insert("T", Tuple{Value::Int64(k), d, s}).ok());
+    }
+  }
+
+  Rows Execute() {
+    QueryExecutor exec(&db_);
+    auto rows = exec.ExecuteRows(
+        "select t.k, t.d, t.s, t.k + 1 as k1 from T t order by t.k desc", 0,
+        nullptr);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    return rows.ok() ? std::move(rows).value() : Rows();
+  }
+
+  Database db_;
+};
+
+TEST_F(WindowedStreamTest, ReadsLikeAWholeBind) {
+  TupleStream whole(Execute());
+  TupleStream windowed = TupleStream::Windowed(Execute());
+  ASSERT_EQ(windowed.num_tuples(), static_cast<size_t>(kRows));
+  EXPECT_EQ(windowed.shared_wire(), nullptr);
+  EXPECT_EQ(windowed.wire_bytes(), 0u);  // nothing bound yet
+  EXPECT_EQ(ReadAll(&windowed), *whole.shared_wire());
+  EXPECT_EQ(windowed.wire_bytes(), whole.wire_bytes());
+  const size_t windows = windowed.windows();
+  EXPECT_GT(windows, 3u);
+  EXPECT_GT(windowed.bind_ms(), 0.0);
+
+  // A rewound stream binds the same windows again; its bytes count once.
+  windowed.Rewind();
+  EXPECT_EQ(ReadAll(&windowed), *whole.shared_wire());
+  EXPECT_EQ(windowed.windows(), 2 * windows);
+  EXPECT_EQ(windowed.wire_bytes(), whole.wire_bytes());
+}
+
+TEST_F(WindowedStreamTest, SlicesCutByRowIndex) {
+  TupleStream whole(Execute());
+  TupleStream windowed = TupleStream::Windowed(Execute());
+  const std::string& expected = *whole.shared_wire();
+  // Cuts off a row index stride and around the wide row.
+  const size_t cuts[] = {0, 1, 777, kWideRow, kWideRow + 1, kRows};
+  for (TupleStream* stream : {&whole, &windowed}) {
+    std::string read;
+    for (size_t c = 0; c + 1 < std::size(cuts); ++c) {
+      auto slice = stream->Slice(cuts[c], cuts[c + 1]);
+      ASSERT_TRUE(slice.ok()) << slice.status();
+      EXPECT_EQ(slice->num_tuples(), cuts[c + 1] - cuts[c]);
+      if (stream == &whole) {
+        EXPECT_EQ(slice->shared_wire(), whole.shared_wire());  // no copy
+      }
+      read += ReadAll(&*slice);
+    }
+    EXPECT_EQ(read, expected);
+    EXPECT_EQ(stream->Slice(2, 1).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(stream->Slice(0, kRows + 1).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+  // Every slice's rows were bound once: the batch's bytes are the whole's.
+  EXPECT_EQ(windowed.wire_bytes(), whole.wire_bytes());
+
+  // A slice of a slice reaches the same rows as the direct slice.
+  for (TupleStream* stream : {&whole, &windowed}) {
+    auto outer = stream->Slice(700, 1600);
+    ASSERT_TRUE(outer.ok()) << outer.status();
+    auto inner = outer->Slice(77, 801);
+    auto direct = stream->Slice(777, 1501);
+    ASSERT_TRUE(inner.ok()) << inner.status();
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    EXPECT_EQ(ReadAll(&*inner), ReadAll(&*direct));
+  }
+}
+
+TEST_F(WindowedStreamTest, ProbeReadsOneRowWithoutMovingTheCursor) {
+  TupleStream whole(Execute());
+  TupleStream windowed = TupleStream::Windowed(Execute());
+  std::vector<WireField> a, b, next;
+  std::string scratch_a, scratch_b;
+  for (size_t r : {size_t{0}, size_t{63}, size_t{64}, size_t{1499},
+                   size_t{kWideRow}, size_t{kRows - 1}}) {
+    ASSERT_TRUE(whole.Probe(r, &a, &scratch_a).ok());
+    ASSERT_TRUE(windowed.Probe(r, &b, &scratch_b).ok());
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a[0].i, b[0].i) << r;
+    EXPECT_EQ(a[0].i, kRows - 1 - static_cast<int64_t>(r));
+    ASSERT_EQ(a[2].kind, b[2].kind) << r;
+    if (a[2].kind == WireField::Kind::kString) {
+      EXPECT_EQ(a[2].s, b[2].s) << r;
+    }
+  }
+  EXPECT_EQ(whole.Probe(kRows, &a, &scratch_a).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(*windowed.NextFields(&next));
+  EXPECT_EQ(next[0].i, kRows - 1);  // still the first row
+}
+
+TEST_F(WindowedStreamTest, BindAfterAPartialReadKeepsTheCursor) {
+  TupleStream whole(Execute());
+  TupleStream windowed = TupleStream::Windowed(Execute());
+  std::vector<WireField> fields;
+  for (int64_t r = 0; r <= kWideRow; ++r) {  // past the wide row's window
+    ASSERT_TRUE(*windowed.NextFields(&fields));
+  }
+  windowed.Bind();
+  ASSERT_NE(windowed.shared_wire(), nullptr);
+  ASSERT_NE(windowed.row_index(), nullptr);
+  EXPECT_EQ(*windowed.shared_wire(), *whole.shared_wire());
+  EXPECT_EQ(windowed.wire_bytes(), whole.wire_bytes());
+  // The rest reads on from the next row.
+  auto rest = whole.Slice(kWideRow + 1, kRows);
+  ASSERT_TRUE(rest.ok());
+  EXPECT_EQ(ReadAll(&windowed), ReadAll(&*rest));
+  windowed.Rewind();
+  EXPECT_EQ(ReadAll(&windowed), *whole.shared_wire());
+  // The recorded index lets a stream over the same bytes be cut.
+  TupleStream adopted(whole.schema(), windowed.shared_wire(), kRows,
+                      windowed.row_index());
+  auto tail = adopted.Slice(kRows - 2, kRows);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  ASSERT_TRUE(*tail->NextFields(&fields));
+  EXPECT_EQ(fields[0].i, 1);
+}
+
+TEST(TupleStreamTest, WireStreamsAreCutOnlyThroughTheirRowIndex) {
+  std::vector<Tuple> rows;
+  for (int64_t k = 0; k < 200; ++k) {
+    rows.push_back(Tuple{Value::Int64(k), Value::String(std::string(
+                                              static_cast<size_t>(k % 9), 'x'))});
+  }
+  TupleStream full(MakeRelation(rows));
+  ASSERT_NE(full.row_index(), nullptr);
+  EXPECT_EQ(full.row_index()->size(), 4u);  // rows 0, 64, 128, 192
+  std::vector<WireField> fields;
+  std::string scratch;
+
+  // Bytes adopted without an index: only the whole stream is reachable.
+  TupleStream bare(full.schema(), full.shared_wire(), 200);
+  EXPECT_FALSE(bare.seekable());
+  EXPECT_TRUE(bare.Slice(0, 200).ok());
+  EXPECT_EQ(bare.Slice(100, 200).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bare.Probe(100, &fields, &scratch).code(),
+            StatusCode::kInvalidArgument);
+
+  // An index past the bytes, or into a broken frame, is an error.
+  auto past = std::make_shared<const std::vector<uint64_t>>(
+      std::vector<uint64_t>{0, full.wire_bytes() + 1});
+  TupleStream forged(full.schema(), full.shared_wire(), 200, past);
+  EXPECT_EQ(forged.Slice(100, 200).status().code(),
+            StatusCode::kInvalidArgument);
+  auto cut = std::make_shared<const std::string>(
+      full.shared_wire()->substr(0, full.wire_bytes() / 2));
+  TupleStream truncated(full.schema(), cut, 200, full.row_index());
+  EXPECT_EQ(truncated.Probe(199, &fields, &scratch).code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -1850,24 +1850,6 @@ Relation Rows::ToRelation() && {
   return out;
 }
 
-size_t Rows::HeldBytes() const {
-  size_t total = order_.capacity() * sizeof(uint32_t);
-  for (const Tuple& t : tuples_) total += t.ByteSize();
-  std::vector<const Relation*> owned;  // each counted once
-  for (const Core& core : cores_) {
-    for (const auto& ids : core.in.ids) total += ids.capacity() * 4;
-    for (const auto& source : core.in.sources) {
-      const Relation* rel = source.rel.get();
-      if (rel != nullptr &&
-          std::find(owned.begin(), owned.end(), rel) == owned.end()) {
-        owned.push_back(rel);
-        total += rel->ByteSize();
-      }
-    }
-  }
-  return total;
-}
-
 void Rows::AppendWire(size_t begin, size_t end, std::string* out,
                       std::vector<uint64_t>* index) const {
   WireWriter writer(out);

@@ -265,10 +265,6 @@ class Rows {
   void AppendWire(size_t begin, size_t end, std::string* out,
                   std::vector<uint64_t>* index = nullptr) const;
 
-  /// Bytes this result holds beyond the base tables it borrows: row ids,
-  /// the ORDER BY permutation, owned relations and handed-over tuples.
-  size_t HeldBytes() const;
-
   /// Builds every row as a Tuple, in result order.
   Relation ToRelation() &&;
 

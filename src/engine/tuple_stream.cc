@@ -1,6 +1,5 @@
 #include "engine/tuple_stream.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstring>
 
@@ -160,23 +159,13 @@ constexpr size_t kFirstWindowRows = 64;
 
 }  // namespace
 
-struct TupleStream::Batch {
-  explicit Batch(Rows r) : rows(std::move(r)) {}
-  const Rows rows;
-  // Totals over every stream reading the batch; a rewound stream's second
-  // pass adds windows and time, not bytes.
-  std::atomic<size_t> bound_bytes{0};
-  std::atomic<size_t> windows{0};
-  std::atomic<int64_t> bind_ns{0};
-};
-
-TupleStream::TupleStream(std::shared_ptr<Batch> batch)
-    : schema_(batch->rows.schema()),
-      num_tuples_(batch->rows.size()),
+TupleStream::TupleStream(std::shared_ptr<const Rows> batch)
+    : schema_(batch->schema()),
+      num_tuples_(batch->size()),
       batch_(std::move(batch)) {}
 
 TupleStream::TupleStream(Rows rows)
-    : TupleStream(std::make_shared<Batch>(std::move(rows))) {
+    : TupleStream(std::make_shared<const Rows>(std::move(rows))) {
   Bind();
 }
 
@@ -184,7 +173,7 @@ TupleStream::TupleStream(Relation relation)
     : TupleStream(Rows(std::move(relation))) {}
 
 TupleStream TupleStream::Windowed(Rows rows) {
-  return TupleStream(std::make_shared<Batch>(std::move(rows)));
+  return TupleStream(std::make_shared<const Rows>(std::move(rows)));
 }
 
 TupleStream::TupleStream(RelSchema schema,
@@ -201,8 +190,8 @@ void TupleStream::Bind() {
   if (batch_ == nullptr) return;
   auto buffer = std::make_shared<std::string>();
   auto index = std::make_shared<std::vector<uint64_t>>();
-  batch_->rows.AppendWire(first_row_, first_row_ + num_tuples_, buffer.get(),
-                          index.get());
+  batch_->AppendWire(first_row_, first_row_ + num_tuples_, buffer.get(),
+                     index.get());
   buffer_ = std::move(buffer);
   index_ = std::move(index);
   batch_.reset();
@@ -217,24 +206,6 @@ void TupleStream::Bind() {
 std::string_view TupleStream::bytes() const {
   if (batch_ != nullptr) return window_;
   return std::string_view(*buffer_).substr(0, end_);
-}
-
-size_t TupleStream::wire_bytes() const {
-  if (batch_ != nullptr) {
-    return batch_->bound_bytes.load(std::memory_order_relaxed);
-  }
-  return end_ - begin_;
-}
-
-size_t TupleStream::windows() const {
-  return batch_ != nullptr ? batch_->windows.load(std::memory_order_relaxed)
-                           : 0;
-}
-
-double TupleStream::bind_ms() const {
-  if (batch_ == nullptr) return 0;
-  return static_cast<double>(batch_->bind_ns.load(std::memory_order_relaxed)) /
-         1e6;
 }
 
 void TupleStream::Rewind() {
@@ -258,13 +229,11 @@ Result<bool> TupleStream::Advance() {
     next_bind_ = std::min(end_row, begin + rows);
     const auto start = std::chrono::steady_clock::now();
     window_.clear();
-    batch_->rows.AppendWire(begin, next_bind_, &window_);
-    batch_->bind_ns.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count(),
-        std::memory_order_relaxed);
-    batch_->windows.fetch_add(1, std::memory_order_relaxed);
+    batch_->AppendWire(begin, next_bind_, &window_);
+    bind_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - start)
+                    .count();
+    ++windows_;
     offset_ = 0;
     if (window_rows_ == 0) {
       window_rows_ = std::max<size_t>(
@@ -272,7 +241,7 @@ Result<bool> TupleStream::Advance() {
                  std::max<size_t>(window_.size(), 1));
     }
     if (begin >= bound_upto_) {
-      batch_->bound_bytes.fetch_add(window_.size(), std::memory_order_relaxed);
+      bound_bytes_ += window_.size();
       bound_upto_ = next_bind_;
     }
   }
@@ -307,8 +276,7 @@ Result<size_t> TupleStream::Seek(size_t row) const {
   if (row == num_tuples_) return end_;
   const size_t at = first_row_ + row;
   const size_t entry = at / Rows::kIndexStride;
-  if (index_ == nullptr || entry >= index_->size() ||
-      (*index_)[entry] > end_) {
+  if (entry >= index_->size() || (*index_)[entry] > end_) {
     return Status::InvalidArgument("no row index entry for row " +
                                    std::to_string(at));
   }
@@ -336,6 +304,8 @@ Result<TupleStream> TupleStream::Slice(size_t begin, size_t end) const {
     slice.offset_ = 0;
     slice.next_bind_ = slice.bound_upto_ = slice.first_row_;
     slice.window_rows_ = 0;
+    slice.bound_bytes_ = slice.windows_ = 0;
+    slice.bind_ns_ = 0;
     return slice;
   }
   SILK_ASSIGN_OR_RETURN(slice.begin_, Seek(begin));
@@ -353,7 +323,7 @@ Status TupleStream::Probe(size_t row, std::vector<WireField>* fields,
   size_t offset = 0;
   if (batch_ != nullptr) {
     scratch->clear();
-    batch_->rows.AppendWire(first_row_ + row, first_row_ + row + 1, scratch);
+    batch_->AppendWire(first_row_ + row, first_row_ + row + 1, scratch);
     return ReadRow(*scratch, &offset, schema_, fields);
   }
   SILK_ASSIGN_OR_RETURN(offset, Seek(row));

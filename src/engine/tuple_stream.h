@@ -151,12 +151,11 @@ class TupleStream {
   /// Adopts already-bound wire bytes shared with a cache entry
   /// (engine/result_cache.h): a cache hit constructs its stream without
   /// re-executing *or* re-serializing, and without copying the buffer —
-  /// the shared_ptr keeps the bytes alive past eviction. `index` is the
-  /// row index recorded when they were bound; without one the stream can
-  /// only be sliced whole.
+  /// the shared_ptr keeps the bytes alive past eviction. `index` (not
+  /// null) is the row index recorded when they were bound (row_index()).
   TupleStream(RelSchema schema, std::shared_ptr<const std::string> wire,
               size_t num_tuples,
-              std::shared_ptr<const std::vector<uint64_t>> index = nullptr);
+              std::shared_ptr<const std::vector<uint64_t>> index);
 
   /// Binds every row of the stream whole now, unless it already is: a
   /// windowed stream becomes a wire stream with a row index (shareable
@@ -165,9 +164,9 @@ class TupleStream {
   void Bind();
 
   /// A stream over rows [begin, end) of this one, read independently: a
-  /// windowed stream's slice shares the batch and binds its own windows,
-  /// a wire stream's shares the bytes. A wire stream without a row index
-  /// can only be sliced whole; a corrupt index is an error.
+  /// windowed stream's slice shares the batch and binds its own windows
+  /// (counted in its own wire_bytes(), windows() and bind_ms()), a wire
+  /// stream's shares the bytes. A corrupt row index is an error.
   Result<TupleStream> Slice(size_t begin, size_t end) const;
 
   /// Decodes row `row` of the stream into `*fields` without moving the
@@ -175,12 +174,6 @@ class TupleStream {
   /// string fields then point into; a wire stream's point into its bytes.
   Status Probe(size_t row, std::vector<WireField>* fields,
                std::string* scratch) const;
-
-  /// False for a wire stream without a row index: Slice and Probe reach
-  /// only its first row.
-  bool seekable() const {
-    return batch_ != nullptr || index_ != nullptr || num_tuples_ == 0;
-  }
 
   const RelSchema& schema() const { return schema_; }
 
@@ -207,17 +200,19 @@ class TupleStream {
   /// Rewinds to the first tuple.
   void Rewind();
 
-  /// A wire stream's bytes. For a windowed stream, the bytes that every
-  /// stream over its batch bound on its first pass (a rewound stream's
-  /// next pass adds nothing): once one tag has read each row once, through
-  /// the stream or through its slices, the bytes a whole bind produces.
-  size_t wire_bytes() const;
+  /// A wire stream's bytes. For a windowed stream, the bytes of the
+  /// windows this stream bound on its first pass over its rows (a rewound
+  /// stream's next pass adds nothing, and neither do its slices' reads):
+  /// once it has read every row, the bytes a whole bind of them produces.
+  size_t wire_bytes() const {
+    return batch_ != nullptr ? bound_bytes_ : end_ - begin_;
+  }
   size_t num_tuples() const { return num_tuples_; }
 
-  /// For a windowed stream, the windows that every stream over its batch
-  /// bound so far, and the time that took; 0 for a wire stream.
-  size_t windows() const;
-  double bind_ms() const;
+  /// The windows this stream bound so far, every pass included, and the
+  /// time that took; 0 for a wire stream.
+  size_t windows() const { return windows_; }
+  double bind_ms() const { return static_cast<double>(bind_ns_) / 1e6; }
 
   /// The bound wire buffer, shareable with a cache entry at no copy (the
   /// whole buffer, also for a slice); null for a windowed stream.
@@ -230,9 +225,7 @@ class TupleStream {
   }
 
  private:
-  struct Batch;  // the shared Rows and the bytes bound from them
-
-  explicit TupleStream(std::shared_ptr<Batch> batch);
+  explicit TupleStream(std::shared_ptr<const Rows> batch);
 
   /// The bytes rows are read from: the window, or the wire buffer.
   std::string_view bytes() const;
@@ -255,12 +248,16 @@ class TupleStream {
   size_t begin_ = 0;
   size_t end_ = 0;
 
-  // Batch source: window_ holds rows [.., next_bind_) of the batch.
-  std::shared_ptr<Batch> batch_;
+  // Batch source, shared by the stream's slices: window_ holds rows
+  // [.., next_bind_) of the batch.
+  std::shared_ptr<const Rows> batch_;
   std::string window_;
   size_t next_bind_ = 0;
   size_t window_rows_ = 0;  // rows per window after the first; 0: unset
-  size_t bound_upto_ = 0;   // rows below it are counted in wire_bytes()
+  size_t bound_upto_ = 0;   // rows below it are counted in bound_bytes_
+  size_t bound_bytes_ = 0;
+  size_t windows_ = 0;
+  int64_t bind_ns_ = 0;
 };
 
 }  // namespace silkroute::engine

@@ -651,13 +651,13 @@ Result<PublishResult> Publisher::Run(const PublishOptions& options,
   // The windows bound inside the tag: each component's time, summed over
   // the ranges, on its phase:bind span and in bind_ms; and every
   // component's bytes, now that all are bound.
-  for (const ComponentStream& component : done) {
-    const double window_ms = component.stream->bind_ms();
-    metrics.bind_ms += window_ms;
-    metrics.wire_bytes += component.stream->wire_bytes();
-    if (component.bind_span != nullptr) {
-      component.bind_span->AnnotateMs("ms", window_ms);
-      component.bind_span->End();
+  for (size_t i = 0; i < done.size(); ++i) {
+    const Tagger::StreamBind& bound = tagger.bound()[i];
+    metrics.bind_ms += bound.bind_ms;
+    metrics.wire_bytes += bound.wire_bytes;
+    if (done[i].bind_span != nullptr) {
+      done[i].bind_span->AnnotateMs("ms", bound.bind_ms);
+      done[i].bind_span->End();
     }
   }
 

@@ -526,13 +526,10 @@ Result<size_t> Tagger::Cut(
   // A row's root key is the encoding of key positions [0, root_positions_).
   // Every instance of a row shares it, so every source of a stream must
   // read it from the same columns (or constants), and an identity
-  // variable must come from a column. A stream must reach its rows by
-  // index.
+  // variable must come from a column.
   for (size_t i = 0; i < inputs.size(); ++i) {
     if (inputs[i].stream->num_tuples() == 0) continue;
-    if (sources[i].empty() || !inputs[i].stream->seekable()) {
-      return size_t{1};
-    }
+    if (sources[i].empty()) return size_t{1};
     const Source& first = sources[i].front();
     for (size_t p = 0; p < root_positions_; ++p) {
       if (p > 0 && first.key_cols[p] < 0) return size_t{1};
@@ -659,16 +656,13 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
   }
   size_t wanted = options_.ranges > 0 ? options_.ranges
                                       : total_rows / kMinRowsPerRange;
-  // Windows the streams' batches bound before this Run; the rest are ours.
-  auto bound = [&](size_t* windows, double* ms) {
-    for (const StreamInput& input : inputs) {
-      *windows += input.stream->windows();
-      *ms += input.stream->bind_ms();
-    }
-  };
-  size_t windows_before = 0;
-  double bind_ms_before = 0;
-  bound(&windows_before, &bind_ms_before);
+  // What the inputs bound before this Run: one range reads them directly,
+  // so only what it binds past these counts is the Run's.
+  std::vector<StreamBind> before(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    before[i].windows = inputs[i].stream->windows();
+    before[i].bind_ms = inputs[i].stream->bind_ms();
+  }
   double cut_ms = 0;
   std::optional<LaneLoan> helpers;
   size_t threads = 1;
@@ -714,6 +708,7 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
   stats_.ranges = num_ranges;
   stats_.threads = threads;
   stats_.cut_ms = cut_ms;
+  bound_.assign(inputs.size(), StreamBind{});
   std::vector<std::unique_ptr<Range>> wave(threads);
   std::vector<std::vector<engine::TupleStream*>> streams(threads);
   std::vector<Status> status(threads);
@@ -748,6 +743,13 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
           std::max(stats_.max_open_depth, s.max_open_depth);
       stats_.peak_buffered_tuples =
           std::max(stats_.peak_buffered_tuples, s.peak_buffered_tuples);
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        const engine::TupleStream& read = *streams[k][i];
+        const StreamBind base = num_ranges == 1 ? before[i] : StreamBind{};
+        bound_[i].wire_bytes += read.wire_bytes();
+        bound_[i].windows += read.windows() - base.windows;
+        bound_[i].bind_ms += read.bind_ms() - base.bind_ms;
+      }
       wave[k].reset();  // frees its appended XML before the next wave
       // ... and its slices' windows.
       if (num_ranges > 1) {
@@ -761,9 +763,10 @@ Status Tagger::Run(std::vector<StreamInput> inputs) {
   if (!options_.document_element.empty()) {
     SILK_RETURN_IF_ERROR(writer_->EndElement());
   }
-  bound(&stats_.windows, &stats_.bind_ms);
-  stats_.windows -= windows_before;
-  stats_.bind_ms -= bind_ms_before;
+  for (const StreamBind& b : bound_) {
+    stats_.windows += b.windows;
+    stats_.bind_ms += b.bind_ms;
+  }
   return Status::OK();
 }
 

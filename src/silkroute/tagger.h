@@ -75,7 +75,8 @@ struct TaggerStats {
   /// bytes (0 for Query 1: its keys are integers).
   size_t byte_key_ranges = 0;
   /// Windows the ranges bound from windowed streams (engine::TupleStream),
-  /// and their bind time summed over the ranges: part of Run's time.
+  /// and their bind time summed over the ranges and streams (bound()):
+  /// part of Run's time.
   size_t windows = 0;
   double bind_ms = 0;
   /// Time spent cutting the streams into ranges.
@@ -118,6 +119,17 @@ class Tagger {
 
   const TaggerStats& stats() const { return stats_; }
 
+  /// What Run's ranges read of one input stream: its wire bytes (a
+  /// windowed stream's as its ranges bound them, each row once) and the
+  /// windows they bound and the time that took, summed over the ranges.
+  struct StreamBind {
+    size_t wire_bytes = 0;
+    size_t windows = 0;
+    double bind_ms = 0;
+  };
+  /// One per input stream, in Run's order.
+  const std::vector<StreamBind>& bound() const { return bound_; }
+
  private:
   struct Source;  // an InstanceSpec resolved against its stream's columns
   class Range;    // one range's merge state
@@ -157,6 +169,7 @@ class Tagger {
   xml::XmlWriter* writer_;
   Options options_;
   TaggerStats stats_;
+  std::vector<StreamBind> bound_;
 
   size_t num_positions_ = 0;  // global key layout
   size_t root_positions_ = 0;  // L1 and the level-1 identity vars lead it

@@ -14,8 +14,9 @@
 //  - end to end: cache-on publishes byte-identical to cache-off at
 //    concurrency 1 and 8, the unchanged-view republish served from the
 //    document cache, a single-table delta re-executing ONLY the components
-//    that name the dirty table, and a seeded differential harness that
-//    randomly interleaves table mutations with republishes.
+//    that name the dirty table, a republish whose hits are cut into
+//    tagger ranges by their recorded row index, and a seeded differential
+//    harness that randomly interleaves table mutations with republishes.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -25,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/lanes.h"
 #include "common/string_util.h"
 #include "engine/result_cache.h"
 #include "relational/database.h"
@@ -313,6 +315,46 @@ TEST(ResultCacheE2ETest, SingleTableDeltaReexecutesOnlyDirtyComponents) {
   const std::string reference = MustPublish(&publisher, BaseOptions());
   EXPECT_EQ(incremental, reference);
   EXPECT_NE(incremental, "");
+}
+
+TEST(ResultCacheE2ETest, RepublishCutsItsHitsByTheirRecordedRowIndex) {
+  // Enough rows that the tagger cuts the document into ranges: the
+  // fragment hits are then cut through the row index each entry recorded
+  // when it was bound, while the re-executed components bind in windows.
+  auto db = MakeTinyTpch(0.005);
+  Publisher publisher(db.get());
+  engine::ResultCache cache(
+      engine::ResultCache::Options{64 << 20, 4, nullptr});
+  PublishOptions cached = BaseOptions();
+  cached.result_cache = &cache;
+
+  PlanMetrics first;
+  EXPECT_EQ(MustPublish(&publisher, cached, &first),
+            MustPublish(&publisher, BaseOptions()));
+
+  auto table = db->GetTable("Region");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->InsertUnchecked((*table)->Row(0)).ok());
+
+  PlanMetrics warm;
+  const std::string republished = MustPublish(&publisher, cached, &warm);
+  EXPECT_FALSE(warm.served_from_doc_cache);
+  EXPECT_GT(warm.cache_hits, 0u);
+  EXPECT_GT(warm.cache_misses, 0u);
+  if (LaneCapacity() > 1) {
+    EXPECT_GT(warm.tagger.ranges, 1u);
+  }
+
+  // Byte-identical to a cold publish of the same tables by a publisher
+  // with no cache, with the same counters.
+  Publisher fresh(db.get());
+  PlanMetrics cold;
+  PublishOptions uncached = BaseOptions();
+  EXPECT_EQ(republished, MustPublish(&fresh, uncached, &cold));
+  EXPECT_EQ(warm.rows, cold.rows);
+  EXPECT_EQ(warm.wire_bytes, cold.wire_bytes);
+  EXPECT_EQ(warm.xml_bytes, cold.xml_bytes);
+  EXPECT_EQ(warm.tagger.instances_emitted, cold.tagger.instances_emitted);
 }
 
 TEST(ResultCacheE2ETest, ServiceConcurrency8IsByteIdenticalColdAndWarm) {

@@ -674,6 +674,7 @@ class RangedTaggerTest : public ::testing::Test {
     Status status;
     std::string xml;
     TaggerStats stats;
+    std::vector<Tagger::StreamBind> bound;
   };
 
   /// How the document is written: pretty or compact, with or without an
@@ -701,6 +702,7 @@ class RangedTaggerTest : public ::testing::Test {
       Tagger tagger(tree_, &writer, options);
       tagged.status = tagger.Run(std::move(inputs));
       if (tagged.status.ok()) tagged.status = writer.Finish();
+      tagged.bound = tagger.bound();
       tagged.stats = tagger.stats();
     }
     tagged.xml = out.str();
@@ -843,23 +845,30 @@ TEST_F(RangedTaggerTest, WindowedStreamsMatchWholeBinds) {
     }
   }
 
-  // One tag of fresh batches binds every row once: the same wire bytes as
-  // the whole binds, whatever the cut.
+  // Each tag binds every row once: per stream, the same wire bytes as the
+  // whole bind, whatever the cut, also when one batch is tagged again.
   Bound whole = Bind(0, SqlGenStyle::kOuterJoin, true);
-  Bound fresh;
-  fresh.specs = whole.specs;
-  for (const StreamSpec& spec : fresh.specs) {
-    fresh.streams.push_back(std::make_unique<engine::TupleStream>(
-        engine::TupleStream::Windowed(Execute(spec.sql))));
-  }
-  Tagged tagged = Tag(fresh, Ranges(4, "suppliers"));
-  ASSERT_TRUE(tagged.status.ok()) << tagged.status;
-  EXPECT_EQ(tagged.stats.ranges, 4u);
-  EXPECT_GT(tagged.stats.bind_ms, 0.0);
-  EXPECT_GT(tagged.stats.cut_ms, 0.0);
-  for (size_t i = 0; i < whole.streams.size(); ++i) {
-    EXPECT_EQ(fresh.streams[i]->wire_bytes(), whole.streams[i]->wire_bytes())
-        << fresh.specs[i].sql;
+  Bound windowed = Bind(0, SqlGenStyle::kOuterJoin, true, /*windowed=*/true);
+  for (size_t ranges : {4, 16, 1, 4}) {
+    SCOPED_TRACE(testing::Message() << "ranges " << ranges);
+    Tagged tagged = Tag(windowed, Ranges(ranges, "suppliers"));
+    ASSERT_TRUE(tagged.status.ok()) << tagged.status;
+    EXPECT_EQ(tagged.stats.ranges, ranges);
+    EXPECT_GT(tagged.stats.bind_ms, 0.0);
+    EXPECT_EQ(tagged.stats.cut_ms > 0.0, ranges > 1);
+    ASSERT_EQ(tagged.bound.size(), whole.streams.size());
+    size_t windows = 0;
+    for (size_t i = 0; i < whole.streams.size(); ++i) {
+      EXPECT_EQ(tagged.bound[i].wire_bytes, whole.streams[i]->wire_bytes())
+          << windowed.specs[i].sql;
+      windows += tagged.bound[i].windows;
+    }
+    EXPECT_EQ(windows, tagged.stats.windows);
+    Tagged eager = Tag(whole, Ranges(ranges, "suppliers"));
+    for (size_t i = 0; i < whole.streams.size(); ++i) {
+      EXPECT_EQ(eager.bound[i].wire_bytes, whole.streams[i]->wire_bytes());
+      EXPECT_EQ(eager.bound[i].windows, 0u);
+    }
   }
 }
 
@@ -904,8 +913,9 @@ TEST_F(RangedTaggerTest, TwoThreadsBindHalvesOfOneBatch) {
     read(&*first, &a);
   }
   EXPECT_TRUE(a + b == *whole.shared_wire());
-  EXPECT_EQ(windowed.wire_bytes(), whole.wire_bytes());
-  EXPECT_GT(windowed.windows(), 4u);  // several windows per thread
+  EXPECT_EQ(first->wire_bytes() + second->wire_bytes(), whole.wire_bytes());
+  EXPECT_GT(first->windows(), 2u);  // several windows per thread
+  EXPECT_GT(second->windows(), 2u);
 }
 
 TEST_F(RangedTaggerTest, AutomaticRangeCountFollowsRowsAndIdleLanes) {

@@ -196,7 +196,7 @@ TEST(TupleStreamTest, NextFieldsRejectsShortOrCorruptStreams) {
   TupleStream short_stream(
       full.schema(),
       std::make_shared<const std::string>(wire.substr(0, wire.size() / 2)),
-      2);
+      2, full.row_index());
   ASSERT_TRUE(*short_stream.NextFields(&fields));
   EXPECT_EQ(short_stream.NextFields(&fields).status().code(),
             StatusCode::kInvalidArgument);
@@ -204,7 +204,7 @@ TEST(TupleStreamTest, NextFieldsRejectsShortOrCorruptStreams) {
   TupleStream cut(full.schema(),
                   std::make_shared<const std::string>(
                       wire.substr(0, wire.size() - 1)),
-                  2);
+                  2, full.row_index());
   ASSERT_TRUE(*cut.NextFields(&fields));
   EXPECT_EQ(cut.NextFields(&fields).status().code(),
             StatusCode::kInvalidArgument);
@@ -212,7 +212,8 @@ TEST(TupleStreamTest, NextFieldsRejectsShortOrCorruptStreams) {
   std::string narrow;
   SerializeTuple(Tuple{Value::Int64(1)}, &narrow);
   TupleStream mismatched(full.schema(),
-                         std::make_shared<const std::string>(narrow), 1);
+                         std::make_shared<const std::string>(narrow), 1,
+                         full.row_index());
   EXPECT_EQ(mismatched.NextFields(&fields).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -332,8 +333,21 @@ TEST_F(WindowedStreamTest, SlicesCutByRowIndex) {
     EXPECT_EQ(stream->Slice(0, kRows + 1).status().code(),
               StatusCode::kInvalidArgument);
   }
-  // Every slice's rows were bound once: the batch's bytes are the whole's.
-  EXPECT_EQ(windowed.wire_bytes(), whole.wire_bytes());
+  // Each slice counts the bytes it bound: together, the whole's once. The
+  // stream they were cut from read nothing and counts nothing.
+  EXPECT_EQ(windowed.wire_bytes(), 0u);
+  size_t sliced_bytes = 0;
+  for (int pass = 0; pass < 2; ++pass) {  // re-slicing adds no bytes
+    sliced_bytes = 0;
+    for (size_t c = 0; c + 1 < std::size(cuts); ++c) {
+      auto slice = windowed.Slice(cuts[c], cuts[c + 1]);
+      ASSERT_TRUE(slice.ok()) << slice.status();
+      ReadAll(&*slice);
+      sliced_bytes += slice->wire_bytes();
+    }
+    EXPECT_EQ(sliced_bytes, whole.wire_bytes());
+  }
+  EXPECT_EQ(windowed.windows(), 0u);
 
   // A slice of a slice reaches the same rows as the direct slice.
   for (TupleStream* stream : {&whole, &windowed}) {
@@ -397,7 +411,7 @@ TEST_F(WindowedStreamTest, BindAfterAPartialReadKeepsTheCursor) {
   EXPECT_EQ(fields[0].i, 1);
 }
 
-TEST(TupleStreamTest, WireStreamsAreCutOnlyThroughTheirRowIndex) {
+TEST(TupleStreamTest, WireStreamsAreCutThroughTheirRowIndex) {
   std::vector<Tuple> rows;
   for (int64_t k = 0; k < 200; ++k) {
     rows.push_back(Tuple{Value::Int64(k), Value::String(std::string(
@@ -409,14 +423,15 @@ TEST(TupleStreamTest, WireStreamsAreCutOnlyThroughTheirRowIndex) {
   std::vector<WireField> fields;
   std::string scratch;
 
-  // Bytes adopted without an index: only the whole stream is reachable.
-  TupleStream bare(full.schema(), full.shared_wire(), 200);
-  EXPECT_FALSE(bare.seekable());
-  EXPECT_TRUE(bare.Slice(0, 200).ok());
-  EXPECT_EQ(bare.Slice(100, 200).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(bare.Probe(100, &fields, &scratch).code(),
-            StatusCode::kInvalidArgument);
+  // Bytes adopted with their index are cut as the eager stream is.
+  TupleStream adopted(full.schema(), full.shared_wire(), 200,
+                      full.row_index());
+  auto tail = adopted.Slice(130, 200);
+  ASSERT_TRUE(tail.ok()) << tail.status();
+  ASSERT_TRUE(*tail->NextFields(&fields));
+  EXPECT_EQ(fields[0].i, 130);
+  ASSERT_TRUE(adopted.Probe(199, &fields, &scratch).ok());
+  EXPECT_EQ(fields[0].i, 199);
 
   // An index past the bytes, or into a broken frame, is an error.
   auto past = std::make_shared<const std::vector<uint64_t>>(
